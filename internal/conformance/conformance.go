@@ -301,10 +301,9 @@ func (h *harness) tossPlacement(opt *shard.Options, base *series.Collection) {
 				}
 				return storage.NewMemStore(), nil
 			},
-			CacheBytes:  16 << 10,
-			BlockSeries: 8,
-			Retry:       storage.RetryPolicy{Sleep: func(time.Duration) {}},
-			Source:      base,
+			CacheBytes: 16 << 10,
+			Retry:      storage.RetryPolicy{Sleep: func(time.Duration) {}},
+			Source:     base,
 		}
 		h.tossColdPlacement(cs)
 		opt.ColdStorage = cs
@@ -316,7 +315,7 @@ func (h *harness) tossPlacement(opt *shard.Options, base *series.Collection) {
 	case 1:
 		opt.CopyBase = true
 	case 2:
-		cs := &shard.ColdStorage{CacheBytes: 16 << 10, BlockSeries: 8}
+		cs := &shard.ColdStorage{CacheBytes: 16 << 10}
 		h.tossColdPlacement(cs)
 		opt.ColdStorage = cs
 	}
@@ -324,8 +323,12 @@ func (h *harness) tossPlacement(opt *shard.Options, base *series.Collection) {
 
 // tossColdPlacement half the time assigns tiers per shard at random
 // (always at least one cold) to exercise the mixed hot/cold path; the
-// other half leaves Cold nil, placing every shard cold.
+// other half leaves Cold nil, placing every shard cold. It also tosses the
+// cache granularity — one series per block, the usual eight, or more than a
+// leaf — since the device layout and the coalescing of reads depend on it
+// and no answer may.
 func (h *harness) tossColdPlacement(cs *shard.ColdStorage) {
+	cs.BlockSeries = []int{1, 8, 64}[h.rng.Intn(3)]
 	if h.rng.Intn(2) == 0 {
 		cold := make([]bool, h.cfg.Shards)
 		for i := range cold {

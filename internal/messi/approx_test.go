@@ -8,6 +8,7 @@ import (
 	"dsidx/internal/core"
 	"dsidx/internal/gen"
 	"dsidx/internal/series"
+	"dsidx/internal/xsync"
 )
 
 func TestSearchApproximateUpperBoundsExact(t *testing.T) {
@@ -130,6 +131,51 @@ func TestSharedBuffersBuildEquivalence(t *testing.T) {
 		}
 		if math.Abs(a.Dist-b.Dist) > 1e-9 {
 			t.Fatalf("query %d: %v != %v", qi, a.Dist, b.Dist)
+		}
+	}
+}
+
+// TestScopeSeededRunsOnceAfterTheApproximatePhase: every exact flavor calls
+// the scope's Seeded hook exactly once, after the probed leaves have fed the
+// shared answer (the threshold is already finite).
+func TestScopeSeededRunsOnceAfterTheApproximatePhase(t *testing.T) {
+	coll, queries := dataset(t, gen.Synthetic, 1100)
+	ix := build(t, coll, 2)
+	defer ix.Close()
+	q := queries.At(0)
+	flavors := map[string]func(scope Scope, limit *func() float64) (*QueryStats, error){
+		"nn": func(scope Scope, limit *func() float64) (*QueryStats, error) {
+			best := xsync.NewBest()
+			*limit = best.Distance
+			return ix.SearchShared(q, 0, best, nil, scope)
+		},
+		"knn": func(scope Scope, limit *func() float64) (*QueryStats, error) {
+			kb := xsync.NewKBest(3)
+			*limit = kb.Threshold
+			return ix.SearchKNNShared(q, 3, 0, kb, nil, scope)
+		},
+		"dtw": func(scope Scope, limit *func() float64) (*QueryStats, error) {
+			best := xsync.NewBest()
+			*limit = best.Distance
+			return ix.SearchDTWShared(q, 4, 0, best, nil, scope)
+		},
+	}
+	for name, search := range flavors {
+		var limit func() float64
+		calls := 0
+		scope := FullScope
+		scope.Seeded = func() {
+			calls++
+			if math.IsInf(limit(), 1) {
+				t.Errorf("%s: Seeded ran before the approximate phase seeded the threshold", name)
+			}
+		}
+		st, err := search(scope, &limit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if calls != 1 || st.ProbeLeaves == 0 {
+			t.Errorf("%s: Seeded ran %d times over %d probed leaves, want once", name, calls, st.ProbeLeaves)
 		}
 	}
 }

@@ -169,11 +169,12 @@ type Index struct {
 	baseLen int
 	build   BuildStats
 
-	// prefetch is non-nil when raw is device-backed (resolves a
-	// series.Prefetcher through any view chain): the refinement path then
-	// masks cold-leaf device reads behind distance computation (query.go).
-	// Nil for RAM-resident collections — the hot path is untouched.
-	prefetch func(pos []int32)
+	// readBatch is non-nil when raw is device-backed (resolves a
+	// series.BatchReader through any view chain): refinement then runs a
+	// leaf's whole bound pass first and hands only the survivors to the
+	// reader, in one batch it serves in device order (query.go). Nil for
+	// RAM-resident collections — the hot path is untouched.
+	readBatch func(pos []int32, want func(k int) bool, visit func(k int, s series.Series))
 
 	// snap is the current tree snapshot; swapped whole by merges.
 	snap atomic.Pointer[snapshot]
@@ -261,23 +262,7 @@ func (ix *Index) initLive(tree *core.Tree, baseSAX *core.SAXArray, mergedA int) 
 	}
 	ix.ingestSM = core.NewSummarizer(ix.cfg, tree.Quantizer())
 	ix.ingestBf = make([]uint8, ix.cfg.Segments)
-	if pf, ok := series.ResolvePrefetcher(ix.raw); ok {
-		// Leaf position lists mix base series with appended ones; only the
-		// base lives behind ix.raw (appends stay in the in-RAM delta store),
-		// so positions past baseLen are dropped before delegating.
-		base := int32(ix.baseLen)
-		ix.prefetch = func(pos []int32) {
-			inBase := make([]int32, 0, len(pos))
-			for _, p := range pos {
-				if p < base {
-					inBase = append(inBase, p)
-				}
-			}
-			if len(inBase) > 0 {
-				pf(inBase)
-			}
-		}
-	}
+	ix.readBatch = series.ResolveBatchReader(ix.raw)
 	ix.snap.Store(&snapshot{tree: tree, mergedA: mergedA})
 	ix.probeLive.Store(int32(ix.opt.ProbeLeaves))
 	ix.mergeLive.Store(int32(ix.opt.MergeThreshold))
@@ -538,6 +523,20 @@ func (ix *Index) BuildStats() BuildStats { return ix.build }
 // shard through. Appended series live in the index's own stable storage
 // (see At).
 func (ix *Index) Raw() series.Reader { return ix.raw }
+
+// Rebase swaps the reader the base values are read through for one holding
+// the same series at the same positions — how a tiering layer moves a built
+// index's base onto a device once the build no longer needs it in RAM. It
+// is not safe concurrently with anything else: call it before the index is
+// shared.
+func (ix *Index) Rebase(raw series.Reader) {
+	if raw.Len() != ix.baseLen || raw.SeriesLen() != ix.cfg.SeriesLen {
+		panic(fmt.Sprintf("messi: rebase onto %d×%d, index base is %d×%d",
+			raw.Len(), raw.SeriesLen(), ix.baseLen, ix.cfg.SeriesLen))
+	}
+	ix.raw = raw
+	ix.readBatch = series.ResolveBatchReader(raw)
+}
 
 // At returns the series at a global position: the base collection for
 // positions below its length, the append store above. Every position a

@@ -104,12 +104,15 @@ func (ix *Index) putScratch(sc *searchScratch) {
 	ix.scratch.Put(sc)
 }
 
-// lbScratch is a reusable lower-bound buffer. Every refinement or
-// delta-scan task checks one out of the index's pool for its lifetime, so
-// concurrent tasks of the same query never share a buffer and sustained
-// traffic recycles a bounded set (one buffer per concurrently running
-// task, not per leaf).
-type lbScratch struct{ buf []float64 }
+// lbScratch is a reusable lower-bound buffer, plus the survivor lists of a
+// device-backed refinement. Every refinement or delta-scan task checks one
+// out of the index's pool for its lifetime, so concurrent tasks of the same
+// query never share a buffer and sustained traffic recycles a bounded set
+// (one buffer per concurrently running task, not per leaf).
+type lbScratch struct {
+	buf      []float64
+	idx, pos []int32
+}
 
 // take returns a length-n bound buffer, growing the backing array only
 // when a leaf exceeds every previous one (over-capacity duplicate leaves
@@ -141,52 +144,120 @@ func (ix *Index) leafSeries(leaf *core.Node, i int) series.Series {
 	return ix.At(int(leaf.Pos[i]))
 }
 
-// forLeafBounds computes the whole leaf's summary lower bounds in one
-// batched pass over its contiguous SAX block (bit-identical to the
-// per-entry MinDistSAX values) and invokes each for every entry. Callers
-// read their live pruning threshold inside each, so every compare sees
-// the freshest BSF. This is the shared skeleton of all three refinement
-// flavors (ED, k-NN, DTW).
-func (ix *Index) forLeafBounds(table *isax.QueryTable, leaf *core.Node, st *QueryStats, lb *lbScratch, each func(i int, bound float64)) {
+// refiner is one query's refinement context: what every flavor (ED, k-NN,
+// DTW) shares — the lower-bound table, the position map, the visibility
+// filter — plus the two things a flavor defines. limit reads the live
+// pruning threshold (the BSF for 1-NN, the k-th best for k-NN); score pays
+// the real distance of the series s at mapped position gpos under the
+// threshold lim it was admitted with, and records any improvement.
+type refiner struct {
+	table *isax.QueryTable
+	mp    func(int32) int32
+	f     qfilter
+	limit func() float64
+	score func(gpos int32, s series.Series, lim float64, st *QueryStats)
+}
+
+// refineLeaf checks a leaf's entries: lower bounds for the whole leaf are
+// computed in one batched pass over its contiguous SAX block (bit-identical
+// to the per-entry MinDistSAX values), then survivors pay the flavor's real
+// distance against the leaf's materialized raw block — two sequential
+// streams instead of per-entry pointer chasing. Every compare reads the
+// live threshold, so it sees the freshest BSF. Entries outside the query's
+// filter — past the consistent cut, tombstoned, or below a window's lower
+// cut — are skipped.
+func (ix *Index) refineLeaf(r *refiner, leaf *core.Node, st *QueryStats, lb *lbScratch) {
 	bounds := lb.take(leaf.Count)
-	vector.MinDistBatch(table.Cells(), leaf.SAX, ix.cfg.Segments, table.Card(), bounds)
+	vector.MinDistBatch(r.table.Cells(), leaf.SAX, ix.cfg.Segments, r.table.Card(), bounds)
 	st.EntriesChecked += leaf.Count
+	if ix.readBatch != nil && leaf.Raw == nil {
+		ix.coldEntries(leaf, lb,
+			func(i int) bool { return bounds[i] < r.limit() && !r.f.skip(leaf.Pos[i], r.mp) },
+			func(i int, s series.Series) { r.score(r.mp(leaf.Pos[i]), s, r.limit(), st) })
+		return
+	}
 	for i, b := range bounds {
-		each(i, b)
+		lim := r.limit()
+		if b >= lim || r.f.skip(leaf.Pos[i], r.mp) {
+			continue
+		}
+		r.score(r.mp(leaf.Pos[i]), ix.leafSeries(leaf, i), lim, st)
 	}
 }
 
-// forDeltaBounds is forLeafBounds over the delta suffix [lo, hi): bounds
-// are batched run-by-run over the append log's chunk-contiguous rows, and
-// each receives absolute delta indexes.
-func (ix *Index) forDeltaBounds(table *isax.QueryTable, lo, hi int, st *QueryStats, lb *lbScratch, each func(i int, bound float64)) {
+// coldEntries is the device-backed form of "for every admitted entry of
+// leaf, visit its raw values" — bounds before bytes, the ParIS+ discipline:
+// admit is evaluated over the whole leaf first (it reads only resident
+// state: the bound pass's output and the query filter), and if nothing
+// passes no device access happens at all. The survivors go to the base
+// reader's batch read, which resolves them to device slots, visits them in
+// ascending slot order and fetches neighbours in one operation; admit is
+// asked again before each fetch and each visit, so an entry the threshold
+// has overtaken since is neither read nor scored. Merged appends live in
+// the in-RAM store and are visited first — they cost nothing and may
+// tighten the threshold before any read is issued. Evaluation order never
+// changes an answer: every visit is checked against the live threshold
+// whenever it runs.
+func (ix *Index) coldEntries(leaf *core.Node, lb *lbScratch, admit func(i int) bool, visit func(i int, s series.Series)) {
+	idx, pos := lb.idx[:0], lb.pos[:0]
+	for i, p := range leaf.Pos {
+		if !admit(i) {
+			continue
+		}
+		if int(p) >= ix.baseLen {
+			visit(i, ix.store.At(int(p)-ix.baseLen))
+			continue
+		}
+		idx, pos = append(idx, int32(i)), append(pos, p)
+	}
+	lb.idx, lb.pos = idx, pos
+	if len(pos) == 0 {
+		return
+	}
+	ix.readBatch(pos,
+		func(k int) bool { return admit(int(idx[k])) },
+		func(k int, s series.Series) { visit(int(idx[k]), s) })
+}
+
+// scanDelta is refineLeaf over the delta suffix [lo, hi): bounds are
+// batched run-by-run over the append log's chunk-contiguous rows, and
+// survivors are scored against the in-RAM append store.
+func (ix *Index) scanDelta(r *refiner, lo, hi int, st *QueryStats, lb *lbScratch) {
 	for i := lo; i < hi; {
 		rows, k := ix.saxLog.Run(i, hi)
 		bounds := lb.take(k)
-		vector.MinDistBatch(table.Cells(), rows, ix.cfg.Segments, table.Card(), bounds)
+		vector.MinDistBatch(r.table.Cells(), rows, ix.cfg.Segments, r.table.Card(), bounds)
 		st.EntriesChecked += k
 		for j, b := range bounds {
-			each(i+j, b)
+			p := int32(ix.baseLen + i + j)
+			lim := r.limit()
+			if b >= lim || r.f.skip(p, r.mp) {
+				continue
+			}
+			r.score(r.mp(p), ix.store.At(i+j), lim, st)
 		}
 		i += k
 	}
 }
 
 // probeLeaves runs the approximate phase: the p best leaves under the
-// query's summary (see core.Tree.BestLeavesApprox) are refined with the
-// same closure the queue-drain phase uses, seeding the BSF with exact
-// distances. Probing several neighboring leaves instead of one tightens
-// the initial BSF, which shrinks everything downstream: fewer leaves
-// survive tree pruning, fewer entries survive the lower-bound filter.
-func (ix *Index) probeLeaves(sc *searchScratch, t *core.Tree, stats *QueryStats,
-	refine func(leaf *core.Node, limit float64, st *QueryStats, lb *lbScratch)) {
+// query's summary (see core.Tree.BestLeavesApprox) are refined exactly as
+// the queue-drain phase refines, seeding the BSF with exact distances.
+// Probing several neighboring leaves instead of one tightens the initial
+// BSF, which shrinks everything downstream: fewer leaves survive tree
+// pruning, fewer entries survive the lower-bound filter. seeded is the
+// scope's hook (see Scope.Seeded), called once the leaves are refined.
+func (ix *Index) probeLeaves(sc *searchScratch, t *core.Tree, stats *QueryStats, r *refiner, seeded func()) {
 	lb := ix.getLB()
 	sc.probed = append(sc.probed[:0], t.BestLeavesApprox(sc.qsax, sc.qpaa, ix.probeLeavesNow())...)
 	for _, leaf := range sc.probed {
 		stats.ProbeLeaves++
-		refine(leaf, 0, stats, lb)
+		ix.refineLeaf(r, leaf, stats, lb)
 	}
 	ix.putLB(lb)
+	if seeded != nil {
+		seeded()
+	}
 }
 
 // wasProbed reports whether the approximate phase already refined leaf.
@@ -220,6 +291,12 @@ type Scope struct {
 	// cannot starve the rest. "" is the untenanted default (exactly the
 	// pre-tenant behavior).
 	Tenant string
+	// Seeded, when non-nil, is called on the calling goroutine once the
+	// approximate phase has fed the shared best-so-far and before traversal
+	// starts. A sharding layer over a device blocks in it until every
+	// sibling shard has seeded too, so no shard pays device reads for
+	// candidates a sibling's seed already excludes.
+	Seeded func()
 }
 
 // FullScope answers over everything published, untenanted.
@@ -391,29 +468,21 @@ func (ix *Index) SearchShared(q series.Series, workers int, best *xsync.Best, ma
 	sc.table.FillED(t.Quantizer(), sc.qpaa, ix.cfg.SeriesLen)
 	sc.mt.FillFrom(t.Quantizer(), sc.table)
 
-	refine := func(leaf *core.Node, _ float64, st *QueryStats, lb *lbScratch) {
-		ix.refineLeafED(q, sc.table, leaf, best, st, lb, mp, f)
-	}
+	r := &refiner{table: sc.table, mp: mp, f: f, limit: best.Distance,
+		score: func(gpos int32, s series.Series, lim float64, st *QueryStats) {
+			st.RawDistances++
+			// <=, not <: the kernel abandons only above lim, so d == lim
+			// is an exact tie with the best-so-far, and Best keeps the
+			// lower position — a duplicate of the current answer on another
+			// shard must not win or lose by arrival order.
+			if d := vector.SquaredEDEarlyAbandon(q, s, lim); d <= lim {
+				best.Update(d, int64(gpos))
+			}
+		}}
 	// Approximate phase: exact distances over the closest p leaves.
-	ix.probeLeaves(sc, t, stats, refine)
+	ix.probeLeaves(sc, t, stats, r, scope.Seeded)
 
-	if err := ix.queuedSearch(workers, mapPos != nil, scope.Tenant, stats, best.Distance, sc, v,
-		func(node *core.Node, bsf func() float64, emit func(*core.Node, float64)) {
-			t.PruneWalkTable(node, sc.mt, bsf, emit)
-		},
-		refine,
-		func(lo, hi int, st *QueryStats, lb *lbScratch) {
-			ix.forDeltaBounds(sc.table, lo, hi, st, lb, func(i int, b float64) {
-				limit := best.Distance()
-				if b >= limit || f.skip(int32(ix.baseLen+i), mp) {
-					return
-				}
-				st.RawDistances++
-				if d := vector.SquaredEDEarlyAbandon(q, ix.store.At(i), limit); d < limit {
-					best.Update(d, int64(mp(int32(ix.baseLen+i))))
-				}
-			})
-		}); err != nil {
+	if err := ix.queuedSearch(workers, mapPos != nil, scope.Tenant, stats, sc, v, r); err != nil {
 		return nil, ix.failQuery(err)
 	}
 	return stats, nil
@@ -476,27 +545,6 @@ func (ix *Index) BatchSearch(qs []series.Series) ([]core.Result, error) {
 	return results, err
 }
 
-// refineLeafED checks a leaf's entries: lower bounds for the whole leaf
-// are computed in one batched pass over its contiguous SAX block (bit-
-// identical to the per-entry MinDistSAX values), then survivors pay an
-// early-abandoning real distance against the leaf's materialized raw
-// block — two sequential streams instead of per-entry pointer chasing.
-// Entries outside the query's filter — past the consistent cut, tombstoned,
-// or below a window's lower cut — are skipped; improvements land in best
-// under mp.
-func (ix *Index) refineLeafED(q series.Series, table *isax.QueryTable, leaf *core.Node, best *xsync.Best, stats *QueryStats, lb *lbScratch, mp func(int32) int32, f qfilter) {
-	ix.forLeafBounds(table, leaf, stats, lb, func(i int, b float64) {
-		limit := best.Distance()
-		if b >= limit || f.skip(leaf.Pos[i], mp) {
-			return
-		}
-		stats.RawDistances++
-		if d := vector.SquaredEDEarlyAbandon(q, ix.leafSeries(leaf, i), limit); d < limit {
-			best.Update(d, int64(mp(leaf.Pos[i])))
-		}
-	})
-}
-
 // deltaBlock is the delta-scan work-claiming granularity in series.
 const deltaBlock = 1024
 
@@ -504,11 +552,11 @@ const deltaBlock = 1024
 // priority queues — concurrently with an exact scan of the view's unmerged
 // delta suffix — then a barrier, then parallel best-first draining. bsf
 // reads the live pruning threshold (the BSF for 1-NN, the k-th best for
-// k-NN); walk, refine and scanDelta abstract the distance flavor (ED vs
-// DTW). The delta scan shares the BSF with the traversal, so abandoning
-// thresholds tighten globally whichever side improves the answer first.
-// refine and scanDelta receive a per-task lower-bound buffer for their
-// batched bound computations.
+// k-NN) and r carries the distance flavor (ED vs DTW). The delta scan
+// shares the BSF with the traversal, so abandoning thresholds tighten
+// globally whichever side improves the answer first. Every refinement and
+// delta-scan task holds a per-task lower-bound buffer for its batched bound
+// computations.
 //
 // All phases execute as tasks on the index's shared worker pool rather
 // than per-call goroutines: with several queries in flight, their tasks
@@ -528,15 +576,13 @@ func (ix *Index) queuedSearch(
 	sub bool,
 	tenant string,
 	stats *QueryStats,
-	bsf func() float64,
 	sc *searchScratch,
 	v view,
-	walk func(node *core.Node, bsf func() float64, emit func(*core.Node, float64)),
-	refine func(leaf *core.Node, limit float64, st *QueryStats, lb *lbScratch),
-	scanDelta func(lo, hi int, st *QueryStats, lb *lbScratch),
+	r *refiner,
 ) error {
 	end := ix.beginQuery(sub, tenant)
 	defer end()
+	bsf := r.limit
 	if workers <= 0 {
 		// Unpinned queries take a fair share of the pool: full fan-out when
 		// alone, a proportional slice when other queries are active — and,
@@ -587,7 +633,7 @@ func (ix *Index) queuedSearch(
 				}
 				hi := min(lo+claimBlock, len(keys))
 				for _, key := range keys[lo:hi] {
-					walk(t.Subtree(key), bsf, emit)
+					t.PruneWalkTable(t.Subtree(key), sc.mt, bsf, emit)
 				}
 			}
 		})
@@ -601,7 +647,7 @@ func (ix *Index) queuedSearch(
 				if lo >= deltaHi {
 					break
 				}
-				scanDelta(lo, min(lo+deltaBlock, deltaHi), &st, lb)
+				ix.scanDelta(r, lo, min(lo+deltaBlock, deltaHi), &st, lb)
 			}
 			ix.putLB(lb)
 			entries.Add(int64(st.EntriesChecked))
@@ -633,26 +679,6 @@ func (ix *Index) queuedSearch(
 						continue
 					}
 					q := queues.Queue(idx)
-					// ParIS+-style I/O masking, active only when the base
-					// data is device-backed (ix.prefetch non-nil): a popped
-					// leaf without a materialized raw block would pay cold
-					// device reads inside refine, so its positions are
-					// submitted as a prefetch task on the same pool — no
-					// extra goroutines — and its refinement is deferred by
-					// one pop. The batched read for leaf N+1 then overlaps
-					// the distance computations of leaf N; single-flight
-					// block loading makes the race between the prefetch task
-					// and a faster-arriving refine harmless. TrySubmit (not
-					// Submit) because this code runs on a pool worker: a
-					// blocking send to a full queue that only this worker
-					// could drain would deadlock a small pool, and a prefetch
-					// that cannot be scheduled is better skipped — refine
-					// pays the read itself. Deferring a refinement never
-					// changes the answer: every surviving entry is checked
-					// against the live threshold whenever it runs, and queue
-					// abandonment stays monotone (bounds only grow within a
-					// queue, the BSF only shrinks).
-					var held *core.Node
 					for {
 						it, abandon := q.PopIfUnder(bsf())
 						if abandon {
@@ -660,21 +686,7 @@ func (ix *Index) queuedSearch(
 							break
 						}
 						popped.Add(1)
-						leaf := it.Value.leaf
-						if ix.prefetch != nil && leaf.Raw == nil {
-							pos := leaf.Pos
-							if g.TrySubmit(func() { ix.prefetch(pos) }) {
-								if held != nil {
-									refine(held, it.Priority, &st, lb)
-								}
-								held = leaf
-								continue
-							}
-						}
-						refine(leaf, it.Priority, &st, lb)
-					}
-					if held != nil {
-						refine(held, 0, &st, lb)
+						ix.refineLeaf(r, it.Value.leaf, &st, lb)
 					}
 				}
 				// Re-scan in case another worker inserted... no inserts can
@@ -751,6 +763,21 @@ func (ix *Index) SearchApproximateShared(q series.Series, mapPos func(int32) int
 
 	best := core.NoResult()
 	for _, leaf := range v.snap.tree.BestLeavesApprox(sc.qsax, sc.qpaa, ix.probeLeavesNow()) {
+		if ix.readBatch != nil && leaf.Raw == nil {
+			// No bound pass here, but the same read discipline: the
+			// visible entries of the leaf in one device-ordered batch.
+			lb, found := ix.getLB(), best
+			ix.coldEntries(leaf, lb,
+				func(i int) bool { return !f.skip(leaf.Pos[i], mp) },
+				func(i int, s series.Series) {
+					if d := vector.SquaredEDEarlyAbandon(q, s, found.Dist); d < found.Dist {
+						found = core.Result{Pos: mp(leaf.Pos[i]), Dist: d}
+					}
+				})
+			ix.putLB(lb)
+			best = found
+			continue
+		}
 		for i := range leaf.Pos {
 			if f.skip(leaf.Pos[i], mp) {
 				continue
@@ -828,36 +855,16 @@ func (ix *Index) SearchKNNShared(q series.Series, k, workers int, kb *xsync.KBes
 	t := v.snap.tree
 	sc.table.FillED(t.Quantizer(), sc.qpaa, ix.cfg.SeriesLen)
 	sc.mt.FillFrom(t.Quantizer(), sc.table)
-	table := sc.table
-
-	refine := func(leaf *core.Node, _ float64, st *QueryStats, lb *lbScratch) {
-		ix.forLeafBounds(table, leaf, st, lb, func(i int, b float64) {
-			lim := kb.Threshold()
-			if b >= lim || f.skip(leaf.Pos[i], mp) {
-				return
-			}
-			st.RawDistances++
-			kb.Offer(mp(leaf.Pos[i]), vector.SquaredEDEarlyAbandon(q, ix.leafSeries(leaf, i), lim))
-		})
-	}
-	ix.probeLeaves(sc, t, stats, refine)
 
 	// The k-th best distance plays the BSF role in every pruning decision.
-	if err := ix.queuedSearch(workers, mapPos != nil, scope.Tenant, stats, kb.Threshold, sc, v,
-		func(node *core.Node, bsf func() float64, emit func(*core.Node, float64)) {
-			t.PruneWalkTable(node, sc.mt, bsf, emit)
-		},
-		refine,
-		func(lo, hi int, st *QueryStats, lb *lbScratch) {
-			ix.forDeltaBounds(table, lo, hi, st, lb, func(i int, b float64) {
-				lim := kb.Threshold()
-				if b >= lim || f.skip(int32(ix.baseLen+i), mp) {
-					return
-				}
-				st.RawDistances++
-				kb.Offer(mp(int32(ix.baseLen+i)), vector.SquaredEDEarlyAbandon(q, ix.store.At(i), lim))
-			})
-		}); err != nil {
+	r := &refiner{table: sc.table, mp: mp, f: f, limit: kb.Threshold,
+		score: func(gpos int32, s series.Series, lim float64, st *QueryStats) {
+			st.RawDistances++
+			kb.Offer(gpos, vector.SquaredEDEarlyAbandon(q, s, lim))
+		}}
+	ix.probeLeaves(sc, t, stats, r, scope.Seeded)
+
+	if err := ix.queuedSearch(workers, mapPos != nil, scope.Tenant, stats, sc, v, r); err != nil {
 		return nil, ix.failQuery(err)
 	}
 	return stats, nil
@@ -922,47 +929,22 @@ func (ix *Index) SearchDTWShared(q series.Series, window, workers int, best *xsy
 	// The multi-cardinality view of the DTW table remains a valid DTW lower
 	// bound: coarse cells are minima over their sub-regions.
 	sc.mt.FillFrom(t.Quantizer(), sc.table)
-	table := sc.table
 
-	refine := func(leaf *core.Node, _ float64, st *QueryStats, lb *lbScratch) {
-		ix.forLeafBounds(table, leaf, st, lb, func(i int, b float64) {
-			lim := best.Distance()
-			if b >= lim || f.skip(leaf.Pos[i], mp) {
-				return
-			}
-			s := ix.leafSeries(leaf, i)
+	// Candidates that pass the iSAX bound take an LB_Keogh check before the
+	// full dynamic program.
+	r := &refiner{table: sc.table, mp: mp, f: f, limit: best.Distance,
+		score: func(gpos int32, s series.Series, lim float64, st *QueryStats) {
 			if series.LBKeogh(env, s, lim) >= lim {
 				return
 			}
 			st.RawDistances++
 			if d := series.DTW(q, s, window, lim); d < lim {
-				best.Update(d, int64(mp(leaf.Pos[i])))
+				best.Update(d, int64(gpos))
 			}
-		})
-	}
-	ix.probeLeaves(sc, t, stats, refine)
+		}}
+	ix.probeLeaves(sc, t, stats, r, scope.Seeded)
 
-	if err := ix.queuedSearch(workers, mapPos != nil, scope.Tenant, stats, best.Distance, sc, v,
-		func(node *core.Node, bsf func() float64, emit func(*core.Node, float64)) {
-			t.PruneWalkTable(node, sc.mt, bsf, emit)
-		},
-		refine,
-		func(lo, hi int, st *QueryStats, lb *lbScratch) {
-			ix.forDeltaBounds(table, lo, hi, st, lb, func(i int, b float64) {
-				lim := best.Distance()
-				if b >= lim || f.skip(int32(ix.baseLen+i), mp) {
-					return
-				}
-				s := ix.store.At(i)
-				if series.LBKeogh(env, s, lim) >= lim {
-					return
-				}
-				st.RawDistances++
-				if d := series.DTW(q, s, window, lim); d < lim {
-					best.Update(d, int64(mp(int32(ix.baseLen+i))))
-				}
-			})
-		}); err != nil {
+	if err := ix.queuedSearch(workers, mapPos != nil, scope.Tenant, stats, sc, v, r); err != nil {
 		return nil, ix.failQuery(err)
 	}
 	return stats, nil

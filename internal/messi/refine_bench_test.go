@@ -6,6 +6,8 @@ import (
 
 	"dsidx/internal/core"
 	"dsidx/internal/gen"
+	"dsidx/internal/series"
+	"dsidx/internal/vector"
 	"dsidx/internal/xsync"
 )
 
@@ -51,13 +53,20 @@ func BenchmarkMESSIRefineLeaf(b *testing.B) {
 			stats := &QueryStats{}
 			best := xsync.NewBest()
 			const loose = 1e18 // passes every bound; full distance on the first entry
+			r := &refiner{table: sc.table, mp: identPos, f: qfilter{posLimit: math.MaxInt32}, limit: best.Distance,
+				score: func(gpos int32, s series.Series, lim float64, st *QueryStats) {
+					st.RawDistances++
+					if d := vector.SquaredEDEarlyAbandon(q, s, lim); d < lim {
+						best.Update(d, int64(gpos))
+					}
+				}}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for _, leaf := range leaves {
 					best.Reset()
 					best.Update(loose, -1)
-					ix.refineLeafED(q, sc.table, leaf, best, stats, lb, identPos, qfilter{posLimit: math.MaxInt32})
+					ix.refineLeaf(r, leaf, stats, lb)
 				}
 			}
 			b.StopTimer()

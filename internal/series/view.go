@@ -20,9 +20,9 @@ import "fmt"
 // Reader (storage.DiskReader) may pay a device read on a cache miss, and
 // may panic on a device I/O error — there is deliberately no error return,
 // so in-memory implementations stay allocation- and branch-free. Readers
-// whose At can be slow should implement Prefetcher (prefetch.go), which
-// latency-sensitive callers discover via ResolvePrefetcher to overlap
-// loads with computation; everyone else remains oblivious.
+// whose At can be slow should implement BatchReader (batch.go), which
+// latency-sensitive callers discover via ResolveBatchReader to read a
+// pruned candidate set in device order; everyone else remains oblivious.
 type Reader interface {
 	// Len returns the number of series.
 	Len() int

@@ -1,11 +1,16 @@
 package shard
 
 import (
+	"fmt"
 	"path/filepath"
+	"slices"
+	"sync/atomic"
 	"testing"
 
+	"dsidx/internal/core"
 	"dsidx/internal/gen"
 	"dsidx/internal/messi"
+	"dsidx/internal/series"
 	"dsidx/internal/storage"
 	"dsidx/internal/ucr"
 )
@@ -98,8 +103,8 @@ func TestColdStorageMatchesHot(t *testing.T) {
 			if name == "all-cold" {
 				// All shards cold: the sharded index must serve global reads
 				// through the device cache, not keep the flat collection alive.
-				if _, ok := s.base.(*storage.DiskReader); !ok {
-					t.Errorf("all-cold base is %T, want *storage.DiskReader", s.base)
+				if _, ok := s.base.(*coldTier); !ok {
+					t.Errorf("all-cold base is %T, want *coldTier", s.base)
 				}
 			} else if s.base != coll {
 				t.Errorf("mixed-tier base replaced: %T", s.base)
@@ -257,5 +262,353 @@ func TestColdStorageAllHotPlacement(t *testing.T) {
 	}
 	if want := ucr.Scan(coll, q); got.Pos != want.Pos {
 		t.Fatalf("got #%d, want #%d", got.Pos, want.Pos)
+	}
+}
+
+// coldCounters builds a single cold shard with one worker on an unthrottled
+// device — one goroutine issues every read, so device counters are exactly
+// reproducible — and returns it with a per-query device-counter reader.
+func coldCounters(t *testing.T, coll *series.Collection, cfg core.Config, cacheBytes int64, blockSeries int) *Sharded {
+	t.Helper()
+	s, err := Build(coll, cfg, Options{Shards: 1,
+		ColdStorage: &ColdStorage{Profile: storage.Unthrottled, CacheBytes: cacheBytes, BlockSeries: blockSeries},
+		Options:     messi.Options{Workers: 1, MergeThreshold: 1 << 30}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	if m := s.ColdStats().Device; m.ReadOps != 0 || m.BytesRead != 0 {
+		t.Fatalf("the build read the device it staged: %+v", m)
+	}
+	return s
+}
+
+// TestColdReadsOnlySurvivors pins the bounds-before-bytes discipline with
+// device counters: every device read serves at least one series whose real
+// distance is then computed, so reads never outnumber raw distances; and
+// the bytes read stay within a small multiple of the bytes refined.
+func TestColdReadsOnlySurvivors(t *testing.T) {
+	g := gen.Generator{Kind: gen.Synthetic, Length: testLen, Seed: 41}
+	coll := g.Collection(2000)
+	queries := g.PerturbedQueries(coll, 40, 0.05)
+	payload := int64(coll.Len()) * testLen * 4
+	s := coldCounters(t, coll, testConfig(), payload/8, 0)
+	var reads, bytes, raws int64
+	for i := 0; i < queries.Len(); i++ {
+		before := s.ColdStats().Device
+		got, st, err := s.Search(queries.At(i), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		after := s.ColdStats().Device
+		if want := ucr.Scan(coll, queries.At(i)); got.Pos != want.Pos || got.Dist != want.Dist {
+			t.Fatalf("query %d: (#%d, %v) != serial (#%d, %v)", i, got.Pos, got.Dist, want.Pos, want.Dist)
+		}
+		if d := after.ReadOps - before.ReadOps; d > int64(st.RawDistances) {
+			t.Fatalf("query %d: %d device reads for %d raw distances", i, d, st.RawDistances)
+		}
+		reads += after.ReadOps - before.ReadOps
+		bytes += after.BytesRead - before.BytesRead
+		raws += int64(st.RawDistances)
+	}
+	if reads == 0 {
+		t.Fatal("no query read the device")
+	}
+	if amp := float64(bytes) / float64(raws*testLen*4); amp > 20 {
+		t.Fatalf("read amplification %.1f (%d bytes for %d raw distances), want ≤ 20", amp, bytes, raws)
+	}
+}
+
+// TestColdLeafWithoutSurvivorsReadsNothing: a query that IS a member finds
+// distance zero in the first leaf the approximate phase probes — that leaf's
+// members are neighbours on the device, so it costs exactly one read — and
+// from then on no bound survives anywhere: the second probed leaf, and every
+// leaf the traversal examines, cause no device access at all.
+func TestColdLeafWithoutSurvivorsReadsNothing(t *testing.T) {
+	g := gen.Generator{Kind: gen.Synthetic, Length: testLen, Seed: 43}
+	coll := g.Collection(1000)
+	// Few segments and small leaves: every root subtree is deep, so every
+	// query probes two leaves.
+	cfg := core.Config{Segments: 4, LeafCapacity: 8}
+	for _, blockSeries := range []int{1, 8, 64} {
+		s := coldCounters(t, coll, cfg, 1, blockSeries) // one-block cache: nothing is served from RAM
+		for _, member := range []int{0, 333, 999} {
+			before := s.ColdStats().Device.ReadOps
+			got, st, err := s.Search(coll.At(member), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Pos != int32(member) || got.Dist != 0 {
+				t.Fatalf("member %d answered (#%d, %v)", member, got.Pos, got.Dist)
+			}
+			if st.ProbeLeaves < 2 || st.EntriesChecked <= st.RawDistances {
+				t.Fatalf("member %d: %+v — want a second probed leaf whose bounds were computed", member, *st)
+			}
+			if d := s.ColdStats().Device.ReadOps - before; d != 1 {
+				t.Fatalf("BlockSeries %d, member %d: %d device reads over %d probed leaves, want 1",
+					blockSeries, member, d, st.ProbeLeaves)
+			}
+		}
+	}
+}
+
+// TestColdReadsMonotoneInCache: the same queries through a larger cache
+// never read the device more: with one worker the access sequence is fixed,
+// and LRU caches of growing size hold nested block sets over it.
+func TestColdReadsMonotoneInCache(t *testing.T) {
+	g := gen.Generator{Kind: gen.Synthetic, Length: testLen, Seed: 47}
+	coll := g.Collection(2000)
+	queries := g.PerturbedQueries(coll, 60, 0.05)
+	payload := int64(coll.Len()) * testLen * 4
+	prev := int64(-1)
+	for _, share := range []int64{16, 8, 4, 1} {
+		s := coldCounters(t, coll, testConfig(), payload/share, 0)
+		for i := 0; i < queries.Len(); i++ {
+			if _, _, err := s.Search(queries.At(i), 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		reads := s.ColdStats().Device.ReadOps
+		if reads == 0 {
+			t.Fatalf("cache 1/%d: no device reads", share)
+		}
+		if prev >= 0 && reads > prev {
+			t.Fatalf("cache 1/%d read the device %d times, the smaller cache before it %d", share, reads, prev)
+		}
+		prev = reads
+	}
+}
+
+// TestColdScatterSeedsBeforeTraversal pins the order of a scatter-gather
+// query over a device: a sub-search that reports its approximate phase done
+// is held until every sibling has reported too — or has returned without
+// ever seeding — so no shard traverses against a threshold a sibling was
+// about to tighten. Hot indexes get no gate at all.
+func TestColdScatterSeedsBeforeTraversal(t *testing.T) {
+	g := gen.Generator{Kind: gen.Synthetic, Length: testLen, Seed: 47}
+	coll := g.Collection(400)
+	cold, err := Build(coll, testConfig(), Options{Shards: 4, ColdStorage: coldOptions(nil)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cold.Close()
+	cuts, _ := cold.view()
+	var seeded atomic.Int32
+	if err := cold.scatter(messi.FullScope, cuts, &messi.QueryStats{}, func(si int, scope messi.Scope) (*messi.QueryStats, error) {
+		if si == 0 {
+			return &messi.QueryStats{}, nil // fails or finds nothing before seeding
+		}
+		seeded.Add(1)
+		scope.Seeded()
+		if n := seeded.Load(); n != 3 {
+			t.Errorf("shard %d passed the gate with %d of 3 siblings seeded", si, n)
+		}
+		return &messi.QueryStats{}, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	hot := buildSharded(t, coll, 4, RoundRobin{})
+	cuts, _ = hot.view()
+	if err := hot.scatter(messi.FullScope, cuts, &messi.QueryStats{}, func(si int, scope messi.Scope) (*messi.QueryStats, error) {
+		if scope.Seeded != nil {
+			t.Errorf("hot shard %d was handed a seed gate", si)
+		}
+		return &messi.QueryStats{}, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// sameAnswers holds cold to hot, bit for bit, on every search flavor.
+func sameAnswers(t *testing.T, stage string, hot, cold *Sharded, queries *series.Collection) {
+	t.Helper()
+	for i := 0; i < queries.Len(); i++ {
+		q := queries.At(i)
+		want, _, err := hot.Search(q, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _, err := cold.Search(q, 0)
+		if err != nil {
+			t.Fatalf("%s: query %d: %v", stage, i, err)
+		}
+		if got != want {
+			t.Fatalf("%s: 1-NN query %d: cold %+v != hot %+v", stage, i, got, want)
+		}
+		wantK, _, _ := hot.SearchKNN(q, 5, 0)
+		gotK, _, err := cold.SearchKNN(q, 5, 0)
+		if err != nil || !slices.Equal(gotK, wantK) {
+			t.Fatalf("%s: k-NN query %d: cold %+v (%v) != hot %+v", stage, i, gotK, err, wantK)
+		}
+		wantD, _, _ := hot.SearchDTW(q, 4, 0)
+		gotD, _, err := cold.SearchDTW(q, 4, 0)
+		if err != nil || gotD != wantD {
+			t.Fatalf("%s: DTW query %d: cold %+v (%v) != hot %+v", stage, i, gotD, err, wantD)
+		}
+		wantW, _, _ := hot.SearchWindow(q, 300, 0)
+		gotW, _, err := cold.SearchWindow(q, 300, 0)
+		if err != nil || gotW != wantW {
+			t.Fatalf("%s: window query %d: cold %+v (%v) != hot %+v", stage, i, gotW, err, wantW)
+		}
+		wantA, _ := hot.SearchApproximate(q)
+		gotA, err := cold.SearchApproximate(q)
+		if err != nil || gotA != wantA {
+			t.Fatalf("%s: approximate query %d: cold %+v (%v) != hot %+v", stage, i, gotA, err, wantA)
+		}
+	}
+	for pos := 0; pos < hot.Count(); pos += 7 {
+		if !slices.Equal(cold.At(pos), hot.At(pos)) {
+			t.Fatalf("%s: At(%d) differs between tiers", stage, pos)
+		}
+	}
+}
+
+// TestColdEquivalence walks a cold index through its whole life beside a
+// hot twin — fresh, after appends have merged into the cold shards and split
+// their leaves (the staged runs are then subdivided, never reordered), after
+// every cold shard was re-staged, after Encode/Decode — at block sizes from
+// one series to more than a leaf, all-cold and mixed.
+func TestColdEquivalence(t *testing.T) {
+	g := gen.Generator{Kind: gen.Synthetic, Length: testLen, Seed: 53}
+	coll := g.Collection(900)
+	queries := g.PerturbedQueries(coll, 6, 0.05)
+	for _, blockSeries := range []int{1, 8, 64} {
+		for name, placement := range map[string]func(int) bool{"all-cold": nil, "mixed": func(si int) bool { return si != 1 }} {
+			t.Run(fmt.Sprintf("block=%d/%s", blockSeries, name), func(t *testing.T) {
+				mo := messi.Options{MergeThreshold: 64}
+				hot, err := Build(coll, testConfig(), Options{Shards: 3, Options: mo})
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(hot.Close)
+				cs := &ColdStorage{CacheBytes: 16 << 10, BlockSeries: blockSeries, Cold: placement, Source: coll}
+				cold, err := Build(coll, testConfig(), Options{Shards: 3, ColdStorage: cs, Options: mo})
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(cold.Close)
+				sameAnswers(t, "fresh", hot, cold, queries)
+
+				leaves := cold.Shard(0).Tree().Stats().Leaves
+				for i := 0; i < 400; i++ {
+					ser := g.Series(int64(5000 + i))
+					if _, err := hot.Append(ser); err != nil {
+						t.Fatal(err)
+					}
+					if _, err := cold.Append(ser); err != nil {
+						t.Fatal(err)
+					}
+				}
+				hot.Flush()
+				cold.Flush()
+				if after := cold.Shard(0).Tree().Stats().Leaves; after <= leaves {
+					t.Fatalf("merged appends split no leaf of cold shard 0 (%d → %d leaves)", leaves, after)
+				}
+				sameAnswers(t, "after merges", hot, cold, queries)
+
+				for si := 0; si < 3; si++ {
+					if placement == nil || placement(si) {
+						if err := cold.Restage(si); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				sameAnswers(t, "after restage", hot, cold, queries)
+
+				landed := landedCollection(hot).Slice(0, coll.Len())
+				decoded, err := Decode(cold.Encode(), landed, Options{ColdStorage: cs, Options: mo})
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(decoded.Close)
+				sameAnswers(t, "after decode", hot, decoded, queries)
+			})
+		}
+	}
+}
+
+// FuzzColdSlotTable: whatever the policy, shard count and cold subset — and
+// whether the trees came from a build or from decoding a compacted index,
+// whose trees no longer hold every base position — the slot table is a
+// permutation of exactly the cold shards' base positions, region by region,
+// and every position reads back from the device bit for bit.
+func FuzzColdSlotTable(f *testing.F) {
+	f.Add(uint8(3), uint8(0), uint8(0xff), uint8(0), int64(1))
+	f.Add(uint8(4), uint8(1), uint8(0b0101), uint8(9), int64(2))
+	f.Add(uint8(1), uint8(1), uint8(1), uint8(200), int64(3))
+	f.Fuzz(func(t *testing.T, shardsRaw, policyRaw, coldMask, deletes uint8, seed int64) {
+		const n = 300
+		shards := 1 + int(shardsRaw)%5
+		var policy Policy = RoundRobin{}
+		if policyRaw%2 == 1 {
+			policy = HashSeries{}
+		}
+		if coldMask&(1<<shards-1) == 0 {
+			coldMask |= 1
+		}
+		isCold := func(si int) bool { return coldMask&(1<<si) != 0 }
+		coll := gen.Generator{Kind: gen.Synthetic, Length: 32, Seed: seed}.Collection(n)
+		opt := Options{Shards: shards, Policy: policy,
+			ColdStorage: &ColdStorage{CacheBytes: 4 << 10, BlockSeries: 1 + int(deletes)%9, Cold: isCold},
+			Options:     messi.Options{Workers: 1, MergeThreshold: 1 << 30}}
+		s, err := Build(coll, core.Config{Segments: 8, LeafCapacity: 16}, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		checkSlotTable(t, s, coll)
+
+		if deletes > 0 {
+			if _, err := s.DeleteRange(0, int(deletes)); err != nil {
+				t.Fatal(err)
+			}
+			s.Compact()
+			d, err := Decode(s.Encode(), coll, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer d.Close()
+			checkSlotTable(t, d, coll)
+		}
+	})
+}
+
+func checkSlotTable(t *testing.T, s *Sharded, coll *series.Collection) {
+	t.Helper()
+	tier := s.cold
+	seen := make([]bool, tier.regions[s.n])
+	for si := 0; si < s.n; si++ {
+		lo, hi := tier.regions[si], tier.regions[si+1]
+		if !s.coldShards[si] {
+			if lo != hi {
+				t.Fatalf("hot shard %d has a region [%d, %d)", si, lo, hi)
+			}
+			for _, g := range s.baseMap[si] {
+				if tier.slot[g] != -1 {
+					t.Fatalf("hot position %d has slot %d", g, tier.slot[g])
+				}
+			}
+			continue
+		}
+		if int(hi-lo) != len(s.baseMap[si]) {
+			t.Fatalf("cold shard %d: region [%d, %d) for %d base series", si, lo, hi, len(s.baseMap[si]))
+		}
+		for p, g := range s.baseMap[si] {
+			sl := tier.slot[g]
+			if sl < lo || sl >= hi || seen[sl] {
+				t.Fatalf("cold shard %d: position %d has slot %d (region [%d, %d), taken=%v)",
+					si, g, sl, lo, hi, sl >= lo && sl < hi && seen[sl])
+			}
+			seen[sl] = true
+			if !slices.Equal(s.Shard(si).At(p), coll.At(int(g))) {
+				t.Fatalf("cold shard %d: local %d (global %d) reads back different values", si, p, g)
+			}
+		}
+	}
+	for g := 0; g < coll.Len(); g++ {
+		if !slices.Equal(s.At(g), coll.At(g)) {
+			t.Fatalf("At(%d) differs from the collection", g)
+		}
 	}
 }

@@ -14,7 +14,6 @@ package shard
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -239,86 +238,14 @@ func (s *Sharded) onQuarantine(si int) {
 	s.eng.Go(func() { _ = s.Restage(si) })
 }
 
-// coldSrc is the swappable device binding behind one cold shard: the
-// reader its views resolve through, the disk that models its latency, and
-// whether the backing file is in shard-local order (a re-staged per-shard
-// file) or global order (the shared build-time tier).
-type coldSrc struct {
-	reader *storage.DiskReader
-	disk   *storage.Disk
-	local  bool
-}
-
-// coldPart is the indirection a cold shard's view remaps into. At accepts
-// GLOBAL base positions (the shard's view translates local→global through
-// baseMap first) and resolves them against the current source — initially
-// the shared global-order reader, after a re-stage the shard's own
-// local-order file, found by binary search over the shard's ascending
-// position set. The source swap is a single atomic pointer store, so a
-// re-stage never rebuilds the shard's messi index or its prefetch wiring:
-// in-flight queries keep reading the old (possibly dead, but contained)
-// source and new ones see the fresh store.
-type coldPart struct {
-	baseLen   int
-	seriesLen int
-	positions []int32 // the shard's global base positions, ascending
-	src       atomic.Pointer[coldSrc]
-}
-
-var _ series.Reader = (*coldPart)(nil)
-var _ series.Prefetcher = (*coldPart)(nil)
-
-func newColdPart(baseLen, seriesLen int, positions []int32, src *coldSrc) *coldPart {
-	p := &coldPart{baseLen: baseLen, seriesLen: seriesLen, positions: positions}
-	p.src.Store(src)
-	return p
-}
-
-// Len spans the whole global base position space so the shard's remapping
-// view validates; only the shard's own positions are ever requested.
-func (p *coldPart) Len() int       { return p.baseLen }
-func (p *coldPart) SeriesLen() int { return p.seriesLen }
-
-// resolve translates a global base position into the current source's
-// position space.
-func (p *coldPart) resolve(src *coldSrc, g int32) int {
-	if !src.local {
-		return int(g)
-	}
-	i, ok := slices.BinarySearch(p.positions, g)
-	if !ok {
-		panic(fmt.Sprintf("shard: position %d not in re-staged shard", g))
-	}
-	return i
-}
-
-func (p *coldPart) At(g int) series.Series {
-	src := p.src.Load()
-	return src.reader.At(p.resolve(src, int32(g)))
-}
-
-// Prefetch implements series.Prefetcher over global positions, so the
-// messi index's I/O-masking path keeps working across source swaps.
-func (p *coldPart) Prefetch(pos []int32) {
-	src := p.src.Load()
-	if !src.local {
-		src.reader.Prefetch(pos)
-		return
-	}
-	local := make([]int32, len(pos))
-	for i, g := range pos {
-		local[i] = int32(p.resolve(src, g))
-	}
-	src.reader.Prefetch(local)
-}
-
 // Restage rewrites cold shard si onto a fresh store and returns it to
-// serving: materialize the shard's base series from the re-stage source
-// (ColdStorage.Source, or the index's base reader when unset), write them
-// as a shard-local series file via storage.WriteCollection, stand up a new
-// block-cached reader, and atomically swap the shard's views onto it. The
-// old store is left to its owner; the shard's messi tree and SAX summaries
-// were never lost, so no index rebuild happens.
+// serving: copy the shard's region — the same series in the same leaf order
+// the build staged, so the slot table keeps resolving — from the re-stage
+// source (ColdStorage.Source, or the index's base reader when unset) into a
+// series file of its own, stand up a new block-cached reader, and
+// atomically swap the shard's views onto it. The old store is left to its
+// owner; the shard's messi tree and SAX summaries were never lost, so no
+// index rebuild happens.
 //
 // Restage is safe concurrently with queries and appends. It returns an
 // error — never panics — when the shard is hot, a re-stage is already in
@@ -347,39 +274,13 @@ func (s *Sharded) Restage(si int) (err error) {
 		}
 	}()
 
-	src := s.restageSource()
-	local := series.NewView(src, s.baseMap[si]).Materialize()
-
-	cs := s.opt.ColdStorage
-	store := storage.Store(storage.NewMemStore())
-	if cs.NewStore != nil {
-		st, err := cs.NewStore()
-		if err != nil {
-			return fmt.Errorf("shard: restage shard %d: store: %w", si, err)
-		}
-		store = st
+	t := s.cold
+	fresh, err := stage(s.opt.ColdStorage, s.restageSource(), t.region(s.baseMap[si], si))
+	if err != nil {
+		return fmt.Errorf("shard: restage shard %d: %w", si, err)
 	}
-	profile := cs.Profile
-	if profile == (storage.Profile{}) {
-		profile = storage.Unthrottled
-	}
-	disk := storage.NewDisk(store, profile)
-	disk.SetScale(0) // staging is construction, not a measured query
-	f, werr := storage.WriteCollection(disk, local)
-	if werr != nil {
-		return fmt.Errorf("shard: restage shard %d: staging: %w", si, werr)
-	}
-	dr, rerr := storage.NewDiskReader(f, storage.DiskReaderOptions{
-		CacheBytes:  cs.CacheBytes,
-		BlockSeries: cs.BlockSeries,
-		Retry:       cs.Retry,
-	})
-	if rerr != nil {
-		return fmt.Errorf("shard: restage shard %d: reader: %w", si, rerr)
-	}
-	disk.SetScale(1)
-
-	s.coldParts[si].src.Store(&coldSrc{reader: dr, disk: disk, local: true})
+	fresh.off = t.regions[si]
+	t.parts[si].src.Store(fresh)
 	h.restages.Add(1)
 	h.consecPerm.Store(0)
 	h.setErr(nil)
@@ -390,7 +291,7 @@ func (s *Sharded) Restage(si int) (err error) {
 // restageSource is the reader a re-stage copies base values from: the
 // caller-supplied hot source when configured, else the index's base reader
 // (the caller's collection on a mixed hot/cold build; on an all-cold build
-// that is the shared device reader, which only works if the device has
+// that is the cold tier itself, which only works if the shard's device has
 // recovered — supply ColdStorage.Source to re-stage around a dead device).
 func (s *Sharded) restageSource() series.Reader {
 	if cs := s.opt.ColdStorage; cs != nil && cs.Source != nil {

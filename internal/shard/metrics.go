@@ -25,11 +25,11 @@ func (s *Sharded) coldFaultTotals() (retries, transient, permanent uint64) {
 		permanent += st.PermanentFaults
 	}
 	if s.cold != nil {
-		add(s.cold.reader)
-	}
-	for _, cp := range s.coldParts {
-		if cp != nil {
-			add(cp.src.Load().reader)
+		add(s.cold.shared.reader)
+		for _, cp := range s.cold.parts {
+			if cp != nil {
+				add(cp.src.Load().reader)
+			}
 		}
 	}
 	return retries, transient, permanent

@@ -160,7 +160,10 @@ func Decode(data []byte, coll *series.Collection, opt Options) (*Sharded, error)
 		return nil, fmt.Errorf("shard: %d trailing bytes after the last shard blob", len(rest))
 	}
 	s.replayRoutes(routes)
-	s.finish()
+	if err := s.finish(); err != nil {
+		s.abort()
+		return nil, err
+	}
 	return s, nil
 }
 
@@ -192,7 +195,10 @@ func decodeLegacy(data []byte, coll *series.Collection, opt Options, wantShards 
 	s.shards[0] = sh
 	routes := make([]byte, sh.Count()-coll.Len())
 	s.replayRoutes(routes)
-	s.finish()
+	if err := s.finish(); err != nil {
+		s.abort()
+		return nil, err
+	}
 	return s, nil
 }
 

@@ -104,12 +104,14 @@ type Options struct {
 
 // ColdStorage configures the out-of-core tier: which shards are cold, what
 // device backs them, and how much RAM the block cache may use. A cold
-// shard's base series live in one shared series file on the device and are
-// read through a storage.DiskReader (views over it replace the in-RAM
-// views), with leaf-ordered raw blocks disabled for that shard so
-// refinement actually reads the cold tier; its tree and SAX summaries stay
-// resident. Hot shards keep today's behavior exactly, so one Sharded index
-// mixes tiers per shard — the Milvus-style hot/cold placement pattern.
+// shard's base series live in one shared series file on the device — laid
+// out in the order of its tree's leaves, so a leaf's members are neighbours
+// on the device (cold.go) — and are read through a storage.DiskReader, with
+// leaf-ordered raw blocks disabled for that shard so refinement actually
+// reads the cold tier; its tree and SAX summaries stay resident, plus 4
+// bytes per series of position→slot table. Hot shards keep today's behavior
+// exactly, so one Sharded index mixes tiers per shard — the Milvus-style
+// hot/cold placement pattern.
 //
 // When EVERY shard is cold, the index itself holds no reference to the
 // caller's flat collection (global reads resolve through the device cache
@@ -126,11 +128,11 @@ type ColdStorage struct {
 	// lifetime — close it after the index is closed, not before.
 	NewStore func() (storage.Store, error)
 	// Profile is the simulated device the store is wrapped in; the zero
-	// Profile means storage.Unthrottled. Construction (the staging write
-	// and the build's sequential scans) runs at latency scale 0 — a
-	// precondition, like the experiments' dataset staging — and the scale
-	// is restored to 1 when the index is ready, so query-time accesses pay
-	// full device time. Modeled busy-time metrics accumulate throughout.
+	// Profile means storage.Unthrottled. The staging write runs at latency
+	// scale 0 — a precondition, like the experiments' dataset staging —
+	// and the scale is 1 when the index is ready, so query-time accesses
+	// pay full device time. Modeled busy-time metrics accumulate
+	// throughout.
 	Profile storage.Profile
 	// CacheBytes is the block-cache budget in bytes (0 means
 	// storage.DefaultCacheBytes).
@@ -182,18 +184,16 @@ type Sharded struct {
 	n         int
 	policy    Policy
 	seriesLen int
-	base      series.Reader // the flat collection, or the cold tier's DiskReader when all shards are cold
+	base      series.Reader // the flat collection, or the cold tier itself when all shards are cold
 	baseLen   int
 	eng       *engine.Engine
 	shards    []*messi.Index
 
 	// cold is the shared out-of-core tier (nil when every shard is hot);
-	// coldShards[si] reports shard si's placement, coldParts[si] the
-	// swappable device binding its views resolve through (nil for hot
-	// shards), and health[si] its fault accounting.
+	// coldShards[si] reports shard si's placement and health[si] its fault
+	// accounting.
 	cold       *coldTier
 	coldShards []bool
-	coldParts  []*coldPart
 	health     []shardHealth
 
 	// baseMap[si][localPos] is the global position of shard si's build-time
@@ -244,10 +244,11 @@ func splitBase(coll *series.Collection, policy Policy, n int) (views []*series.V
 }
 
 // newShell assembles the Sharded state common to Build and Decode: the
-// base split (views, or flat copies under Options.CopyBase, or cold
-// view-over-DiskReader parts under Options.ColdStorage), the shared
-// engine, and empty append-routing structures. The caller fills s.shards
-// (one per part) and then calls finish.
+// base split (views, or flat copies under Options.CopyBase), the tier
+// placement under Options.ColdStorage, the shared engine, and empty
+// append-routing structures. Every part reads the in-RAM collection, cold
+// shards included — the device is staged from the finished trees. The
+// caller fills s.shards (one per part) and then calls finish.
 func newShell(coll *series.Collection, opt Options) (*Sharded, []series.Reader, error) {
 	views, baseMap := splitBase(coll, opt.Policy, opt.Shards)
 	parts := make([]series.Reader, opt.Shards)
@@ -278,94 +279,15 @@ func newShell(coll *series.Collection, opt Options) (*Sharded, []series.Reader, 
 	cuts := make([]int32, opt.Shards)
 	s.cuts.Store(&cuts)
 	if opt.ColdStorage != nil {
-		if err := s.initCold(coll, opt.ColdStorage, parts); err != nil {
-			s.eng.Close()
-			return nil, nil, err
-		}
+		s.placeCold(opt.ColdStorage)
 	}
 	return s, parts, nil
-}
-
-// coldTier is the shared device state behind every cold shard: one disk,
-// one series file holding the whole base collection in global order, one
-// block-cached reader the cold views remap into.
-type coldTier struct {
-	disk   *storage.Disk
-	reader *storage.DiskReader
-}
-
-// initCold stages the base collection onto the cold device and swaps the
-// cold shards' parts from in-RAM views to views over the block-cached
-// reader. The staging write and the upcoming build-time reads run at
-// latency scale 0 (construction is a precondition, not a measured query);
-// finish restores scale 1.
-func (s *Sharded) initCold(coll *series.Collection, cs *ColdStorage, parts []series.Reader) error {
-	cold := make([]bool, s.n)
-	any, all := false, true
-	for si := range cold {
-		cold[si] = cs.Cold == nil || cs.Cold(si)
-		if cold[si] {
-			any = true
-		} else {
-			all = false
-		}
-	}
-	if !any {
-		return nil // every shard placed hot: no tier to set up
-	}
-	store := storage.Store(storage.NewMemStore())
-	if cs.NewStore != nil {
-		st, err := cs.NewStore()
-		if err != nil {
-			return fmt.Errorf("shard: cold store: %w", err)
-		}
-		store = st
-	}
-	profile := cs.Profile
-	if profile == (storage.Profile{}) {
-		profile = storage.Unthrottled
-	}
-	disk := storage.NewDisk(store, profile)
-	disk.SetScale(0)
-	f, err := storage.WriteCollection(disk, coll)
-	if err != nil {
-		return fmt.Errorf("shard: staging cold tier: %w", err)
-	}
-	dr, err := storage.NewDiskReader(f, storage.DiskReaderOptions{
-		CacheBytes:  cs.CacheBytes,
-		BlockSeries: cs.BlockSeries,
-		Retry:       cs.Retry,
-	})
-	if err != nil {
-		return fmt.Errorf("shard: cold tier: %w", err)
-	}
-	// Each cold shard's view remaps into a coldPart rather than the reader
-	// directly, so a re-stage can swap the shard onto a fresh store with
-	// one atomic pointer store — no index rebuild, no view rebuild.
-	s.coldParts = make([]*coldPart, s.n)
-	shared := &coldSrc{reader: dr, disk: disk, local: false}
-	for si := range parts {
-		if cold[si] {
-			cp := newColdPart(coll.Len(), coll.SeriesLen(), s.baseMap[si], shared)
-			s.coldParts[si] = cp
-			parts[si] = series.NewView(cp, s.baseMap[si])
-		}
-	}
-	if all {
-		// Nothing references the caller's flat collection anymore — global
-		// position reads resolve through the cache too — so the caller may
-		// drop it, and base residency shrinks to the cache budget.
-		s.base = dr
-	}
-	s.cold = &coldTier{disk: disk, reader: dr}
-	s.coldShards = cold
-	return nil
 }
 
 // shardOptions is shard si's messi configuration: identical tuning, one
 // shared pool. Cold shards disable leaf-ordered raw blocks — a full hot
 // copy of the values would defeat the tier — so their refinement reads
-// resolve through the device cache (and get the prefetch-masked path).
+// resolve through the device cache (bounds first, survivors in one batch).
 func (s *Sharded) shardOptions(si int) messi.Options {
 	mo := s.opt.Options
 	mo.Engine = s.eng
@@ -400,7 +322,7 @@ func (s *Sharded) ColdStats() ColdStats {
 			n++
 		}
 	}
-	return ColdStats{ColdShards: n, Cache: s.cold.reader.Stats(), Device: s.cold.disk.Metrics()}
+	return ColdStats{ColdShards: n, Cache: s.cold.shared.reader.Stats(), Device: s.cold.shared.disk.Metrics()}
 }
 
 // ColdDisk exposes the cold tier's device for experiments (latency scaling,
@@ -409,14 +331,15 @@ func (s *Sharded) ColdDisk() *storage.Disk {
 	if s.cold == nil {
 		return nil
 	}
-	return s.cold.disk
+	return s.cold.shared.disk
 }
 
 // finish is called once every shard exists: it builds the per-shard
-// position mappers and releases the constructor's engine reference (each
-// shard retained its own, so the pool now lives exactly as long as the
-// shards do).
-func (s *Sharded) finish() {
+// position mappers, moves the cold shards' base values onto the device, and
+// releases the constructor's engine reference (each shard retained its own,
+// so the pool now lives exactly as long as the shards do). On error the
+// caller aborts.
+func (s *Sharded) finish() error {
 	s.mappers = make([]func(int32) int32, s.n)
 	for si := range s.mappers {
 		bm := s.baseMap[si]
@@ -429,9 +352,12 @@ func (s *Sharded) finish() {
 		}
 	}
 	if s.cold != nil {
-		s.cold.disk.SetScale(1) // construction staged at scale 0; queries pay modeled latency
+		if err := s.stageCold(); err != nil {
+			return err
+		}
 	}
 	s.eng.Close()
+	return nil
 }
 
 // abort releases everything a failed construction acquired: the shards
@@ -463,7 +389,10 @@ func Build(coll *series.Collection, cfg core.Config, opt Options) (*Sharded, err
 			return nil, err
 		}
 	}
-	s.finish()
+	if err := s.finish(); err != nil {
+		s.abort()
+		return nil, err
+	}
 	return s, nil
 }
 
@@ -539,11 +468,12 @@ func (s *Sharded) view() (cuts []int32, observed int) {
 	return c, s.baseLen + total
 }
 
-// scatter runs fn for every shard concurrently (each call coordinates its
-// shard's search, whose tasks run on the shared pool) and merges the
-// per-shard work stats into stats. The logical query is counted once here;
-// the per-shard sub-searches register only as active executors, so the
-// engine's Queries counter reads in logical QPS at any shard count.
+// scatter runs fn for every shard concurrently, under that shard's slice of
+// the query's scope (each call coordinates its shard's search, whose tasks
+// run on the shared pool), and merges the per-shard work stats into stats.
+// The logical query is counted once here; the per-shard sub-searches
+// register only as active executors, so the engine's Queries counter reads
+// in logical QPS at any shard count.
 //
 // Fault handling: quarantined shards are skipped up front, and a shard
 // that fails mid-query with a storage-classified error (a contained
@@ -553,21 +483,42 @@ func (s *Sharded) view() (cuts []int32, observed int) {
 // Options.AllowPartial, answers from the covered shards and reports the
 // gap in stats.UncoveredShards. Non-storage errors are bugs and fail the
 // query as-is.
-func (s *Sharded) scatter(tenant string, stats *messi.QueryStats, fn func(si int) (*messi.QueryStats, error)) error {
-	s.eng.CountQueryTenant(tenant)
+func (s *Sharded) scatter(scope messi.Scope, cuts []int32, stats *messi.QueryStats, fn func(si int, scope messi.Scope) (*messi.QueryStats, error)) error {
+	s.eng.CountQueryTenant(scope.Tenant)
 	sts := make([]*messi.QueryStats, s.n)
 	errs := make([]error, s.n)
 	skipped := make([]bool, s.n)
-	var wg sync.WaitGroup
+	var wg, seeded sync.WaitGroup
 	for si := 0; si < s.n; si++ {
-		if !s.available(si) {
-			skipped[si] = true
+		if skipped[si] = !s.available(si); !skipped[si] {
+			wg.Add(1)
+			if s.cold != nil {
+				seeded.Add(1)
+			}
+		}
+	}
+	for si := 0; si < s.n; si++ {
+		if skipped[si] {
 			continue
 		}
-		wg.Add(1)
+		sub := s.shardScope(scope, cuts, si)
+		arrive := func() {}
+		if s.cold != nil {
+			// Over a device, no shard traverses before every shard has
+			// seeded the shared threshold from its approximate phase:
+			// whichever holds the near neighbour tightens it first, and the
+			// others prune against that instead of paying device reads for
+			// candidates it excludes. The sub-searches run on goroutines of
+			// their own, not on pool workers, so waiting here holds up no
+			// one's tasks; a sub-search that returns without seeding (a
+			// fault, nothing visible) arrives on its way out.
+			arrive = sync.OnceFunc(seeded.Done)
+			sub.Seeded = func() { arrive(); seeded.Wait() }
+		}
 		go func(si int) {
 			defer wg.Done()
-			sts[si], errs[si] = fn(si)
+			defer arrive()
+			sts[si], errs[si] = fn(si, sub)
 		}(si)
 	}
 	wg.Wait()
@@ -673,8 +624,8 @@ func (s *Sharded) searchAt(q series.Series, workers int, scope messi.Scope, cuts
 		return core.NoResult(), stats, nil
 	}
 	best := xsync.NewBest()
-	if err := s.scatter(scope.Tenant, stats, func(si int) (*messi.QueryStats, error) {
-		return s.shards[si].SearchShared(q, workers, best, s.mappers[si], s.shardScope(scope, cuts, si))
+	if err := s.scatter(scope, cuts, stats, func(si int, scope messi.Scope) (*messi.QueryStats, error) {
+		return s.shards[si].SearchShared(q, workers, best, s.mappers[si], scope)
 	}); err != nil {
 		return core.NoResult(), nil, err
 	}
@@ -716,8 +667,8 @@ func (s *Sharded) SearchKNNScoped(q series.Series, k, workers int, scope messi.S
 		return nil, stats, nil
 	}
 	kb := xsync.NewKBest(k)
-	if err := s.scatter(scope.Tenant, stats, func(si int) (*messi.QueryStats, error) {
-		return s.shards[si].SearchKNNShared(q, k, workers, kb, s.mappers[si], s.shardScope(scope, cuts, si))
+	if err := s.scatter(scope, cuts, stats, func(si int, scope messi.Scope) (*messi.QueryStats, error) {
+		return s.shards[si].SearchKNNShared(q, k, workers, kb, s.mappers[si], scope)
 	}); err != nil {
 		return nil, nil, err
 	}
@@ -748,8 +699,8 @@ func (s *Sharded) SearchDTWScoped(q series.Series, window, workers int, scope me
 		return core.NoResult(), stats, nil
 	}
 	best := xsync.NewBest()
-	if err := s.scatter(scope.Tenant, stats, func(si int) (*messi.QueryStats, error) {
-		return s.shards[si].SearchDTWShared(q, window, workers, best, s.mappers[si], s.shardScope(scope, cuts, si))
+	if err := s.scatter(scope, cuts, stats, func(si int, scope messi.Scope) (*messi.QueryStats, error) {
+		return s.shards[si].SearchDTWShared(q, window, workers, best, s.mappers[si], scope)
 	}); err != nil {
 		return core.NoResult(), nil, err
 	}

@@ -475,3 +475,35 @@ func TestShardedAdmissionAndBatchSearch(t *testing.T) {
 		}
 	}
 }
+
+// TestDuplicateSeriesAnswerLowestPosition: two exact duplicates routed to
+// different shards are equidistant from every query; whichever shard reaches
+// its copy first, the answer is the lower position — what the serial scan
+// reports — on hot and cold placements alike.
+func TestDuplicateSeriesAnswerLowestPosition(t *testing.T) {
+	g := gen.Generator{Kind: gen.Synthetic, Length: testLen, Seed: 61}
+	coll := g.Collection(400)
+	coll.Set(301, coll.At(42)) // round-robin over 4 shards: 42 → shard 2, 301 → shard 1
+	queries := g.PerturbedQueries(coll.Slice(42, 43), 20, 0.05)
+	for name, cs := range map[string]*ColdStorage{"hot": nil, "cold": coldOptions(nil)} {
+		s, err := Build(coll, testConfig(), Options{Shards: 4, ColdStorage: cs,
+			Options: messi.Options{MergeThreshold: 1 << 30}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(s.Close)
+		for i := 0; i < queries.Len(); i++ {
+			want := ucr.Scan(coll, queries.At(i))
+			got, _, err := s.Search(queries.At(i), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want.Pos != 42 {
+				t.Fatalf("query %d: serial scan answers #%d, the test wants a query nearest to #42", i, want.Pos)
+			}
+			if got.Pos != want.Pos || got.Dist != want.Dist {
+				t.Fatalf("%s, query %d: (#%d, %v) != serial (#%d, %v)", name, i, got.Pos, got.Dist, want.Pos, want.Dist)
+			}
+		}
+	}
+}

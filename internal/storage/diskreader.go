@@ -3,6 +3,7 @@ package storage
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"time"
 
@@ -19,9 +20,9 @@ import (
 // The cache holds aligned runs of BlockSeries consecutive series (LRU over
 // whole blocks, bounded by CacheBytes), so one device read amortizes over a
 // run and repeated refinement of hot leaves does not pay device time twice.
-// Loads are single-flight: concurrent At calls — and prefetch tasks racing
-// the refinement that wanted the data — for the same cold block share one
-// batched device read.
+// Loads are single-flight: concurrent At and ReadBatch calls for the same
+// cold block share one device read, and ReadBatch fetches adjacent cold
+// blocks in a single read.
 //
 // At returns slices into cached blocks; eviction only drops the cache's
 // reference, so values a caller still holds stay valid (the Reader contract:
@@ -52,13 +53,22 @@ type DiskReader struct {
 	blocks                  map[int]*cacheBlock
 	lru                     cacheBlock // sentinel: lru.next is most recent, lru.prev least
 	resident                int64
+
+	// bufs recycles the encoded-bytes staging buffer of a device read (a
+	// *[]byte): only the decoded values outlive a load.
+	bufs sync.Pool
 }
 
 // DefaultCacheBytes and DefaultBlockSeries are the DiskReaderOptions zero
-// defaults: a 4 MiB budget over 64-series blocks.
+// defaults: a 4 MiB budget over 8-series blocks. The block size is the
+// winner of BenchmarkColdBlockSweep (internal/shard; table in
+// EXPERIMENTS.md): with the device file in leaf order a query's candidates
+// arrive in leaf-sized runs, and a block much longer than a run only adds
+// bytes nobody refines — 64-series blocks read 3.3× the bytes of 8-series
+// ones for 0.73× the reads, and cost more device time in total.
 const (
 	DefaultCacheBytes  = 4 << 20
-	DefaultBlockSeries = 64
+	DefaultBlockSeries = 8
 )
 
 // RetryPolicy governs how a DiskReader re-reads a block after a transient
@@ -203,8 +213,8 @@ func NewDiskReader(f *SeriesFile, opt DiskReaderOptions) (*DiskReader, error) {
 }
 
 var (
-	_ series.Reader     = (*DiskReader)(nil)
-	_ series.Prefetcher = (*DiskReader)(nil)
+	_ series.Reader      = (*DiskReader)(nil)
+	_ series.BatchReader = (*DiskReader)(nil)
 )
 
 // Len returns the number of series.
@@ -220,32 +230,69 @@ func (r *DiskReader) SeriesLen() int { return r.length }
 // retry policy panics with *BlockError; engine task boundaries recover it
 // into a per-query error.
 func (r *DiskReader) At(i int) series.Series {
-	b, err := r.block(i / r.blockSeries)
-	if err != nil {
+	var one [1]*cacheBlock
+	idx := i / r.blockSeries
+	if err := r.acquire(idx, one[:]); err != nil {
 		panic(err)
 	}
+	return r.seriesIn(one[0], i)
+}
+
+// seriesIn slices series i out of the block that holds it.
+func (r *DiskReader) seriesIn(b *cacheBlock, i int) series.Series {
 	lo := (i % r.blockSeries) * r.length
 	return series.Series(b.vals[lo : lo+r.length : lo+r.length])
 }
 
-// Prefetch loads the blocks covering pos, blocking until they are resident
-// — the device side of ParIS+'s I/O masking: the refinement path submits
-// the NEXT candidate leaf's positions as a pool task while computing real
-// distances on the current one, and single-flight loading means whichever
-// side reaches a block first does the one read. Consecutive duplicate
-// blocks are skipped; already-cached blocks cost a map hit. Load errors
-// are swallowed: a prefetch is an optimization, and the demand access that
-// actually needs the block will retry the device and surface the fault.
-func (r *DiskReader) Prefetch(pos []int32) {
-	last := -1
-	for _, p := range pos {
-		idx := int(p) / r.blockSeries
-		if idx == last {
+// ReadBatch implements series.BatchReader, the read path of a query that
+// has already run its lower bounds: the candidates are visited in ascending
+// device order, candidates sharing a block or sitting in adjacent blocks
+// form one run, and the cold blocks of a run are fetched with a single
+// device read. want is consulted as a run is assembled and again before each
+// visit, so a candidate the query's tightening threshold has meanwhile
+// pruned neither extends a run nor costs a read of its own; a run none of
+// whose candidates is wanted is never touched. Faults surface exactly as in
+// At: a *BlockError panic.
+func (r *DiskReader) ReadBatch(pos []int32, want func(k int) bool, visit func(k int, s series.Series)) {
+	var orderBuf [16]int32
+	order := orderBuf[:0]
+	for k := range pos {
+		order = append(order, int32(k))
+	}
+	slices.SortFunc(order, func(a, b int32) int { return int(pos[a]) - int(pos[b]) })
+	var runBuf [4]*cacheBlock
+	for i := 0; i < len(order); {
+		if !want(int(order[i])) {
+			i++
 			continue
 		}
-		last = idx
-		if _, err := r.block(idx); err != nil {
-			return
+		first := int(pos[order[i]]) / r.blockSeries
+		last, j := first, i+1
+		for ; j < len(order); j++ {
+			if !want(int(order[j])) {
+				continue
+			}
+			b := int(pos[order[j]]) / r.blockSeries
+			if b > last+1 {
+				break
+			}
+			last = b
+		}
+		run := runBuf[:]
+		if n := last - first + 1; n <= len(runBuf) {
+			run = run[:n]
+		} else {
+			run = make([]*cacheBlock, n)
+		}
+		if err := r.acquire(first, run); err != nil {
+			panic(err)
+		}
+		for ; i < j; i++ {
+			k := int(order[i])
+			if want(k) {
+				p := int(pos[k])
+				visit(k, r.seriesIn(run[p/r.blockSeries-first], p))
+			}
 		}
 	}
 }
@@ -270,44 +317,105 @@ func (r *DiskReader) Stats() CacheStats {
 	}
 }
 
-// block returns block idx, loading it once no matter how many goroutines
-// ask: the miss path installs a not-yet-ready entry under the lock, loads
-// outside it, and closes ready; concurrent callers find the entry and wait.
-// A failed load is reported to the loader and every waiter alike, and the
-// entry is dropped so the next access re-reads the device.
-func (r *DiskReader) block(idx int) (*cacheBlock, error) {
+// acquire fills out with the consecutive blocks first, first+1, …, each
+// loaded once no matter how many goroutines ask: a miss installs a
+// not-yet-ready entry under the lock, every maximal stretch of adjacent
+// misses is then read off the device in one operation outside it, and
+// concurrent callers that find an entry wait on its ready channel. A caller
+// loads its own misses before waiting on anyone else's, so two overlapping
+// acquires cannot wait on each other. A failed load is reported to the
+// loader and every waiter alike, and its entries are dropped so the next
+// access re-reads the device.
+func (r *DiskReader) acquire(first int, out []*cacheBlock) error {
+	var mineBuf [4]bool
+	mine := mineBuf[:0]
+	if len(out) > len(mineBuf) {
+		mine = make([]bool, 0, len(out))
+	}
+	missed := false
 	r.mu.Lock()
-	if b, ok := r.blocks[idx]; ok {
-		r.moveToFront(b)
-		r.hits++
-		r.mu.Unlock()
-		<-b.ready
-		if b.err != nil {
-			return nil, b.err
+	for i := range out {
+		idx := first + i
+		b, ok := r.blocks[idx]
+		if ok {
+			r.moveToFront(b)
+			r.hits++
+		} else {
+			start := idx * r.blockSeries
+			b = &cacheBlock{
+				idx:   idx,
+				bytes: int64(min(r.blockSeries, r.count-start)) * int64(r.length) * 4,
+				ready: make(chan struct{}),
+			}
+			r.blocks[idx] = b
+			r.pushFront(b)
+			r.resident += b.bytes
+			r.misses++
+			missed = true
 		}
-		return b, nil
+		out[i] = b
+		mine = append(mine, !ok)
 	}
-	start := idx * r.blockSeries
-	n := min(r.blockSeries, r.count-start)
-	b := &cacheBlock{
-		idx:   idx,
-		bytes: int64(n) * int64(r.length) * 4,
-		ready: make(chan struct{}),
+	if missed {
+		r.evictLocked(out[len(out)-1])
 	}
-	r.blocks[idx] = b
-	r.pushFront(b)
-	r.resident += b.bytes
-	r.misses++
-	r.evictLocked(b)
 	r.mu.Unlock()
 
-	buf := make([]byte, n*r.length*4)
-	if err := r.load(buf, int64(start)); err != nil {
+	for i := 0; missed && i < len(out); {
+		if !mine[i] {
+			i++
+			continue
+		}
+		j := i + 1
+		for j < len(out) && mine[j] {
+			j++
+		}
+		r.loadRun(out[i:j])
+		i = j
+	}
+	for _, b := range out {
+		<-b.ready
+		if b.err != nil {
+			return b.err
+		}
+	}
+	return nil
+}
+
+// loadRun reads the adjacent not-yet-ready blocks run with one device
+// operation and publishes them. The encoded bytes pass through a pooled
+// buffer; each block decodes into an array of its own, so evicting one block
+// of a run frees its memory. A coalesced read that fails is repeated block
+// by block, so only the block the device cannot deliver fails, under its own
+// index, and its healthy neighbours load.
+func (r *DiskReader) loadRun(run []*cacheBlock) {
+	var total int64
+	for _, b := range run {
+		total += b.bytes
+	}
+	bp, _ := r.bufs.Get().(*[]byte)
+	if bp == nil {
+		bp = new([]byte)
+	}
+	if int64(cap(*bp)) < total {
+		*bp = make([]byte, total)
+	}
+	buf := (*bp)[:total]
+	defer r.bufs.Put(bp)
+
+	if err := r.load(buf, int64(run[0].idx)*int64(r.blockSeries)); err != nil {
+		if len(run) > 1 {
+			for i := range run {
+				r.loadRun(run[i : i+1])
+			}
+			return
+		}
+		b := run[0]
 		class := FaultPermanent
 		if IsTransient(err) {
 			class = FaultTransient
 		}
-		b.err = &BlockError{Block: idx, Class: class, Err: err}
+		b.err = &BlockError{Block: b.idx, Class: class, Err: err}
 		r.mu.Lock()
 		if class == FaultTransient {
 			r.transient++
@@ -316,19 +424,21 @@ func (r *DiskReader) block(idx int) (*cacheBlock, error) {
 		}
 		// Drop the failed entry (unless eviction already did, or a later
 		// miss replaced it) so a retry re-reads the device.
-		if r.blocks[idx] == b {
-			delete(r.blocks, idx)
+		if r.blocks[b.idx] == b {
+			delete(r.blocks, b.idx)
 			r.unlink(b)
 			r.resident -= b.bytes
 		}
 		r.mu.Unlock()
 		close(b.ready)
-		return nil, b.err
+		return
 	}
-	b.vals = make([]float32, n*r.length)
-	DecodeFloat32(b.vals, buf)
-	close(b.ready)
-	return b, nil
+	for _, b := range run {
+		b.vals = make([]float32, b.bytes/4)
+		DecodeFloat32(b.vals, buf[:b.bytes])
+		buf = buf[b.bytes:]
+		close(b.ready)
+	}
 }
 
 // load performs the device read with the retry policy: transient faults

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
@@ -85,19 +86,154 @@ func TestDiskReaderBudgetClamp(t *testing.T) {
 	}
 }
 
-func TestDiskReaderPrefetch(t *testing.T) {
-	r, _ := newTestReader(t, 64, 8, DiskReaderOptions{BlockSeries: 8})
-	r.Prefetch([]int32{0, 1, 2, 9, 10, 40})
-	st := r.Stats()
-	if st.Misses != 3 {
-		t.Fatalf("prefetch loaded %d blocks, want 3", st.Misses)
+// TestDiskReaderReadBatch pins the survivor read path: candidates come back
+// in device order whatever order they were handed in, candidates in one
+// block or in adjacent blocks cost one device read, a refused candidate is
+// never visited, and a run with no wanted candidate is never read.
+func TestDiskReaderReadBatch(t *testing.T) {
+	const n, length, blockSeries = 64, 8, 8
+	coll := makeCollection(n, length)
+	disk := NewDisk(NewMemStore(), Unthrottled)
+	f, err := WriteCollection(disk, coll)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// The prefetched series are now hits.
-	r.At(0)
-	r.At(9)
-	r.At(40)
-	if st = r.Stats(); st.Misses != 3 || st.Hits < 3 {
-		t.Fatalf("post-prefetch reads: hits %d misses %d, want ≥3 hits and no new misses", st.Hits, st.Misses)
+	r, err := NewDiskReader(f, DiskReaderOptions{BlockSeries: blockSeries})
+	if err != nil {
+		t.Fatal(err)
+	}
+	disk.ResetMetrics()
+
+	// Blocks 0,1 (adjacent: one read), 5 (one read), 3 (refused: no read).
+	pos := []int32{40, 9, 2, 10, 0, 1, 24}
+	refused := 6
+	var order []int32
+	r.ReadBatch(slices.Clone(pos),
+		func(k int) bool { return k != refused },
+		func(k int, s series.Series) {
+			if want := coll.At(int(pos[k])); !slices.Equal(s, want) {
+				t.Errorf("k=%d (series %d) = %v, want %v", k, pos[k], s, want)
+			}
+			order = append(order, pos[k])
+		})
+	if want := []int32{0, 1, 2, 9, 10, 40}; !slices.Equal(order, want) {
+		t.Fatalf("visit order %v, want ascending device order %v", order, want)
+	}
+	st := r.Stats()
+	if st.Misses != 3 || st.Hits != 0 {
+		t.Fatalf("hits/misses = %d/%d, want 0/3 (blocks 0, 1, 5)", st.Hits, st.Misses)
+	}
+	if m := disk.Metrics(); m.ReadOps != 2 || m.BytesRead != 3*blockSeries*length*4 {
+		t.Fatalf("device: %d reads, %d bytes; want 2 reads (blocks 0+1 coalesced, block 5), %d bytes",
+			m.ReadOps, m.BytesRead, 3*blockSeries*length*4)
+	}
+	// The loaded blocks are now hits; a cold block between two cached ones
+	// is still a single read of its own.
+	r.ReadBatch([]int32{0, 9, 16}, func(int) bool { return true }, func(int, series.Series) {})
+	if st = r.Stats(); st.Misses != 4 || st.Hits != 2 {
+		t.Fatalf("second batch: hits/misses = %d/%d, want 2/4", st.Hits, st.Misses)
+	}
+	if ops := disk.Metrics().ReadOps; ops != 3 {
+		t.Fatalf("second batch: %d device reads in total, want 3", ops)
+	}
+	// A refused candidate does not extend a run: 24 (block 3) is wanted, its
+	// neighbour 32 (block 4) is not — one block is read, not two.
+	r.ReadBatch([]int32{24, 32}, func(k int) bool { return k == 0 },
+		func(k int, _ series.Series) {
+			if k != 0 {
+				t.Error("refused candidate visited")
+			}
+		})
+	if st = r.Stats(); st.Misses != 5 {
+		t.Fatalf("refused neighbour: %d misses, want 5 (block 3 only)", st.Misses)
+	}
+	if m := disk.Metrics(); m.ReadOps != 4 || m.BytesRead != 5*blockSeries*length*4 {
+		t.Fatalf("refused neighbour: %d device reads, %d bytes; want 4 reads, %d bytes",
+			m.ReadOps, m.BytesRead, 5*blockSeries*length*4)
+	}
+	// Nothing wanted: nothing touched.
+	r.ReadBatch([]int32{32, 33, 56}, func(int) bool { return false },
+		func(k int, _ series.Series) { t.Errorf("refused k=%d visited", k) })
+	if ops := disk.Metrics().ReadOps; ops != 4 {
+		t.Fatalf("all-refused batch read the device: %d reads, want 4", ops)
+	}
+}
+
+// TestDiskReaderReadBatchOverBudget: a run longer than the cache budget
+// still delivers every candidate — the caller holds its blocks while the
+// cache forgets all but the budget's worth.
+func TestDiskReaderReadBatchOverBudget(t *testing.T) {
+	r, coll := newTestReader(t, 64, 8, DiskReaderOptions{BlockSeries: 4, CacheBytes: 1})
+	pos := make([]int32, 40)
+	for i := range pos {
+		pos[i] = int32(i)
+	}
+	seen := 0
+	r.ReadBatch(slices.Clone(pos), func(int) bool { return true }, func(k int, s series.Series) {
+		if !slices.Equal(s, coll.At(k)) {
+			t.Errorf("series %d = %v, want %v", k, s, coll.At(k))
+		}
+		seen++
+	})
+	if seen != len(pos) {
+		t.Fatalf("visited %d of %d", seen, len(pos))
+	}
+	if st := r.Stats(); st.ResidentBytes > st.CacheBytes || st.Evictions != 9 {
+		t.Fatalf("after a 10-block run through a 1-block cache: resident %d of %d, %d evictions (want 9)",
+			st.ResidentBytes, st.CacheBytes, st.Evictions)
+	}
+}
+
+// TestDiskReaderReadBatchSingleFlight races overlapping batch reads and
+// plain At calls over one cold region: every value must come back correct
+// and, with room for everything, each block must be loaded exactly once —
+// a run that overlaps another reader's pending blocks waits for them
+// instead of reading them again, and nobody deadlocks.
+func TestDiskReaderReadBatchSingleFlight(t *testing.T) {
+	const n, length, blockSeries = 256, 8, 4
+	coll := makeCollection(n, length)
+	disk := NewDisk(NewMemStore(), Unthrottled)
+	f, err := WriteCollection(disk, coll)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewDiskReader(f, DiskReaderOptions{BlockSeries: blockSeries})
+	if err != nil {
+		t.Fatal(err)
+	}
+	disk.ResetMetrics()
+
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// Windows of 24 series starting every 8, offset per goroutine,
+			// so neighbouring goroutines' runs overlap by several blocks.
+			for lo := w % 8; lo+24 <= n; lo += 8 {
+				pos := make([]int32, 0, 12)
+				for p := lo; p < lo+24; p += 2 {
+					pos = append(pos, int32(p))
+				}
+				src := slices.Clone(pos)
+				r.ReadBatch(pos, func(int) bool { return true }, func(k int, s series.Series) {
+					if !slices.Equal(s, coll.At(int(src[k]))) {
+						t.Errorf("series %d read back wrong", src[k])
+					}
+				})
+				if got := r.At(lo + 1); !slices.Equal(got, coll.At(lo+1)) {
+					t.Errorf("At(%d) read back wrong", lo+1)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if st := r.Stats(); st.Misses != n/blockSeries {
+		t.Fatalf("misses = %d under 8 racing readers, want %d (single-flight)", st.Misses, n/blockSeries)
+	}
+	if m := disk.Metrics(); m.ReadOps > n/blockSeries || m.BytesRead != n*length*4 {
+		t.Fatalf("device: %d reads, %d bytes; want ≤ %d reads and exactly %d bytes",
+			m.ReadOps, m.BytesRead, n/blockSeries, n*length*4)
 	}
 }
 

@@ -84,7 +84,7 @@ type FaultPlan struct {
 	PermanentRanges []Range
 	// LatencyProb and Latency inject stalls: with probability LatencyProb
 	// a read sleeps Latency before being served. Slow-but-working reads
-	// exercise the timeout-free retry path and prefetch masking.
+	// exercise the timeout-free retry path.
 	LatencyProb float64
 	Latency     time.Duration
 }

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"dsidx/internal/series"
 )
 
 // faultReader builds a DiskReader over a FaultStore so tests can script
@@ -204,15 +206,62 @@ func TestDiskReaderPermanentFailsFast(t *testing.T) {
 	r.At(0)
 }
 
-func TestDiskReaderPrefetchSwallowsFaults(t *testing.T) {
+// TestDiskReaderReadBatchFault: a dead device fails a batch read the way it
+// fails At — one typed *BlockError panic naming the first block that failed,
+// every block of the coalesced run counted as a failed load of its own — and
+// leaves nothing poisoned behind.
+func TestDiskReaderReadBatchFault(t *testing.T) {
 	r, fs := faultReader(t, 64, 8, DiskReaderOptions{BlockSeries: 8})
 	fs.SetPlan(FaultPlan{PermanentRanges: []Range{{Start: 0, End: 1 << 30}}})
-	// Prefetch over a dead device must not panic; the demand access later
-	// surfaces the fault.
-	r.Prefetch([]int32{0, 8, 16})
+	func() {
+		defer func() {
+			be, ok := recover().(*BlockError)
+			if !ok || be.Class != FaultPermanent || be.Block != 0 {
+				t.Fatalf("panic payload %+v, want a permanent *BlockError for block 0", be)
+			}
+		}()
+		r.ReadBatch([]int32{0, 8, 16}, func(int) bool { return true },
+			func(k int, _ series.Series) { t.Errorf("k=%d visited off a dead device", k) })
+	}()
+	if st := r.Stats(); st.PermanentFaults != 3 || st.ResidentBytes != 0 {
+		t.Fatalf("after a failed 3-block run: %d permanent faults (want 3), %d bytes resident (want 0)",
+			st.PermanentFaults, st.ResidentBytes)
+	}
 	fs.Heal()
-	if got := r.At(0); len(got) != 8 {
-		t.Fatalf("post-heal read length %d, want 8", len(got))
+	seen := 0
+	r.ReadBatch([]int32{0, 8, 16}, func(int) bool { return true }, func(int, series.Series) { seen++ })
+	if seen != 3 {
+		t.Fatalf("post-heal batch visited %d of 3", seen)
+	}
+}
+
+// TestDiskReaderReadBatchFaultNamesItsBlock: a dead region under the last
+// block of a coalesced run fails that block alone, under its own index; the
+// healthy blocks read with it stay cached.
+func TestDiskReaderReadBatchFaultNamesItsBlock(t *testing.T) {
+	const length, blockSeries = 8, 8
+	r, fs := faultReader(t, 64, length, DiskReaderOptions{BlockSeries: blockSeries})
+	blockBytes := int64(blockSeries * length * 4)
+	start := r.file.offsetOf(2 * blockSeries)
+	fs.SetPlan(FaultPlan{PermanentRanges: []Range{{Start: start, End: start + blockBytes}}})
+	func() {
+		defer func() {
+			be, ok := recover().(*BlockError)
+			if !ok || be.Class != FaultPermanent || be.Block != 2 {
+				t.Fatalf("panic payload %+v, want a permanent *BlockError for block 2", be)
+			}
+		}()
+		r.ReadBatch([]int32{0, 8, 16}, func(int) bool { return true }, func(int, series.Series) {})
+	}()
+	if st := r.Stats(); st.PermanentFaults != 1 || st.ResidentBytes != 2*blockBytes {
+		t.Fatalf("%d permanent faults (want 1), %d bytes resident (want blocks 0 and 1: %d)",
+			st.PermanentFaults, st.ResidentBytes, 2*blockBytes)
+	}
+	misses := r.Stats().Misses
+	r.At(0)
+	r.At(8)
+	if st := r.Stats(); st.Misses != misses {
+		t.Fatalf("blocks 0 and 1 were re-read after their neighbour failed: misses %d → %d", misses, st.Misses)
 	}
 }
 

@@ -32,8 +32,9 @@ func (c *Counter) Value() int64 { return c.v.Load() }
 func (c *Counter) Reset() { c.v.Store(0) }
 
 // Best is a concurrently updatable (distance, position) pair that only ever
-// improves (distance decreases). Reads are a single atomic load; writes take
-// a mutex but first re-check under the atomic so losers back off cheaply.
+// improves (distance decreases, or stays while the position decreases).
+// Reads are a single atomic load; writes take a mutex but first re-check
+// under the atomic so losers back off cheaply.
 type Best struct {
 	bits atomic.Uint64 // float64 bits of the current best distance
 	mu   sync.Mutex
@@ -68,15 +69,18 @@ func (b *Best) Load() (float64, int64) {
 	return math.Float64frombits(b.bits.Load()), b.pos
 }
 
-// Update installs (dist, pos) if dist improves on the current best and
-// reports whether it did. Safe for concurrent use.
+// Update installs (dist, pos) if dist improves on the current best — or
+// equals it at a lower position — and reports whether it did. The tie rule
+// makes the winner among equidistant candidates (exact duplicates in the
+// data) the one a serial scan in position order reports, whatever order
+// concurrent evaluators reach them in. Safe for concurrent use.
 func (b *Best) Update(dist float64, pos int64) bool {
-	if dist >= b.Distance() {
+	if dist > b.Distance() {
 		return false
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if dist >= math.Float64frombits(b.bits.Load()) {
+	if cur := math.Float64frombits(b.bits.Load()); dist > cur || (dist == cur && pos >= b.pos) {
 		return false
 	}
 	b.bits.Store(math.Float64bits(dist))

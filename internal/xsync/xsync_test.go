@@ -228,3 +228,17 @@ func TestBestReset(t *testing.T) {
 		t.Fatal("update after Reset rejected")
 	}
 }
+
+// TestBestTieKeepsLowerPosition: among equal distances the lower position
+// wins in either arrival order — the answer a position-ordered serial scan
+// gives for exact duplicates.
+func TestBestTieKeepsLowerPosition(t *testing.T) {
+	for _, order := range [][2]int64{{7, 3}, {3, 7}} {
+		b := NewBest()
+		b.Update(2.5, order[0])
+		b.Update(2.5, order[1])
+		if d, p := b.Load(); d != 2.5 || p != 3 {
+			t.Fatalf("arrival order %v: Best = (%v,%d), want (2.5,3)", order, d, p)
+		}
+	}
+}

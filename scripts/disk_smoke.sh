@@ -1,10 +1,18 @@
 #!/usr/bin/env bash
 # disk_smoke.sh — assert the out-of-core tier is invisible to results and
-# actually caches: a tiny dsbench -diskjson run must report (a)
+# reads only what it refines: a tiny dsbench -diskjson run must report (a)
 # cold_matches_hot=true — every exact answer over the device-backed tier is
-# bit-identical to the hot build's — and (b) a best-budget cache hit rate
-# above zero, so refinement is actually being served from the block cache
-# rather than paying the device on every read.
+# bit-identical to the hot build's — and (b), at every cache budget, at most
+# MAX_READS device reads per query and a read amplification (device bytes
+# over the bytes of the series actually refined) of at most MAX_AMP. The
+# smoke's queries are unperturbed random walks — poorly pruned, candidates
+# scattered one to an 8-series block — so a healthy run prints 14–20 reads
+# per query at the smallest cache and an amplification of 7–16 (four queries
+# are few: it moves run to run); the ceilings sit above that and below what
+# reading whole leaves ahead of their bounds costs (amplification 28–51 at
+# the same size before that path was replaced). A
+# cache hit rate is deliberately not asserted — a reader that fetches only
+# survivors can legitimately miss on every one.
 #
 # Usage: scripts/disk_smoke.sh [series] [queries]
 #
@@ -30,11 +38,19 @@ if [ "$matches" != "true" ]; then
     exit 1
 fi
 
-best_hit=$(awk -F': *' '/"hit_rate"/ { gsub(/[,"]/, "", $2); if ($2 + 0 > best + 0) best = $2 } END { print best }' "$OUT")
-awk -v r="${best_hit:-0}" 'BEGIN {
-    if (r + 0 <= 0) {
-        print "disk smoke: best cache hit rate is zero — the block cache is not serving refinement reads"
+MAX_READS=60
+MAX_AMP=25
+worst() { awk -F': *' -v key="\"$1\"" '$0 ~ key { gsub(/[,"]/, "", $2); if ($2 + 0 > w + 0) w = $2 } END { print w + 0 }' "$OUT"; }
+reads=$(worst device_reads_per_query)
+amp=$(worst read_amplification)
+awk -v r="$reads" -v a="$amp" -v mr="$MAX_READS" -v ma="$MAX_AMP" 'BEGIN {
+    if (r <= 0 || a <= 0) {
+        print "disk smoke: no device reads recorded — the cold tier was not exercised"
         exit 1
     }
-    printf "disk smoke: cold answers match hot bit-for-bit; best cache hit rate %.3f\n", r
+    if (r > mr || a > ma) {
+        printf "disk smoke: worst point reads the device %.1f times per query (ceiling %s) at amplification %.1f (ceiling %s)\n", r, mr, a, ma
+        exit 1
+    }
+    printf "disk smoke: cold answers match hot bit-for-bit; worst point %.1f device reads/query, read amplification %.1f\n", r, a
 }'
