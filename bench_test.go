@@ -72,7 +72,6 @@ func BenchmarkFig9MESSIQueryScaling(b *testing.B)   { benchFigure(b, "fig9") }
 func BenchmarkFig10QueryHDD(b *testing.B)           { benchFigure(b, "fig10") }
 func BenchmarkFig11QuerySSD(b *testing.B)           { benchFigure(b, "fig11") }
 func BenchmarkFig12QueryInMemory(b *testing.B)      { benchFigure(b, "fig12") }
-func BenchmarkAblationQueueCount(b *testing.B)      { benchFigure(b, "ablation-queues") }
 func BenchmarkAblationBufferPartition(b *testing.B) { benchFigure(b, "ablation-buffers") }
 func BenchmarkAblationLeafCapacity(b *testing.B)    { benchFigure(b, "ablation-leafcap") }
 

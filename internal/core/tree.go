@@ -325,25 +325,6 @@ func (t *Tree) PruneWalk(n *Node, queryPAA []float64, bsf func() float64, emit f
 	t.PruneWalk(n.Right, queryPAA, bsf, emit)
 }
 
-// PruneWalkTable is PruneWalk with node bounds served by a precomputed
-// multi-cardinality table (one lookup per segment instead of region
-// arithmetic) — the hot path of MESSI query answering.
-func (t *Tree) PruneWalkTable(n *Node, mt *isax.MultiTable, bsf func() float64, emit func(*Node, float64)) {
-	if n == nil {
-		return
-	}
-	d := mt.DistWord(n.Word)
-	if d >= bsf() {
-		return
-	}
-	if n.IsLeaf() {
-		emit(n, d)
-		return
-	}
-	t.PruneWalkTable(n.Left, mt, bsf, emit)
-	t.PruneWalkTable(n.Right, mt, bsf, emit)
-}
-
 // Stats summarizes tree shape for diagnostics and tests.
 type Stats struct {
 	Series    int

@@ -19,7 +19,7 @@ import (
 // Expected shape: single-query latency is roughly flat across the sweep
 // while QPS grows with in-flight queries until the pool saturates, because
 // one query cannot keep every core busy through its serial sections and
-// queue-drain tail.
+// list-drain tail.
 func ConcurrentQPS(cfg Config) (*Table, error) {
 	cfg = cfg.Normalize()
 	w := newWorkload(cfg, gen.Synthetic)

@@ -222,8 +222,31 @@ func (t *QueryTable) FillDTW(q *Quantizer, paaUpper, paaLower []float64, n int) 
 type MultiTable struct {
 	segments int
 	maxBits  int
-	// levels[b-1] holds segments × 2^b cells, row-major by segment.
-	levels [][]float64
+	// cells holds every level back to back, level 1 first: level b starts
+	// at segments×(2^b − 2) and holds segments × 2^b cells, row-major by
+	// segment (see WordCell). One array, so a word's bound is Segments
+	// lookups off a single base whatever cardinalities it mixes — the form
+	// vector.WordDistBatch consumes.
+	cells []float64
+}
+
+// WordCell returns the index in MultiTable.Cells of segment j's cell for a
+// bits-bit symbol sym, in a table over the given number of segments.
+func WordCell(segments, j int, sym, bits uint8) int {
+	return segments*(1<<bits-2) + j<<bits + int(sym)
+}
+
+// The largest table has MaxSegments × (2^(MaxBits+1) − 2) = 8,160 cells, so
+// a cell index always fits the uint16 WordCells stores.
+const _ = uint16(MaxSegments * (2<<MaxBits - 2))
+
+// WordCells writes w's cell indexes (one per segment, see WordCell) to dst:
+// the query-independent half of DistWord, computed once per word so that a
+// bound is a sum of table reads with no cardinality arithmetic left in it.
+func WordCells(w Word, dst []uint16) {
+	for j, sym := range w.Symbols {
+		dst[j] = uint16(WordCell(len(w.Symbols), j, sym, w.Bits[j]))
+	}
 }
 
 // NewMultiTable derives per-cardinality tables from a base full-cardinality
@@ -235,24 +258,26 @@ func NewMultiTable(q *Quantizer, base *QueryTable) *MultiTable {
 }
 
 // FillFrom rederives every cardinality level from the (re)filled base table,
-// reusing each level's backing array when the shape matches. The
-// full-cardinality level aliases base's cells rather than copying them.
+// reusing the backing array when the shape matches. The full-cardinality
+// level is base's own cell array: the first call copies base's cells into
+// place and re-points base at them, so later FillED/FillDTW calls on base
+// write the top level directly and a pooled pair never copies it again.
 func (mt *MultiTable) FillFrom(q *Quantizer, base *QueryTable) {
-	maxBits := q.maxBits
-	mt.segments = base.segments
-	mt.maxBits = maxBits
-	if len(mt.levels) != maxBits {
-		mt.levels = make([][]float64, maxBits)
+	segs, maxBits := base.segments, q.maxBits
+	mt.segments, mt.maxBits = segs, maxBits
+	top, n := WordCell(segs, 0, 0, uint8(maxBits)), segs*(2<<maxBits-2)
+	if len(mt.cells) != n {
+		mt.cells = make([]float64, n)
 	}
-	mt.levels[maxBits-1] = base.cells
+	if &base.cells[0] != &mt.cells[top] {
+		copy(mt.cells[top:], base.cells)
+		base.cells = mt.cells[top:n:n]
+	}
 	for b := maxBits - 1; b >= 1; b-- {
 		card := 1 << b
-		below := mt.levels[b] // level b+1 bits
-		cells := mt.levels[b-1]
-		if len(cells) != base.segments*card {
-			cells = make([]float64, base.segments*card)
-		}
-		for j := 0; j < base.segments; j++ {
+		below := mt.cells[WordCell(segs, 0, 0, uint8(b+1)):]
+		cells := mt.cells[WordCell(segs, 0, 0, uint8(b)):]
+		for j := 0; j < segs; j++ {
 			for s := 0; s < card; s++ {
 				lo := below[j*2*card+2*s]
 				hi := below[j*2*card+2*s+1]
@@ -262,17 +287,20 @@ func (mt *MultiTable) FillFrom(q *Quantizer, base *QueryTable) {
 				cells[j*card+s] = lo
 			}
 		}
-		mt.levels[b-1] = cells
 	}
 }
 
+// Cells exposes the flat all-levels table, indexed by WordCell, for
+// batched kernels in internal/vector. The slice must not be modified.
+func (mt *MultiTable) Cells() []float64 { return mt.cells }
+
 // DistWord returns the lower bound between the table's query and a
-// variable-cardinality word: one lookup per segment.
+// variable-cardinality word: one lookup per segment, summed in segment
+// order.
 func (mt *MultiTable) DistWord(w Word) float64 {
 	var acc float64
 	for j, sym := range w.Symbols {
-		bits := int(w.Bits[j])
-		acc += mt.levels[bits-1][j<<bits+int(sym)]
+		acc += mt.cells[WordCell(mt.segments, j, sym, w.Bits[j])]
 	}
 	return acc
 }
@@ -281,7 +309,7 @@ func (mt *MultiTable) DistWord(w Word) float64 {
 // table's MinDistSAX — at w = 16 both delegate to the same vector kernel,
 // keeping the equivalence bit-exact under either dispatch choice).
 func (mt *MultiTable) DistSAX(fullSAX []uint8) float64 {
-	cells := mt.levels[mt.maxBits-1]
+	cells := mt.cells[WordCell(mt.segments, 0, 0, uint8(mt.maxBits)):]
 	card := 1 << mt.maxBits
 	if len(fullSAX) == 16 && mt.segments == 16 {
 		return vector.MinDistLookup16(cells, fullSAX, card)

@@ -1,8 +1,10 @@
 package messi
 
 // Race-detector stress suite for the mutation surface added with deletes:
-// concurrent deleters and appenders against mixed exact/kNN/DTW/window
-// readers, with every answer verified post hoc against serial scans.
+// concurrent deleters, a batch appender and a compactor — each of which
+// publishes new snapshots — against mixed exact/kNN/DTW/window readers, with
+// every answer verified post hoc against serial scans and every snapshot a
+// reader meets checked against its own leaf directory.
 //
 // Verification model: appends land as a monotone prefix and each deleter
 // kills a disjoint arithmetic progression of positions in order, so a
@@ -19,6 +21,7 @@ package messi
 
 import (
 	"math"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -89,14 +92,19 @@ func TestConcurrentDeleteStress(t *testing.T) {
 	)
 	landed.Store(delStressBase)
 
-	// Appender: lands the remaining mirror suffix one at a time, flushing
+	// Appender: lands the remaining mirror suffix in small batches, flushing
 	// periodically so delta merges run concurrently with the deleters.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		for i := 0; i < delStressExtra; i++ {
+		const batch = 4
+		for i := 0; i < delStressExtra; i += batch {
 			gpos := delStressBase + i
-			p, err := ix.Append(mirror.At(gpos))
+			ss := make([]series.Series, batch)
+			for j := range ss {
+				ss[j] = mirror.At(gpos + j)
+			}
+			p, err := ix.AppendBatch(ss)
 			if err != nil {
 				t.Error(err)
 				return
@@ -105,8 +113,8 @@ func TestConcurrentDeleteStress(t *testing.T) {
 				t.Errorf("append landed at %d, want %d", p, gpos)
 				return
 			}
-			landed.Store(int64(gpos + 1))
-			if i%200 == 199 {
+			landed.Store(int64(gpos + batch))
+			if i%200 == 200-batch {
 				ix.Flush()
 			}
 		}
@@ -155,6 +163,7 @@ func TestConcurrentDeleteStress(t *testing.T) {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(r)))
 			for it := 0; it < iters; it++ {
 				qi := (r*iters + it) % queries.Len()
 				q := queries.At(qi)
@@ -202,6 +211,9 @@ func TestConcurrentDeleteStress(t *testing.T) {
 				}
 				o.n2 = int(landed.Load())
 				obsCh <- o
+				// Whatever snapshot the merges and compactions have just
+				// published, its leaf directory describes its tree.
+				verifyDirectory(t, ix.cfg, ix.snap.Load(), rng)
 			}
 		}(r)
 	}

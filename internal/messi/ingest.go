@@ -351,7 +351,7 @@ func (ix *Index) mergeOnce() bool {
 	// No summary copying: the flat SAX rows of the merged prefix stay in
 	// baseSAX and the saxLog, both immutable below the published counts;
 	// Encode materializes a flat array from them on demand.
-	ix.snap.Store(&snapshot{tree: next, mergedA: total})
+	ix.publish(next, total)
 	ix.snapSwaps.Add(1)
 	ix.merges.Add(1)
 	return true

@@ -11,21 +11,25 @@
 // independently (footnote 3).
 //
 // Query answering: a multi-probe approximate search (the Options.ProbeLeaves
-// best leaves under the query's summary) seeds the shared BSF; workers
-// then traverse distinct root subtrees, pruning by node-level lower bounds
-// against the live BSF, and push surviving leaves — minus the already-probed
-// ones — into a set of concurrent min-priority queues (round-robin, for load
-// balancing). After the traversal, workers drain the queues in ascending
-// lower-bound order: a popped leaf whose bound beats the BSF has its whole
-// summary block lower-bounded in one batched pass (bit-identical to the
-// per-entry bounds), then survivors pay an early-abandoning real distance
-// read from the leaf's contiguous raw block (leaf-ordered storage, unless
-// Options.DisableLeafRaw). When a queue's minimum is not below the BSF, the
-// whole queue can never improve the answer and is abandoned. Compared to
-// ParIS, the tree prunes *before* lower-bound computation and the queues
-// order work best-first — the two effects behind Figure 12's speedups; the
-// batched bounds and leaf-ordered reads give the refinement loop the
-// sequential memory behavior the paper gets from SIMD over flat arrays.
+// best leaves under the query's summary) seeds the shared BSF. The exact
+// phase then reads the snapshot's leaf directory — every leaf of the tree
+// with its word resolved to lookup-table cells — not the pointer tree:
+// workers claim blocks of it, bound each block's leaves in one batched pass
+// against the live BSF, and list the survivors — minus the already-probed
+// ones — each on its own. The lists are folded into one, filtered against
+// the BSF as it then stands and sorted by bound; workers claim its entries in
+// that order through a shared cursor: a claimed leaf has its whole summary
+// block lower-bounded in one batched pass (bit-identical to the per-entry
+// bounds), then survivors pay an early-abandoning real distance read from
+// the leaf's contiguous raw block (leaf-ordered storage, unless
+// Options.DisableLeafRaw). The first entry whose bound is not below the BSF
+// ends a worker's drain, since every later one is at least as far. Compared
+// to ParIS, node bounds prune *before* per-series lower bounds and work is
+// ordered best-first — the two effects behind Figure 12's speedups; the
+// batched bounds and leaf-ordered reads give both phases the sequential
+// memory behavior the paper gets from SIMD over flat arrays. The paper walks
+// the tree and drains several locked priority queues; queuedSearch's comment
+// says why a flat pass and one sorted list replace them here.
 //
 // Live ingestion: the paper builds the index as a one-shot batch job; this
 // implementation additionally accepts new series while queries run (see
@@ -63,10 +67,6 @@ type Options struct {
 	// blocks assigned with Fetch&Inc give the load balancing the paper
 	// describes.
 	BlockSeries int
-	// QueueCount is the number of concurrent priority queues used by query
-	// answering (0 means half the workers, minimum 1 — close to the paper's
-	// tuning).
-	QueueCount int
 	// SharedBuffers selects the alternative stage-1 design the paper's
 	// footnote 2 reports trying and rejecting: one lock-protected buffer
 	// per root subtree shared by all workers, instead of per-worker buffer
@@ -120,9 +120,6 @@ func (o Options) normalize() Options {
 	if o.BlockSeries <= 0 {
 		o.BlockSeries = 1024
 	}
-	if o.QueueCount <= 0 {
-		o.QueueCount = max(1, o.Workers/2)
-	}
 	if o.MergeThreshold <= 0 {
 		o.MergeThreshold = 4096
 	}
@@ -146,10 +143,20 @@ type BuildStats struct {
 // invisible to in-flight queries. The flat SAX rows backing the snapshot
 // live outside it — baseSAX for the build-time collection, saxLog for
 // appends — both immutable below the published counts, so snapshots stay
-// two words and merges never copy summary data.
+// small and merges never copy summary data.
 type snapshot struct {
-	tree    *core.Tree
+	tree *core.Tree
+	// dir is tree's leaf directory, the only form of the tree the exact
+	// phase of a query traverses (query.go). Built once here because a
+	// published tree never changes.
+	dir     *core.LeafDirectory
 	mergedA int // appended series covered by the tree
+}
+
+// publish installs tree, covering the first mergedA appended series, as the
+// snapshot new queries load.
+func (ix *Index) publish(tree *core.Tree, mergedA int) {
+	ix.snap.Store(&snapshot{tree: tree, dir: core.NewLeafDirectory(tree), mergedA: mergedA})
 }
 
 // Index is a MESSI index over an in-memory collection, serving exact
@@ -263,7 +270,7 @@ func (ix *Index) initLive(tree *core.Tree, baseSAX *core.SAXArray, mergedA int) 
 	ix.ingestSM = core.NewSummarizer(ix.cfg, tree.Quantizer())
 	ix.ingestBf = make([]uint8, ix.cfg.Segments)
 	ix.readBatch = series.ResolveBatchReader(ix.raw)
-	ix.snap.Store(&snapshot{tree: tree, mergedA: mergedA})
+	ix.publish(tree, mergedA)
 	ix.probeLive.Store(int32(ix.opt.ProbeLeaves))
 	ix.mergeLive.Store(int32(ix.opt.MergeThreshold))
 	ix.queryDur = metrics.NewHistogram(metrics.Opts{

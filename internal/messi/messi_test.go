@@ -219,26 +219,6 @@ func TestSearchDTWZeroWindowMatchesED(t *testing.T) {
 	}
 }
 
-func TestQueueCountVariants(t *testing.T) {
-	coll, queries := dataset(t, gen.Synthetic, 600)
-	for _, qc := range []int{1, 2, 8, 32} {
-		ix, err := Build(coll, core.Config{LeafCapacity: 32},
-			Options{Workers: 8, QueueCount: qc})
-		if err != nil {
-			t.Fatal(err)
-		}
-		q := queries.At(0)
-		_, wantDist := coll.BruteForce1NN(q)
-		got, _, err := ix.Search(q, 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(got.Dist-wantDist) > 1e-6*math.Max(1, wantDist) {
-			t.Fatalf("queues=%d: dist %v, want %v", qc, got.Dist, wantDist)
-		}
-	}
-}
-
 func TestIndexAdmissionProbeAndRaw(t *testing.T) {
 	coll, _ := dataset(t, gen.Synthetic, 400)
 	ix := build(t, coll, 2)

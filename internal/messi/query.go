@@ -2,6 +2,7 @@ package messi
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -10,7 +11,6 @@ import (
 	"dsidx/internal/engine"
 	"dsidx/internal/isax"
 	"dsidx/internal/paa"
-	"dsidx/internal/pqueue"
 	"dsidx/internal/series"
 	"dsidx/internal/vector"
 	"dsidx/internal/xsync"
@@ -19,9 +19,12 @@ import (
 // QueryStats counts the work of one query, exposing the pruning effects the
 // paper credits for MESSI's speedups.
 type QueryStats struct {
-	ProbeLeaves    int // leaves probed by the BSF-seeding approximate phase
-	LeavesInserted int // leaves that survived tree pruning
-	LeavesPopped   int // leaves actually examined from the queues
+	ProbeLeaves int // leaves probed by the BSF-seeding approximate phase
+	// LeavesInserted is the length of the candidate list: leaves, other
+	// than the probed ones, whose word bound is below the best-so-far as it
+	// stood when the bound pass and delta scan had both finished.
+	LeavesInserted int
+	LeavesPopped   int // listed leaves actually refined
 	EntriesChecked int // per-series lower bounds computed
 	RawDistances   int // exact distances computed (incl. approximate phase)
 	// Observed is the number of series this query answered over: the
@@ -53,43 +56,44 @@ func (ix *Index) view() view {
 // total returns the number of series the view answers over.
 func (v view) total(baseLen int) int { return baseLen + v.aLive }
 
-// queueEntry is a surviving leaf with its lower-bound distance.
-type queueEntry struct {
-	leaf *core.Node
+// candidate is a leaf that survived the bound pass: its index in the
+// snapshot's leaf directory and its word's lower bound. An index, not a
+// pointer, so a pooled list pins no retired subtree.
+type candidate struct {
+	bound float64
+	leaf  int32
 }
 
 // searchScratch is the pooled per-query working set: summarizer, summary
-// buffers, lower-bound lookup tables and the priority-queue set. At the
+// buffers, lower-bound lookup tables and the candidate lists. At the
 // default configuration these total ~70KB per query — allocating them per
 // Search call is invisible at one query at a time but dominates allocator
 // traffic at serving rates, so in-flight queries check them out of a
 // sync.Pool and sustained QPS recycles a bounded working set.
 type searchScratch struct {
-	sm     *core.Summarizer
-	qsax   []uint8
-	qpaa   []float64
-	table  *isax.QueryTable
-	mt     *isax.MultiTable
-	queues *pqueue.Set[queueEntry]
-	done   []atomic.Bool
+	sm    *core.Summarizer
+	qsax  []uint8
+	qpaa  []float64
+	table *isax.QueryTable
+	mt    *isax.MultiTable
+	// parts[w] is bound-pass task w's survivor list; after the barrier the
+	// caller folds them all into parts[0], the query's candidate list.
+	parts [][]candidate
 	// probed records the leaves the approximate phase refined, so the
-	// traversal skips re-inserting them: a probed leaf is already fully
+	// bound pass does not list them: a probed leaf is already fully
 	// refined against a bound at least as tight, and re-refining it would
 	// double-count its surviving entries' distances. Read-only during the
-	// traversal; len ≤ ProbeLeaves, so membership is a pointer scan.
+	// bound pass; len ≤ ProbeLeaves, so membership is a pointer scan.
 	probed []*core.Node
 }
 
 func (ix *Index) newScratch() *searchScratch {
-	queues := pqueue.NewSet[queueEntry](ix.opt.QueueCount, 64)
 	return &searchScratch{
-		sm:     core.NewSummarizer(ix.cfg, ix.Tree().Quantizer()),
-		qsax:   make([]uint8, ix.cfg.Segments),
-		qpaa:   make([]float64, ix.cfg.Segments),
-		table:  &isax.QueryTable{},
-		mt:     &isax.MultiTable{},
-		queues: queues,
-		done:   make([]atomic.Bool, queues.Count()),
+		sm:    core.NewSummarizer(ix.cfg, ix.Tree().Quantizer()),
+		qsax:  make([]uint8, ix.cfg.Segments),
+		qpaa:  make([]float64, ix.cfg.Segments),
+		table: &isax.QueryTable{},
+		mt:    &isax.MultiTable{},
 	}
 }
 
@@ -98,7 +102,8 @@ func (ix *Index) getScratch() *searchScratch { return ix.scratch.Get().(*searchS
 func (ix *Index) putScratch(sc *searchScratch) {
 	// Drop the probed-leaf pointers before parking in the pool: after a
 	// merge retires a snapshot, a pooled scratch must not pin the old
-	// subtrees' materialized raw blocks until its next reuse.
+	// subtrees' materialized raw blocks until its next reuse. (The candidate
+	// lists hold directory indexes, so they have nothing to drop.)
 	clear(sc.probed)
 	sc.probed = sc.probed[:0]
 	ix.scratch.Put(sc)
@@ -242,10 +247,10 @@ func (ix *Index) scanDelta(r *refiner, lo, hi int, st *QueryStats, lb *lbScratch
 
 // probeLeaves runs the approximate phase: the p best leaves under the
 // query's summary (see core.Tree.BestLeavesApprox) are refined exactly as
-// the queue-drain phase refines, seeding the BSF with exact distances.
+// the exact phase refines, seeding the BSF with exact distances.
 // Probing several neighboring leaves instead of one tightens the initial
-// BSF, which shrinks everything downstream: fewer leaves survive tree
-// pruning, fewer entries survive the lower-bound filter. seeded is the
+// BSF, which shrinks everything downstream: fewer leaves survive the bound
+// pass, fewer entries survive the lower-bound filter. seeded is the
 // scope's hook (see Scope.Seeded), called once the leaves are refined.
 func (ix *Index) probeLeaves(sc *searchScratch, t *core.Tree, stats *QueryStats, r *refiner, seeded func()) {
 	lb := ix.getLB()
@@ -273,6 +278,13 @@ func (sc *searchScratch) wasProbed(leaf *core.Node) bool {
 // identPos is the position map of an unsharded query: local positions ARE
 // the answer positions.
 func identPos(p int32) int32 { return p }
+
+func abs(x int32) int32 {
+	if x < 0 {
+		return -x
+	}
+	return x
+}
 
 // Scope bounds one query's visible position space and carries its tenant
 // identity. The zero Scope answers over nothing appended — use FullScope
@@ -545,18 +557,39 @@ func (ix *Index) BatchSearch(qs []series.Series) ([]core.Result, error) {
 	return results, err
 }
 
-// deltaBlock is the delta-scan work-claiming granularity in series.
-const deltaBlock = 1024
+// deltaBlock and leafBlock are the work-claiming granularities of phase A:
+// series of the delta suffix and leaves of the directory per Fetch&Inc. A
+// tree over a scaled-down collection has tens of thousands of tiny leaves,
+// and per-leaf claims would serialize on the shared counter's cache line.
+const (
+	deltaBlock = 1024
+	leafBlock  = 256
+)
 
-// queuedSearch runs MESSI stage 3: parallel pruned traversal filling the
-// priority queues — concurrently with an exact scan of the view's unmerged
-// delta suffix — then a barrier, then parallel best-first draining. bsf
-// reads the live pruning threshold (the BSF for 1-NN, the k-th best for
-// k-NN) and r carries the distance flavor (ED vs DTW). The delta scan
-// shares the BSF with the traversal, so abandoning thresholds tighten
-// globally whichever side improves the answer first. Every refinement and
-// delta-scan task holds a per-task lower-bound buffer for its batched bound
-// computations.
+// queuedSearch runs MESSI stage 3 over the snapshot's leaf directory rather
+// than its pointer tree. Phase A is one bound pass: tasks claim blocks of
+// the directory with Fetch&Inc, bound every leaf of a block in one
+// vector.WordDistBatch call (bit-identical to MultiTable.DistWord on the
+// leaf's word, and at least every ancestor's bound, so the survivors are
+// exactly the leaves a pruned descent reaches), and append each leaf whose
+// bound is below the threshold read for that block — probed leaves aside —
+// to a list of their own. An exact scan of the view's unmerged delta suffix
+// runs beside them and shares the threshold, so it tightens globally
+// whichever side improves the answer first. After the barrier the caller
+// folds the lists into one, keeps what is still below the threshold as it
+// now stands, and sorts it by bound. Phase B tasks claim entries of that
+// list with Fetch&Inc and refine them; a task stops at the first bound not
+// below the live threshold, because every later entry is at least as far
+// and the threshold only shrinks. Nothing survives: no phase B is submitted.
+//
+// The paper drains a set of locked priority queues here, several of them to
+// spread lock contention. The list is built without sharing, ordered once by
+// its only writer and read through a cursor, so there is no lock to spread
+// and no queue count to tune — and the drain is best-first globally, not
+// per queue. r carries the flavor: r.limit reads the live threshold (the BSF
+// for 1-NN, the k-th best for k-NN) and r.score pays the real distance (ED
+// or DTW). Every task holds a per-task lower-bound buffer for its batched
+// bound computations.
 //
 // All phases execute as tasks on the index's shared worker pool rather
 // than per-call goroutines: with several queries in flight, their tasks
@@ -593,65 +626,67 @@ func (ix *Index) queuedSearch(
 	} else if workers > ix.eng.Workers() {
 		workers = ix.eng.Workers()
 	}
-	queues := sc.queues
-	queues.Reset()
-	t := v.snap.tree
-	keys := t.OccupiedKeys()
+	dir, w := v.snap.dir, ix.cfg.Segments
+	cells := sc.mt.Cells()
 
-	// Phase A: traversal plus delta scan. Traversal tasks claim root
-	// subtrees with Fetch&Inc, in blocks: a tree over a scaled-down
-	// collection has tens of thousands of tiny root subtrees, and
-	// per-subtree claims would serialize on the shared counter's cache
-	// line. Delta tasks claim blocks of the unmerged suffix the same way.
-	const claimBlock = 256
-	var cursor, deltaCursor xsync.Counter
-	var inserted, popped, entries, raws atomic.Int64
-	blocks := (len(keys) + claimBlock - 1) / claimBlock
+	// What the tasks share, as one heap object rather than six.
+	var sh struct {
+		cursor, deltaCursor   xsync.Counter
+		popped, entries, raws atomic.Int64
+		home                  atomic.Int32 // directory index of the first probed leaf, the query's own
+	}
+	boundTasks := min(workers, (len(dir.Leaves)+leafBlock-1)/leafBlock)
+	for len(sc.parts) < max(boundTasks, 1) {
+		sc.parts = append(sc.parts, nil)
+	}
 	// A sharding layer's append cut may sit below mergedA (a merge folded
 	// appends past the cut into the tree, where the position filter handles
 	// them) — there is no delta suffix to scan then.
 	deltaLo, deltaHi := v.snap.mergedA, max(v.aLive, v.snap.mergedA)
 	deltaBlocks := (deltaHi - deltaLo + deltaBlock - 1) / deltaBlock
 	g := ix.eng.NewGroup()
-	for w := 0; w < min(workers, max(blocks, 1)); w++ {
+	for t := 0; t < boundTasks; t++ {
 		g.Submit(func() {
-			// One emit closure per task, not per subtree: a scaled-down
-			// tree has thousands of root keys, and allocating the closure
-			// inside the key loop used to dominate the query's allocation
-			// count.
-			emit := func(leaf *core.Node, lb float64) {
-				if sc.wasProbed(leaf) {
-					return
-				}
-				queues.Insert(lb, queueEntry{leaf: leaf})
-				inserted.Add(1)
-			}
+			lb := ix.getLB()
+			part := sc.parts[t][:0]
 			for {
-				lo := int(cursor.Next()) * claimBlock
-				if lo >= len(keys) {
-					return
+				lo := int(sh.cursor.Next()) * leafBlock
+				if lo >= len(dir.Leaves) {
+					break
 				}
-				hi := min(lo+claimBlock, len(keys))
-				for _, key := range keys[lo:hi] {
-					t.PruneWalkTable(t.Subtree(key), sc.mt, bsf, emit)
+				hi := min(lo+leafBlock, len(dir.Leaves))
+				bounds := lb.take(hi - lo)
+				vector.WordDistBatch(cells, dir.Cells[lo*w:hi*w], w, bounds)
+				lim := bsf()
+				for i, b := range bounds {
+					if b >= lim {
+						continue
+					}
+					if leaf := dir.Leaves[lo+i]; !sc.wasProbed(leaf) {
+						part = append(part, candidate{bound: b, leaf: int32(lo + i)})
+					} else if leaf == sc.probed[0] {
+						sh.home.Store(int32(lo + i))
+					}
 				}
 			}
+			sc.parts[t] = part
+			ix.putLB(lb)
 		})
 	}
-	for w := 0; w < min(workers, deltaBlocks); w++ {
+	for t := 0; t < min(workers, deltaBlocks); t++ {
 		g.Submit(func() {
 			st := QueryStats{}
 			lb := ix.getLB()
 			for {
-				lo := deltaLo + int(deltaCursor.Next())*deltaBlock
+				lo := deltaLo + int(sh.deltaCursor.Next())*deltaBlock
 				if lo >= deltaHi {
 					break
 				}
 				ix.scanDelta(r, lo, min(lo+deltaBlock, deltaHi), &st, lb)
 			}
 			ix.putLB(lb)
-			entries.Add(int64(st.EntriesChecked))
-			raws.Add(int64(st.RawDistances))
+			sh.entries.Add(int64(st.EntriesChecked))
+			sh.raws.Add(int64(st.RawDistances))
 		})
 	}
 	g.Wait()
@@ -659,61 +694,69 @@ func (ix *Index) queuedSearch(
 		return err
 	}
 
-	// Phase B: best-first refinement. A queue whose head is not below the
-	// BSF can never improve the answer (bounds only grow within a queue and
-	// the BSF only shrinks), so it is marked done for everyone.
-	done := sc.done[:queues.Count()]
-	for i := range done {
-		done[i].Store(false)
+	// Fold into parts[0], in place: its own survivors only move down, and
+	// the other lists land past what has been read of it.
+	lim := bsf()
+	cands := sc.parts[0][:0]
+	for _, part := range sc.parts[:boundTasks] {
+		for _, c := range part {
+			if c.bound < lim {
+				cands = append(cands, c)
+			}
+		}
 	}
-	g = ix.eng.NewGroup()
-	for w := 0; w < workers; w++ {
-		g.Submit(func() {
-			st := QueryStats{}
-			lb := ix.getLB()
-			for remaining := true; remaining; {
-				remaining = false
-				for qi := 0; qi < queues.Count(); qi++ {
-					idx := (w + qi) % queues.Count()
-					if done[idx].Load() {
-						continue
-					}
-					q := queues.Queue(idx)
-					for {
-						it, abandon := q.PopIfUnder(bsf())
-						if abandon {
-							done[idx].Store(true)
-							break
-						}
-						popped.Add(1)
-						ix.refineLeaf(r, it.Value.leaf, &st, lb)
-					}
-				}
-				// Re-scan in case another worker inserted... no inserts can
-				// happen in phase B, but a queue may have been skipped while
-				// a peer was draining it and then re-marked not-done; one
-				// clean pass over all queues seeing them done suffices.
-				for qi := 0; qi < queues.Count(); qi++ {
-					if !done[qi].Load() {
-						remaining = true
+	sc.parts[0] = cands
+	// Equal bounds — under DTW every leaf the envelope overlaps is at zero —
+	// drain outward from the query's own leaf: its neighbours in the tree's
+	// depth-first order are the regions a slightly different summary would
+	// have routed to, and reaching them first tightens the threshold soonest.
+	// The directory index settles the rest, so the order depends only on
+	// which leaves survived, not on which task listed them.
+	h := sh.home.Load()
+	slices.SortFunc(cands, func(a, b candidate) int {
+		switch {
+		case a.bound < b.bound:
+			return -1
+		case a.bound > b.bound:
+			return 1
+		}
+		if d := abs(a.leaf-h) - abs(b.leaf-h); d != 0 {
+			return int(d)
+		}
+		return int(a.leaf - b.leaf)
+	})
+
+	if len(cands) > 0 {
+		sh.cursor.Reset()
+		g = ix.eng.NewGroup()
+		for t := 0; t < min(workers, len(cands)); t++ {
+			g.Submit(func() {
+				st := QueryStats{}
+				lb := ix.getLB()
+				for {
+					i := int(sh.cursor.Next())
+					if i >= len(cands) || cands[i].bound >= bsf() {
 						break
 					}
+					st.LeavesPopped++
+					ix.refineLeaf(r, dir.Leaves[cands[i].leaf], &st, lb)
 				}
-			}
-			ix.putLB(lb)
-			entries.Add(int64(st.EntriesChecked))
-			raws.Add(int64(st.RawDistances))
-		})
-	}
-	g.Wait()
-	if err := g.Err(); err != nil {
-		return err
+				ix.putLB(lb)
+				sh.popped.Add(int64(st.LeavesPopped))
+				sh.entries.Add(int64(st.EntriesChecked))
+				sh.raws.Add(int64(st.RawDistances))
+			})
+		}
+		g.Wait()
+		if err := g.Err(); err != nil {
+			return err
+		}
 	}
 
-	stats.LeavesInserted = int(inserted.Load())
-	stats.LeavesPopped = int(popped.Load())
-	stats.EntriesChecked += int(entries.Load())
-	stats.RawDistances += int(raws.Load())
+	stats.LeavesInserted = len(cands)
+	stats.LeavesPopped = int(sh.popped.Load())
+	stats.EntriesChecked += int(sh.entries.Load())
+	stats.RawDistances += int(sh.raws.Load())
 	return nil
 }
 
@@ -938,7 +981,9 @@ func (ix *Index) SearchDTWShared(q series.Series, window, workers int, best *xsy
 				return
 			}
 			st.RawDistances++
-			if d := series.DTW(q, s, window, lim); d < lim {
+			// <=, as in the ED score: DTW abandons only above lim, so
+			// d == lim is an exact tie and Best keeps the lower position.
+			if d := series.DTW(q, s, window, lim); d <= lim {
 				best.Update(d, int64(gpos))
 			}
 		}}

@@ -233,7 +233,7 @@ func (ix *Index) Compact() {
 	for _, key := range old.tree.OccupiedKeys() {
 		next.SetSubtree(key, old.tree.CloneSubtreeFiltered(key, ts.has))
 	}
-	ix.snap.Store(&snapshot{tree: next, mergedA: old.mergedA})
+	ix.publish(next, old.mergedA)
 	ix.snapSwaps.Add(1)
 }
 

@@ -1,15 +1,9 @@
-// Package pqueue provides the minimum priority queues used by MESSI's query
-// answering stage (paper §III): leaves that survive node-level pruning are
-// inserted, with their lower-bound distance as priority, into a set of
-// concurrent min-queues in round-robin fashion; worker threads then drain
-// the queues in ascending lower-bound order.
+// Package pqueue provides the binary min-heap of the paper's query
+// answering stage (§III), where leaves that survive node-level pruning are
+// queued under their lower-bound distance. internal/messi no longer drains
+// queues — it sorts one candidate list (see its queuedSearch) — so the heap
+// remains as the layer benchmark's reference cost for one push and pop.
 package pqueue
-
-import (
-	"sync"
-
-	"dsidx/internal/xsync"
-)
 
 // Item is a prioritized value.
 type Item[T any] struct {
@@ -18,7 +12,7 @@ type Item[T any] struct {
 }
 
 // Heap is a classic binary min-heap on Item.Priority. Not safe for
-// concurrent use; see Locked.
+// concurrent use.
 type Heap[T any] struct {
 	items []Item[T]
 }
@@ -92,112 +86,4 @@ func (h *Heap[T]) siftDown(i int) {
 		h.items[i], h.items[smallest] = h.items[smallest], h.items[i]
 		i = smallest
 	}
-}
-
-// Locked is a mutex-protected Heap safe for concurrent use. MESSI protects
-// each of its queues with a lock; contention stays low because there are
-// several queues and workers spread across them.
-type Locked[T any] struct {
-	mu   sync.Mutex
-	heap Heap[T]
-}
-
-// NewLocked returns a concurrent heap with the given initial capacity.
-func NewLocked[T any](capacity int) *Locked[T] {
-	return &Locked[T]{heap: Heap[T]{items: make([]Item[T], 0, capacity)}}
-}
-
-// Push inserts a value with the given priority.
-func (q *Locked[T]) Push(priority float64, v T) {
-	q.mu.Lock()
-	q.heap.Push(priority, v)
-	q.mu.Unlock()
-}
-
-// Pop removes and returns the minimum item; ok is false when empty.
-func (q *Locked[T]) Pop() (Item[T], bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.heap.Pop()
-}
-
-// PopIfUnder removes and returns the minimum item only if its priority is
-// strictly below limit. done is true when the queue is empty or its minimum
-// is already >= limit — in both cases a MESSI worker abandons this queue,
-// because every remaining element has an even larger lower bound.
-func (q *Locked[T]) PopIfUnder(limit float64) (it Item[T], done bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	head, ok := q.heap.Peek()
-	if !ok || head.Priority >= limit {
-		var zero Item[T]
-		return zero, true
-	}
-	it, _ = q.heap.Pop()
-	return it, false
-}
-
-// Reset empties the queue, keeping its backing array for reuse.
-func (q *Locked[T]) Reset() {
-	q.mu.Lock()
-	q.heap.Reset()
-	q.mu.Unlock()
-}
-
-// Len returns the current number of queued items.
-func (q *Locked[T]) Len() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.heap.Len()
-}
-
-// Set is a group of concurrent min-queues with round-robin insertion, the
-// exact structure MESSI stage 3 uses for load balancing: "each thread
-// inserts elements in the priority queues in a round-robin fashion".
-type Set[T any] struct {
-	queues []*Locked[T]
-	rr     xsync.Counter
-}
-
-// NewSet creates count queues, each with the given initial capacity.
-func NewSet[T any](count, capacity int) *Set[T] {
-	if count <= 0 {
-		count = 1
-	}
-	s := &Set[T]{queues: make([]*Locked[T], count)}
-	for i := range s.queues {
-		s.queues[i] = NewLocked[T](capacity)
-	}
-	return s
-}
-
-// Insert pushes the value into the next queue in round-robin order.
-func (s *Set[T]) Insert(priority float64, v T) {
-	i := int(s.rr.Next()) % len(s.queues)
-	s.queues[i].Push(priority, v)
-}
-
-// Count returns the number of queues in the set.
-func (s *Set[T]) Count() int { return len(s.queues) }
-
-// Queue returns the i-th queue (modulo the count), letting each worker
-// start from a different queue and walk the set.
-func (s *Set[T]) Queue(i int) *Locked[T] { return s.queues[i%len(s.queues)] }
-
-// Reset empties every queue and rewinds the round-robin cursor, so a
-// pooled set can be reused across queries without reallocating heaps.
-func (s *Set[T]) Reset() {
-	for _, q := range s.queues {
-		q.Reset()
-	}
-	s.rr.Reset()
-}
-
-// TotalLen returns the total number of queued items across the set.
-func (s *Set[T]) TotalLen() int {
-	total := 0
-	for _, q := range s.queues {
-		total += q.Len()
-	}
-	return total
 }

@@ -1,9 +1,7 @@
 package pqueue
 
 import (
-	"math/rand"
 	"sort"
-	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -75,128 +73,6 @@ func TestHeapDuplicatePriorities(t *testing.T) {
 	}
 	if len(seen) != 8 {
 		t.Fatalf("lost values under duplicate priorities: %d/8", len(seen))
-	}
-}
-
-func TestLockedPopIfUnder(t *testing.T) {
-	q := NewLocked[int](4)
-	q.Push(5, 50)
-	q.Push(1, 10)
-
-	it, done := q.PopIfUnder(3)
-	if done || it.Value != 10 {
-		t.Fatalf("PopIfUnder(3) = (%v,%v), want value 10", it, done)
-	}
-	// Head is now 5 >= 3: abandon.
-	if _, done := q.PopIfUnder(3); !done {
-		t.Fatal("PopIfUnder should report done when head >= limit")
-	}
-	if q.Len() != 1 {
-		t.Fatalf("abandoned pop must not consume; len = %d", q.Len())
-	}
-	// Empty queue: done.
-	q2 := NewLocked[int](0)
-	if _, done := q2.PopIfUnder(100); !done {
-		t.Fatal("PopIfUnder on empty queue should report done")
-	}
-}
-
-func TestLockedConcurrentPushPop(t *testing.T) {
-	q := NewLocked[int](0)
-	const n = 4000
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(w)))
-			for i := 0; i < n/4; i++ {
-				q.Push(rng.Float64(), w*n/4+i)
-			}
-		}(w)
-	}
-	wg.Wait()
-
-	var mu sync.Mutex
-	seen := make(map[int]bool, n)
-	wg = sync.WaitGroup{}
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				it, ok := q.Pop()
-				if !ok {
-					return
-				}
-				mu.Lock()
-				seen[it.Value] = true
-				mu.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
-	if len(seen) != n {
-		t.Fatalf("drained %d values, want %d", len(seen), n)
-	}
-}
-
-func TestSetRoundRobin(t *testing.T) {
-	s := NewSet[int](3, 4)
-	for i := 0; i < 9; i++ {
-		s.Insert(float64(i), i)
-	}
-	if s.Count() != 3 {
-		t.Fatalf("Count = %d, want 3", s.Count())
-	}
-	for i := 0; i < 3; i++ {
-		if got := s.Queue(i).Len(); got != 3 {
-			t.Fatalf("queue %d len = %d, want 3 (round robin)", i, got)
-		}
-	}
-	if s.TotalLen() != 9 {
-		t.Fatalf("TotalLen = %d, want 9", s.TotalLen())
-	}
-	// Queue index wraps.
-	if s.Queue(0) != s.Queue(3) {
-		t.Fatal("Queue index should wrap modulo count")
-	}
-}
-
-func TestSetMinimumCount(t *testing.T) {
-	s := NewSet[int](0, 0)
-	if s.Count() != 1 {
-		t.Fatalf("Count = %d, want 1 for degenerate set", s.Count())
-	}
-	s.Insert(1, 1)
-	if s.TotalLen() != 1 {
-		t.Fatal("insert into degenerate set lost the item")
-	}
-}
-
-func TestResetReusesAcrossQueries(t *testing.T) {
-	// A pooled Set must behave identically after Reset: empty queues,
-	// round-robin cursor rewound, no stale items.
-	s := NewSet[string](3, 4)
-	for i := 0; i < 7; i++ {
-		s.Insert(float64(i), "old")
-	}
-	s.Reset()
-	if s.TotalLen() != 0 {
-		t.Fatalf("TotalLen = %d after Reset", s.TotalLen())
-	}
-	s.Insert(2, "b")
-	s.Insert(1, "a")
-	if s.TotalLen() != 2 {
-		t.Fatalf("TotalLen = %d after refill", s.TotalLen())
-	}
-	// Cursor rewound: inserts land in queues 0 then 1, as on a fresh set.
-	if s.Queue(0).Len() != 1 || s.Queue(1).Len() != 1 || s.Queue(2).Len() != 0 {
-		t.Fatalf("round-robin after Reset: lens %d/%d/%d",
-			s.Queue(0).Len(), s.Queue(1).Len(), s.Queue(2).Len())
-	}
-	if it, ok := s.Queue(0).Pop(); !ok || it.Value != "b" {
-		t.Fatalf("queue 0 head = %+v, want b", it)
 	}
 }
 

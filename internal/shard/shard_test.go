@@ -1,8 +1,11 @@
 package shard
 
 import (
+	"cmp"
 	"context"
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"dsidx/internal/core"
@@ -476,33 +479,63 @@ func TestShardedAdmissionAndBatchSearch(t *testing.T) {
 	}
 }
 
-// TestDuplicateSeriesAnswerLowestPosition: two exact duplicates routed to
-// different shards are equidistant from every query; whichever shard reaches
-// its copy first, the answer is the lower position — what the serial scan
-// reports — on hot and cold placements alike.
+// TestDuplicateSeriesAnswerLowestPosition: two exact duplicates are
+// equidistant from every query, under ED and DTW alike. Whichever shard,
+// worker or leaf reaches its copy first, the 1-NN and DTW answer is the lower
+// position — what the serial scan reports — and a k-NN answer ranks the pair
+// by position and, when the k-th place falls between them, keeps the lower:
+// on hot and cold placements, one shard or four (42 and 301 then sit on
+// different shards), one worker or two.
 func TestDuplicateSeriesAnswerLowestPosition(t *testing.T) {
 	g := gen.Generator{Kind: gen.Synthetic, Length: testLen, Seed: 61}
 	coll := g.Collection(400)
 	coll.Set(301, coll.At(42)) // round-robin over 4 shards: 42 → shard 2, 301 → shard 1
 	queries := g.PerturbedQueries(coll.Slice(42, 43), 20, 0.05)
-	for name, cs := range map[string]*ColdStorage{"hot": nil, "cold": coldOptions(nil)} {
-		s, err := Build(coll, testConfig(), Options{Shards: 4, ColdStorage: cs,
-			Options: messi.Options{MergeThreshold: 1 << 30}})
-		if err != nil {
-			t.Fatal(err)
+	// The serial k-NN ranking: every distance, ordered by (distance, position).
+	ranked := func(q series.Series) []core.Result {
+		all := make([]core.Result, coll.Len())
+		for i := range all {
+			all[i] = core.Result{Pos: int32(i), Dist: vector.SquaredED(q, coll.At(i))}
 		}
-		t.Cleanup(s.Close)
-		for i := 0; i < queries.Len(); i++ {
-			want := ucr.Scan(coll, queries.At(i))
-			got, _, err := s.Search(queries.At(i), 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if want.Pos != 42 {
-				t.Fatalf("query %d: serial scan answers #%d, the test wants a query nearest to #42", i, want.Pos)
-			}
-			if got.Pos != want.Pos || got.Dist != want.Dist {
-				t.Fatalf("%s, query %d: (#%d, %v) != serial (#%d, %v)", name, i, got.Pos, got.Dist, want.Pos, want.Dist)
+		slices.SortFunc(all, func(a, b core.Result) int {
+			return cmp.Or(cmp.Compare(a.Dist, b.Dist), cmp.Compare(a.Pos, b.Pos))
+		})
+		return all
+	}
+	const window = 4
+	for name, cs := range map[string]*ColdStorage{"hot": nil, "cold": coldOptions(nil)} {
+		for _, shards := range []int{1, 4} {
+			for _, workers := range []int{1, 2} {
+				s, err := Build(coll, testConfig(), Options{Shards: shards, ColdStorage: cs,
+					Options: messi.Options{Workers: workers, MergeThreshold: 1 << 30}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(s.Close)
+				for i := 0; i < queries.Len(); i++ {
+					q := queries.At(i)
+					at := fmt.Sprintf("%s, %d shards, %d workers, query %d", name, shards, workers, i)
+					want := ucr.Scan(coll, q)
+					if want.Pos != 42 {
+						t.Fatalf("query %d: serial scan answers #%d, the test wants a query nearest to #42", i, want.Pos)
+					}
+					if got, _, err := s.Search(q, 0); err != nil || got != want {
+						t.Fatalf("%s: 1-NN %+v (%v) != serial %+v", at, got, err, want)
+					}
+					wantDTW := ucr.ScanDTW(coll, q, window)
+					if wantDTW.Pos != 42 {
+						t.Fatalf("query %d: serial DTW scan answers #%d, want #42", i, wantDTW.Pos)
+					}
+					if got, _, err := s.SearchDTW(q, window, 0); err != nil || got != wantDTW {
+						t.Fatalf("%s: DTW %+v (%v) != serial %+v", at, got, err, wantDTW)
+					}
+					order := ranked(q)
+					for k := 1; k <= 3; k++ {
+						if got, _, err := s.SearchKNN(q, k, 0); err != nil || !slices.Equal(got, order[:k]) {
+							t.Fatalf("%s: %d-NN %+v (%v) != serial %+v", at, k, got, err, order[:k])
+						}
+					}
+				}
 			}
 		}
 	}

@@ -105,3 +105,36 @@ func FuzzMinDistBatchDifferential(f *testing.F) {
 		}
 	})
 }
+
+// FuzzWordDistBatchDifferential: the four-rows-at-a-time kernel against its
+// one-row oracle on raw table bits. Index bytes are reduced modulo the table
+// size, so every row addresses real cells whatever the fuzzer writes.
+func FuzzWordDistBatchDifferential(f *testing.F) {
+	f.Add(make([]byte, 30*8), make([]byte, 16*2*5), uint8(16))
+	f.Add(make([]byte, 8*8), make([]byte, 2*9), uint8(1))
+	f.Fuzz(func(t *testing.T, cellBytes, idxBytes []byte, width uint8) {
+		w := 1 + int(width)%16
+		if len(cellBytes) < 8 {
+			return
+		}
+		cells := make([]float64, len(cellBytes)/8)
+		for i := range cells {
+			cells[i] = math.Float64frombits(binary.LittleEndian.Uint64(cellBytes[i*8:]))
+		}
+		rows := len(idxBytes) / 2 / w
+		idx := make([]uint16, rows*w)
+		for i := range idx {
+			idx[i] = uint16(int(binary.LittleEndian.Uint16(idxBytes[i*2:])) % len(cells))
+		}
+		got := make([]float64, rows)
+		want := make([]float64, rows)
+		WordDistBatch(cells, idx, w, got)
+		ScalarWordDistBatch(cells, idx, w, want)
+		for i := range got {
+			if !nanEq(got[i], want[i]) {
+				t.Fatalf("w=%d row %d of %d: %x vs %x", w, i, rows,
+					math.Float64bits(got[i]), math.Float64bits(want[i]))
+			}
+		}
+	})
+}

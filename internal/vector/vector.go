@@ -37,6 +37,12 @@
 //     w = 16 is a lane multiple). MinDistBatch at w == 16 is exactly that
 //     kernel per entry; at any other width both implementations share the
 //     plain sequential loop and no assembly is dispatched.
+//   - WordDistBatch sums each row's cells from zero in segment order, one
+//     sequential chain per row — the order isax.MultiTable.DistWord uses,
+//     so a batched node-word bound is that function's value bit for bit.
+//     It has no assembly form: the kernel is two loads and an add per
+//     cell, near the load ports' limit in plain Go, and a 4-lane gather
+//     issues the same loads.
 //
 // The scalar oracle spells the product rounding out with explicit
 // float64(d*d) conversions, which the Go spec defines as rounding points:
@@ -136,6 +142,38 @@ func MinDistBatch(cells []float64, sax []uint8, w, card int, out []float64) {
 		}
 		out[i] = acc
 	}
+}
+
+// WordDistBatch computes node-word lower bounds for a batch of iSAX words,
+// each given as w cell indexes into cells — the flat multi-cardinality
+// table of isax.MultiTable, one index per segment — laid out back-to-back
+// in idx. out[i] is the sum of row i's cells accumulated from zero in
+// segment order, which is isax.MultiTable.DistWord on that word bit for
+// bit: one row is one sequential chain, never split across lanes. Four rows
+// advance together so their independent chains overlap; there is no
+// assembly form, so every build runs this code and ScalarWordDistBatch is
+// its one-row-at-a-time oracle. Panics on an index outside cells.
+func WordDistBatch(cells []float64, idx []uint16, w int, out []float64) {
+	if len(out) == 0 {
+		return
+	}
+	_ = idx[len(out)*w-1]
+	i := 0
+	for ; i+4 <= len(out); i += 4 {
+		r0 := idx[i*w : i*w+w]
+		r1 := idx[(i+1)*w:][:len(r0)]
+		r2 := idx[(i+2)*w:][:len(r0)]
+		r3 := idx[(i+3)*w:][:len(r0)]
+		var a0, a1, a2, a3 float64
+		for j := range r0 {
+			a0 += cells[r0[j]]
+			a1 += cells[r1[j]]
+			a2 += cells[r2[j]]
+			a3 += cells[r3[j]]
+		}
+		out[i], out[i+1], out[i+2], out[i+3] = a0, a1, a2, a3
+	}
+	ScalarWordDistBatch(cells, idx[i*w:], w, out[i:])
 }
 
 // SquaredEDUnrolled is the manually 8-way-unrolled scalar kernel with 4

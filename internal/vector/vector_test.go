@@ -120,3 +120,59 @@ func TestMinDistBatchGenericAndUnrolledAgree(t *testing.T) {
 		}
 	}
 }
+
+// wordRows returns n random rows of w cell indexes below cells, the shape of
+// a leaf directory's index array.
+func wordRows(rng *rand.Rand, n, w, cells int) []uint16 {
+	idx := make([]uint16, n*w)
+	for i := range idx {
+		idx[i] = uint16(rng.Intn(cells))
+	}
+	return idx
+}
+
+func TestWordDistBatchMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, w := range []int{1, 3, 8, 16} {
+		cells := make([]float64, w*510)
+		for i := range cells {
+			cells[i] = rng.NormFloat64() * rng.NormFloat64()
+		}
+		for _, n := range []int{0, 1, 2, 3, 4, 5, 7, 8, 9, 64, 257} {
+			idx := wordRows(rng, n, w, len(cells))
+			got, want := make([]float64, n), make([]float64, n)
+			WordDistBatch(cells, idx, w, got)
+			ScalarWordDistBatch(cells, idx, w, want)
+			for i := range got {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("w=%d n=%d row %d: %v != oracle %v", w, n, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+func BenchmarkWordDistBatch(b *testing.B) {
+	rng := rand.New(rand.NewSource(6))
+	const w, n = 16, 15_570
+	cells := make([]float64, w*510)
+	for i := range cells {
+		cells[i] = rng.Float64()
+	}
+	idx := wordRows(rng, n, w, len(cells))
+	out := make([]float64, 256)
+	for _, k := range []struct {
+		name string
+		fn   func([]float64, []uint16, int, []float64)
+	}{{"interleaved", WordDistBatch}, {"oracle", ScalarWordDistBatch}} {
+		b.Run(k.name, func(b *testing.B) {
+			for b.Loop() {
+				for lo := 0; lo < n; lo += len(out) {
+					m := min(len(out), n-lo)
+					k.fn(cells, idx[lo*w:(lo+m)*w], w, out[:m])
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/word")
+		})
+	}
+}

@@ -1,8 +1,9 @@
 package xsync
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -13,10 +14,18 @@ type KBestEntry struct {
 	Dist float64
 }
 
-// KBest is a concurrent bounded max-heap of the k best (smallest-distance)
-// results seen so far. Its Threshold — the k-th best distance, +Inf until
-// the set fills — is readable without the lock and plays the BSF role in
-// k-NN search: any candidate whose lower bound reaches it can be pruned.
+// compare orders entries by distance, equidistant ones (exact duplicates in
+// the data) by position: the order a serial scan in position order ranks
+// them in, whatever order concurrent evaluators offer them in.
+func (e KBestEntry) compare(o KBestEntry) int {
+	return cmp.Or(cmp.Compare(e.Dist, o.Dist), cmp.Compare(e.Pos, o.Pos))
+}
+
+// KBest is a concurrent bounded max-heap of the k best results seen so far,
+// smallest under KBestEntry.compare. Its Threshold — the k-th best distance,
+// +Inf until the set fills — is readable without the lock and plays the BSF
+// role in k-NN search: any candidate whose lower bound reaches it can be
+// pruned.
 type KBest struct {
 	k     int
 	mu    sync.Mutex
@@ -34,11 +43,12 @@ func NewKBest(k int) *KBest {
 // Threshold returns the current pruning threshold (k-th best distance).
 func (kb *KBest) Threshold() float64 { return math.Float64frombits(kb.thr.Load()) }
 
-// Offer inserts (pos, dist) if it improves the k-best set. A position
+// Offer inserts (pos, dist) if it improves the k-best set; a candidate that
+// ties the k-th distance displaces it only from a lower position. A position
 // already present is ignored (results sets are per-position, and search
 // phases may examine a series twice).
 func (kb *KBest) Offer(pos int32, dist float64) {
-	if dist >= kb.Threshold() {
+	if dist > kb.Threshold() {
 		return
 	}
 	kb.mu.Lock()
@@ -56,7 +66,7 @@ func (kb *KBest) Offer(pos int32, dist float64) {
 		}
 		return
 	}
-	if dist >= kb.items[0].Dist {
+	if (KBestEntry{pos, dist}).compare(kb.items[0]) >= 0 {
 		return
 	}
 	kb.items[0] = KBestEntry{pos, dist}
@@ -67,7 +77,7 @@ func (kb *KBest) Offer(pos int32, dist float64) {
 func (kb *KBest) up(i int) {
 	for i > 0 {
 		parent := (i - 1) / 2
-		if kb.items[parent].Dist >= kb.items[i].Dist {
+		if kb.items[parent].compare(kb.items[i]) >= 0 {
 			return
 		}
 		kb.items[parent], kb.items[i] = kb.items[i], kb.items[parent]
@@ -79,10 +89,10 @@ func (kb *KBest) down(i int) {
 	for {
 		l, r := 2*i+1, 2*i+2
 		largest := i
-		if l < len(kb.items) && kb.items[l].Dist > kb.items[largest].Dist {
+		if l < len(kb.items) && kb.items[l].compare(kb.items[largest]) > 0 {
 			largest = l
 		}
-		if r < len(kb.items) && kb.items[r].Dist > kb.items[largest].Dist {
+		if r < len(kb.items) && kb.items[r].compare(kb.items[largest]) > 0 {
 			largest = r
 		}
 		if largest == i {
@@ -93,12 +103,13 @@ func (kb *KBest) down(i int) {
 	}
 }
 
-// Sorted returns the current results in ascending distance order.
+// Sorted returns the current results in ascending (distance, position)
+// order.
 func (kb *KBest) Sorted() []KBestEntry {
 	kb.mu.Lock()
 	out := make([]KBestEntry, len(kb.items))
 	copy(out, kb.items)
 	kb.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Dist < out[j].Dist })
+	slices.SortFunc(out, KBestEntry.compare)
 	return out
 }

@@ -32,7 +32,6 @@ func NewMESSI(coll *Collection, opts ...Option) (*MESSI, error) {
 	o := buildOptions(opts)
 	inner, err := messi.Build(coll, o.coreConfig(), messi.Options{
 		Workers:        o.workers,
-		QueueCount:     o.queueCount,
 		MaxInFlight:    o.maxInFlight,
 		MergeThreshold: o.mergeThreshold,
 		ProbeLeaves:    o.probeLeaves,

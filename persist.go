@@ -40,7 +40,6 @@ func LoadMESSI(path string, coll *Collection, opts ...Option) (*MESSI, error) {
 	o := buildOptions(opts)
 	inner, err := messi.Decode(data, coll, messi.Options{
 		Workers:        o.workers,
-		QueueCount:     o.queueCount,
 		MaxInFlight:    o.maxInFlight,
 		MergeThreshold: o.mergeThreshold,
 		ProbeLeaves:    o.probeLeaves,
