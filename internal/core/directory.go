@@ -1,33 +1,76 @@
 package core
 
-import "dsidx/internal/isax"
+import "encoding/binary"
 
 // LeafDirectory is the flat form of an immutable tree that exact search
 // traverses instead of the pointers: every leaf, in VisitLeaves order, with
-// its word already resolved to cell indexes of a query's isax.MultiTable.
-// A leaf's word bound is at least every ancestor's, so bounding all leaves
-// in one pass over Cells keeps exactly the leaves a pruned descent would
-// reach. It describes the tree as it was when built: build one per published
-// snapshot, after the last insert.
+// the two summaries a query bounds it by. Keys[i] is the leaf's root key
+// (isax.RootKey's bit order; MaxSegments = 16 bits), the coarsest word it
+// hangs under: two table reads bound it, and rule out most leaves. Env holds
+// 2·Segments bytes per leaf, rows back to back: the smallest full-cardinality
+// symbol of each segment over the leaf's SAX block, then the largest — the
+// input of vector.EnvelopeDist, a bound on what is in the leaf rather than on
+// where it hangs, so at least the root word's and at most any entry's. An
+// empty leaf's row is inverted (every min above every max), which that kernel
+// bounds to +Inf. The directory describes the tree as it was when built:
+// build one per published snapshot, after the last insert.
 type LeafDirectory struct {
 	Leaves []*Node
-	// Cells holds Segments indexes per leaf, rows back to back in Leaves
-	// order: row i is isax.WordCells(Leaves[i].Word), the input of
-	// vector.WordDistBatch.
-	Cells []uint16
+	Keys   []uint16
+	Env    []uint8
 }
 
-// NewLeafDirectory lists t's leaves. Two walks — count, then fill — so both
-// arrays are allocated once at their final size.
+// NewLeafDirectory lists t's leaves. Two walks — count, then fill — so the
+// arrays are allocated once at their final size; the fill reads every
+// summary in the tree once.
 func NewLeafDirectory(t *Tree) *LeafDirectory {
 	n := 0
 	t.VisitLeaves(func(*Node) { n++ })
 	w := t.cfg.Segments
-	d := &LeafDirectory{Leaves: make([]*Node, 0, n), Cells: make([]uint16, n*w)}
-	t.VisitLeaves(func(leaf *Node) {
-		i := len(d.Leaves)
-		d.Leaves = append(d.Leaves, leaf)
-		isax.WordCells(leaf.Word, d.Cells[i*w:(i+1)*w])
-	})
+	d := &LeafDirectory{Leaves: make([]*Node, 0, n), Keys: make([]uint16, 0, n), Env: make([]uint8, n*2*w)}
+	for _, key := range t.OccupiedKeys() {
+		t.roots[key].WalkLeaves(func(leaf *Node) {
+			row := d.Env[len(d.Leaves)*2*w:][:2*w]
+			d.Leaves = append(d.Leaves, leaf)
+			d.Keys = append(d.Keys, uint16(key))
+			envelope(leaf.SAX[:leaf.Count*w], row[:w], row[w:])
+		})
+	}
 	return d
+}
+
+// envelope writes the per-segment minimum and maximum over sax, summaries of
+// len(lo) segments back to back; none leaves the inverted, empty envelope.
+// Whole 8-segment words take the byte-parallel path. Every summary of one
+// leaf has the same top bit in a segment — the leaf's root key, or zero
+// below eight bits of cardinality — so seeded with the first summary the
+// lanes compare on their low seven bits alone: with the top bits set aside,
+// (x|H) − (y&^H) cannot borrow across lanes and leaves a lane's bit 7 set
+// iff x's low bits are at least y's.
+func envelope(sax, lo, hi []uint8) {
+	w := len(lo)
+	if len(sax) == 0 || w%8 != 0 {
+		for j := range lo {
+			lo[j], hi[j] = 0xFF, 0
+		}
+		for ; len(sax) >= w; sax = sax[w:] {
+			for j, s := range sax[:w] {
+				lo[j], hi[j] = min(lo[j], s), max(hi[j], s)
+			}
+		}
+		return
+	}
+	const H = 0x8080808080808080
+	for k := 0; k < w; k += 8 {
+		mn := binary.LittleEndian.Uint64(sax[k:])
+		mx := mn
+		for i := k + w; i+8 <= len(sax); i += w {
+			x := binary.LittleEndian.Uint64(sax[i:])
+			keepMin := (((mn | H) - (x &^ H)) & H >> 7) * 0xFF // lanes where mn ≥ x
+			keepMax := (((x | H) - (mx &^ H)) & H >> 7) * 0xFF // lanes where x ≥ mx
+			mn, mx = mn^(mn^x)&keepMin, mx^(mx^x)&keepMax
+		}
+		binary.LittleEndian.PutUint64(lo[k:], mn)
+		binary.LittleEndian.PutUint64(hi[k:], mx)
+	}
 }

@@ -49,22 +49,24 @@ func FuzzSAXLowerBound(f *testing.F) {
 		if lb := isax.MinDist(quant, qPAA, word, n); lb > limit {
 			t.Errorf("word lower bound %v exceeds true distance %v", lb, d)
 		}
-		// Every coarser cardinality — the node words a tree traversal
-		// prunes on — must lower-bound the distance too.
-		mt := isax.NewMultiTable(quant, table)
+		// Every coarser cardinality must lower-bound the distance too, down
+		// to the root word, which the root-key tables bound from the table.
 		coarse := word
-		for bits := maxBits; bits >= 1; bits-- {
-			if lb := mt.DistWord(coarse); lb > limit {
-				t.Errorf("%d-bit word lower bound %v exceeds true distance %v", bits, lb, d)
+		for bits := maxBits; bits > 1; bits-- {
+			next := coarse.Clone()
+			for j := range next.Symbols {
+				next.Symbols[j] >>= 1
+				next.Bits[j]--
 			}
-			if bits > 1 {
-				next := coarse.Clone()
-				for j := range next.Symbols {
-					next.Symbols[j] >>= 1
-					next.Bits[j]--
-				}
-				coarse = next
+			coarse = next
+			if lb := isax.MinDist(quant, qPAA, coarse, n); lb > limit {
+				t.Errorf("%d-bit word lower bound %v exceeds true distance %v", bits-1, lb, d)
 			}
+		}
+		var keyLo, keyHi [256]float64
+		table.FillRootKeys(&keyLo, &keyHi)
+		if key := isax.RootKey(sax, maxBits); keyLo[key&255]+keyHi[key>>8] > limit {
+			t.Errorf("root-key bound %v exceeds true distance %v", keyLo[key&255]+keyHi[key>>8], d)
 		}
 		// The DTW envelope bound with a degenerate (window 0) envelope is an
 		// ED lower bound as well.

@@ -44,10 +44,18 @@ func MinDist(q *Quantizer, paaCoeffs []float64, w Word, n int) float64 {
 // j when the candidate's symbol is s, so the bound for one series is the sum
 // of w table lookups — this is the memory-access pattern the paper
 // accelerates with SIMD.
+//
+// Beside cells sit its two one-sided halves, same shape: below[j][s] is the
+// cell's value when the query lies below cell s and 0 otherwise, above[j][s]
+// the same for a query above it. below grows with s and above shrinks, so
+// over a symbol range [lo, hi] the smallest cell is max(below[j][lo],
+// above[j][hi]) — two lookups bound a whole leaf's segment (see
+// vector.EnvelopeDist).
 type QueryTable struct {
-	segments int
-	cells    []float64 // segments × 2^maxBits, row-major
-	card     int
+	segments     int
+	cells        []float64 // segments × 2^maxBits, row-major
+	below, above []float64
+	card         int
 }
 
 // NewQueryTable precomputes the lookup table for the given query PAA
@@ -58,41 +66,22 @@ func NewQueryTable(q *Quantizer, paaCoeffs []float64, n int) *QueryTable {
 	return t
 }
 
-// FillED recomputes the table in place for a new query, reusing the cell
-// array when the shape matches — the table is ~w·2^maxBits float64s (32KB at
-// the defaults), so pooled scratch tables keep sustained query rates off the
-// allocator.
+// FillED recomputes the table in place for a new query, reusing the arrays
+// when the shape matches — they are 3·w·2^maxBits float64s (96KB at the
+// defaults), so pooled scratch tables keep sustained query rates off the
+// allocator. A point query is the envelope whose two sides coincide.
 func (t *QueryTable) FillED(q *Quantizer, paaCoeffs []float64, n int) {
-	segs := len(paaCoeffs)
-	card := 1 << q.maxBits
-	t.reshape(segs, card)
-	ratio := float64(n) / float64(segs)
-	for j, v := range paaCoeffs {
-		row := t.cells[j*card : (j+1)*card]
-		for s := 0; s < card; s++ {
-			lo, hi := q.Region(uint8(s), q.maxBits)
-			switch {
-			case v < lo:
-				d := lo - v
-				row[s] = d * d * ratio
-			case v > hi:
-				d := v - hi
-				row[s] = d * d * ratio
-			default:
-				row[s] = 0
-			}
-		}
-	}
+	t.FillDTW(q, paaCoeffs, paaCoeffs, n)
 }
 
-// reshape sizes the cell array for segs × card entries, reallocating only on
-// growth or shape change.
+// reshape sizes the three arrays for segs × card entries, reallocating only
+// on growth or shape change.
 func (t *QueryTable) reshape(segs, card int) {
 	t.segments, t.card = segs, card
-	if cap(t.cells) >= segs*card {
-		t.cells = t.cells[:segs*card]
+	if n := segs * card; cap(t.cells) >= n {
+		t.cells, t.below, t.above = t.cells[:n], t.below[:n], t.above[:n]
 	} else {
-		t.cells = make([]float64, segs*card)
+		t.cells, t.below, t.above = make([]float64, n), make([]float64, n), make([]float64, n)
 	}
 }
 
@@ -103,6 +92,32 @@ func (t *QueryTable) Cells() []float64 { return t.cells }
 // Card returns the cardinality of the table — the row stride of Cells,
 // which batched kernels need alongside the cell array.
 func (t *QueryTable) Card() int { return t.card }
+
+// Sides exposes the one-sided tables, laid out like Cells and as read-only.
+func (t *QueryTable) Sides() (below, above []float64) { return t.below, t.above }
+
+// FillRootKeys writes the table's bound for every root word — one bit per
+// segment, the coarsest word a leaf can hang under — indexed by root key
+// (RootKey's bit order: the last segment is bit 0): the bound of key is
+// lo[key&255] + hi[key>>8]. A segment whose bit is 0 covers the lower half
+// of the symbols and contributes above[j][card/2−1], its smallest cell; bit
+// 1 contributes below[j][card/2]. Each table is built by doubling, one
+// segment per step, so an entry is its terms summed from zero, last segment
+// first. With eight segments or fewer, hi[0] = 0 is hi's only entry.
+func (t *QueryTable) FillRootKeys(lo, hi *[256]float64) {
+	half, j := t.card/2, t.segments
+	for _, tab := range [2]*[256]float64{lo, hi} {
+		tab[0] = 0
+		for size := 1; size < len(tab) && j > 0; size *= 2 {
+			j--
+			zero, one := t.above[j*t.card+half-1], t.below[j*t.card+half]
+			for i := 0; i < size; i++ {
+				tab[size+i] = tab[i] + one
+				tab[i] += zero
+			}
+		}
+	}
+}
 
 // MinDistSAX returns the lower-bounding distance between the query
 // underlying t and one full-cardinality summary. At w = 16 (the paper's
@@ -181,144 +196,39 @@ func NewDTWQueryTable(q *Quantizer, paaUpper, paaLower []float64, n int) *QueryT
 }
 
 // FillDTW recomputes the table in place for a new query envelope, reusing
-// the cell array when the shape matches (see FillED).
+// the arrays when the shape matches (see FillED). One pass over the
+// full-cardinality breakpoints per segment: breakpoint k is the top of cell
+// k and the bottom of cell k+1, the first cell has no bottom and the last no
+// top. A cell is the larger of its two sides; for paaLower ≤ paaUpper —
+// every point query and every envelope — at most one side is nonzero.
 func (t *QueryTable) FillDTW(q *Quantizer, paaUpper, paaLower []float64, n int) {
 	if len(paaUpper) != len(paaLower) {
 		panic("isax: NewDTWQueryTable envelope mismatch")
 	}
 	segs := len(paaUpper)
-	card := 1 << q.maxBits
+	bp := q.bp[q.maxBits-1]
+	card := len(bp) + 1
 	t.reshape(segs, card)
 	ratio := float64(n) / float64(segs)
-	for j := 0; j < segs; j++ {
-		row := t.cells[j*card : (j+1)*card]
-		for s := 0; s < card; s++ {
-			lo, hi := q.Region(uint8(s), q.maxBits)
-			switch {
-			case paaUpper[j] < lo:
-				d := lo - paaUpper[j]
-				row[s] = d * d * ratio
-			case paaLower[j] > hi:
-				d := paaLower[j] - hi
-				row[s] = d * d * ratio
-			default:
-				row[s] = 0
+	for j, u := range paaUpper {
+		l := paaLower[j]
+		cells, below, above := t.cells[j*card:][:card], t.below[j*card:][:card], t.above[j*card:][:card]
+		var b float64 // cell k's below side, from breakpoint k−1
+		for k, p := range bp {
+			var a float64
+			if l > p {
+				d := l - p
+				a = d * d * ratio
+			}
+			below[k], above[k], cells[k] = b, a, max(b, a)
+			b = 0
+			if u < p {
+				d := p - u
+				b = d * d * ratio
 			}
 		}
+		below[card-1], above[card-1], cells[card-1] = b, 0, b
 	}
-}
-
-// MultiTable extends a QueryTable to every cardinality level: cell (j, s)
-// at level b holds the minimum lower-bound contribution of segment j over
-// all full-cardinality symbols whose b-bit prefix is s. A node-word lower
-// bound then costs one lookup per segment regardless of the word's
-// cardinalities — the precomputed-distance trick the C implementations use
-// to make tree-level pruning as cheap as SAX-array scanning.
-//
-// Because each coarse cell is the minimum over its sub-region, the bound
-// remains valid (≤ the true MinDist of the word, which is itself ≤ the true
-// distance); it equals MinDist exactly, since the region distance of a
-// union of adjacent regions is the minimum of the member distances.
-type MultiTable struct {
-	segments int
-	maxBits  int
-	// cells holds every level back to back, level 1 first: level b starts
-	// at segments×(2^b − 2) and holds segments × 2^b cells, row-major by
-	// segment (see WordCell). One array, so a word's bound is Segments
-	// lookups off a single base whatever cardinalities it mixes — the form
-	// vector.WordDistBatch consumes.
-	cells []float64
-}
-
-// WordCell returns the index in MultiTable.Cells of segment j's cell for a
-// bits-bit symbol sym, in a table over the given number of segments.
-func WordCell(segments, j int, sym, bits uint8) int {
-	return segments*(1<<bits-2) + j<<bits + int(sym)
-}
-
-// The largest table has MaxSegments × (2^(MaxBits+1) − 2) = 8,160 cells, so
-// a cell index always fits the uint16 WordCells stores.
-const _ = uint16(MaxSegments * (2<<MaxBits - 2))
-
-// WordCells writes w's cell indexes (one per segment, see WordCell) to dst:
-// the query-independent half of DistWord, computed once per word so that a
-// bound is a sum of table reads with no cardinality arithmetic left in it.
-func WordCells(w Word, dst []uint16) {
-	for j, sym := range w.Symbols {
-		dst[j] = uint16(WordCell(len(w.Symbols), j, sym, w.Bits[j]))
-	}
-}
-
-// NewMultiTable derives per-cardinality tables from a base full-cardinality
-// table (Euclidean or DTW — any per-symbol contribution table works).
-func NewMultiTable(q *Quantizer, base *QueryTable) *MultiTable {
-	mt := &MultiTable{}
-	mt.FillFrom(q, base)
-	return mt
-}
-
-// FillFrom rederives every cardinality level from the (re)filled base table,
-// reusing the backing array when the shape matches. The full-cardinality
-// level is base's own cell array: the first call copies base's cells into
-// place and re-points base at them, so later FillED/FillDTW calls on base
-// write the top level directly and a pooled pair never copies it again.
-func (mt *MultiTable) FillFrom(q *Quantizer, base *QueryTable) {
-	segs, maxBits := base.segments, q.maxBits
-	mt.segments, mt.maxBits = segs, maxBits
-	top, n := WordCell(segs, 0, 0, uint8(maxBits)), segs*(2<<maxBits-2)
-	if len(mt.cells) != n {
-		mt.cells = make([]float64, n)
-	}
-	if &base.cells[0] != &mt.cells[top] {
-		copy(mt.cells[top:], base.cells)
-		base.cells = mt.cells[top:n:n]
-	}
-	for b := maxBits - 1; b >= 1; b-- {
-		card := 1 << b
-		below := mt.cells[WordCell(segs, 0, 0, uint8(b+1)):]
-		cells := mt.cells[WordCell(segs, 0, 0, uint8(b)):]
-		for j := 0; j < segs; j++ {
-			for s := 0; s < card; s++ {
-				lo := below[j*2*card+2*s]
-				hi := below[j*2*card+2*s+1]
-				if hi < lo {
-					lo = hi
-				}
-				cells[j*card+s] = lo
-			}
-		}
-	}
-}
-
-// Cells exposes the flat all-levels table, indexed by WordCell, for
-// batched kernels in internal/vector. The slice must not be modified.
-func (mt *MultiTable) Cells() []float64 { return mt.cells }
-
-// DistWord returns the lower bound between the table's query and a
-// variable-cardinality word: one lookup per segment, summed in segment
-// order.
-func (mt *MultiTable) DistWord(w Word) float64 {
-	var acc float64
-	for j, sym := range w.Symbols {
-		acc += mt.cells[WordCell(mt.segments, j, sym, w.Bits[j])]
-	}
-	return acc
-}
-
-// DistSAX returns the full-cardinality bound (equivalent to the base
-// table's MinDistSAX — at w = 16 both delegate to the same vector kernel,
-// keeping the equivalence bit-exact under either dispatch choice).
-func (mt *MultiTable) DistSAX(fullSAX []uint8) float64 {
-	cells := mt.cells[WordCell(mt.segments, 0, 0, uint8(mt.maxBits)):]
-	card := 1 << mt.maxBits
-	if len(fullSAX) == 16 && mt.segments == 16 {
-		return vector.MinDistLookup16(cells, fullSAX, card)
-	}
-	var acc float64
-	for j, s := range fullSAX {
-		acc += cells[j*card+int(s)]
-	}
-	return acc
 }
 
 // Inf is a convenience +Inf used by search loops.

@@ -1,6 +1,7 @@
 package messi
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
@@ -16,23 +17,40 @@ import (
 )
 
 // verifyDirectory checks a published snapshot: its directory lists exactly
-// the tree's leaves, once each, in VisitLeaves order, and for a random ED
-// table and a random DTW table the batched bound of every leaf is
-// MultiTable.DistWord on that leaf's word, bit for bit. It reports through
-// t.Errorf, so concurrent readers may call it.
+// the tree's leaves, once each, in VisitLeaves order, and every row — root
+// key, then per-segment symbol range — equals a recomputation from the leaf.
+// Then, for a random ED table and a random DTW table, the bound cascade
+// holds leaf by leaf as floats: the envelope bound is at most the
+// MinDistBatch bound of every entry in the leaf, and the root-key filter
+// passes every leaf whose envelope bound is below the threshold, at every
+// threshold some leaf's own bound can set. It reports through t.Errorf, so
+// concurrent readers may call it.
 func verifyDirectory(t *testing.T, cfg core.Config, snap *snapshot, rng *rand.Rand) {
 	t.Helper()
 	var leaves []*core.Node
 	snap.tree.VisitLeaves(func(n *core.Node) { leaves = append(leaves, n) })
-	if !slices.Equal(leaves, snap.dir.Leaves) {
-		t.Errorf("directory lists %d leaves, VisitLeaves yields %d, or in another order",
-			len(snap.dir.Leaves), len(leaves))
+	dir, w := snap.dir, cfg.Segments
+	if !slices.Equal(leaves, dir.Leaves) || len(dir.Keys) != len(leaves) || len(dir.Env) != len(leaves)*2*w {
+		t.Errorf("directory lists %d leaves, %d keys, %d envelope bytes; VisitLeaves yields %d leaves of %d segments, or in another order",
+			len(dir.Leaves), len(dir.Keys), len(dir.Env), len(leaves), w)
 		return
 	}
-	w := cfg.Segments
-	if len(snap.dir.Cells) != len(leaves)*w {
-		t.Errorf("%d cell indexes for %d leaves of %d segments", len(snap.dir.Cells), len(leaves), w)
-		return
+	for i, leaf := range leaves {
+		want := append(bytes.Repeat([]byte{0xFF}, w), make([]byte, w)...)
+		for e := 0; e < leaf.Count; e++ {
+			for j, sym := range leaf.SAX[e*w : (e+1)*w] {
+				want[j], want[w+j] = min(want[j], sym), max(want[w+j], sym)
+			}
+		}
+		var key uint32
+		for j, sym := range leaf.Word.Symbols {
+			key = key<<1 | uint32(sym>>(leaf.Word.Bits[j]-1))
+		}
+		if got := dir.Env[i*2*w : (i+1)*2*w]; !bytes.Equal(got, want) || uint32(dir.Keys[i]) != key {
+			t.Errorf("leaf %d (%v, %d entries): key %#x envelope %v, recomputed %#x %v",
+				i, leaf.Word, leaf.Count, dir.Keys[i], got, key, want)
+			return
+		}
 	}
 	q := make(series.Series, cfg.SeriesLen)
 	for i := range q {
@@ -44,14 +62,31 @@ func verifyDirectory(t *testing.T, cfg core.Config, snap *snapshot, rng *rand.Ra
 		"ED":  isax.NewQueryTable(quant, paa.Transform(q, w), cfg.SeriesLen),
 		"DTW": isax.NewDTWQueryTable(quant, paa.Transform(env.Upper, w), paa.Transform(env.Lower, w), cfg.SeriesLen),
 	}
-	bounds := make([]float64, len(leaves))
+	bounds, keySums := make([]float64, len(leaves)), make([]float64, len(leaves))
 	for name, table := range tables {
-		mt := isax.NewMultiTable(quant, table)
-		vector.WordDistBatch(mt.Cells(), snap.dir.Cells, w, bounds)
+		below, above := table.Sides()
+		var keyLo, keyHi [256]float64
+		table.FillRootKeys(&keyLo, &keyHi)
 		for i, leaf := range leaves {
-			if want := mt.DistWord(leaf.Word); math.Float64bits(bounds[i]) != math.Float64bits(want) {
-				t.Errorf("%s: leaf %d (%v) batched bound %v != DistWord %v", name, i, leaf.Word, bounds[i], want)
-				return
+			bounds[i] = vector.EnvelopeDist(below, above, dir.Env[i*2*w:(i+1)*2*w], table.Card())
+			keySums[i] = keyLo[dir.Keys[i]&255] + keyHi[dir.Keys[i]>>8]
+			entries := make([]float64, leaf.Count)
+			vector.MinDistBatch(table.Cells(), leaf.SAX, w, table.Card(), entries)
+			for e, eb := range entries {
+				// Non-negative floats order as their bit patterns do.
+				if math.Float64bits(bounds[i]) > math.Float64bits(eb) {
+					t.Errorf("%s: leaf %d envelope bound %v above entry %d's bound %v", name, i, bounds[i], e, eb)
+					return
+				}
+			}
+		}
+		for _, lim := range append(slices.Clone(bounds), math.Inf(1)) {
+			for i, b := range bounds {
+				if b < lim && keySums[i] >= lim*keySlack {
+					t.Errorf("%s: at threshold %v the key filter drops leaf %d (key sum %v) whose envelope bound is %v",
+						name, lim, i, keySums[i], b)
+					return
+				}
 			}
 		}
 	}

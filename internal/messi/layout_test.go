@@ -203,7 +203,12 @@ func TestMultiProbePruningRegression(t *testing.T) {
 	// the balance. On the standard test workload the default probe count
 	// must not compute more raw distances than the classic single-probe
 	// seed — a probe-count regression (or a probe phase that re-pays
-	// probed leaves) would show up here as extra distances.
+	// probed leaves) would show up here as extra distances. "Not more" up
+	// to rawTolerance: the second probed leaf is refined at seeding time,
+	// against the threshold the first one left, instead of where the drain
+	// would have reached it, and which of the two is cheaper depends on the
+	// drain order. Sorted on the envelope bound it reads 4,386 against 4,384
+	// (on the word bound, 4,155 both ways); see counterCeilings.
 	g := gen.Generator{Kind: gen.Synthetic, Seed: 71}
 	coll := g.Collection(20_000)
 	queries := g.Queries(12)
@@ -239,9 +244,9 @@ func TestMultiProbePruningRegression(t *testing.T) {
 	baseline := sum(single)
 	got := sum(multi)
 	t.Logf("raw distances: single-probe %d, default %d-probe %d", baseline, multi.opt.ProbeLeaves, got)
-	if got > baseline {
-		t.Fatalf("multi-probe computed %d raw distances, single-probe baseline %d — pruning regressed",
-			got, baseline)
+	if float64(got) > float64(baseline)*(1+rawTolerance) {
+		t.Fatalf("multi-probe computed %d raw distances, single-probe baseline %d (+%.0f%% allowed) — pruning regressed",
+			got, baseline, 100*rawTolerance)
 	}
 
 	// Multi-probe must also report its probes and keep answers identical.

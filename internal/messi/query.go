@@ -21,8 +21,8 @@ import (
 type QueryStats struct {
 	ProbeLeaves int // leaves probed by the BSF-seeding approximate phase
 	// LeavesInserted is the length of the candidate list: leaves, other
-	// than the probed ones, whose word bound is below the best-so-far as it
-	// stood when the bound pass and delta scan had both finished.
+	// than the probed ones, whose envelope bound is below the best-so-far as
+	// it stood when the bound pass and delta scan had both finished.
 	LeavesInserted int
 	LeavesPopped   int // listed leaves actually refined
 	EntriesChecked int // per-series lower bounds computed
@@ -57,7 +57,7 @@ func (ix *Index) view() view {
 func (v view) total(baseLen int) int { return baseLen + v.aLive }
 
 // candidate is a leaf that survived the bound pass: its index in the
-// snapshot's leaf directory and its word's lower bound. An index, not a
+// snapshot's leaf directory and its envelope's lower bound. An index, not a
 // pointer, so a pooled list pins no retired subtree.
 type candidate struct {
 	bound float64
@@ -66,16 +66,19 @@ type candidate struct {
 
 // searchScratch is the pooled per-query working set: summarizer, summary
 // buffers, lower-bound lookup tables and the candidate lists. At the
-// default configuration these total ~70KB per query — allocating them per
-// Search call is invisible at one query at a time but dominates allocator
-// traffic at serving rates, so in-flight queries check them out of a
-// sync.Pool and sustained QPS recycles a bounded working set.
+// default configuration these total ~100KB per query (the table's three
+// 32KB arrays and the two 2KB root-key tables) — allocating them per Search
+// call is invisible at one query at a time but dominates allocator traffic
+// at serving rates, so in-flight queries check them out of a sync.Pool and
+// sustained QPS recycles a bounded working set.
 type searchScratch struct {
 	sm    *core.Summarizer
 	qsax  []uint8
 	qpaa  []float64
 	table *isax.QueryTable
-	mt    *isax.MultiTable
+	// keyLo and keyHi are table's root-word bounds (QueryTable.FillRootKeys),
+	// the first step of the bound pass.
+	keyLo, keyHi [256]float64
 	// parts[w] is bound-pass task w's survivor list; after the barrier the
 	// caller folds them all into parts[0], the query's candidate list.
 	parts [][]candidate
@@ -93,7 +96,6 @@ func (ix *Index) newScratch() *searchScratch {
 		qsax:  make([]uint8, ix.cfg.Segments),
 		qpaa:  make([]float64, ix.cfg.Segments),
 		table: &isax.QueryTable{},
-		mt:    &isax.MultiTable{},
 	}
 }
 
@@ -478,7 +480,6 @@ func (ix *Index) SearchShared(q series.Series, workers int, best *xsync.Best, ma
 
 	t := v.snap.tree
 	sc.table.FillED(t.Quantizer(), sc.qpaa, ix.cfg.SeriesLen)
-	sc.mt.FillFrom(t.Quantizer(), sc.table)
 
 	r := &refiner{table: sc.table, mp: mp, f: f, limit: best.Distance,
 		score: func(gpos int32, s series.Series, lim float64, st *QueryStats) {
@@ -566,21 +567,43 @@ const (
 	leafBlock  = 256
 )
 
+// keySlack widens the threshold the root-key filter compares with, so that
+// the filter never drops a leaf the envelope bound would list. A leaf's key
+// sum and its envelope bound each add one non-negative term per segment, and
+// segment by segment the key's term — the smallest cell of a half of the
+// symbols — is at most the envelope's, the smallest over a range inside that
+// half, as floats: both come from the same one-sided table, which is
+// monotone in the symbol. The two sums associate differently (last segment
+// first through the doubled tables, four lanes in EnvelopeDist). Adding
+// floats never underflows and these tables sit far below overflow, so a sum
+// of n non-negative terms computed in any order is within a factor
+// (1±2⁻⁵³)ⁿ⁻¹ of the real sum; with at most 16 terms and the final add,
+// key ≤ env·(1+2⁻⁵³)¹⁶/(1−2⁻⁵³)¹⁵ < env·(1+2⁻⁴⁸). The product lim·keySlack
+// rounds to at least lim·(1+2⁻⁴¹) — or, where lim is subnormal, to at least
+// lim, and there the sums are exact and key ≤ env outright. Either way
+// env < lim implies key < lim·keySlack.
+const keySlack = 1 + 0x1p-40
+
 // queuedSearch runs MESSI stage 3 over the snapshot's leaf directory rather
-// than its pointer tree. Phase A is one bound pass: tasks claim blocks of
-// the directory with Fetch&Inc, bound every leaf of a block in one
-// vector.WordDistBatch call (bit-identical to MultiTable.DistWord on the
-// leaf's word, and at least every ancestor's bound, so the survivors are
-// exactly the leaves a pruned descent reaches), and append each leaf whose
-// bound is below the threshold read for that block — probed leaves aside —
-// to a list of their own. An exact scan of the view's unmerged delta suffix
-// runs beside them and shares the threshold, so it tightens globally
-// whichever side improves the answer first. After the barrier the caller
-// folds the lists into one, keeps what is still below the threshold as it
-// now stands, and sorts it by bound. Phase B tasks claim entries of that
-// list with Fetch&Inc and refine them; a task stops at the first bound not
-// below the live threshold, because every later entry is at least as far
-// and the threshold only shrinks. Nothing survives: no phase B is submitted.
+// than its pointer tree. Phase A is one bound pass, a cascade in which each
+// step is a lower bound on the next: tasks claim blocks of the directory
+// with Fetch&Inc, read the threshold once per block, and for each leaf first
+// sum two table reads on its root key — the bound of the one-bit-per-segment
+// word it hangs under, which rules out most of the directory (see keySlack)
+// — then, for what is left, compute vector.EnvelopeDist over the leaf's
+// per-segment symbol range, at most the per-entry bound of anything stored
+// in it. There is no bound on the leaf's own word: nearly every leaf is a
+// root child, whose word is its key, and a deeper word is looser than the
+// envelope. A leaf whose envelope bound is below the threshold — probed
+// leaves aside — is appended to the task's own list. An exact scan of the
+// view's unmerged delta suffix runs beside them and shares the threshold, so
+// it tightens globally whichever side improves the answer first. After the
+// barrier the caller folds the lists into one, keeps what is still below the
+// threshold as it now stands, and sorts it by bound. Phase B tasks claim
+// entries of that list with Fetch&Inc and refine them (per-entry bounds,
+// then distances); a task stops at the first bound not below the live
+// threshold, because every later entry is at least as far and the threshold
+// only shrinks. Nothing survives: no phase B is submitted.
 //
 // The paper drains a set of locked priority queues here, several of them to
 // spread lock contention. The list is built without sharing, ordered once by
@@ -626,8 +649,10 @@ func (ix *Index) queuedSearch(
 	} else if workers > ix.eng.Workers() {
 		workers = ix.eng.Workers()
 	}
-	dir, w := v.snap.dir, ix.cfg.Segments
-	cells := sc.mt.Cells()
+	dir, rowLen := v.snap.dir, 2*ix.cfg.Segments
+	r.table.FillRootKeys(&sc.keyLo, &sc.keyHi)
+	below, above := r.table.Sides()
+	card := r.table.Card()
 
 	// What the tasks share, as one heap object rather than six.
 	var sh struct {
@@ -647,30 +672,31 @@ func (ix *Index) queuedSearch(
 	g := ix.eng.NewGroup()
 	for t := 0; t < boundTasks; t++ {
 		g.Submit(func() {
-			lb := ix.getLB()
 			part := sc.parts[t][:0]
 			for {
 				lo := int(sh.cursor.Next()) * leafBlock
 				if lo >= len(dir.Leaves) {
 					break
 				}
-				hi := min(lo+leafBlock, len(dir.Leaves))
-				bounds := lb.take(hi - lo)
-				vector.WordDistBatch(cells, dir.Cells[lo*w:hi*w], w, bounds)
 				lim := bsf()
-				for i, b := range bounds {
+				keyLim := lim * keySlack
+				for k, key := range dir.Keys[lo:min(lo+leafBlock, len(dir.Leaves))] {
+					if sc.keyLo[key&255]+sc.keyHi[key>>8] >= keyLim {
+						continue
+					}
+					i := lo + k
+					b := vector.EnvelopeDist(below, above, dir.Env[i*rowLen:(i+1)*rowLen], card)
 					if b >= lim {
 						continue
 					}
-					if leaf := dir.Leaves[lo+i]; !sc.wasProbed(leaf) {
-						part = append(part, candidate{bound: b, leaf: int32(lo + i)})
+					if leaf := dir.Leaves[i]; !sc.wasProbed(leaf) {
+						part = append(part, candidate{bound: b, leaf: int32(i)})
 					} else if leaf == sc.probed[0] {
-						sh.home.Store(int32(lo + i))
+						sh.home.Store(int32(i))
 					}
 				}
 			}
 			sc.parts[t] = part
-			ix.putLB(lb)
 		})
 	}
 	for t := 0; t < min(workers, deltaBlocks); t++ {
@@ -897,7 +923,6 @@ func (ix *Index) SearchKNNShared(q series.Series, k, workers int, kb *xsync.KBes
 
 	t := v.snap.tree
 	sc.table.FillED(t.Quantizer(), sc.qpaa, ix.cfg.SeriesLen)
-	sc.mt.FillFrom(t.Quantizer(), sc.table)
 
 	// The k-th best distance plays the BSF role in every pruning decision.
 	r := &refiner{table: sc.table, mp: mp, f: f, limit: kb.Threshold,
@@ -969,9 +994,6 @@ func (ix *Index) SearchDTWShared(q series.Series, window, workers int, best *xsy
 
 	t := v.snap.tree
 	sc.table.FillDTW(t.Quantizer(), upPAA, loPAA, n)
-	// The multi-cardinality view of the DTW table remains a valid DTW lower
-	// bound: coarse cells are minima over their sub-regions.
-	sc.mt.FillFrom(t.Quantizer(), sc.table)
 
 	// Candidates that pass the iSAX bound take an LB_Keogh check before the
 	// full dynamic program.

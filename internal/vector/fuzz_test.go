@@ -106,34 +106,29 @@ func FuzzMinDistBatchDifferential(f *testing.F) {
 	})
 }
 
-// FuzzWordDistBatchDifferential: the four-rows-at-a-time kernel against its
-// one-row oracle on raw table bits. Index bytes are reduced modulo the table
-// size, so every row addresses real cells whatever the fuzzer writes.
-func FuzzWordDistBatchDifferential(f *testing.F) {
-	f.Add(make([]byte, 30*8), make([]byte, 16*2*5), uint8(16))
-	f.Add(make([]byte, 8*8), make([]byte, 2*9), uint8(1))
-	f.Fuzz(func(t *testing.T, cellBytes, idxBytes []byte, width uint8) {
-		w := 1 + int(width)%16
-		if len(cellBytes) < 8 {
+// FuzzEnvelopeDistDifferential: the envelope kernel against its oracle on raw
+// table bits and raw envelope bytes — NaN and negative cells, inverted
+// ranges, symbols past the cardinality — at every width. The tables are
+// tiled from whatever bytes arrive, so every row addresses real cells.
+func FuzzEnvelopeDistDifferential(f *testing.F) {
+	f.Add(make([]byte, 64), make([]byte, 32), uint8(15), uint8(8))
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0xf0, 0x7f, 1, 0, 0, 0, 0, 0, 0xf8, 0xff}, []byte{9, 200, 3, 3, 0xff, 0}, uint8(2), uint8(3))
+	f.Fuzz(func(t *testing.T, tableBytes, envBytes []byte, width, bits uint8) {
+		w, card := 1+int(width)%16, 1<<(1+bits%8)
+		if len(tableBytes) < 8 {
 			return
 		}
-		cells := make([]float64, len(cellBytes)/8)
-		for i := range cells {
-			cells[i] = math.Float64frombits(binary.LittleEndian.Uint64(cellBytes[i*8:]))
+		below, above := make([]float64, w*card), make([]float64, w*card)
+		for i := range below {
+			k := len(tableBytes) / 8
+			below[i] = math.Float64frombits(binary.LittleEndian.Uint64(tableBytes[i%k*8:]))
+			above[i] = math.Float64frombits(binary.LittleEndian.Uint64(tableBytes[(i*7+3)%k*8:]))
 		}
-		rows := len(idxBytes) / 2 / w
-		idx := make([]uint16, rows*w)
-		for i := range idx {
-			idx[i] = uint16(int(binary.LittleEndian.Uint16(idxBytes[i*2:])) % len(cells))
-		}
-		got := make([]float64, rows)
-		want := make([]float64, rows)
-		WordDistBatch(cells, idx, w, got)
-		ScalarWordDistBatch(cells, idx, w, want)
-		for i := range got {
-			if !nanEq(got[i], want[i]) {
-				t.Fatalf("w=%d row %d of %d: %x vs %x", w, i, rows,
-					math.Float64bits(got[i]), math.Float64bits(want[i]))
+		for ; len(envBytes) >= 2*w; envBytes = envBytes[2*w:] {
+			got, want := EnvelopeDist(below, above, envBytes[:2*w], card), envelopeOracle(below, above, envBytes[:2*w], card)
+			if !nanEq(got, want) {
+				t.Fatalf("w=%d card=%d env=%v: %x vs %x", w, card, envBytes[:2*w],
+					math.Float64bits(got), math.Float64bits(want))
 			}
 		}
 	})

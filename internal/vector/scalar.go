@@ -119,15 +119,3 @@ func ScalarMinDistBatch(cells []float64, sax []uint8, w, card int, out []float64
 		out[i] = acc
 	}
 }
-
-// ScalarWordDistBatch is the oracle form of WordDistBatch: each row summed
-// on its own, from zero, in segment order.
-func ScalarWordDistBatch(cells []float64, idx []uint16, w int, out []float64) {
-	for i := range out {
-		var acc float64
-		for _, c := range idx[i*w : (i+1)*w] {
-			acc += cells[c]
-		}
-		out[i] = acc
-	}
-}

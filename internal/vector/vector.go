@@ -37,12 +37,14 @@
 //     w = 16 is a lane multiple). MinDistBatch at w == 16 is exactly that
 //     kernel per entry; at any other width both implementations share the
 //     plain sequential loop and no assembly is dispatched.
-//   - WordDistBatch sums each row's cells from zero in segment order, one
-//     sequential chain per row — the order isax.MultiTable.DistWord uses,
-//     so a batched node-word bound is that function's value bit for bit.
-//     It has no assembly form: the kernel is two loads and an add per
-//     cell, near the load ports' limit in plain Go, and a 4-lane gather
-//     issues the same loads.
+//   - EnvelopeDist accumulates segment j's term — the larger of its two
+//     one-sided cells — into lane (j mod 4) at w = 16 and reduces the same
+//     way, sequentially at any other width: MinDistBatch's order. Each term
+//     is at most the cell of any symbol inside the envelope and rounding is
+//     monotone, so the result is at most the MinDistBatch bound of every
+//     entry the envelope covers, as floats, not just as reals. It has no
+//     assembly form (it runs on the few leaves a two-load filter leaves
+//     over), so every build runs the same code.
 //
 // The scalar oracle spells the product rounding out with explicit
 // float64(d*d) conversions, which the Go spec defines as rounding points:
@@ -64,6 +66,8 @@
 // kernels); the tests and fuzzers therefore compare results with
 // Float64bits but treat any NaN as equal to any NaN.
 package vector
+
+import "math"
 
 // SquaredED returns the squared Euclidean distance between two equal-length
 // float32 vectors, accumulated in the pinned 4-lane order documented in the
@@ -144,36 +148,46 @@ func MinDistBatch(cells []float64, sax []uint8, w, card int, out []float64) {
 	}
 }
 
-// WordDistBatch computes node-word lower bounds for a batch of iSAX words,
-// each given as w cell indexes into cells — the flat multi-cardinality
-// table of isax.MultiTable, one index per segment — laid out back-to-back
-// in idx. out[i] is the sum of row i's cells accumulated from zero in
-// segment order, which is isax.MultiTable.DistWord on that word bit for
-// bit: one row is one sequential chain, never split across lanes. Four rows
-// advance together so their independent chains overlap; there is no
-// assembly form, so every build runs this code and ScalarWordDistBatch is
-// its one-row-at-a-time oracle. Panics on an index outside cells.
-func WordDistBatch(cells []float64, idx []uint16, w int, out []float64) {
-	if len(out) == 0 {
-		return
+// EnvelopeDist bounds a whole leaf at once: env is the leaf's envelope, its
+// smallest full-cardinality symbol per segment followed by its largest
+// (w = len(env)/2 of each), and below and above are the query table's
+// one-sided halves (isax.QueryTable.Sides), row-major with stride card.
+// Segment j contributes the smallest cell over its symbol range, which is
+// the larger of below[j][min] and above[j][max] because below grows with the
+// symbol and above shrinks; the terms are summed in MinDistBatch's order for
+// that width, so the result never exceeds the MinDistBatch bound of an entry
+// inside the envelope. Symbols are reduced modulo card, as in
+// MinDistLookup16. An envelope whose first segment has min > max covers
+// nothing and bounds to +Inf — below no threshold, so never a candidate.
+func EnvelopeDist(below, above []float64, env []uint8, card int) float64 {
+	w := len(env) / 2
+	lo, hi := env[:w], env[w:][:w]
+	if lo[0] > hi[0] {
+		return math.Inf(1)
 	}
-	_ = idx[len(out)*w-1]
-	i := 0
-	for ; i+4 <= len(out); i += 4 {
-		r0 := idx[i*w : i*w+w]
-		r1 := idx[(i+1)*w:][:len(r0)]
-		r2 := idx[(i+2)*w:][:len(r0)]
-		r3 := idx[(i+3)*w:][:len(r0)]
-		var a0, a1, a2, a3 float64
-		for j := range r0 {
-			a0 += cells[r0[j]]
-			a1 += cells[r1[j]]
-			a2 += cells[r2[j]]
-			a3 += cells[r3[j]]
+	mask := card - 1
+	term := func(j int) float64 {
+		b, a := below[j*card+int(lo[j])&mask], above[j*card+int(hi[j])&mask]
+		if a > b {
+			return a
 		}
-		out[i], out[i+1], out[i+2], out[i+3] = a0, a1, a2, a3
+		return b
 	}
-	ScalarWordDistBatch(cells, idx[i*w:], w, out[i:])
+	if w == 16 {
+		var l0, l1, l2, l3 float64
+		for k := 0; k < 16; k += 4 {
+			l0 += term(k)
+			l1 += term(k + 1)
+			l2 += term(k + 2)
+			l3 += term(k + 3)
+		}
+		return (l0 + l1) + (l2 + l3)
+	}
+	var acc float64
+	for j := range lo {
+		acc += term(j)
+	}
+	return acc
 }
 
 // SquaredEDUnrolled is the manually 8-way-unrolled scalar kernel with 4

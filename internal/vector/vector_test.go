@@ -121,58 +121,120 @@ func TestMinDistBatchGenericAndUnrolledAgree(t *testing.T) {
 	}
 }
 
-// wordRows returns n random rows of w cell indexes below cells, the shape of
-// a leaf directory's index array.
-func wordRows(rng *rand.Rand, n, w, cells int) []uint16 {
-	idx := make([]uint16, n*w)
-	for i := range idx {
-		idx[i] = uint16(rng.Intn(cells))
+// envelopeOracle is the executable statement of EnvelopeDist's contract,
+// written the plainest way: one term per segment, summed through an explicit
+// lane array at w = 16 and in segment order otherwise.
+func envelopeOracle(below, above []float64, env []uint8, card int) float64 {
+	w := len(env) / 2
+	if env[0] > env[w] {
+		return math.Inf(1)
 	}
-	return idx
+	terms := make([]float64, w)
+	for j := range terms {
+		b := below[j*card+int(env[j])%card]
+		a := above[j*card+int(env[w+j])%card]
+		terms[j] = b
+		if a > b {
+			terms[j] = a
+		}
+	}
+	if w == 16 {
+		var lane [4]float64
+		for j, v := range terms {
+			lane[j%4] += v
+		}
+		return (lane[0] + lane[1]) + (lane[2] + lane[3])
+	}
+	var acc float64
+	for _, v := range terms {
+		acc += v
+	}
+	return acc
 }
 
-func TestWordDistBatchMatchesOracle(t *testing.T) {
+// oneSided returns a random pair of one-sided tables of the shape a query
+// table has: per segment, below is zero up to a random symbol and grows past
+// it, above shrinks to zero before it, and cells is the larger of the two.
+func oneSided(rng *rand.Rand, w, card int) (cells, below, above []float64) {
+	cells, below, above = make([]float64, w*card), make([]float64, w*card), make([]float64, w*card)
+	for j := 0; j < w; j++ {
+		q := rng.Intn(card)
+		for s := q + 1; s < card; s++ {
+			below[j*card+s] = below[j*card+s-1] + rng.Float64()
+		}
+		for s := q - 1; s >= 0; s-- {
+			above[j*card+s] = above[j*card+s+1] + rng.Float64()
+		}
+		for s := 0; s < card; s++ {
+			cells[j*card+s] = max(below[j*card+s], above[j*card+s])
+		}
+	}
+	return cells, below, above
+}
+
+func TestEnvelopeDistMatchesOracleAndBoundsEveryEntry(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for _, w := range []int{1, 3, 8, 16} {
-		cells := make([]float64, w*510)
-		for i := range cells {
-			cells[i] = rng.NormFloat64() * rng.NormFloat64()
-		}
-		for _, n := range []int{0, 1, 2, 3, 4, 5, 7, 8, 9, 64, 257} {
-			idx := wordRows(rng, n, w, len(cells))
-			got, want := make([]float64, n), make([]float64, n)
-			WordDistBatch(cells, idx, w, got)
-			ScalarWordDistBatch(cells, idx, w, want)
-			for i := range got {
-				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-					t.Fatalf("w=%d n=%d row %d: %v != oracle %v", w, n, i, got[i], want[i])
+		for _, card := range []int{2, 16, 256} {
+			cells, below, above := oneSided(rng, w, card)
+			for leaf := 0; leaf < 200; leaf++ {
+				n := 1 + rng.Intn(20)
+				sax := make([]uint8, n*w)
+				env := make([]uint8, 2*w)
+				for j := 0; j < w; j++ {
+					base, span := rng.Intn(card), 1+rng.Intn(card)
+					env[j], env[w+j] = uint8(card-1), 0
+					for i := 0; i < n; i++ {
+						s := uint8(min(card-1, base+rng.Intn(span)))
+						sax[i*w+j] = s
+						env[j], env[w+j] = min(env[j], s), max(env[w+j], s)
+					}
+				}
+				got := EnvelopeDist(below, above, env, card)
+				if want := envelopeOracle(below, above, env, card); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("w=%d card=%d: %v != oracle %v", w, card, got, want)
+				}
+				entries := make([]float64, n)
+				MinDistBatch(cells, sax, w, card, entries)
+				for i, e := range entries {
+					// Non-negative floats order as their bit patterns do.
+					if math.Float64bits(got) > math.Float64bits(e) {
+						t.Fatalf("w=%d card=%d: envelope bound %v above entry %d's bound %v", w, card, got, i, e)
+					}
 				}
 			}
 		}
 	}
 }
 
-func BenchmarkWordDistBatch(b *testing.B) {
+func TestEnvelopeDistEmptyEnvelopeIsInf(t *testing.T) {
+	_, below, above := oneSided(rand.New(rand.NewSource(6)), 16, 256)
+	env := make([]uint8, 32)
+	for j := 0; j < 16; j++ {
+		env[j] = 0xFF
+	}
+	if got := EnvelopeDist(below, above, env, 256); !math.IsInf(got, 1) {
+		t.Fatalf("inverted envelope bounds to %v, want +Inf", got)
+	}
+}
+
+func BenchmarkEnvelopeDist(b *testing.B) {
 	rng := rand.New(rand.NewSource(6))
-	const w, n = 16, 15_570
-	cells := make([]float64, w*510)
-	for i := range cells {
-		cells[i] = rng.Float64()
+	const w, card, n = 16, 256, 1024
+	_, below, above := oneSided(rng, w, card)
+	env := make([]uint8, n*2*w)
+	for i := 0; i < n; i++ {
+		for j := 0; j < w; j++ {
+			lo := rng.Intn(card)
+			env[i*2*w+j], env[i*2*w+w+j] = uint8(lo), uint8(lo+rng.Intn(card-lo))
+		}
 	}
-	idx := wordRows(rng, n, w, len(cells))
-	out := make([]float64, 256)
-	for _, k := range []struct {
-		name string
-		fn   func([]float64, []uint16, int, []float64)
-	}{{"interleaved", WordDistBatch}, {"oracle", ScalarWordDistBatch}} {
-		b.Run(k.name, func(b *testing.B) {
-			for b.Loop() {
-				for lo := 0; lo < n; lo += len(out) {
-					m := min(len(out), n-lo)
-					k.fn(cells, idx[lo*w:(lo+m)*w], w, out[:m])
-				}
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/word")
-		})
+	var sink float64
+	for b.Loop() {
+		for i := 0; i < n; i++ {
+			sink += EnvelopeDist(below, above, env[i*2*w:(i+1)*2*w], card)
+		}
 	}
+	_ = sink
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/leaf")
 }
