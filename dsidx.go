@@ -96,6 +96,7 @@ import (
 
 	"dsidx/internal/core"
 	"dsidx/internal/gen"
+	"dsidx/internal/messi"
 	"dsidx/internal/series"
 	"dsidx/internal/storage"
 )
@@ -286,6 +287,19 @@ func buildOptions(opts []Option) options {
 		fn(&o)
 	}
 	return o
+}
+
+// messiOptions is the one translation of the options into every MESSI
+// index's configuration — built, loaded, or one shard of a Sharded index.
+func (o options) messiOptions() messi.Options {
+	return messi.Options{
+		Workers:        o.workers,
+		MaxInFlight:    o.maxInFlight,
+		MergeThreshold: o.mergeThreshold,
+		ProbeLeaves:    o.probeLeaves,
+		DisableLeafRaw: o.leafRawOff,
+		AutoTune:       o.autoTune,
+	}
 }
 
 func (o options) coreConfig() core.Config {

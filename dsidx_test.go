@@ -399,3 +399,27 @@ func TestCollectionFromValuesPublicAPI(t *testing.T) {
 		t.Error("invalid values accepted")
 	}
 }
+
+func TestWindowsPublicAPI(t *testing.T) {
+	long := dsidx.Generate(dsidx.Synthetic, 1, 2048, 33).At(0)
+	windows, offsets, err := dsidx.Windows(long, 256, 64, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if windows.Len() != len(offsets) || windows.Len() == 0 {
+		t.Fatalf("windows=%d offsets=%d", windows.Len(), len(offsets))
+	}
+	idx, err := dsidx.NewMESSI(windows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Query with one of the windows: it must find itself at distance 0.
+	q := windows.At(7).Clone()
+	m, err := idx.Search(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Pos != 7 || m.Distance > 1e-6 {
+		t.Fatalf("self-query answered %+v", m)
+	}
+}

@@ -8,7 +8,6 @@ import (
 	"dsidx/internal/core"
 	"dsidx/internal/gen"
 	"dsidx/internal/series"
-	"dsidx/internal/xsync"
 )
 
 func TestSearchApproximateUpperBoundsExact(t *testing.T) {
@@ -135,47 +134,38 @@ func TestSharedBuffersBuildEquivalence(t *testing.T) {
 	}
 }
 
-// TestScopeSeededRunsOnceAfterTheApproximatePhase: every exact flavor calls
+// TestScopeSeededRunsOnceAfterTheApproximatePhase: every exact kind calls
 // the scope's Seeded hook exactly once, after the probed leaves have fed the
-// shared answer (the threshold is already finite).
+// shared answer (the threshold is already finite); an Approx query, whose
+// probe is all it does, never calls it.
 func TestScopeSeededRunsOnceAfterTheApproximatePhase(t *testing.T) {
 	coll, queries := dataset(t, gen.Synthetic, 1100)
 	ix := build(t, coll, 2)
 	defer ix.Close()
-	q := queries.At(0)
-	flavors := map[string]func(scope Scope, limit *func() float64) (*QueryStats, error){
-		"nn": func(scope Scope, limit *func() float64) (*QueryStats, error) {
-			best := xsync.NewBest()
-			*limit = best.Distance
-			return ix.SearchShared(q, 0, best, nil, scope)
-		},
-		"knn": func(scope Scope, limit *func() float64) (*QueryStats, error) {
-			kb := xsync.NewKBest(3)
-			*limit = kb.Threshold
-			return ix.SearchKNNShared(q, 3, 0, kb, nil, scope)
-		},
-		"dtw": func(scope Scope, limit *func() float64) (*QueryStats, error) {
-			best := xsync.NewBest()
-			*limit = best.Distance
-			return ix.SearchDTWShared(q, 4, 0, best, nil, scope)
-		},
-	}
-	for name, search := range flavors {
-		var limit func() float64
+	for _, kind := range []Kind{NN, KNN, DTW, Approx} {
+		q := Query{Kind: kind, Series: queries.At(0), K: 3, Warp: 4, Scope: FullScope}
+		sink := NewSink(q)
+		limit := func() float64 { return sink.Best.Distance() }
+		if kind == KNN {
+			limit = sink.KBest.Threshold
+		}
 		calls := 0
-		scope := FullScope
-		scope.Seeded = func() {
+		q.Scope.Seeded = func() {
 			calls++
 			if math.IsInf(limit(), 1) {
-				t.Errorf("%s: Seeded ran before the approximate phase seeded the threshold", name)
+				t.Errorf("kind %d: Seeded ran before the approximate phase seeded the threshold", kind)
 			}
 		}
-		st, err := search(scope, &limit)
+		st, err := ix.Run(q, &sink, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if calls != 1 || st.ProbeLeaves == 0 {
-			t.Errorf("%s: Seeded ran %d times over %d probed leaves, want once", name, calls, st.ProbeLeaves)
+		want := 1
+		if kind == Approx {
+			want = 0
+		}
+		if calls != want || st.ProbeLeaves == 0 {
+			t.Errorf("kind %d: Seeded ran %d times over %d probed leaves, want %d", kind, calls, st.ProbeLeaves, want)
 		}
 	}
 }

@@ -163,8 +163,8 @@ func (ix *Index) publish(tree *core.Tree, mergedA int) {
 // queries while accepting live appends.
 //
 // Query answering runs on a persistent, index-owned worker pool shared by
-// every in-flight query (see internal/engine): Search, SearchKNN and
-// SearchDTW may be called concurrently from any number of goroutines, and
+// every in-flight query (see internal/engine): Query, Run and their Search*
+// wrappers may be called concurrently from any number of goroutines, and
 // their traversal/refinement tasks interleave on the pool instead of
 // spawning per-call goroutines. Append and AppendBatch (ingest.go) are safe
 // concurrently with all of the above. Close releases the pool; an unclosed
@@ -217,9 +217,10 @@ type Index struct {
 	tombMu sync.Mutex
 	ttls   []ttlEntry
 
-	// searches counts Shared-entry searches served by this index (for a
-	// sharded index: this shard's sub-searches); queryDur is their
-	// latency histogram. Both feed the metrics registry and the tuner.
+	// searches counts queries that reached their search phase on this
+	// index — every Run past validation and an empty cut (for a sharded
+	// index: this shard's sub-searches); queryDur is their latency
+	// histogram. Both feed the metrics registry and the tuner.
 	// searchFails counts searches that returned a contained-fault error
 	// instead of an answer.
 	searches    atomic.Uint64
@@ -332,16 +333,17 @@ func (ix *Index) MaxInFlight() int { return ix.eng.MaxInFlight() }
 // fewer leaves).
 func (ix *Index) ProbeLeaves() int { return ix.probeLeavesNow() }
 
-// Searches returns the number of Shared-entry searches this index has
-// served — for a sharded index, this shard's sub-search count.
+// Searches returns the number of queries this index has searched (see
+// Health.Searches) — for a sharded index, this shard's sub-search count.
 func (ix *Index) Searches() uint64 { return ix.searches.Load() }
 
 // Health is one index's fault-tolerance snapshot: how often queries and
 // merges hit contained faults, alongside the engine's panic-containment
 // counters. All zeros on a healthy index.
 type Health struct {
-	// Searches and FailedSearches count Shared-entry searches served and
-	// the subset that returned a contained-fault error instead of an
+	// Searches counts queries of every kind that reached their search
+	// phase (Run, once past validation and an empty cut); FailedSearches
+	// counts queries that returned a contained-fault error instead of an
 	// answer.
 	Searches       uint64
 	FailedSearches uint64

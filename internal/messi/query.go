@@ -88,6 +88,8 @@ type searchScratch struct {
 	// double-count its surviving entries' distances. Read-only during the
 	// bound pass; len ≤ ProbeLeaves, so membership is a pointer scan.
 	probed []*core.Node
+	// r is the query's refiner (newRefiner), pooled with the tables it reads.
+	r refiner
 }
 
 func (ix *Index) newScratch() *searchScratch {
@@ -102,12 +104,14 @@ func (ix *Index) newScratch() *searchScratch {
 func (ix *Index) getScratch() *searchScratch { return ix.scratch.Get().(*searchScratch) }
 
 func (ix *Index) putScratch(sc *searchScratch) {
-	// Drop the probed-leaf pointers before parking in the pool: after a
-	// merge retires a snapshot, a pooled scratch must not pin the old
-	// subtrees' materialized raw blocks until its next reuse. (The candidate
-	// lists hold directory indexes, so they have nothing to drop.)
+	// Drop the probed-leaf pointers and the refiner's closures before
+	// parking in the pool: after a merge retires a snapshot, a pooled
+	// scratch must not pin the old subtrees' materialized raw blocks, nor a
+	// finished query's series and answer, until its next reuse. (The
+	// candidate lists hold directory indexes, so they have nothing to drop.)
 	clear(sc.probed)
 	sc.probed = sc.probed[:0]
+	sc.r = refiner{}
 	ix.scratch.Put(sc)
 }
 
@@ -392,78 +396,145 @@ func (ix *Index) sharedCut(mapPos func(int32) int32, scope Scope) (v view, mp fu
 	return v, mp, f
 }
 
-// Search answers an exact 1-NN query over everything the index holds at
-// call time: the tree snapshot plus an exact scan of the unmerged delta.
-// workers ≤ 0 means the index's configured worker count; the effective
-// parallelism is additionally capped by the index's pool size, which all
-// in-flight queries share.
-func (ix *Index) Search(q series.Series, workers int) (core.Result, *QueryStats, error) {
-	return ix.SearchScoped(q, workers, FullScope)
+// Kind selects what a Query finds. Every kind runs the same pipeline (Run);
+// the kind decides only the lower-bound table, the real distance a candidate
+// pays, the accumulator it lands in, and whether the exact phase runs.
+type Kind int
+
+const (
+	// NN is an exact 1-NN query under Euclidean distance.
+	NN Kind = iota
+	// KNN is an exact k-NN query under Euclidean distance; the k-th best
+	// distance plays the best-so-far role.
+	KNN
+	// DTW is an exact 1-NN query under dynamic time warping with a
+	// Sakoe-Chiba band, on the unchanged index (paper §V): node pruning and
+	// per-entry filtering use the envelope-based iSAX lower bound, candidates
+	// pass an LB_Keogh check, and survivors pay the full dynamic program.
+	DTW
+	// Approx is the approximate algorithm of the iSAX family, extended with
+	// multi-probing: the ProbeLeaves best-matching leaves (the single
+	// matching leaf at the classic p=1) and the unmerged delta, with no
+	// traversal of the rest of the tree. Its distance upper-bounds the exact
+	// answer over everything the query observed.
+	Approx
+)
+
+// Query is one query: what to find (Kind and its parameters), over which
+// positions (Scope, LastN), and with how much of the pool (Workers).
+type Query struct {
+	Kind   Kind
+	Series series.Series
+	// K is the neighbour count of a KNN query; K ≤ 0 answers nothing.
+	K int
+	// Warp is the Sakoe-Chiba half-width of a DTW query; negative means 0.
+	Warp int
+	// LastN, when > 0, restricts the answer to the most recent LastN series
+	// of the prefix the query observes: a sliding window whose lower cut
+	// comes from the same capture as its upper one. It can only raise
+	// Scope.LowPos. An index resolves it against its own position space, so
+	// a sharding layer resolves it into Scope.LowPos itself.
+	LastN int
+	// Workers caps this query's share of the pool; ≤ 0 means a fair share.
+	Workers int
+	Scope   Scope
 }
 
-// SearchScoped is Search under an explicit Scope: a bounded append cut, a
-// sliding-window lower cut, a tenant identity, or any combination.
-func (ix *Index) SearchScoped(q series.Series, workers int, scope Scope) (core.Result, *QueryStats, error) {
-	if len(q) != ix.cfg.SeriesLen {
-		return core.NoResult(), nil, fmt.Errorf("messi: query length %d != %d", len(q), ix.cfg.SeriesLen)
+// Validate reports why q cannot run over series of length seriesLen, or nil.
+func (q Query) Validate(seriesLen int) error {
+	if len(q.Series) != seriesLen {
+		return fmt.Errorf("query length %d != %d", len(q.Series), seriesLen)
 	}
-	best := xsync.NewBest()
-	stats, err := ix.SearchShared(q, workers, best, nil, scope)
+	if q.Kind < NN || q.Kind > Approx {
+		return fmt.Errorf("unknown query kind %d", q.Kind)
+	}
+	return nil
+}
+
+// Sink is where Run records answers: Best for the 1-NN kinds (NN, DTW,
+// Approx), KBest for KNN. A sharding layer hands every shard the same Sink,
+// so a bound any shard finds prunes all of them.
+type Sink struct {
+	Best  *xsync.Best
+	KBest *xsync.KBest
+}
+
+// NewSink returns an empty accumulator for q's kind.
+func NewSink(q Query) Sink {
+	if q.Kind == KNN {
+		return Sink{KBest: xsync.NewKBest(max(q.K, 0))}
+	}
+	return Sink{Best: xsync.NewBest()}
+}
+
+// Results reads the answer: the k-best set in ascending (distance,
+// position) order, or the one best pair — core.NoResult when nothing
+// visible qualified.
+func (s *Sink) Results() []core.Result {
+	if s.KBest != nil {
+		var out []core.Result
+		for _, e := range s.KBest.Sorted() {
+			out = append(out, core.Result{Pos: e.Pos, Dist: e.Dist})
+		}
+		return out
+	}
+	d, p := s.Best.Load()
+	return []core.Result{{Pos: int32(p), Dist: d}}
+}
+
+// First is a 1-NN query's answer out of its results: the only one, or
+// core.NoResult when there is none (the query failed).
+func First(rs []core.Result, st *QueryStats, err error) (core.Result, *QueryStats, error) {
+	if len(rs) == 0 {
+		return core.NoResult(), st, err
+	}
+	return rs[0], st, err
+}
+
+// Query answers q over everything the index holds at call time, within
+// q.Scope: the tree snapshot plus an exact scan of the unmerged delta. A
+// 1-NN kind answers one result, KNN up to K in ascending distance order.
+// Workers ≤ 0 takes a fair share of the pool, which all in-flight queries
+// share; an explicit value is capped at the pool size.
+func (ix *Index) Query(q Query) ([]core.Result, *QueryStats, error) {
+	sink := NewSink(q)
+	stats, err := ix.Run(q, &sink, nil)
 	if err != nil {
-		return core.NoResult(), nil, err
+		return nil, nil, err
 	}
-	d, p := best.Load()
-	return core.Result{Pos: int32(p), Dist: d}, stats, nil
+	return sink.Results(), stats, nil
 }
 
-// SearchWindow answers an exact 1-NN query over the most recent n landed
-// series: the consistent append cut captured at call time composed with a
-// lower cut n positions back. A window wider than everything landed so far
-// degenerates to Search. The answer is bit-identical to a serial scan of
-// exactly that suffix minus tombstones.
-func (ix *Index) SearchWindow(q series.Series, n, workers int) (core.Result, *QueryStats, error) {
-	return ix.SearchWindowTenant(q, n, workers, "")
-}
-
-// SearchWindowTenant is SearchWindow under a tenant identity.
-func (ix *Index) SearchWindowTenant(q series.Series, n, workers int, tenant string) (core.Result, *QueryStats, error) {
-	scope, err := ix.windowScope(n)
-	if err != nil {
-		return core.NoResult(), nil, err
+// Run is the one query pipeline and the injection point a sharding layer
+// uses to run one logical query across many indexes: the answer lives in
+// the caller-owned sink, so a tight bound found by any shard immediately
+// prunes every other shard's traversal, lower-bound filtering and early
+// abandoning — not just the merged answer afterwards. Every answer is
+// recorded under mapPos (local position → the caller's global position
+// space; nil means identity); the caller reads it from sink after the call
+// (and after every sibling shard's call, when sharing).
+//
+// Run validates q, captures its consistent cut (sharedCut), fills the
+// kind's lower-bound table, probes the approximate phase's leaves, calls
+// q.Scope.Seeded, and hands the rest to the exact phase (queuedSearch). An
+// Approx query stops after its probe and never calls Seeded. A fault on
+// the way — a cold-device read that exhausted its retries — is contained
+// into a typed error, counted in Health().FailedSearches, and leaves sink
+// holding a partial answer the caller must discard.
+func (ix *Index) Run(q Query, sink *Sink, mapPos func(int32) int32) (stats *QueryStats, err error) {
+	if err := q.Validate(ix.cfg.SeriesLen); err != nil {
+		return nil, fmt.Errorf("messi: %w", err)
 	}
-	scope.Tenant = tenant
-	return ix.SearchScoped(q, workers, scope)
-}
-
-// windowScope captures the consistent cut of a most-recent-n window: the
-// published append count as the upper cut, total-n as the global lower cut.
-func (ix *Index) windowScope(n int) (Scope, error) {
-	if n <= 0 {
-		return Scope{}, fmt.Errorf("messi: window size %d, want > 0", n)
+	if q.Kind == KNN && q.K <= 0 {
+		return &QueryStats{}, nil
 	}
-	cut := int(ix.appended.Load())
-	return Scope{AppendCut: cut, LowPos: int32(max(0, ix.baseLen+cut-n))}, nil
-}
-
-// SearchShared is the scatter-gather form of Search, the injection point a
-// sharding layer uses to run one logical query across many indexes: the
-// best-so-far lives in the caller-owned best, so a tight bound found by any
-// shard immediately prunes every other shard's traversal, lower-bound
-// filtering and early abandoning — not just the merged answer afterwards.
-// Every improvement is recorded under mapPos (local position → the caller's
-// global position space; nil means identity). scope bounds the visible
-// position space — append cut, window lower cut — and names the tenant (see
-// Scope); FullScope answers over everything published. The caller reads the
-// answer from best after the call (and after every sibling shard's call,
-// when sharing).
-func (ix *Index) SearchShared(q series.Series, workers int, best *xsync.Best, mapPos func(int32) int32, scope Scope) (stats *QueryStats, err error) {
-	if len(q) != ix.cfg.SeriesLen {
-		return nil, fmt.Errorf("messi: query length %d != %d", len(q), ix.cfg.SeriesLen)
-	}
-	v, mp, f := ix.sharedCut(mapPos, scope)
+	v, mp, f := ix.sharedCut(mapPos, q.Scope)
 	stats = &QueryStats{Observed: v.total(ix.baseLen)}
 	if stats.Observed == 0 {
 		return stats, nil
+	}
+	if q.LastN > 0 {
+		f.lowPos = max(f.lowPos, int32(max(0, stats.Observed-q.LastN)))
 	}
 	// Coordinator-side containment: the approximate phase refines leaves on
 	// this goroutine, so a cold-device fault here does not pass through any
@@ -476,29 +547,66 @@ func (ix *Index) SearchShared(q series.Series, workers int, best *xsync.Best, ma
 
 	sc := ix.getScratch()
 	defer ix.putScratch(sc)
-	sc.summarizeQuery(q)
-
+	sc.summarizeQuery(q.Series)
 	t := v.snap.tree
-	sc.table.FillED(t.Quantizer(), sc.qpaa, ix.cfg.SeriesLen)
-
-	r := &refiner{table: sc.table, mp: mp, f: f, limit: best.Distance,
-		score: func(gpos int32, s series.Series, lim float64, st *QueryStats) {
-			st.RawDistances++
-			// <=, not <: the kernel abandons only above lim, so d == lim
-			// is an exact tie with the best-so-far, and Best keeps the
-			// lower position — a duplicate of the current answer on another
-			// shard must not win or lose by arrival order.
-			if d := vector.SquaredEDEarlyAbandon(q, s, lim); d <= lim {
-				best.Update(d, int64(gpos))
-			}
-		}}
+	r := ix.newRefiner(q, sink, sc, t.Quantizer(), mp, f)
+	if q.Kind == Approx {
+		ix.approximate(r, sc, v, mapPos != nil, q.Scope.Tenant, stats)
+		return stats, nil
+	}
 	// Approximate phase: exact distances over the closest p leaves.
-	ix.probeLeaves(sc, t, stats, r, scope.Seeded)
+	ix.probeLeaves(sc, t, stats, r, q.Scope.Seeded)
 
-	if err := ix.queuedSearch(workers, mapPos != nil, scope.Tenant, stats, sc, v, r); err != nil {
+	if err := ix.queuedSearch(q.Workers, mapPos != nil, q.Scope.Tenant, stats, sc, v, r); err != nil {
 		return nil, ix.failQuery(err)
 	}
 	return stats, nil
+}
+
+// Search answers an exact 1-NN query over everything published.
+func (ix *Index) Search(q series.Series, workers int) (core.Result, *QueryStats, error) {
+	return ix.SearchScoped(q, workers, FullScope)
+}
+
+// SearchScoped is Search under an explicit Scope: a bounded append cut, a
+// sliding-window lower cut, a tenant identity, or any combination.
+func (ix *Index) SearchScoped(q series.Series, workers int, scope Scope) (core.Result, *QueryStats, error) {
+	return First(ix.Query(Query{Kind: NN, Series: q, Workers: workers, Scope: scope}))
+}
+
+// SearchWindow answers an exact 1-NN query over the most recent n landed
+// series. A window wider than everything landed so far degenerates to
+// Search. The answer is bit-identical to a serial scan of exactly that
+// suffix minus tombstones.
+func (ix *Index) SearchWindow(q series.Series, n, workers int) (core.Result, *QueryStats, error) {
+	return ix.SearchWindowTenant(q, n, workers, "")
+}
+
+// SearchWindowTenant is SearchWindow under a tenant identity.
+func (ix *Index) SearchWindowTenant(q series.Series, n, workers int, tenant string) (core.Result, *QueryStats, error) {
+	if n <= 0 {
+		return core.NoResult(), nil, fmt.Errorf("messi: window size %d, want > 0", n)
+	}
+	return First(ix.Query(Query{Kind: NN, Series: q, LastN: n, Workers: workers, Scope: Scope{AppendCut: -1, Tenant: tenant}}))
+}
+
+// SearchKNN answers an exact k-NN query, returning the k nearest series in
+// ascending distance order.
+func (ix *Index) SearchKNN(q series.Series, k, workers int) ([]core.Result, *QueryStats, error) {
+	return ix.Query(Query{Kind: KNN, Series: q, K: k, Workers: workers, Scope: FullScope})
+}
+
+// SearchDTW answers an exact 1-NN query under DTW with a Sakoe-Chiba band
+// of half-width window.
+func (ix *Index) SearchDTW(q series.Series, window, workers int) (core.Result, *QueryStats, error) {
+	return First(ix.Query(Query{Kind: DTW, Series: q, Warp: window, Workers: workers, Scope: FullScope}))
+}
+
+// SearchApproximate answers an Approx query: not guaranteed to be the true
+// nearest neighbor, but computed in microseconds.
+func (ix *Index) SearchApproximate(q series.Series) (core.Result, error) {
+	r, _, err := First(ix.Query(Query{Kind: Approx, Series: q, Scope: FullScope}))
+	return r, err
 }
 
 // RunBatch answers one exact query per element of qs concurrently under
@@ -786,233 +894,92 @@ func (ix *Index) queuedSearch(
 	return nil
 }
 
-// SearchApproximate answers a query with the approximate algorithm of the
-// iSAX family, extended with multi-probing: descend to the ProbeLeaves
-// best-matching leaves (the single matching leaf at the classic p=1) and
-// return the best series among them, with no traversal of the rest of the
-// tree. The unmerged delta is exact-scanned too (it is small by
-// construction — merges keep it under the threshold), so the answer's
-// distance still upper-bounds the exact answer over everything the call
-// observed. The answer is not guaranteed to be the true nearest neighbor
-// but is computed in microseconds.
-func (ix *Index) SearchApproximate(q series.Series) (core.Result, error) {
-	return ix.SearchApproximateScoped(q, FullScope)
-}
-
-// SearchApproximateScoped is SearchApproximate under an explicit Scope.
-func (ix *Index) SearchApproximateScoped(q series.Series, scope Scope) (core.Result, error) {
-	return ix.SearchApproximateShared(q, nil, scope)
-}
-
-// SearchApproximateShared is the scatter form of SearchApproximate: the
-// sharding layer probes every shard under one consistent append cut and
-// keeps the best mapped answer, so the reported global position always
-// lies inside the prefix the caller captured — never a series that landed
-// mid-scatter. See SearchShared for the mapPos and scope contracts.
-func (ix *Index) SearchApproximateShared(q series.Series, mapPos func(int32) int32, scope Scope) (res core.Result, err error) {
-	if len(q) != ix.cfg.SeriesLen {
-		return core.NoResult(), fmt.Errorf("messi: query length %d != %d", len(q), ix.cfg.SeriesLen)
-	}
-	v, mp, f := ix.sharedCut(mapPos, scope)
-	if v.total(ix.baseLen) == 0 {
-		return core.NoResult(), nil
-	}
-	// The whole approximate probe runs on this goroutine; contain a
-	// cold-device fault into a typed error.
-	defer func() {
-		if r := recover(); r != nil {
-			res, err = core.NoResult(), ix.failQuery(engine.Contain(r))
-		}
-	}()
-	end := ix.beginQuery(mapPos != nil, scope.Tenant)
-	defer end()
-	sc := ix.getScratch()
-	defer ix.putScratch(sc)
-	sc.summarizeQuery(q)
-
-	best := core.NoResult()
-	for _, leaf := range v.snap.tree.BestLeavesApprox(sc.qsax, sc.qpaa, ix.probeLeavesNow()) {
-		if ix.readBatch != nil && leaf.Raw == nil {
-			// No bound pass here, but the same read discipline: the
-			// visible entries of the leaf in one device-ordered batch.
-			lb, found := ix.getLB(), best
-			ix.coldEntries(leaf, lb,
-				func(i int) bool { return !f.skip(leaf.Pos[i], mp) },
-				func(i int, s series.Series) {
-					if d := vector.SquaredEDEarlyAbandon(q, s, found.Dist); d < found.Dist {
-						found = core.Result{Pos: mp(leaf.Pos[i]), Dist: d}
-					}
-				})
-			ix.putLB(lb)
-			best = found
-			continue
-		}
-		for i := range leaf.Pos {
-			if f.skip(leaf.Pos[i], mp) {
-				continue
-			}
-			if d := vector.SquaredEDEarlyAbandon(q, ix.leafSeries(leaf, i), best.Dist); d < best.Dist {
-				best = core.Result{Pos: mp(leaf.Pos[i]), Dist: d}
-			}
-		}
-	}
-	for i := v.snap.mergedA; i < v.aLive; i++ {
-		if f.skip(int32(ix.baseLen+i), mp) {
-			continue
-		}
-		if d := vector.SquaredEDEarlyAbandon(q, ix.store.At(i), best.Dist); d < best.Dist {
-			best = core.Result{Pos: mp(int32(ix.baseLen + i)), Dist: d}
-		}
-	}
-	return best, nil
-}
-
-// SearchKNN answers an exact k-NN query, returning the k nearest series in
-// ascending distance order. The k-th best distance plays the BSF role.
-func (ix *Index) SearchKNN(q series.Series, k, workers int) ([]core.Result, *QueryStats, error) {
-	return ix.SearchKNNScoped(q, k, workers, FullScope)
-}
-
-// SearchKNNScoped is SearchKNN under an explicit Scope.
-func (ix *Index) SearchKNNScoped(q series.Series, k, workers int, scope Scope) ([]core.Result, *QueryStats, error) {
-	if len(q) != ix.cfg.SeriesLen {
-		return nil, nil, fmt.Errorf("messi: query length %d != %d", len(q), ix.cfg.SeriesLen)
-	}
-	if k <= 0 {
-		return nil, &QueryStats{}, nil
-	}
-	kb := xsync.NewKBest(k)
-	stats, err := ix.SearchKNNShared(q, k, workers, kb, nil, scope)
-	if err != nil {
-		return nil, nil, err
-	}
-	out := make([]core.Result, 0, k)
-	for _, e := range kb.Sorted() {
-		out = append(out, core.Result{Pos: e.Pos, Dist: e.Dist})
-	}
-	return out, stats, nil
-}
-
-// SearchKNNShared is the scatter-gather form of SearchKNN: the k-best set
-// lives in the caller-owned kb — shared across shards, its k-th-best
-// threshold tightens globally as any shard improves the set — and every
-// offer is recorded under mapPos, so the per-position deduplication in kb
-// operates on globally unique positions. See SearchShared for the mapPos
-// and scope contracts; the caller reads the answer from kb.Sorted().
-func (ix *Index) SearchKNNShared(q series.Series, k, workers int, kb *xsync.KBest, mapPos func(int32) int32, scope Scope) (stats *QueryStats, err error) {
-	if len(q) != ix.cfg.SeriesLen {
-		return nil, fmt.Errorf("messi: query length %d != %d", len(q), ix.cfg.SeriesLen)
-	}
-	if k <= 0 {
-		return &QueryStats{}, nil
-	}
-	v, mp, f := ix.sharedCut(mapPos, scope)
-	stats = &QueryStats{Observed: v.total(ix.baseLen)}
-	if stats.Observed == 0 {
-		return stats, nil
-	}
-	defer func() {
-		if r := recover(); r != nil {
-			stats, err = nil, ix.failQuery(engine.Contain(r))
-		}
-	}()
-
-	sc := ix.getScratch()
-	defer ix.putScratch(sc)
-	sc.summarizeQuery(q)
-
-	t := v.snap.tree
-	sc.table.FillED(t.Quantizer(), sc.qpaa, ix.cfg.SeriesLen)
-
-	// The k-th best distance plays the BSF role in every pruning decision.
-	r := &refiner{table: sc.table, mp: mp, f: f, limit: kb.Threshold,
-		score: func(gpos int32, s series.Series, lim float64, st *QueryStats) {
+// newRefiner fills sc's lower-bound table for q's kind — none for Approx,
+// which bounds nothing — and returns the refiner that scores q's candidates
+// into sink.
+func (ix *Index) newRefiner(q Query, sink *Sink, sc *searchScratch, quant *isax.Quantizer, mp func(int32) int32, f qfilter) *refiner {
+	sc.r = refiner{table: sc.table, mp: mp, f: f}
+	r := &sc.r
+	qs, n := q.Series, ix.cfg.SeriesLen
+	switch q.Kind {
+	case KNN:
+		kb := sink.KBest
+		sc.table.FillED(quant, sc.qpaa, n)
+		// The k-th best distance plays the BSF role in every pruning decision.
+		r.limit = kb.Threshold
+		r.score = func(gpos int32, s series.Series, lim float64, st *QueryStats) {
 			st.RawDistances++
-			kb.Offer(gpos, vector.SquaredEDEarlyAbandon(q, s, lim))
-		}}
-	ix.probeLeaves(sc, t, stats, r, scope.Seeded)
-
-	if err := ix.queuedSearch(workers, mapPos != nil, scope.Tenant, stats, sc, v, r); err != nil {
-		return nil, ix.failQuery(err)
-	}
-	return stats, nil
-}
-
-// SearchDTW answers an exact 1-NN query under DTW with a Sakoe-Chiba band
-// of half-width window, on the unchanged index (paper §V): node pruning and
-// per-entry filtering use the envelope-based iSAX lower bound, candidates
-// pass an LB_Keogh check, and survivors pay the full dynamic program. The
-// unmerged delta runs through the same cascade.
-func (ix *Index) SearchDTW(q series.Series, window, workers int) (core.Result, *QueryStats, error) {
-	return ix.SearchDTWScoped(q, window, workers, FullScope)
-}
-
-// SearchDTWScoped is SearchDTW under an explicit Scope.
-func (ix *Index) SearchDTWScoped(q series.Series, window, workers int, scope Scope) (core.Result, *QueryStats, error) {
-	if len(q) != ix.cfg.SeriesLen {
-		return core.NoResult(), nil, fmt.Errorf("messi: query length %d != %d", len(q), ix.cfg.SeriesLen)
-	}
-	best := xsync.NewBest()
-	stats, err := ix.SearchDTWShared(q, window, workers, best, nil, scope)
-	if err != nil {
-		return core.NoResult(), nil, err
-	}
-	d, p := best.Load()
-	return core.Result{Pos: int32(p), Dist: d}, stats, nil
-}
-
-// SearchDTWShared is the scatter-gather form of SearchDTW: the caller-owned
-// best is shared across shards, so any shard's improvement tightens the
-// LB_Keogh and dynamic-program abandoning thresholds everywhere. See
-// SearchShared for the mapPos and scope contracts.
-func (ix *Index) SearchDTWShared(q series.Series, window, workers int, best *xsync.Best, mapPos func(int32) int32, scope Scope) (stats *QueryStats, err error) {
-	if len(q) != ix.cfg.SeriesLen {
-		return nil, fmt.Errorf("messi: query length %d != %d", len(q), ix.cfg.SeriesLen)
-	}
-	if window < 0 {
-		window = 0
-	}
-	v, mp, f := ix.sharedCut(mapPos, scope)
-	stats = &QueryStats{Observed: v.total(ix.baseLen)}
-	if stats.Observed == 0 {
-		return stats, nil
-	}
-	defer func() {
-		if r := recover(); r != nil {
-			stats, err = nil, ix.failQuery(engine.Contain(r))
+			kb.Offer(gpos, vector.SquaredEDEarlyAbandon(qs, s, lim))
 		}
-	}()
-
-	sc := ix.getScratch()
-	defer ix.putScratch(sc)
-	sc.summarizeQuery(q)
-
-	env := series.NewEnvelope(q, window)
-	upPAA := paa.Transform(env.Upper, ix.cfg.Segments)
-	loPAA := paa.Transform(env.Lower, ix.cfg.Segments)
-	n := ix.cfg.SeriesLen
-
-	t := v.snap.tree
-	sc.table.FillDTW(t.Quantizer(), upPAA, loPAA, n)
-
-	// Candidates that pass the iSAX bound take an LB_Keogh check before the
-	// full dynamic program.
-	r := &refiner{table: sc.table, mp: mp, f: f, limit: best.Distance,
-		score: func(gpos int32, s series.Series, lim float64, st *QueryStats) {
+	case DTW:
+		best, window := sink.Best, max(q.Warp, 0)
+		env := series.NewEnvelope(qs, window)
+		sc.table.FillDTW(quant, paa.Transform(env.Upper, ix.cfg.Segments), paa.Transform(env.Lower, ix.cfg.Segments), n)
+		// Candidates that pass the iSAX bound take an LB_Keogh check before the
+		// full dynamic program.
+		r.limit = best.Distance
+		r.score = func(gpos int32, s series.Series, lim float64, st *QueryStats) {
 			if series.LBKeogh(env, s, lim) >= lim {
 				return
 			}
 			st.RawDistances++
 			// <=, as in the ED score: DTW abandons only above lim, so
 			// d == lim is an exact tie and Best keeps the lower position.
-			if d := series.DTW(q, s, window, lim); d <= lim {
+			if d := series.DTW(qs, s, window, lim); d <= lim {
 				best.Update(d, int64(gpos))
 			}
-		}}
-	ix.probeLeaves(sc, t, stats, r, scope.Seeded)
-
-	if err := ix.queuedSearch(workers, mapPos != nil, scope.Tenant, stats, sc, v, r); err != nil {
-		return nil, ix.failQuery(err)
+		}
+	default: // NN, Approx
+		best := sink.Best
+		if q.Kind == NN {
+			sc.table.FillED(quant, sc.qpaa, n)
+		}
+		r.limit = best.Distance
+		r.score = func(gpos int32, s series.Series, lim float64, st *QueryStats) {
+			st.RawDistances++
+			// <=, not <: the kernel abandons only above lim, so d == lim
+			// is an exact tie with the best-so-far, and Best keeps the
+			// lower position — a duplicate of the current answer on another
+			// shard must not win or lose by arrival order.
+			if d := vector.SquaredEDEarlyAbandon(qs, s, lim); d <= lim {
+				best.Update(d, int64(gpos))
+			}
+		}
 	}
-	return stats, nil
+	return r
+}
+
+// approximate is the body of an Approx query: every visible entry of the p
+// best leaves under the query's summary (see core.Tree.BestLeavesApprox)
+// and of the unmerged delta pays a real distance, with no bound pass and no
+// traversal of the rest of the tree. The delta is small by construction —
+// merges keep it under the threshold — and scanning it keeps the answer's
+// distance an upper bound on the exact answer over everything the query
+// observed. sub marks a sharded sub-search (see beginQuery).
+func (ix *Index) approximate(r *refiner, sc *searchScratch, v view, sub bool, tenant string, stats *QueryStats) {
+	end := ix.beginQuery(sub, tenant)
+	defer end()
+	lb := ix.getLB()
+	defer ix.putLB(lb)
+	for _, leaf := range v.snap.tree.BestLeavesApprox(sc.qsax, sc.qpaa, ix.probeLeavesNow()) {
+		stats.ProbeLeaves++
+		admit := func(i int) bool { return !r.f.skip(leaf.Pos[i], r.mp) }
+		visit := func(i int, s series.Series) { r.score(r.mp(leaf.Pos[i]), s, r.limit(), stats) }
+		if ix.readBatch != nil && leaf.Raw == nil {
+			// No bound pass here, but the same read discipline: the
+			// visible entries of the leaf in one device-ordered batch.
+			ix.coldEntries(leaf, lb, admit, visit)
+			continue
+		}
+		for i := range leaf.Pos {
+			if admit(i) {
+				visit(i, ix.leafSeries(leaf, i))
+			}
+		}
+	}
+	for i := v.snap.mergedA; i < v.aLive; i++ {
+		if p := int32(ix.baseLen + i); !r.f.skip(p, r.mp) {
+			r.score(r.mp(p), ix.store.At(i), r.limit(), stats)
+		}
+	}
 }

@@ -14,10 +14,11 @@
 //     governed globally: N shards of one query, or tasks of many queries,
 //     never oversubscribe the machine, and admission control spans the
 //     whole sharded index.
-//   - One shared best-so-far. A query scatters to all shards through the
-//     messi Shared search variants with a single xsync.Best (or KBest)
-//     threaded into every shard's traversal, so a tight bound found on
-//     shard 0 prunes shards 1..N-1 mid-flight — not merely at merge time.
+//   - One shared best-so-far. A query scatters to all shards through
+//     messi's one pipeline (Index.Run) with a single Sink — an xsync.Best,
+//     or KBest — threaded into every shard's traversal, so a tight bound
+//     found on shard 0 prunes shards 1..N-1 mid-flight — not merely at
+//     merge time.
 //     Each shard records answers under its local→global position map, so
 //     the shared accumulator always holds collection-level positions.
 //   - One consistent cut. Appends publish a copy-on-write per-shard count
@@ -52,7 +53,6 @@ import (
 	"dsidx/internal/metrics"
 	"dsidx/internal/series"
 	"dsidx/internal/storage"
-	"dsidx/internal/xsync"
 )
 
 // MaxShards bounds the shard count: shard ids persist as one byte per
@@ -442,8 +442,6 @@ func (s *Sharded) AdmitContext(ctx context.Context) (release func(), err error) 
 	return s.eng.AdmitContext(ctx)
 }
 
-// MaxInFlight returns the admission bound on concurrently admitted
-// scatter-gather queries.
 // AdmitTenantContext is AdmitContext under a tenant identity; tenant "" is
 // exactly AdmitContext.
 func (s *Sharded) AdmitTenantContext(ctx context.Context, tenant string) (release func(), err error) {
@@ -453,6 +451,8 @@ func (s *Sharded) AdmitTenantContext(ctx context.Context, tenant string) (releas
 // TenantStats snapshots the shared pool's per-tenant accounting.
 func (s *Sharded) TenantStats() []engine.TenantStat { return s.eng.TenantStats() }
 
+// MaxInFlight returns the admission bound on concurrently admitted
+// scatter-gather queries.
 func (s *Sharded) MaxInFlight() int { return s.eng.MaxInFlight() }
 
 // view captures one consistent cross-shard cut: the per-shard append
@@ -571,195 +571,111 @@ func (s *Sharded) shardScope(scope messi.Scope, cuts []int32, si int) messi.Scop
 	return messi.Scope{AppendCut: int(cuts[si]), LowPos: scope.LowPos, Tenant: scope.Tenant}
 }
 
-// Search answers an exact 1-NN query by scatter-gathering over every shard
-// with one shared best-so-far: the bound tightens globally as any shard
-// improves it, pruning the others mid-flight. The answer is bit-identical
-// to a serial scan of the observed global prefix.
-func (s *Sharded) Search(q series.Series, workers int) (core.Result, *messi.QueryStats, error) {
-	return s.SearchScoped(q, workers, messi.FullScope)
-}
-
-// SearchWindow answers an exact 1-NN query over the most recent n landed
-// series across all shards: the consistent cut vector captured at call time
-// pins the upper edge, and a global lower cut n positions back restricts
-// every shard to exactly the global suffix — the per-shard cut machinery
-// guarantees the window is a contiguous range of global positions no matter
-// how appends were routed.
-func (s *Sharded) SearchWindow(q series.Series, n, workers int) (core.Result, *messi.QueryStats, error) {
-	return s.SearchWindowTenant(q, n, workers, "")
-}
-
-// SearchWindowTenant is SearchWindow under a tenant identity. The lower
-// cut derives from the same view capture that pins the scatter's cut
-// vector, so the window is exactly the last min(n, observed) global
-// positions of one consistent prefix.
-func (s *Sharded) SearchWindowTenant(q series.Series, n, workers int, tenant string) (core.Result, *messi.QueryStats, error) {
-	if n <= 0 {
-		return core.NoResult(), nil, fmt.Errorf("shard: window size %d, want > 0", n)
-	}
-	if len(q) != s.seriesLen {
-		return core.NoResult(), nil, fmt.Errorf("shard: query length %d != %d", len(q), s.seriesLen)
-	}
-	cuts, observed := s.view()
-	scope := messi.Scope{AppendCut: -1, LowPos: int32(max(0, observed-n)), Tenant: tenant}
-	return s.searchAt(q, workers, scope, cuts, observed)
-}
-
-// SearchScoped is Search under an explicit scope: a window lower cut and a
-// tenant identity. The scope's AppendCut is ignored — the sharding layer
-// always pins its own consistent cross-shard cut.
-func (s *Sharded) SearchScoped(q series.Series, workers int, scope messi.Scope) (core.Result, *messi.QueryStats, error) {
-	if len(q) != s.seriesLen {
-		return core.NoResult(), nil, fmt.Errorf("shard: query length %d != %d", len(q), s.seriesLen)
-	}
-	cuts, observed := s.view()
-	return s.searchAt(q, workers, scope, cuts, observed)
-}
-
-// searchAt runs the 1-NN scatter against an already-captured consistent
-// view (cut vector + observed prefix length).
-func (s *Sharded) searchAt(q series.Series, workers int, scope messi.Scope, cuts []int32, observed int) (core.Result, *messi.QueryStats, error) {
-	stats := &messi.QueryStats{Observed: observed}
-	if observed == 0 {
-		return core.NoResult(), stats, nil
-	}
-	best := xsync.NewBest()
-	if err := s.scatter(scope, cuts, stats, func(si int, scope messi.Scope) (*messi.QueryStats, error) {
-		return s.shards[si].SearchShared(q, workers, best, s.mappers[si], scope)
-	}); err != nil {
-		return core.NoResult(), nil, err
-	}
-	d, p := best.Load()
-	return core.Result{Pos: int32(p), Dist: d}, stats, nil
-}
-
-// SearchKNN answers an exact k-NN query with one shared k-best set across
-// all shards; its k-th-best threshold plays the global BSF role.
-func (s *Sharded) SearchKNN(q series.Series, k, workers int) ([]core.Result, *messi.QueryStats, error) {
-	return s.SearchKNNScoped(q, k, workers, messi.FullScope)
-}
-
-// SearchKNNScoped is SearchKNN under an explicit scope (window lower cut
-// and tenant); the scope's AppendCut is ignored in favor of the layer's own
-// consistent cut vector.
+// Query answers q by scatter-gathering Run over every shard with one shared
+// sink, for every kind, approximate included: the bound tightens globally as
+// any shard improves it, pruning the others mid-flight. The cut vector and
+// the observed count are captured once, so the answer covers exactly the
+// global prefix [0, Observed) and is bit-identical to a serial scan of it;
+// q.LastN resolves against that same capture, into a global lower cut
+// every shard applies. q.Scope's AppendCut is ignored in favor of the cut
+// vector; its window lower cut and tenant reach every shard.
 //
 // Tombstone audit for the shared k-best set: a deleted position can never
 // re-enter the results through cross-shard deduplication. Every global
 // position is owned by exactly one shard (the mappers are disjoint by
 // construction — base positions partition via baseMap, appended positions
 // via the route log), so the only goroutines that can Offer a position run
-// inside its owner's SearchKNNShared, after that shard's tombstone filter
-// (qfilter.skip) consulted the delete state captured at query start. KBest
-// dedup only drops re-offers of a position already present; it never
-// revives one that was filtered, and no other shard can offer it.
-// TestDeletedNearestNeverInKNN pins this across shard counts, placements
-// and compaction states.
-func (s *Sharded) SearchKNNScoped(q series.Series, k, workers int, scope messi.Scope) ([]core.Result, *messi.QueryStats, error) {
-	if len(q) != s.seriesLen {
-		return nil, nil, fmt.Errorf("shard: query length %d != %d", len(q), s.seriesLen)
+// inside its owner's Run, after that shard's tombstone filter consulted the
+// delete state captured at query start. KBest dedup only drops re-offers of
+// a position already present; it never revives one that was filtered, and
+// no other shard can offer it. TestDeletedNearestNeverInKNN pins this across
+// shard counts, placements and compaction states.
+func (s *Sharded) Query(q messi.Query) ([]core.Result, *messi.QueryStats, error) {
+	if err := q.Validate(s.seriesLen); err != nil {
+		return nil, nil, fmt.Errorf("shard: %w", err)
 	}
-	if k <= 0 {
+	if q.Kind == messi.KNN && q.K <= 0 {
 		return nil, &messi.QueryStats{}, nil
 	}
 	cuts, observed := s.view()
 	stats := &messi.QueryStats{Observed: observed}
-	if observed == 0 {
-		return nil, stats, nil
+	if q.LastN > 0 {
+		q.Scope.LowPos = max(q.Scope.LowPos, int32(max(0, observed-q.LastN)))
+		q.LastN = 0
 	}
-	kb := xsync.NewKBest(k)
-	if err := s.scatter(scope, cuts, stats, func(si int, scope messi.Scope) (*messi.QueryStats, error) {
-		return s.shards[si].SearchKNNShared(q, k, workers, kb, s.mappers[si], scope)
+	sink := messi.NewSink(q)
+	if observed == 0 {
+		return sink.Results(), stats, nil
+	}
+	if err := s.scatter(q.Scope, cuts, stats, func(si int, scope messi.Scope) (*messi.QueryStats, error) {
+		sub := q
+		sub.Scope = scope
+		return s.shards[si].Run(sub, &sink, s.mappers[si])
 	}); err != nil {
 		return nil, nil, err
 	}
-	out := make([]core.Result, 0, k)
-	for _, e := range kb.Sorted() {
-		out = append(out, core.Result{Pos: e.Pos, Dist: e.Dist})
+	return sink.Results(), stats, nil
+}
+
+// Search answers an exact 1-NN query over every shard.
+func (s *Sharded) Search(q series.Series, workers int) (core.Result, *messi.QueryStats, error) {
+	return s.SearchScoped(q, workers, messi.FullScope)
+}
+
+// SearchScoped is Search under an explicit scope: a window lower cut and a
+// tenant identity (see Query).
+func (s *Sharded) SearchScoped(q series.Series, workers int, scope messi.Scope) (core.Result, *messi.QueryStats, error) {
+	return messi.First(s.Query(messi.Query{Kind: messi.NN, Series: q, Workers: workers, Scope: scope}))
+}
+
+// SearchWindow answers an exact 1-NN query over the most recent n landed
+// series across all shards — a contiguous range of global positions no
+// matter how appends were routed.
+func (s *Sharded) SearchWindow(q series.Series, n, workers int) (core.Result, *messi.QueryStats, error) {
+	return s.SearchWindowTenant(q, n, workers, "")
+}
+
+// SearchWindowTenant is SearchWindow under a tenant identity.
+func (s *Sharded) SearchWindowTenant(q series.Series, n, workers int, tenant string) (core.Result, *messi.QueryStats, error) {
+	if n <= 0 {
+		return core.NoResult(), nil, fmt.Errorf("shard: window size %d, want > 0", n)
 	}
-	return out, stats, nil
+	return messi.First(s.Query(messi.Query{Kind: messi.NN, Series: q, LastN: n, Workers: workers, Scope: messi.Scope{AppendCut: -1, Tenant: tenant}}))
+}
+
+// SearchKNN answers an exact k-NN query with one k-best set shared by every
+// shard.
+func (s *Sharded) SearchKNN(q series.Series, k, workers int) ([]core.Result, *messi.QueryStats, error) {
+	return s.SearchKNNScoped(q, k, workers, messi.FullScope)
+}
+
+// SearchKNNScoped is SearchKNN under an explicit scope (see Query).
+func (s *Sharded) SearchKNNScoped(q series.Series, k, workers int, scope messi.Scope) ([]core.Result, *messi.QueryStats, error) {
+	return s.Query(messi.Query{Kind: messi.KNN, Series: q, K: k, Workers: workers, Scope: scope})
 }
 
 // SearchDTW answers an exact 1-NN DTW query (Sakoe-Chiba half-width
-// window) with the shared best-so-far threaded through every shard's
-// LB_Keogh cascade.
+// window) over every shard.
 func (s *Sharded) SearchDTW(q series.Series, window, workers int) (core.Result, *messi.QueryStats, error) {
 	return s.SearchDTWScoped(q, window, workers, messi.FullScope)
 }
 
-// SearchDTWScoped is SearchDTW under an explicit scope (window lower cut
-// and tenant); the scope's AppendCut is ignored in favor of the layer's own
-// consistent cut vector.
+// SearchDTWScoped is SearchDTW under an explicit scope (see Query).
 func (s *Sharded) SearchDTWScoped(q series.Series, window, workers int, scope messi.Scope) (core.Result, *messi.QueryStats, error) {
-	if len(q) != s.seriesLen {
-		return core.NoResult(), nil, fmt.Errorf("shard: query length %d != %d", len(q), s.seriesLen)
-	}
-	cuts, observed := s.view()
-	stats := &messi.QueryStats{Observed: observed}
-	if observed == 0 {
-		return core.NoResult(), stats, nil
-	}
-	best := xsync.NewBest()
-	if err := s.scatter(scope, cuts, stats, func(si int, scope messi.Scope) (*messi.QueryStats, error) {
-		return s.shards[si].SearchDTWShared(q, window, workers, best, s.mappers[si], scope)
-	}); err != nil {
-		return core.NoResult(), nil, err
-	}
-	d, p := best.Load()
-	return core.Result{Pos: int32(p), Dist: d}, stats, nil
+	return messi.First(s.Query(messi.Query{Kind: messi.DTW, Series: q, Warp: window, Workers: workers, Scope: scope}))
 }
 
 // SearchApproximate returns the best answer among every shard's
-// approximate probe — still microseconds (the probes are sequential leaf
-// reads), still an upper bound on the exact answer. Shards are probed
-// under one consistent cut, so the reported global position always lies
-// inside the prefix this call observed, even mid-append.
+// approximate probe; its distance upper-bounds the exact answer's.
 func (s *Sharded) SearchApproximate(q series.Series) (core.Result, error) {
 	return s.SearchApproximateScoped(q, messi.FullScope)
 }
 
-// SearchApproximateScoped is SearchApproximate under an explicit scope
-// (window lower cut and tenant); the scope's AppendCut is ignored in favor
-// of the layer's own consistent cut vector.
+// SearchApproximateScoped is SearchApproximate under an explicit scope (see
+// Query).
 func (s *Sharded) SearchApproximateScoped(q series.Series, scope messi.Scope) (core.Result, error) {
-	if len(q) != s.seriesLen {
-		return core.NoResult(), fmt.Errorf("shard: query length %d != %d", len(q), s.seriesLen)
-	}
-	cuts, observed := s.view()
-	if observed == 0 {
-		return core.NoResult(), nil
-	}
-	s.eng.CountQueryTenant(scope.Tenant)
-	best := core.NoResult()
-	var skippedIDs, failedIDs []int
-	var cause error
-	for si, sh := range s.shards {
-		if !s.available(si) {
-			skippedIDs = append(skippedIDs, si)
-			continue
-		}
-		r, err := sh.SearchApproximateShared(q, s.mappers[si], s.shardScope(scope, cuts, si))
-		if err != nil {
-			if !s.noteShardError(si, err) {
-				return core.NoResult(), err
-			}
-			failedIDs = append(failedIDs, si)
-			if cause == nil {
-				cause = err
-			}
-			continue
-		}
-		s.noteShardSuccess(si)
-		if r.Pos >= 0 && r.Dist < best.Dist {
-			best = r
-		}
-	}
-	if miss := uncovered(skippedIDs, failedIDs); len(miss) > 0 && !s.opt.AllowPartial {
-		if cause == nil && len(skippedIDs) > 0 {
-			cause = s.health[skippedIDs[0]].getErr()
-		}
-		return core.NoResult(), &ErrShardsUnavailable{Shards: miss, Cause: cause}
-	}
-	return best, nil
+	r, _, err := messi.First(s.Query(messi.Query{Kind: messi.Approx, Series: q, Scope: scope}))
+	return r, err
 }
 
 // BatchSearchStats answers many exact 1-NN queries concurrently under the

@@ -1,8 +1,6 @@
 package dsidx
 
 import (
-	"context"
-
 	"dsidx/internal/engine"
 	"dsidx/internal/messi"
 )
@@ -24,177 +22,24 @@ import (
 // readers. IngestStats exposes the write path's counters; Flush forces a
 // synchronous merge.
 type MESSI struct {
+	index
 	inner *messi.Index
 }
 
 // NewMESSI builds a MESSI index over an in-memory collection.
 func NewMESSI(coll *Collection, opts ...Option) (*MESSI, error) {
 	o := buildOptions(opts)
-	inner, err := messi.Build(coll, o.coreConfig(), messi.Options{
-		Workers:        o.workers,
-		MaxInFlight:    o.maxInFlight,
-		MergeThreshold: o.mergeThreshold,
-		ProbeLeaves:    o.probeLeaves,
-		DisableLeafRaw: o.leafRawOff,
-		AutoTune:       o.autoTune,
-	})
+	inner, err := messi.Build(coll, o.coreConfig(), o.messiOptions())
 	if err != nil {
 		return nil, err
 	}
-	return &MESSI{inner: inner}, nil
+	return newMESSI(inner), nil
 }
 
-// Close stops the index's worker pool. It is idempotent and safe to call
-// with queries in flight; queries issued after Close still answer
-// correctly, executing serially on the calling goroutine.
-func (ix *MESSI) Close() { ix.inner.Close() }
-
-// Search returns the exact nearest neighbor of q under Euclidean distance.
-func (ix *MESSI) Search(q Series) (Match, error) {
-	r, _, err := ix.inner.Search(q, 0)
-	return matchOf(r), err
-}
-
-// SearchWithWorkers is Search with an explicit worker count (for scaling
-// studies).
-func (ix *MESSI) SearchWithWorkers(q Series, workers int) (Match, error) {
-	r, _, err := ix.inner.Search(q, workers)
-	return matchOf(r), err
-}
-
-// SearchKNN returns the exact k nearest neighbors of q in ascending
-// distance order.
-func (ix *MESSI) SearchKNN(q Series, k int) ([]Match, error) {
-	rs, _, err := ix.inner.SearchKNN(q, k, 0)
-	return matchesOf(rs), err
-}
-
-// SearchDTW returns the exact nearest neighbor of q under dynamic time
-// warping with a Sakoe-Chiba band of half-width window, answered on the
-// same index with no rebuild (paper §V).
-func (ix *MESSI) SearchDTW(q Series, window int) (Match, error) {
-	r, _, err := ix.inner.SearchDTW(q, window, 0)
-	return matchOf(r), err
-}
-
-// SearchApproximate returns the classic iSAX approximate answer: the best
-// series of the single leaf matching the query's summary, in microseconds.
-// Its distance is an upper bound on the exact answer's distance.
-func (ix *MESSI) SearchApproximate(q Series) (Match, error) {
-	r, err := ix.inner.SearchApproximate(q)
-	return matchOf(r), err
-}
-
-// SearchWindow returns the exact nearest neighbor of q among the most
-// recent n appended-or-built series — a sliding-window query. The window is
-// a consistent suffix captured at call time: series landing mid-query are
-// invisible, deleted series are skipped, and a window wider than everything
-// landed degenerates to Search.
-func (ix *MESSI) SearchWindow(q Series, n int) (Match, error) {
-	r, _, err := ix.inner.SearchWindow(q, n, 0)
-	return matchOf(r), err
-}
-
-// SearchTenant is Search under an opaque tenant ID: the query is accounted
-// to the tenant, and under multi-tenant load its worker share is the
-// tenant's slice of the pool rather than the whole of it. Tenant "" is
-// exactly Search.
-func (ix *MESSI) SearchTenant(q Series, tenant string) (Match, error) {
-	r, _, err := ix.inner.SearchScoped(q, 0, messi.Scope{AppendCut: -1, Tenant: tenant})
-	return matchOf(r), err
-}
-
-// SearchKNNTenant is SearchKNN under an opaque tenant ID.
-func (ix *MESSI) SearchKNNTenant(q Series, k int, tenant string) ([]Match, error) {
-	rs, _, err := ix.inner.SearchKNNScoped(q, k, 0, messi.Scope{AppendCut: -1, Tenant: tenant})
-	return matchesOf(rs), err
-}
-
-// SearchDTWTenant is SearchDTW under an opaque tenant ID.
-func (ix *MESSI) SearchDTWTenant(q Series, window int, tenant string) (Match, error) {
-	r, _, err := ix.inner.SearchDTWScoped(q, window, 0, messi.Scope{AppendCut: -1, Tenant: tenant})
-	return matchOf(r), err
-}
-
-// SearchApproximateTenant is SearchApproximate under an opaque tenant ID.
-func (ix *MESSI) SearchApproximateTenant(q Series, tenant string) (Match, error) {
-	r, err := ix.inner.SearchApproximateScoped(q, messi.Scope{AppendCut: -1, Tenant: tenant})
-	return matchOf(r), err
-}
-
-// SearchWindowTenant is SearchWindow under an opaque tenant ID.
-func (ix *MESSI) SearchWindowTenant(q Series, n int, tenant string) (Match, error) {
-	r, _, err := ix.inner.SearchWindowTenant(q, n, 0, tenant)
-	return matchOf(r), err
-}
+func newMESSI(inner *messi.Index) *MESSI { return &MESSI{index{inner}, inner} }
 
 // Stats returns the index tree shape.
 func (ix *MESSI) Stats() IndexStats { return statsOf(ix.inner.Tree()) }
-
-// Len returns the number of indexed series, including live appends.
-func (ix *MESSI) Len() int { return ix.inner.Count() }
-
-// Append adds one series to the serving index and returns its position
-// (positions continue past the build-time collection). The series becomes
-// visible to queries before Append returns; a background merge folds it
-// into the index tree later. Safe for concurrent use with queries, other
-// appends, Flush, Save and Close.
-func (ix *MESSI) Append(s Series) (int, error) { return ix.inner.Append(s) }
-
-// AppendBatch adds a batch of series at consecutive positions, returning
-// the position of the first. The batch becomes visible atomically: a
-// concurrent query sees either none or all of it.
-func (ix *MESSI) AppendBatch(ss []Series) (int, error) { return ix.inner.AppendBatch(ss) }
-
-// Flush synchronously merges every series appended before the call into
-// the index tree. Queries do not require it — unmerged series are already
-// searched exactly — so Flush is about merge timing (e.g. before Save, or
-// to bound per-query delta-scan cost ahead of a traffic spike).
-func (ix *MESSI) Flush() { ix.inner.Flush() }
-
-// Delete removes the series at position pos from every future search: it
-// is tombstoned immediately (no search flavor can return it from the
-// moment Delete returns) and physically dropped from the tree by the next
-// merge or Compact. Positions are never reused. Reports whether this call
-// newly deleted it; deleting a deleted position is a no-op.
-func (ix *MESSI) Delete(pos int) (bool, error) { return ix.inner.Delete(pos) }
-
-// DeleteRange deletes every series at positions [lo, hi), returning how
-// many this call newly deleted. The range must lie within [0, Len()].
-func (ix *MESSI) DeleteRange(lo, hi int) (int, error) { return ix.inner.DeleteRange(lo, hi) }
-
-// AppendWithTTL is Append with an expiry deadline attached: once a later
-// ExpireBefore(now) observes now at or past the deadline, the series is
-// deleted exactly as by Delete. Deadlines are opaque int64s — wall-clock
-// nanoseconds, a logical epoch, whatever the caller's clock produces; the
-// index never reads a clock itself.
-func (ix *MESSI) AppendWithTTL(s Series, deadline int64) (int, error) {
-	return ix.inner.AppendWithTTL(s, deadline)
-}
-
-// SetTTL sets (or replaces) the expiry deadline on the series at position
-// pos; a deadline already past still requires an ExpireBefore call to take
-// effect.
-func (ix *MESSI) SetTTL(pos int, deadline int64) error { return ix.inner.SetTTL(pos, deadline) }
-
-// ExpireBefore deletes every series whose TTL deadline is at or before
-// now, returning how many it newly deleted. The caller owns the clock:
-// call it from a ticker for wall-clock TTLs, or at logical epoch
-// boundaries.
-func (ix *MESSI) ExpireBefore(now int64) int { return ix.inner.ExpireBefore(now) }
-
-// Tombstoned counts deleted (or expired) series; Live counts the rest.
-// Len stays the full position space: Len() == Live() + Tombstoned().
-func (ix *MESSI) Tombstoned() int { return ix.inner.Tombstoned() }
-
-// Live counts landed-and-not-deleted series.
-func (ix *MESSI) Live() int { return ix.inner.Live() }
-
-// Compact synchronously flushes pending appends and rebuilds the index
-// tree without its tombstoned entries, reclaiming their tree residency.
-// Searches never require it — tombstoned series are filtered either way —
-// and it is safe to call concurrently with queries and appends.
-func (ix *MESSI) Compact() { ix.inner.Compact() }
 
 // IngestStats is a snapshot of the live-ingestion counters.
 type IngestStats struct {
@@ -235,20 +80,6 @@ func ingestStatsOf(st messi.IngestStats) IngestStats {
 	}
 }
 
-// IngestStats snapshots the write path's counters.
-func (ix *MESSI) IngestStats() IngestStats {
-	return ingestStatsOf(ix.inner.IngestStats())
-}
-
-// BatchSearch answers one exact 1-NN query per element of qs, running them
-// concurrently on the shared worker pool under admission control. The
-// result at index i answers qs[i]. Results are identical to issuing each
-// query through Search serially.
-func (ix *MESSI) BatchSearch(qs []Series) ([]Match, error) {
-	rs, err := ix.inner.BatchSearch(qs)
-	return matchesOf(rs), err
-}
-
 // SearchStats reports the work one query performed — the pruning behavior
 // behind its latency. Lower RawDistances relative to Observed means the
 // index discarded more of the collection without touching raw values.
@@ -256,8 +87,10 @@ type SearchStats struct {
 	// ProbeLeaves is the number of leaves the approximate phase probed to
 	// seed the best-so-far (the WithProbeLeaves option).
 	ProbeLeaves int
-	// LeavesInserted counts leaves that survived tree pruning;
-	// LeavesPopped counts those actually examined afterwards.
+	// LeavesInserted is the length of the candidate list: leaves, other
+	// than the probed ones, whose envelope bound was below the best-so-far
+	// once the bound pass and the scan of unmerged appends had finished.
+	// LeavesPopped counts those actually refined afterwards.
 	LeavesInserted int
 	LeavesPopped   int
 	// EntriesChecked counts per-series lower bounds computed.
@@ -284,19 +117,6 @@ func statsFromQuery(st messi.QueryStats) SearchStats {
 		Observed:        st.Observed,
 		UncoveredShards: st.UncoveredShards,
 	}
-}
-
-// BatchSearchStats is BatchSearch additionally returning each query's work
-// stats, so batched workloads can report pruning ratios the same way
-// single-query experiments do. stats[i] describes the query that produced
-// results[i].
-func (ix *MESSI) BatchSearchStats(qs []Series) ([]Match, []SearchStats, error) {
-	rs, sts, err := ix.inner.BatchSearchStats(qs)
-	stats := make([]SearchStats, len(sts))
-	for i, st := range sts {
-		stats[i] = statsFromQuery(st)
-	}
-	return matchesOf(rs), stats, err
 }
 
 // EngineStats is a snapshot of the shared worker pool's throughput
@@ -354,8 +174,10 @@ func engineStatsOf(st engine.Stats) EngineStats {
 // background merges were abandoned after a contained panic. A healthy
 // index reports zeros everywhere but Searches.
 type Health struct {
-	// Searches counts exact/approximate searches started;
-	// FailedSearches the subset that returned an error.
+	// Searches counts queries of every kind that reached their search
+	// phase (past validation, over a non-empty index); FailedSearches
+	// counts queries that returned a contained-fault error instead of an
+	// answer.
 	Searches       uint64
 	FailedSearches uint64
 	// MergeAborts counts background merges abandoned because a task
@@ -416,33 +238,3 @@ func tenantStatsOf(ts []engine.TenantStat) []TenantStats {
 	}
 	return out
 }
-
-// TenantStats snapshots every tenant ever seen, sorted by ID; untenanted
-// traffic never appears. Empty until the first tenanted call.
-func (ix *MESSI) TenantStats() []TenantStats { return tenantStatsOf(ix.inner.TenantStats()) }
-
-// EngineStats snapshots the worker pool's counters. Sample it periodically
-// to derive throughput.
-func (ix *MESSI) EngineStats() EngineStats {
-	return engineStatsOf(ix.inner.EngineStats())
-}
-
-// Serve turns the index into a long-running query server: it answers
-// requests from in until in closes or ctx is canceled, then closes the
-// returned channel. Up to MaxInFlight requests are answered concurrently on
-// the shared worker pool, so responses arrive in completion order — match
-// them to requests by ID. Serve may be called multiple times; all serving
-// loops share the same pool and admission budget.
-//
-// Every request Serve dequeues from in produces exactly one response, Err
-// set when cancellation preempted it; drain the returned channel until it
-// closes to balance submissions against answers after a shutdown.
-func (ix *MESSI) Serve(ctx context.Context, in <-chan QueryRequest) <-chan QueryResponse {
-	return serve(ctx, in, ix)
-}
-
-// admitContext and maxInFlight adapt the index to the shared serving loop.
-func (ix *MESSI) admitContext(ctx context.Context, tenant string) (func(), error) {
-	return ix.inner.AdmitTenantContext(ctx, tenant)
-}
-func (ix *MESSI) maxInFlight() int { return ix.inner.MaxInFlight() }

@@ -22,8 +22,7 @@ type MetricsSource interface {
 	metricsRegistry() *metrics.Registry
 }
 
-func (ix *MESSI) metricsRegistry() *metrics.Registry  { return ix.inner.Registry() }
-func (s *Sharded) metricsRegistry() *metrics.Registry { return s.inner.Registry() }
+func (x *index) metricsRegistry() *metrics.Registry { return x.b.Registry() }
 
 // VectorImpl reports the distance-kernel implementation that will serve
 // the next query: "avx2" on amd64 CPUs where startup feature detection
@@ -119,11 +118,11 @@ type Metrics struct {
 }
 
 // Metrics snapshots all of the index's counter surfaces in one call.
-func (ix *MESSI) Metrics() Metrics {
-	tu := ix.inner.Tuning()
+func (x *index) Metrics() Metrics {
+	tu := x.b.Tuning()
 	return Metrics{
-		Engine: ix.EngineStats(),
-		Ingest: ix.IngestStats(),
+		Engine: x.EngineStats(),
+		Ingest: x.IngestStats(),
 		Tuning: TuningStats{
 			AutoTune:       tu.AutoTune,
 			ProbeLeaves:    tu.ProbeLeaves,
@@ -137,38 +136,27 @@ func (ix *MESSI) Metrics() Metrics {
 // Metrics snapshots all of the sharded index's counter surfaces in one
 // call, per-shard routing counters and the cold tier included.
 func (s *Sharded) Metrics() Metrics {
-	tu := s.inner.Tuning()
-	cold := s.inner.ColdStats()
-	shards := make([]ShardStats, s.Shards())
-	for si := range shards {
-		shards[si] = ShardStats{
+	m := s.index.Metrics()
+	m.Shards = make([]ShardStats, s.Shards())
+	for si := range m.Shards {
+		m.Shards[si] = ShardStats{
 			Shard:      si,
 			BaseSeries: s.inner.ShardBaseLen(si),
 			Appends:    s.inner.ShardAppends(si),
 		}
 	}
-	return Metrics{
-		Engine: s.EngineStats(),
-		Ingest: s.IngestStats(),
-		Tuning: TuningStats{
-			AutoTune:       tu.AutoTune,
-			ProbeLeaves:    tu.ProbeLeaves,
-			MergeThreshold: tu.MergeThreshold,
-			Adjustments:    tu.Adjustments,
-		},
-		VectorImpl: vector.Impl(),
-		Shards:     shards,
-		Cold: ColdTierStats{
-			ColdShards:         cold.ColdShards,
-			CacheHits:          cold.Cache.Hits,
-			CacheMisses:        cold.Cache.Misses,
-			CacheEvictions:     cold.Cache.Evictions,
-			CacheResidentBytes: cold.Cache.ResidentBytes,
-			CacheBudgetBytes:   cold.Cache.CacheBytes,
-			DeviceReads:        cold.Device.ReadOps,
-			DeviceBytesRead:    cold.Device.BytesRead,
-			DeviceSeeks:        cold.Device.Seeks,
-			DeviceReadBusy:     cold.Device.ReadBusy,
-		},
+	cold := s.inner.ColdStats()
+	m.Cold = ColdTierStats{
+		ColdShards:         cold.ColdShards,
+		CacheHits:          cold.Cache.Hits,
+		CacheMisses:        cold.Cache.Misses,
+		CacheEvictions:     cold.Cache.Evictions,
+		CacheResidentBytes: cold.Cache.ResidentBytes,
+		CacheBudgetBytes:   cold.Cache.CacheBytes,
+		DeviceReads:        cold.Device.ReadOps,
+		DeviceBytesRead:    cold.Device.BytesRead,
+		DeviceSeeks:        cold.Device.Seeks,
+		DeviceReadBusy:     cold.Device.ReadBusy,
 	}
+	return m
 }

@@ -23,10 +23,11 @@ import (
 // Sharded indexes persist the same way through Sharded.Save/OpenSharded
 // (sharded.go): a DSS1 manifest wrapping each shard's file.
 
-// Save writes the MESSI index to path, including its live-append store
-// (both merged and still-pending series).
-func (ix *MESSI) Save(path string) error {
-	return writeFileAtomic(path, ix.inner.Encode())
+// Save writes the index to path, including its live-append store (both
+// merged and still-pending series); a Sharded index writes a DSS1 manifest
+// wrapping every shard's own encoding.
+func (x *index) Save(path string) error {
+	return writeFileAtomic(path, x.b.Encode())
 }
 
 // LoadMESSI reopens a saved MESSI index over the collection it was built
@@ -37,18 +38,11 @@ func LoadMESSI(path string, coll *Collection, opts ...Option) (*MESSI, error) {
 	if err != nil {
 		return nil, err
 	}
-	o := buildOptions(opts)
-	inner, err := messi.Decode(data, coll, messi.Options{
-		Workers:        o.workers,
-		MaxInFlight:    o.maxInFlight,
-		MergeThreshold: o.mergeThreshold,
-		ProbeLeaves:    o.probeLeaves,
-		DisableLeafRaw: o.leafRawOff,
-	})
+	inner, err := messi.Decode(data, coll, buildOptions(opts).messiOptions())
 	if err != nil {
 		return nil, err
 	}
-	return &MESSI{inner: inner}, nil
+	return newMESSI(inner), nil
 }
 
 // Save writes the ParIS index to path. The index remains bound to the

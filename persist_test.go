@@ -18,12 +18,17 @@ func TestMESSISaveLoadRoundTrip(t *testing.T) {
 	if err := idx.Save(path); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := dsidx.LoadMESSI(path, coll)
+	// A loaded index takes the options a built one does, WithAutoTune
+	// included.
+	loaded, err := dsidx.LoadMESSI(path, coll, dsidx.WithAutoTune(true))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if loaded.Len() != idx.Len() {
 		t.Fatalf("loaded Len %d != %d", loaded.Len(), idx.Len())
+	}
+	if !loaded.Metrics().Tuning.AutoTune {
+		t.Error("LoadMESSI dropped WithAutoTune")
 	}
 
 	queries := dsidx.GenerateQueries(dsidx.Synthetic, 5, 256, 21)

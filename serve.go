@@ -4,11 +4,13 @@ import (
 	"context"
 	"fmt"
 	"sync"
+
+	"dsidx/internal/messi"
 )
 
-// Index persistence and serving share one request/response protocol across
-// every serving backend: a plain MESSI index and a Sharded index answer the
-// same QueryRequest stream through the same loop.
+// Serving and every Search* method share one request form: a plain MESSI
+// index and a Sharded index answer a QueryRequest through the same mapping
+// onto their one query entry, and Serve streams them through the same loop.
 
 // QueryKind selects the search flavor of a QueryRequest.
 type QueryKind int
@@ -60,32 +62,22 @@ type QueryResponse struct {
 	Err error
 }
 
-// queryBackend is the method set the serving loop multiplexes over,
-// implemented by MESSI and Sharded. The tenant-suffixed variants carry the
-// request's tenant ID; "" degrades each to its untenanted sibling.
-type queryBackend interface {
-	SearchTenant(q Series, tenant string) (Match, error)
-	SearchKNNTenant(q Series, k int, tenant string) ([]Match, error)
-	SearchDTWTenant(q Series, window int, tenant string) (Match, error)
-	SearchApproximateTenant(q Series, tenant string) (Match, error)
-	SearchWindowTenant(q Series, n int, tenant string) (Match, error)
-	admitContext(ctx context.Context, tenant string) (func(), error)
-	maxInFlight() int
-}
-
-// serve is the shared serving loop behind MESSI.Serve and Sharded.Serve:
-// it answers requests from in until in closes or ctx is canceled, then
-// closes the returned channel, admitting at most maxInFlight requests at a
-// time onto the backend's worker pool.
+// Serve turns the index into a long-running query server: it answers
+// requests from in until in closes or ctx is canceled, then closes the
+// returned channel. Up to MaxInFlight requests are answered concurrently on
+// the shared worker pool — on a Sharded index one admission slot covers one
+// request's whole cross-shard scatter — so responses arrive in completion
+// order: match them to requests by ID. Serve may be called multiple times;
+// all serving loops share the same pool and admission budget.
 //
-// Every request dequeued from in produces exactly one QueryResponse —
+// Every request Serve dequeues from in produces exactly one response —
 // answered, or carrying Err when cancellation preempted it — so a caller
 // that counts its accepted submissions can balance the books after a
 // shutdown. The caller must drain the returned channel until it closes;
 // its buffer only absorbs the responses in flight at cancellation, it is
 // not a substitute for reading.
-func serve(ctx context.Context, in <-chan QueryRequest, ix queryBackend) <-chan QueryResponse {
-	consumers := ix.maxInFlight()
+func (x *index) Serve(ctx context.Context, in <-chan QueryRequest) <-chan QueryResponse {
+	consumers := x.b.MaxInFlight()
 	// One buffer slot per consumer: a consumer holding a computed (or
 	// error) response at cancellation time can always deposit it and
 	// exit, even if the reader drains the channel only after the fact.
@@ -116,12 +108,12 @@ func serve(ctx context.Context, in <-chan QueryRequest, ix queryBackend) <-chan 
 						// must not wait behind other traffic for a slot, but
 						// the preempted request still gets its response,
 						// with Err set.
-						release, err := ix.admitContext(ctx, req.Tenant)
+						release, err := x.b.AdmitTenantContext(ctx, req.Tenant)
 						if err != nil {
 							out <- QueryResponse{ID: req.ID, Err: err}
 							return
 						}
-						resp := answer(ix, req)
+						resp := x.answer(req)
 						release()
 						out <- resp
 					}
@@ -133,44 +125,45 @@ func serve(ctx context.Context, in <-chan QueryRequest, ix queryBackend) <-chan 
 	return out
 }
 
-// singleMatch fills a one-match response, leaving Matches empty on error so
-// failed responses never carry a plausible-looking sentinel answer.
-func (r *QueryResponse) singleMatch(m Match, err error) {
-	if err != nil {
-		r.Err = err
-		return
+// answer is Serve's response to one request. A QueryKNN request needs
+// K > 0: SearchKNN treats k ≤ 0 as a no-op by contract, a request surfaces
+// the malformed input instead of a silent empty answer. A failed response
+// carries no matches, never a plausible-looking sentinel answer.
+func (x *index) answer(req QueryRequest) QueryResponse {
+	if req.Kind == QueryKNN && req.K <= 0 {
+		return QueryResponse{ID: req.ID, Err: fmt.Errorf("dsidx: QueryKNN request %d needs K > 0, got %d", req.ID, req.K)}
 	}
-	r.Matches = []Match{m}
+	ms, err := x.run(req, 0)
+	if err != nil {
+		return QueryResponse{ID: req.ID, Err: err}
+	}
+	return QueryResponse{ID: req.ID, Matches: ms}
 }
 
-// answer dispatches one request to the matching search method.
-func answer(ix queryBackend, req QueryRequest) QueryResponse {
-	resp := QueryResponse{ID: req.ID}
+// run answers one request through the backend's one query entry: the single
+// QueryRequest → messi.Query mapping behind Serve and every Search* method.
+// workers ≤ 0 takes a fair share of the pool.
+func (x *index) run(req QueryRequest, workers int) ([]Match, error) {
+	q := messi.Query{Series: req.Query, K: req.K, Warp: req.Window, Workers: workers,
+		Scope: messi.Scope{AppendCut: -1, Tenant: req.Tenant}}
 	switch req.Kind {
-	case QueryKNN:
-		if req.K <= 0 {
-			// Surface the malformed request instead of a silent empty
-			// answer (SearchKNN treats k<=0 as a no-op by contract).
-			resp.Err = fmt.Errorf("dsidx: QueryKNN request %d needs K > 0, got %d", req.ID, req.K)
-			return resp
-		}
-		ms, err := ix.SearchKNNTenant(req.Query, req.K, req.Tenant)
-		resp.Matches, resp.Err = ms, err
-	case QueryDTW:
-		m, err := ix.SearchDTWTenant(req.Query, req.Window, req.Tenant)
-		resp.singleMatch(m, err)
-	case QueryApprox:
-		m, err := ix.SearchApproximateTenant(req.Query, req.Tenant)
-		resp.singleMatch(m, err)
-	case QueryWindowNN:
-		m, err := ix.SearchWindowTenant(req.Query, req.LastN, req.Tenant)
-		resp.singleMatch(m, err)
 	case QueryNN:
-		m, err := ix.SearchTenant(req.Query, req.Tenant)
-		resp.singleMatch(m, err)
+		q.Kind = messi.NN
+	case QueryKNN:
+		q.Kind = messi.KNN
+	case QueryDTW:
+		q.Kind = messi.DTW
+	case QueryApprox:
+		q.Kind = messi.Approx
+	case QueryWindowNN:
+		if req.LastN <= 0 {
+			return nil, fmt.Errorf("dsidx: window size %d, want > 0", req.LastN)
+		}
+		q.Kind, q.LastN = messi.NN, req.LastN
 	default:
 		// An unrecognized kind must not silently run some other search.
-		resp.Err = fmt.Errorf("dsidx: request %d has unknown QueryKind %d", req.ID, req.Kind)
+		return nil, fmt.Errorf("dsidx: request %d has unknown QueryKind %d", req.ID, req.Kind)
 	}
-	return resp
+	rs, _, err := x.b.Query(q)
+	return matchesOf(rs), err
 }

@@ -2,7 +2,11 @@ package dsidx
 
 import (
 	"context"
+	"fmt"
 	"path/filepath"
+	"reflect"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -292,5 +296,196 @@ func TestShardedServePublicAPI(t *testing.T) {
 	}
 	if answered != queries.Len() {
 		t.Fatalf("answered %d of %d requests", answered, queries.Len())
+	}
+}
+
+// publicIndex is the surface MESSI and Sharded share, plus their own Health
+// counter, so one table drives both.
+type publicIndex interface {
+	Search(q Series) (Match, error)
+	SearchKNN(q Series, k int) ([]Match, error)
+	SearchDTW(q Series, window int) (Match, error)
+	SearchApproximate(q Series) (Match, error)
+	SearchWindow(q Series, n int) (Match, error)
+	SearchTenant(q Series, tenant string) (Match, error)
+	SearchKNNTenant(q Series, k int, tenant string) ([]Match, error)
+	SearchDTWTenant(q Series, window int, tenant string) (Match, error)
+	SearchApproximateTenant(q Series, tenant string) (Match, error)
+	SearchWindowTenant(q Series, n int, tenant string) (Match, error)
+	AppendBatch(ss []Series) (int, error)
+	Flush()
+	Serve(ctx context.Context, in <-chan QueryRequest) <-chan QueryResponse
+	EngineStats() EngineStats
+	Close()
+}
+
+// direct answers req through the public method of its kind and tenancy.
+func direct(ix publicIndex, req QueryRequest) ([]Match, error) {
+	one := func(m Match, err error) ([]Match, error) { return []Match{m}, err }
+	q, tenant := req.Query, req.Tenant
+	switch {
+	case req.Kind == QueryKNN && tenant == "":
+		return ix.SearchKNN(q, req.K)
+	case req.Kind == QueryKNN:
+		return ix.SearchKNNTenant(q, req.K, tenant)
+	case req.Kind == QueryDTW && tenant == "":
+		return one(ix.SearchDTW(q, req.Window))
+	case req.Kind == QueryDTW:
+		return one(ix.SearchDTWTenant(q, req.Window, tenant))
+	case req.Kind == QueryApprox && tenant == "":
+		return one(ix.SearchApproximate(q))
+	case req.Kind == QueryApprox:
+		return one(ix.SearchApproximateTenant(q, tenant))
+	case req.Kind == QueryWindowNN && tenant == "":
+		return one(ix.SearchWindow(q, req.LastN))
+	case req.Kind == QueryWindowNN:
+		return one(ix.SearchWindowTenant(q, req.LastN, tenant))
+	case tenant == "":
+		return one(ix.Search(q))
+	default:
+		return one(ix.SearchTenant(q, tenant))
+	}
+}
+
+// TestServeAnswersAndCountsLikeTheDirectMethods pins what embedding the one
+// shared surface in MESSI and Sharded must not change: for every QueryKind,
+// with and without a tenant, on a plain index and on 1 and 4 shards, Serve
+// answers exactly what the kind's public method answers, bit for bit, and
+// one public call counts one query in EngineStats().Queries and one search
+// per shard in Health().Searches. An unknown kind is an error.
+func TestServeAnswersAndCountsLikeTheDirectMethods(t *testing.T) {
+	coll := Generate(Synthetic, 900, 64, 31)
+	queries := GeneratePerturbedQueries(coll, 3, 0.05, 32)
+	extra := Generate(Synthetic, 120, 64, 33)
+	plain, err := NewMESSI(coll, WithMergeThreshold(64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	indexes := map[string]publicIndex{"messi": plain}
+	shards := map[string]uint64{"messi": 1}
+	searches := map[string]func() uint64{"messi": func() uint64 { return plain.Health().Searches }}
+	for _, n := range []int{1, 4} {
+		s, err := NewSharded(coll, WithShards(n), WithMergeThreshold(64))
+		if err != nil {
+			t.Fatal(err)
+		}
+		name := fmt.Sprintf("sharded-%d", n)
+		indexes[name], shards[name] = s, uint64(n)
+		searches[name] = func() uint64 { return s.Health().Searches }
+	}
+	for name, ix := range indexes {
+		defer ix.Close()
+		// Merged and unmerged appends, so the window's lower cut and the
+		// delta scan both take part; too few unmerged ones to start a
+		// merge, which would move an approximate answer between calls.
+		var batch []Series
+		for i := 0; i < extra.Len(); i++ {
+			batch = append(batch, extra.At(i))
+		}
+		if _, err := ix.AppendBatch(batch[:100]); err != nil {
+			t.Fatal(err)
+		}
+		ix.Flush()
+		if _, err := ix.AppendBatch(batch[100:]); err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		in := make(chan QueryRequest)
+		out := ix.Serve(ctx, in)
+		serve := func(req QueryRequest) QueryResponse {
+			in <- req
+			return <-out
+		}
+		for _, tenant := range []string{"", "t"} {
+			for kind := QueryNN; kind <= QueryWindowNN; kind++ {
+				for i := 0; i < queries.Len(); i++ {
+					req := QueryRequest{ID: int64(i), Query: queries.At(i), Kind: kind, K: 4, Window: 3, LastN: 300, Tenant: tenant}
+					q0, s0 := ix.EngineStats().Queries, searches[name]()
+					want, err := direct(ix, req)
+					if err != nil {
+						t.Fatalf("%s kind %d tenant %q: %v", name, kind, tenant, err)
+					}
+					if dq, ds := ix.EngineStats().Queries-q0, searches[name]()-s0; dq != 1 || ds != shards[name] {
+						t.Errorf("%s kind %d tenant %q: one call counted %d queries and %d searches, want 1 and %d",
+							name, kind, tenant, dq, ds, shards[name])
+					}
+					got := serve(req)
+					if got.Err != nil || !reflect.DeepEqual(got.Matches, want) {
+						t.Errorf("%s kind %d tenant %q query %d: Serve %+v (%v), direct %+v",
+							name, kind, tenant, i, got.Matches, got.Err, want)
+					}
+				}
+			}
+		}
+		if resp := serve(QueryRequest{ID: 9, Query: queries.At(0), Kind: QueryWindowNN + 1}); resp.Err == nil || resp.Matches != nil {
+			t.Errorf("%s: unknown QueryKind answered %+v (%v)", name, resp.Matches, resp.Err)
+		}
+	}
+}
+
+// TestExportedMethodSetsUnchanged pins the public method sets of MESSI and
+// Sharded, most of which are promoted from the surface they share: the
+// names and signatures below are the ones the types exported before that
+// surface was written once, and a value (non-pointer) exports none.
+func TestExportedMethodSetsUnchanged(t *testing.T) {
+	shared := []string{
+		"Append(series.Series) (int, error)",
+		"AppendBatch([]series.Series) (int, error)",
+		"AppendWithTTL(series.Series, int64) (int, error)",
+		"BatchSearch([]series.Series) ([]dsidx.Match, error)",
+		"BatchSearchStats([]series.Series) ([]dsidx.Match, []dsidx.SearchStats, error)",
+		"Close() ()",
+		"Compact() ()",
+		"Delete(int) (bool, error)",
+		"DeleteRange(int, int) (int, error)",
+		"EngineStats() (dsidx.EngineStats)",
+		"ExpireBefore(int64) (int)",
+		"Flush() ()",
+		"IngestStats() (dsidx.IngestStats)",
+		"Len() (int)",
+		"Live() (int)",
+		"Metrics() (dsidx.Metrics)",
+		"Save(string) (error)",
+		"Search(series.Series) (dsidx.Match, error)",
+		"SearchApproximate(series.Series) (dsidx.Match, error)",
+		"SearchApproximateTenant(series.Series, string) (dsidx.Match, error)",
+		"SearchDTW(series.Series, int) (dsidx.Match, error)",
+		"SearchDTWTenant(series.Series, int, string) (dsidx.Match, error)",
+		"SearchKNN(series.Series, int) ([]dsidx.Match, error)",
+		"SearchKNNTenant(series.Series, int, string) ([]dsidx.Match, error)",
+		"SearchTenant(series.Series, string) (dsidx.Match, error)",
+		"SearchWindow(series.Series, int) (dsidx.Match, error)",
+		"SearchWindowTenant(series.Series, int, string) (dsidx.Match, error)",
+		"SearchWithWorkers(series.Series, int) (dsidx.Match, error)",
+		"Serve(context.Context, <-chan dsidx.QueryRequest) (<-chan dsidx.QueryResponse)",
+		"SetTTL(int, int64) (error)",
+		"Stats() (dsidx.IndexStats)",
+		"TenantStats() ([]dsidx.TenantStats)",
+		"Tombstoned() (int)",
+	}
+	want := map[reflect.Type][]string{
+		reflect.TypeOf(&MESSI{}):   append(slices.Clone(shared), "Health() (dsidx.Health)"),
+		reflect.TypeOf(&Sharded{}): append(slices.Clone(shared), "Health() (dsidx.ShardedHealth)", "Shards() (int)"),
+		reflect.TypeOf(MESSI{}):    nil,
+		reflect.TypeOf(Sharded{}):  nil,
+	}
+	for typ, methods := range want {
+		var got []string
+		for i := 0; i < typ.NumMethod(); i++ {
+			m := typ.Method(i)
+			var ins, outs []string
+			for j := 1; j < m.Type.NumIn(); j++ {
+				ins = append(ins, m.Type.In(j).String())
+			}
+			for j := 0; j < m.Type.NumOut(); j++ {
+				outs = append(outs, m.Type.Out(j).String())
+			}
+			got = append(got, fmt.Sprintf("%s(%s) (%s)", m.Name, strings.Join(ins, ", "), strings.Join(outs, ", ")))
+		}
+		slices.Sort(methods)
+		if !slices.Equal(got, methods) {
+			t.Errorf("%v exports\n\t%s\nwant\n\t%s", typ, strings.Join(got, "\n\t"), strings.Join(methods, "\n\t"))
+		}
 	}
 }
