@@ -63,17 +63,16 @@ func benchFigure(b *testing.B, id string) {
 
 // One benchmark per figure of the paper's evaluation (§IV).
 
-func BenchmarkFig4IndexCreationParIS(b *testing.B)  { benchFigure(b, "fig4") }
-func BenchmarkFig5IndexCreationMESSI(b *testing.B)  { benchFigure(b, "fig5") }
-func BenchmarkFig6CreationByDataset(b *testing.B)   { benchFigure(b, "fig6") }
-func BenchmarkFig7InMemoryCreation(b *testing.B)    { benchFigure(b, "fig7") }
-func BenchmarkFig8ParISPlusQueryDisk(b *testing.B)  { benchFigure(b, "fig8") }
-func BenchmarkFig9MESSIQueryScaling(b *testing.B)   { benchFigure(b, "fig9") }
-func BenchmarkFig10QueryHDD(b *testing.B)           { benchFigure(b, "fig10") }
-func BenchmarkFig11QuerySSD(b *testing.B)           { benchFigure(b, "fig11") }
-func BenchmarkFig12QueryInMemory(b *testing.B)      { benchFigure(b, "fig12") }
-func BenchmarkAblationBufferPartition(b *testing.B) { benchFigure(b, "ablation-buffers") }
-func BenchmarkAblationLeafCapacity(b *testing.B)    { benchFigure(b, "ablation-leafcap") }
+func BenchmarkFig4IndexCreationParIS(b *testing.B) { benchFigure(b, "fig4") }
+func BenchmarkFig5IndexCreationMESSI(b *testing.B) { benchFigure(b, "fig5") }
+func BenchmarkFig6CreationByDataset(b *testing.B)  { benchFigure(b, "fig6") }
+func BenchmarkFig7InMemoryCreation(b *testing.B)   { benchFigure(b, "fig7") }
+func BenchmarkFig8ParISPlusQueryDisk(b *testing.B) { benchFigure(b, "fig8") }
+func BenchmarkFig9MESSIQueryScaling(b *testing.B)  { benchFigure(b, "fig9") }
+func BenchmarkFig10QueryHDD(b *testing.B)          { benchFigure(b, "fig10") }
+func BenchmarkFig11QuerySSD(b *testing.B)          { benchFigure(b, "fig11") }
+func BenchmarkFig12QueryInMemory(b *testing.B)     { benchFigure(b, "fig12") }
+func BenchmarkAblationLeafCapacity(b *testing.B)   { benchFigure(b, "ablation-leafcap") }
 
 // Kernel ablation (vectorized vs scalar distances) as native Go benches.
 

@@ -263,12 +263,12 @@ func main() {
 }
 
 // metricsSelfCheck is the end-to-end observability check: public-API
-// index, real traffic, a scrape through dsidx.MetricsHandler, and format
-// plus required-family validation of what came back.
+// index, real traffic (appends, a Flush that merges them, queries), a
+// scrape through dsidx.MetricsHandler, and format plus required-family
+// validation of what came back.
 func metricsSelfCheck(n int) error {
 	coll := dsidx.Generate(dsidx.Synthetic, n, 64, 2020)
-	idx, err := dsidx.NewSharded(coll,
-		dsidx.WithShards(2), dsidx.WithAutoTune(true), dsidx.WithMergeThreshold(256))
+	idx, err := dsidx.NewSharded(coll, dsidx.WithShards(2), dsidx.WithMergeThreshold(256))
 	if err != nil {
 		return err
 	}
@@ -280,6 +280,7 @@ func metricsSelfCheck(n int) error {
 			return err
 		}
 	}
+	idx.Flush()
 	qcoll := dsidx.GenerateQueries(dsidx.Synthetic, 4, 64, 2020)
 	qs := make([]dsidx.Series, qcoll.Len())
 	for i := range qs {
@@ -303,7 +304,6 @@ func metricsSelfCheck(n int) error {
 		"dsidx_engine_workers", "dsidx_engine_queries_total", "dsidx_engine_tasks_total",
 		"dsidx_ingest_appended_total", "dsidx_ingest_pending", "dsidx_ingest_merges_total",
 		"dsidx_index_queries_total", "dsidx_index_query_seconds",
-		"dsidx_tuning_autotune", "dsidx_tuning_probe_leaves",
 		"dsidx_shards", "dsidx_shard_base_series", "dsidx_shard_appends_total",
 		"dsidx_cold_shards", "dsidx_cold_cache_hits_total", "dsidx_cold_device_reads_total",
 		"dsidx_vector_simd",
@@ -317,7 +317,25 @@ func metricsSelfCheck(n int) error {
 	if len(missing) > 0 {
 		return fmt.Errorf("exposition lacks required families: %s", strings.Join(missing, ", "))
 	}
+	if merges := sumSamples(text, "dsidx_ingest_merges_total"); merges <= 0 {
+		return fmt.Errorf("dsidx_ingest_merges_total sums to %g after Flush, want > 0", merges)
+	}
 	fmt.Print(text)
 	fmt.Fprintf(os.Stderr, "dsbench: metrics OK: %d families, %d required present\n", len(fams), len(required))
 	return nil
+}
+
+// sumSamples adds up the values of every sample of family name in a
+// Prometheus text exposition (one per shard for a per-shard family).
+func sumSamples(text, name string) float64 {
+	var sum float64
+	for _, line := range strings.Split(text, "\n") {
+		if !strings.HasPrefix(line, name+"{") && !strings.HasPrefix(line, name+" ") {
+			continue
+		}
+		if v, err := strconv.ParseFloat(line[strings.LastIndexByte(line, ' ')+1:], 64); err == nil {
+			sum += v
+		}
+	}
+	return sum
 }

@@ -209,9 +209,6 @@ type options struct {
 	batchSeries    int
 	maxInFlight    int
 	mergeThreshold int
-	probeLeaves    int
-	leafRawOff     bool
-	autoTune       bool
 	shards         int
 	shardPolicy    ShardPolicy
 	shardPolicySet bool
@@ -254,33 +251,6 @@ func WithMaxInFlight(n int) Option { return func(o *options) { o.maxInFlight = n
 // per-query delta-scan cost.
 func WithMergeThreshold(n int) Option { return func(o *options) { o.mergeThreshold = n } }
 
-// WithProbeLeaves sets how many index leaves a MESSI exact search probes to
-// seed its best-so-far distance before pruning the tree (default 2; 1
-// restores the paper's classic single-leaf approximate seed). Each probe
-// costs a few candidate distances up front and buys a tighter initial
-// bound, so more of the index is pruned without ever being touched.
-func WithProbeLeaves(p int) Option { return func(o *options) { o.probeLeaves = p } }
-
-// WithAutoTune enables the self-tuning feedback loop (default off): the
-// index watches its own query/append mix and adjusts the live probe-leaf
-// count and merge threshold around the configured values — more probes and
-// eager merges under query-heavy traffic, fewer probes and batched merges
-// under append-heavy traffic. Tuning never changes answers: ProbeLeaves
-// only seeds the best-so-far bound of an exact search, and MergeThreshold
-// only decides when pending appends (already searched exactly) move into
-// the tree. Inspect the live values with Metrics().Tuning.
-func WithAutoTune(enabled bool) Option { return func(o *options) { o.autoTune = enabled } }
-
-// WithLeafMaterialization toggles MESSI's leaf-ordered raw storage
-// (default enabled): every index leaf keeps a contiguous copy of its
-// series' values, so query refinement streams sequential memory instead of
-// chasing candidate positions through the collection. The copy doubles raw
-// memory; disable it to trade that memory back for slower (random-access)
-// refinement on very large collections.
-func WithLeafMaterialization(enabled bool) Option {
-	return func(o *options) { o.leafRawOff = !enabled }
-}
-
 func buildOptions(opts []Option) options {
 	var o options
 	for _, fn := range opts {
@@ -296,9 +266,6 @@ func (o options) messiOptions() messi.Options {
 		Workers:        o.workers,
 		MaxInFlight:    o.maxInFlight,
 		MergeThreshold: o.mergeThreshold,
-		ProbeLeaves:    o.probeLeaves,
-		DisableLeafRaw: o.leafRawOff,
-		AutoTune:       o.autoTune,
 	}
 }
 

@@ -38,7 +38,6 @@ type queryBackend interface {
 	IngestStats() messi.IngestStats
 	EngineStats() engine.Stats
 	TenantStats() []engine.TenantStat
-	Tuning() messi.Tuning
 	Registry() *metrics.Registry
 }
 
@@ -74,8 +73,8 @@ func (x *index) SearchDTW(q Series, window int) (Match, error) {
 }
 
 // SearchApproximate returns the iSAX approximate answer, in microseconds:
-// the best series among the WithProbeLeaves leaves matching the query's
-// summary (on every shard) and the unmerged appends. Its distance is an
+// the best series among the two leaves that best match the query's summary
+// (on every shard) and the unmerged appends. Its distance is an
 // upper bound on the exact answer's distance.
 func (x *index) SearchApproximate(q Series) (Match, error) {
 	return x.one(QueryRequest{Query: q, Kind: QueryApprox}, 0)
@@ -225,7 +224,7 @@ func (x *index) Close() { x.b.Close() }
 
 // IngestStats snapshots the write path's counters, summed over shards on a
 // Sharded index (MergeThreshold is then the per-shard threshold).
-func (x *index) IngestStats() IngestStats { return ingestStatsOf(x.b.IngestStats()) }
+func (x *index) IngestStats() IngestStats { return IngestStats(x.b.IngestStats()) }
 
 // EngineStats snapshots the worker pool's counters — on a Sharded index the
 // one pool all shards share, so already the aggregate view. Sample it

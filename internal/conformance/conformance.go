@@ -66,11 +66,6 @@ type Config struct {
 	// MergeThreshold is the per-shard delta size triggering background
 	// merges (default 192 — small, so merges interleave with the ops).
 	MergeThreshold int
-	// ForceAutoTune turns the self-tuning feedback loop on for every
-	// instance. When false, each instance still tosses AutoTune at random
-	// — tuning only moves performance knobs, so answers must stay
-	// bit-identical with it on, off, or mixed across instances.
-	ForceAutoTune bool
 	// Faults switches the harness into fault-injection mode: the sharded
 	// instance's cold tier sits on a storage.FaultStore, and a new op
 	// randomly installs transient/permanent fault plans, heals the device
@@ -247,13 +242,11 @@ func Run(t testing.TB, cfg Config) {
 func (h *harness) build(base *series.Collection) {
 	cfg := core.Config{LeafCapacity: 32}
 	opt := messi.Options{MergeThreshold: h.cfg.MergeThreshold}
-	h.tossAutoTune(&opt)
 	plain, err := messi.Build(base, cfg, opt)
 	if err != nil {
 		h.t.Fatal(err)
 	}
 	sopt := shard.Options{Shards: h.cfg.Shards, Policy: h.cfg.Policy, Options: opt}
-	h.tossAutoTune(&sopt.Options)
 	// Toss the base placement: zero-copy views (the default), materialized
 	// flat copies, or the out-of-core cold tier. Answers must be
 	// bit-identical whichever way the base is stored, so the whole op
@@ -264,16 +257,6 @@ func (h *harness) build(base *series.Collection) {
 		h.t.Fatal(err)
 	}
 	h.base, h.plain, h.shrd = base, plain, shrd
-}
-
-// tossAutoTune decides each instance's AutoTune setting: forced on by the
-// config, or tossed per instance so runs differentially verify tuned
-// against untuned copies over the same op stream. AutoTune only moves the
-// live probe-leaf count and merge threshold — performance knobs an exact
-// search answers identically under — so a divergence here means tuning
-// broke the exactness contract.
-func (h *harness) tossAutoTune(opt *messi.Options) {
-	opt.AutoTune = h.cfg.ForceAutoTune || h.rng.Intn(2) == 1
 }
 
 // tossPlacement randomly picks how the sharded instance stores its base
@@ -531,7 +514,6 @@ func (h *harness) opSaveLoad() {
 	// is out of scope (and a fresh decode re-stages the cold tier anyway).
 	h.opHeal()
 	opt := messi.Options{MergeThreshold: h.cfg.MergeThreshold}
-	h.tossAutoTune(&opt)
 	enc := h.plain.Encode()
 	plain2, err := messi.Decode(enc, h.base, opt)
 	if err != nil {
@@ -542,7 +524,6 @@ func (h *harness) opSaveLoad() {
 	// tier) independently of the saved instance's choice: persistence is
 	// backing-agnostic, so any combination must keep answering identically.
 	sopt := shard.Options{Options: opt}
-	h.tossAutoTune(&sopt.Options)
 	h.tossPlacement(&sopt, h.base)
 	shrd2, err := shard.Decode(senc, h.base, sopt)
 	if err != nil {

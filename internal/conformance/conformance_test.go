@@ -37,19 +37,6 @@ func TestConformanceRandomized(t *testing.T) {
 	}
 }
 
-// TestConformanceAutoTune forces the self-tuning feedback loop on for
-// every instance (the random toss in other runs can leave it off) with a
-// merge threshold low enough that the tuner's window actually fires:
-// answers must remain bit-identical to the serial oracle while the knobs
-// move.
-func TestConformanceAutoTune(t *testing.T) {
-	ops := opsDefault()
-	if !testing.Short() && *opsFlag == 0 {
-		ops = 4000
-	}
-	Run(t, Config{Seed: 4242, Ops: ops, Shards: 2, MergeThreshold: 96, ForceAutoTune: true})
-}
-
 // TestConformanceHashPolicy re-runs a configuration under content-hash
 // routing, where shard sizes are uneven and build-time neighbors scatter.
 func TestConformanceHashPolicy(t *testing.T) {

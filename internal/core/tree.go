@@ -220,13 +220,6 @@ func (t *Tree) BestLeafApprox(querySAX []uint8, queryPAA []float64) *Node {
 // full root scan beyond the one BestLeafApprox already performs for an
 // empty matching root. Returns nil for an empty tree.
 func (t *Tree) BestLeavesApprox(querySAX []uint8, queryPAA []float64, p int) []*Node {
-	if p <= 1 {
-		// The classic single-leaf seed: no sibling bounds to compute.
-		if leaf := t.BestLeafApprox(querySAX, queryPAA); leaf != nil {
-			return []*Node{leaf}
-		}
-		return nil
-	}
 	start := t.roots[t.RootKey(querySAX)]
 	if start == nil {
 		// Same fallback as BestLeafApprox: the best occupied root child.

@@ -13,42 +13,6 @@ import (
 	"dsidx/internal/vector"
 )
 
-// AblationBufferPartitioning compares MESSI's per-worker buffer parts
-// against the lock-protected shared buffers the paper's footnote 2 rejects.
-func AblationBufferPartitioning(cfg Config) (*Table, error) {
-	cfg = cfg.Normalize()
-	w := newWorkload(cfg, gen.Synthetic)
-	t := &Table{
-		ID:      "ablation-buffers",
-		Title:   "MESSI stage-1 buffer design (Synthetic)",
-		Unit:    "seconds",
-		Columns: []string{"Summarize", "Total"},
-	}
-	cores := cfg.MaxCores
-	for _, shared := range []bool{false, true} {
-		label := "per-worker parts"
-		if shared {
-			label = "locked shared buffers"
-		}
-		// Median of 3 builds: contention effects are noisy.
-		var sums, totals []float64
-		for rep := 0; rep < 3; rep++ {
-			ix, err := messi.Build(w.coll, core.Config{LeafCapacity: leafCapacity},
-				messi.Options{Workers: cores, SharedBuffers: shared})
-			if err != nil {
-				return nil, fmt.Errorf("ablation-buffers shared=%v: %w", shared, err)
-			}
-			ix.Close()
-			bs := ix.BuildStats()
-			sums = append(sums, seconds(bs.Summarize))
-			totals = append(totals, seconds(bs.Total))
-		}
-		t.AddRow(label, sortedCopy(sums)[1], sortedCopy(totals)[1])
-	}
-	t.Note("paper footnote 2: the locked design 'resulted in worse performance due to contention'")
-	return t, nil
-}
-
 // AblationVectorKernels measures the distance-kernel implementation
 // ladder: the dispatched production kernel (AVX2 assembly where the CPU
 // has it), the forced scalar oracle, and the 8-way unrolled "SIMD-style"

@@ -129,7 +129,7 @@ func RunQueryBench(cfg Config) (*QueryBenchResult, error) {
 
 	res := &QueryBenchResult{
 		BenchHeader:            header("dsidx-bench-query/v1", cfg, w),
-		ProbeLeaves:            ix.ProbeLeaves(),
+		ProbeLeaves:            messi.ProbeLeaves,
 		QPSByInflight:          make(map[string]float64, len(cfg.InFlightAxis)),
 		RawDistancesPerQuery:   float64(raw) / float64(len(qs)),
 		EntriesCheckedPerQuery: float64(entries) / float64(len(qs)),

@@ -101,39 +101,6 @@ func TestConcurrentMixedSearches(t *testing.T) {
 	wg.Wait()
 }
 
-func TestSharedBuffersBuildEquivalence(t *testing.T) {
-	// The footnote-2 ablation variant must index the identical entry set.
-	coll, queries := dataset(t, gen.SALD, 800)
-	def, err := Build(coll, core.Config{LeafCapacity: 32}, Options{Workers: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	shared, err := Build(coll, core.Config{LeafCapacity: 32}, Options{Workers: 8, SharedBuffers: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if def.Tree().Count() != shared.Tree().Count() {
-		t.Fatalf("counts differ: %d vs %d", def.Tree().Count(), shared.Tree().Count())
-	}
-	if err := shared.Tree().CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	for qi := 0; qi < queries.Len(); qi++ {
-		q := queries.At(qi)
-		a, _, err := def.Search(q, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, _, err := shared.Search(q, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(a.Dist-b.Dist) > 1e-9 {
-			t.Fatalf("query %d: %v != %v", qi, a.Dist, b.Dist)
-		}
-	}
-}
-
 // TestScopeSeededRunsOnceAfterTheApproximatePhase: every exact kind calls
 // the scope's Seeded hook exactly once, after the probed leaves have fed the
 // shared answer (the threshold is already finite); an Approx query, whose

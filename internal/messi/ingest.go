@@ -61,7 +61,6 @@ func (ix *Index) Append(s series.Series) (int, error) {
 	ix.saxLog.Append(ix.ingestBf)
 	ix.appended.Add(1) // publish: values and summary precede the count
 	ix.ingestMu.Unlock()
-	ix.maybeTune()
 	ix.maybeScheduleMerge()
 	return pos, nil
 }
@@ -85,7 +84,6 @@ func (ix *Index) AppendBatch(ss []series.Series) (int, error) {
 	}
 	ix.appended.Add(int64(len(ss)))
 	ix.ingestMu.Unlock()
-	ix.maybeTune()
 	ix.maybeScheduleMerge()
 	return start, nil
 }
@@ -114,17 +112,14 @@ type IngestStats struct {
 	Pending int
 	// Merged is the number of appended series the tree covers.
 	Merged int
-	// Merges counts completed merge cycles; MergeAborts counts merge
-	// cycles abandoned because a merge task panicked (the panic is
-	// contained and the previous snapshot keeps serving — a half-built
-	// tree is never installed).
-	Merges      uint64
-	MergeAborts uint64
+	// Merges counts completed merge cycles (Health.MergeAborts counts the
+	// abandoned ones).
+	Merges uint64
 	// SnapshotSwaps counts atomically installed tree snapshots — merge
 	// cycles that published a new tree.
 	SnapshotSwaps uint64
-	// MergeThreshold is the delta size that triggers a background merge —
-	// the live value, which AutoTune may have moved off the configured one.
+	// MergeThreshold is the delta size that triggers a background merge
+	// (Options.MergeThreshold after defaulting).
 	MergeThreshold int
 	// Live and Tombstoned split the served position space: Live series a
 	// full search ranges over, Tombstoned positions deleted or TTL-expired
@@ -151,9 +146,8 @@ func (ix *Index) IngestStats() IngestStats {
 		Pending:        int(a) - snap.mergedA,
 		Merged:         snap.mergedA,
 		Merges:         ix.merges.Load(),
-		MergeAborts:    ix.mergeAborts.Load(),
 		SnapshotSwaps:  ix.snapSwaps.Load(),
-		MergeThreshold: ix.mergeThresholdNow(),
+		MergeThreshold: ix.opt.MergeThreshold,
 		Live:           ix.baseLen + int(a) - tombstoned,
 		Tombstoned:     tombstoned,
 	}
@@ -164,7 +158,7 @@ func (ix *Index) IngestStats() IngestStats {
 // scheduled (the engine refuses background work during shutdown); the delta
 // keeps absorbing appends and Flush remains available.
 func (ix *Index) maybeScheduleMerge() {
-	if ix.Pending() < ix.mergeThresholdNow() {
+	if ix.Pending() < ix.opt.MergeThreshold {
 		return
 	}
 	if !ix.merging.CompareAndSwap(false, true) {
@@ -185,7 +179,7 @@ func (ix *Index) maybeScheduleMerge() {
 // searchable and mergeable via Flush.
 func (ix *Index) backgroundMerge() {
 	for {
-		for ix.Pending() >= ix.mergeThresholdNow() && !ix.eng.Closing() {
+		for ix.Pending() >= ix.opt.MergeThreshold && !ix.eng.Closing() {
 			if !ix.mergeOnce() {
 				// A merge task panicked; the cycle was aborted without
 				// installing anything. Give up this job instead of
@@ -196,7 +190,7 @@ func (ix *Index) backgroundMerge() {
 			}
 		}
 		ix.merging.Store(false)
-		if ix.eng.Closing() || ix.Pending() < ix.mergeThresholdNow() ||
+		if ix.eng.Closing() || ix.Pending() < ix.opt.MergeThreshold ||
 			!ix.merging.CompareAndSwap(false, true) {
 			return
 		}
@@ -207,7 +201,7 @@ func (ix *Index) backgroundMerge() {
 // synchronously. Concurrent appends may leave new pending series behind;
 // concurrent background merges are coordinated with, not duplicated. A
 // merge cycle aborted by a contained task panic stops the Flush early —
-// the pending delta stays exactly searchable, and IngestStats.MergeAborts
+// the pending delta stays exactly searchable, and Health.MergeAborts
 // records the failure.
 func (ix *Index) Flush() {
 	target := int(ix.appended.Load())

@@ -10,8 +10,8 @@
 // claim whole buffers with Fetch&Inc and build the corresponding subtrees
 // independently (footnote 3).
 //
-// Query answering: a multi-probe approximate search (the Options.ProbeLeaves
-// best leaves under the query's summary) seeds the shared BSF. The exact
+// Query answering: a multi-probe approximate search (the ProbeLeaves best
+// leaves under the query's summary) seeds the shared BSF. The exact
 // phase then reads the snapshot's leaf directory — every leaf of the tree
 // with its word resolved to lookup-table cells — not the pointer tree:
 // workers claim blocks of it, bound each block's leaves in one batched pass
@@ -67,12 +67,6 @@ type Options struct {
 	// blocks assigned with Fetch&Inc give the load balancing the paper
 	// describes.
 	BlockSeries int
-	// SharedBuffers selects the alternative stage-1 design the paper's
-	// footnote 2 reports trying and rejecting: one lock-protected buffer
-	// per root subtree shared by all workers, instead of per-worker buffer
-	// parts. Kept for the ablation experiment; expect worse performance
-	// under contention.
-	SharedBuffers bool
 	// MaxInFlight bounds the number of queries admitted simultaneously by
 	// BatchSearch and the serving layer (0 means 2×Workers). Directly
 	// invoked Search calls are not admission-controlled.
@@ -82,27 +76,14 @@ type Options struct {
 	// stay exact at any threshold — the delta is exact-scanned — so this
 	// knob only trades merge frequency against per-query delta-scan cost.
 	MergeThreshold int
-	// ProbeLeaves is the number of leaves the approximate phase probes to
-	// seed the best-so-far before exact search (0 means 2; 1 restores the
-	// paper's single-leaf seed). More probes cost a few extra candidate
-	// distances up front but tighten the BSF, so tree pruning discards
-	// more of the index — the net raw-distance count must not grow, which
-	// the pruning regression test enforces for the default.
-	ProbeLeaves int
-	// AutoTune lets the index adjust the live ProbeLeaves and
-	// MergeThreshold values from the observed query/append mix (tune.go).
-	// Tuning never changes answers: ProbeLeaves only affects how the
-	// best-so-far is seeded before the exact phase, and MergeThreshold
-	// only decides when the delta folds into the tree — both paths are
-	// answer-invariant by construction, and the conformance harness
-	// randomly enables tuning to enforce it.
-	AutoTune bool
 	// DisableLeafRaw turns off leaf-ordered raw storage. By default every
 	// leaf keeps a contiguous copy of its series' values (filled at build,
 	// carried through splits and live merges), so leaf refinement streams
 	// sequential memory instead of chasing positions through the
 	// collection — at the cost of one extra copy of the raw data.
-	// Disabling trades that memory back for per-entry random reads.
+	// Disabling trades that memory back for per-entry random reads; the
+	// sharding layer sets it for cold shards, whose values stay on the
+	// device.
 	DisableLeafRaw bool
 	// Engine attaches the index to an existing shared worker pool instead
 	// of creating its own — how a sharding layer runs every shard's tasks
@@ -123,11 +104,16 @@ func (o Options) normalize() Options {
 	if o.MergeThreshold <= 0 {
 		o.MergeThreshold = 4096
 	}
-	if o.ProbeLeaves <= 0 {
-		o.ProbeLeaves = 2
-	}
 	return o
 }
+
+// ProbeLeaves is the number of leaves the approximate phase probes to seed
+// the best-so-far before exact search (the paper probes one). It is a
+// constant because it barely matters: over 1, 2 and 4 probes on identical
+// queries, raw distances moved by under 1% and bounds checked by under
+// 2.5% in every query kind (EXPERIMENTS.md, "Knobs on trial").
+// counterCeilings in the tests holds the totals at this value.
+const ProbeLeaves = 2
 
 // BuildStats splits creation time into the two phases of Figure 5.
 type BuildStats struct {
@@ -220,23 +206,12 @@ type Index struct {
 	// searches counts queries that reached their search phase on this
 	// index — every Run past validation and an empty cut (for a sharded
 	// index: this shard's sub-searches); queryDur is their latency
-	// histogram. Both feed the metrics registry and the tuner.
+	// histogram. Both feed the metrics registry.
 	// searchFails counts searches that returned a contained-fault error
 	// instead of an answer.
 	searches    atomic.Uint64
 	searchFails atomic.Uint64
 	queryDur    *metrics.Histogram
-
-	// Live tuning state (tune.go): the knob values queries and merges
-	// actually read. They start at the configured options and move only
-	// when Options.AutoTune is set.
-	probeLive   atomic.Int32
-	mergeLive   atomic.Int32
-	tuneOps     atomic.Uint64 // queries+appends since creation, drives the retune cadence
-	tuneAdjusts atomic.Uint64
-	tuneMu      sync.Mutex // serializes retunes; guards lastQ/lastA
-	lastQ       uint64
-	lastA       uint64
 
 	eng     *engine.Engine
 	engRef  *engineRef
@@ -272,8 +247,6 @@ func (ix *Index) initLive(tree *core.Tree, baseSAX *core.SAXArray, mergedA int) 
 	ix.ingestBf = make([]uint8, ix.cfg.Segments)
 	ix.readBatch = series.ResolveBatchReader(ix.raw)
 	ix.publish(tree, mergedA)
-	ix.probeLive.Store(int32(ix.opt.ProbeLeaves))
-	ix.mergeLive.Store(int32(ix.opt.MergeThreshold))
 	ix.queryDur = metrics.NewHistogram(metrics.Opts{
 		Name: "dsidx_index_query_seconds",
 		Help: "Search latency per index (sub-searches for a sharded index).",
@@ -326,12 +299,6 @@ func (ix *Index) TenantStats() []engine.TenantStat { return ix.eng.TenantStats()
 
 // MaxInFlight returns the admission bound on concurrently admitted queries.
 func (ix *Index) MaxInFlight() int { return ix.eng.MaxInFlight() }
-
-// ProbeLeaves returns the live approximate-phase probe count — the
-// configured value unless AutoTune has moved it (the per-query
-// QueryStats.ProbeLeaves may be lower when a query's root subtree holds
-// fewer leaves).
-func (ix *Index) ProbeLeaves() int { return ix.probeLeavesNow() }
 
 // Searches returns the number of queries this index has searched (see
 // Health.Searches) — for a sharded index, this shard's sub-search count.
@@ -396,16 +363,11 @@ func Build(coll series.Reader, cfg core.Config, opt Options) (*Index, error) {
 
 	start := time.Now()
 
-	// Stage 1: summarization. The default design gives every worker its own
-	// partition of each iSAX buffer (no synchronization); the SharedBuffers
-	// ablation instead funnels all workers through one locked buffer per
-	// root subtree (the design footnote 2 rejects).
+	// Stage 1: summarization. Every worker has its own partition of each
+	// iSAX buffer, so appends need no synchronization (footnote 2: one
+	// locked buffer per root subtree lost to contention).
 	blocks := xsync.Blocks(n, opt.BlockSeries)
 	parts := make([]map[uint32][]int32, opt.Workers) // parts[w][key] = positions
-	var shared []lockedBuffer
-	if opt.SharedBuffers {
-		shared = make([]lockedBuffer, cfg.RootFanout())
-	}
 	var blockCursor xsync.Counter
 	var wg sync.WaitGroup
 	for w := 0; w < opt.Workers; w++ {
@@ -424,11 +386,7 @@ func Build(coll series.Reader, cfg core.Config, opt Options) (*Index, error) {
 					dst := sax.At(i)
 					sm.Summarize(coll.At(i), dst)
 					key := tree.RootKey(dst)
-					if opt.SharedBuffers {
-						shared[key].append(int32(i))
-					} else {
-						mine[key] = append(mine[key], int32(i))
-					}
+					mine[key] = append(mine[key], int32(i))
 				}
 			}
 			parts[w] = mine
@@ -441,17 +399,6 @@ func Build(coll series.Reader, cfg core.Config, opt Options) (*Index, error) {
 	// the whole subtree from every worker's part — distinct subtrees, no
 	// synchronization.
 	t0 := time.Now()
-	if opt.SharedBuffers {
-		// Re-shape the shared buffers into the single-part layout so stage
-		// 2 is identical for both designs.
-		single := make(map[uint32][]int32, 1024)
-		for key := range shared {
-			if len(shared[key].pos) > 0 {
-				single[uint32(key)] = shared[key].pos
-			}
-		}
-		parts = []map[uint32][]int32{single}
-	}
 	keys := make([]uint32, 0, 1024)
 	seen := make([]bool, cfg.RootFanout())
 	for _, part := range parts {
@@ -501,19 +448,6 @@ func Build(coll series.Reader, cfg core.Config, opt Options) (*Index, error) {
 	ix.build.Total = time.Since(start)
 	ix.initLive(tree, sax, 0)
 	return ix, nil
-}
-
-// lockedBuffer is the footnote-2 alternative: one mutex-protected position
-// buffer per root subtree, contended by every worker.
-type lockedBuffer struct {
-	mu  sync.Mutex
-	pos []int32
-}
-
-func (b *lockedBuffer) append(p int32) {
-	b.mu.Lock()
-	b.pos = append(b.pos, p)
-	b.mu.Unlock()
 }
 
 // Count returns the number of series the index answers over: the base

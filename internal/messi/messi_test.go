@@ -226,9 +226,6 @@ func TestIndexAdmissionProbeAndRaw(t *testing.T) {
 	if ix.Raw() != series.Reader(coll) {
 		t.Fatal("Raw() does not return the collection the index was built over")
 	}
-	if got := ix.ProbeLeaves(); got < 1 {
-		t.Fatalf("ProbeLeaves() = %d", got)
-	}
 	if ix.MaxInFlight() <= 0 {
 		t.Fatalf("MaxInFlight() = %d", ix.MaxInFlight())
 	}

@@ -2,7 +2,7 @@ package messi
 
 import "dsidx/internal/metrics"
 
-// RegisterMetrics wires this index's ingest, query and tuning surfaces
+// RegisterMetrics wires this index's ingest and query surfaces
 // into r, with the given constant labels on every instrument (a
 // sharding layer passes shard="i"; a standalone index passes none). The
 // engine's families are registered separately — by the index's Registry
@@ -40,35 +40,18 @@ func (ix *Index) RegisterMetrics(r *metrics.Registry, labels ...metrics.Label) {
 		}, ing(func(s IngestStats) float64 { return float64(s.SnapshotSwaps) }))),
 		lbl(metrics.NewGaugeFunc(metrics.Opts{
 			Name: "dsidx_ingest_merge_threshold",
-			Help: "Live delta size that triggers a background merge.",
+			Help: "Delta size that triggers a background merge.",
 		}, ing(func(s IngestStats) float64 { return float64(s.MergeThreshold) }))),
 		lbl(metrics.NewCounterFunc(metrics.Opts{
 			Name: "dsidx_index_queries_total",
 			Help: "Searches served by this index (sub-searches for a sharded index).",
 		}, func() float64 { return float64(ix.searches.Load()) })),
 		lbl(ix.queryDur),
-		lbl(metrics.NewGaugeFunc(metrics.Opts{
-			Name: "dsidx_tuning_autotune",
-			Help: "Whether the AutoTune feedback loop is active (0/1).",
-		}, func() float64 {
-			if ix.opt.AutoTune {
-				return 1
-			}
-			return 0
-		})),
-		lbl(metrics.NewGaugeFunc(metrics.Opts{
-			Name: "dsidx_tuning_probe_leaves",
-			Help: "Live approximate-phase probe count.",
-		}, func() float64 { return float64(ix.probeLeavesNow()) })),
-		lbl(metrics.NewCounterFunc(metrics.Opts{
-			Name: "dsidx_tuning_adjustments_total",
-			Help: "Knob changes applied by AutoTune since creation.",
-		}, func() float64 { return float64(ix.tuneAdjusts.Load()) })),
 	)
 }
 
 // Registry returns the index's metrics registry — engine families plus
-// this index's ingest/query/tuning families — built on first call.
+// this index's ingest/query families — built on first call.
 func (ix *Index) Registry() *metrics.Registry {
 	ix.regOnce.Do(func() {
 		ix.reg = metrics.NewRegistry()

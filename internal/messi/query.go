@@ -251,16 +251,16 @@ func (ix *Index) scanDelta(r *refiner, lo, hi int, st *QueryStats, lb *lbScratch
 	}
 }
 
-// probeLeaves runs the approximate phase: the p best leaves under the
-// query's summary (see core.Tree.BestLeavesApprox) are refined exactly as
-// the exact phase refines, seeding the BSF with exact distances.
+// probeLeaves runs the approximate phase: the ProbeLeaves best leaves
+// under the query's summary (see core.Tree.BestLeavesApprox) are refined
+// exactly as the exact phase refines, seeding the BSF with exact distances.
 // Probing several neighboring leaves instead of one tightens the initial
 // BSF, which shrinks everything downstream: fewer leaves survive the bound
 // pass, fewer entries survive the lower-bound filter. seeded is the
 // scope's hook (see Scope.Seeded), called once the leaves are refined.
 func (ix *Index) probeLeaves(sc *searchScratch, t *core.Tree, stats *QueryStats, r *refiner, seeded func()) {
 	lb := ix.getLB()
-	sc.probed = append(sc.probed[:0], t.BestLeavesApprox(sc.qsax, sc.qpaa, ix.probeLeavesNow())...)
+	sc.probed = append(sc.probed[:0], t.BestLeavesApprox(sc.qsax, sc.qpaa, ProbeLeaves)...)
 	for _, leaf := range sc.probed {
 		stats.ProbeLeaves++
 		ix.refineLeaf(r, leaf, stats, lb)
@@ -354,8 +354,7 @@ func (ix *Index) failQuery(err error) error {
 // not to the Queries throughput counter: the sharding layer counts the
 // logical query exactly once. Every search flavor funnels through here,
 // so the returned end also feeds the index's own observability surface
-// (per-index search count and latency histogram) and gives the tuner
-// its per-query tick.
+// (per-index search count and latency histogram).
 func (ix *Index) beginQuery(sub bool, tenant string) (end func()) {
 	t0 := time.Now()
 	var endE func()
@@ -368,7 +367,6 @@ func (ix *Index) beginQuery(sub bool, tenant string) (end func()) {
 		endE()
 		ix.searches.Add(1)
 		ix.queryDur.Observe(time.Since(t0).Seconds())
-		ix.maybeTune()
 	}
 }
 
@@ -413,10 +411,10 @@ const (
 	// pass an LB_Keogh check, and survivors pay the full dynamic program.
 	DTW
 	// Approx is the approximate algorithm of the iSAX family, extended with
-	// multi-probing: the ProbeLeaves best-matching leaves (the single
-	// matching leaf at the classic p=1) and the unmerged delta, with no
-	// traversal of the rest of the tree. Its distance upper-bounds the exact
-	// answer over everything the query observed.
+	// multi-probing: the ProbeLeaves best-matching leaves (the classic
+	// algorithm reads the single matching leaf) and the unmerged delta,
+	// with no traversal of the rest of the tree. Its distance upper-bounds
+	// the exact answer over everything the query observed.
 	Approx
 )
 
@@ -949,19 +947,20 @@ func (ix *Index) newRefiner(q Query, sink *Sink, sc *searchScratch, quant *isax.
 	return r
 }
 
-// approximate is the body of an Approx query: every visible entry of the p
-// best leaves under the query's summary (see core.Tree.BestLeavesApprox)
-// and of the unmerged delta pays a real distance, with no bound pass and no
-// traversal of the rest of the tree. The delta is small by construction —
-// merges keep it under the threshold — and scanning it keeps the answer's
-// distance an upper bound on the exact answer over everything the query
-// observed. sub marks a sharded sub-search (see beginQuery).
+// approximate is the body of an Approx query: every visible entry of the
+// ProbeLeaves best leaves under the query's summary (see
+// core.Tree.BestLeavesApprox) and of the unmerged delta pays a real
+// distance, with no bound pass and no traversal of the rest of the tree.
+// The delta is small by construction — merges keep it under the threshold
+// — and scanning it keeps the answer's distance an upper bound on the
+// exact answer over everything the query observed. sub marks a sharded
+// sub-search (see beginQuery).
 func (ix *Index) approximate(r *refiner, sc *searchScratch, v view, sub bool, tenant string, stats *QueryStats) {
 	end := ix.beginQuery(sub, tenant)
 	defer end()
 	lb := ix.getLB()
 	defer ix.putLB(lb)
-	for _, leaf := range v.snap.tree.BestLeavesApprox(sc.qsax, sc.qpaa, ix.probeLeavesNow()) {
+	for _, leaf := range v.snap.tree.BestLeavesApprox(sc.qsax, sc.qpaa, ProbeLeaves) {
 		stats.ProbeLeaves++
 		admit := func(i int) bool { return !r.f.skip(leaf.Pos[i], r.mp) }
 		visit := func(i int, s series.Series) { r.score(r.mp(leaf.Pos[i]), s, r.limit(), stats) }

@@ -3,7 +3,6 @@ package shard
 import (
 	"strconv"
 
-	"dsidx/internal/messi"
 	"dsidx/internal/metrics"
 	"dsidx/internal/storage"
 )
@@ -48,7 +47,7 @@ func (s *Sharded) ShardBaseLen(si int) int { return len(s.baseMap[si]) }
 // call:
 //
 //   - the shared engine's families, registered once for the whole pool
-//   - every shard's ingest/query/tuning families under a shard="i" label
+//   - every shard's ingest/query families under a shard="i" label
 //   - per-shard routing counters (series placed, appends routed)
 //   - the cold tier's cache and device families — always registered, so
 //     a scrape sees the full schema (zero-valued) even on an all-hot
@@ -157,16 +156,4 @@ func (s *Sharded) Registry() *metrics.Registry {
 		)
 	})
 	return s.reg
-}
-
-// Tuning reports the self-tuning state. The live knob values are shard
-// 0's (every shard starts from the same configuration and sees a similar
-// mix); Adjustments sums all shards' knob changes.
-func (s *Sharded) Tuning() messi.Tuning {
-	t := s.shards[0].Tuning()
-	t.Adjustments = 0
-	for _, sh := range s.shards {
-		t.Adjustments += sh.Tuning().Adjustments
-	}
-	return t
 }

@@ -30,7 +30,7 @@ func TestRegistryRendersPerShardAndColdFamilies(t *testing.T) {
 		`dsidx_shard_appends_total{shard="0"} 5`,
 		`dsidx_shard_appends_total{shard="1"} 5`,
 		`dsidx_ingest_appended_total{shard="0"} 5`,
-		`dsidx_tuning_autotune{shard="1"} 0`,
+		`dsidx_ingest_merge_threshold{shard="1"} 1.073741824e+09`,
 		"dsidx_cold_shards 0",
 		"dsidx_cold_cache_hits_total 0",
 		"dsidx_cold_device_reads_total 0",
@@ -44,10 +44,5 @@ func TestRegistryRendersPerShardAndColdFamilies(t *testing.T) {
 	}
 	if s.ShardAppends(0)+s.ShardAppends(1) != extra.Len() {
 		t.Fatalf("append routing %d+%d != %d", s.ShardAppends(0), s.ShardAppends(1), extra.Len())
-	}
-
-	tu := s.Tuning()
-	if tu.AutoTune || tu.ProbeLeaves <= 0 || tu.MergeThreshold <= 0 || tu.Adjustments != 0 {
-		t.Fatalf("tuning snapshot: %+v", tu)
 	}
 }

@@ -284,7 +284,7 @@ func newShell(coll *series.Collection, opt Options) (*Sharded, []series.Reader, 
 	return s, parts, nil
 }
 
-// shardOptions is shard si's messi configuration: identical tuning, one
+// shardOptions is shard si's messi configuration: identical settings, one
 // shared pool. Cold shards disable leaf-ordered raw blocks — a full hot
 // copy of the values would defeat the tier — so their refinement reads
 // resolve through the device cache (bounds first, survivors in one batch).

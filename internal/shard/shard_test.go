@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -197,15 +198,18 @@ func TestShardedAppendVisibleAndGloballyPositioned(t *testing.T) {
 		}
 	}
 
+	checkIngestStatsSum(t, s)
+
 	// Flush folds every shard's delta; answers must not move.
 	s.Flush()
 	if p := s.Pending(); p != 0 {
 		t.Fatalf("pending %d after Flush", p)
 	}
 	ist := s.IngestStats()
-	if ist.Appended != 200 || ist.Merged != 200 {
+	if ist.Appended != 200 || ist.Merged != 200 || ist.Merges == 0 || ist.SnapshotSwaps == 0 {
 		t.Fatalf("ingest stats after flush: %+v", ist)
 	}
+	checkIngestStatsSum(t, s)
 	for i := 0; i < queries.Len(); i++ {
 		q := queries.At(i)
 		got, _, err := s.Search(q, 0)
@@ -216,6 +220,35 @@ func TestShardedAppendVisibleAndGloballyPositioned(t *testing.T) {
 		if got.Pos != want.Pos || got.Dist != want.Dist {
 			t.Fatalf("post-flush query %d: (#%d, %v) != serial (#%d, %v)",
 				i, got.Pos, got.Dist, want.Pos, want.Dist)
+		}
+	}
+}
+
+// checkIngestStatsSum walks every field of messi.IngestStats: each counter
+// of the sharded snapshot must be the sum of the shards' own, and
+// MergeThreshold every shard's value — so a counter added to the struct
+// cannot be left out of the sharded sum.
+func checkIngestStatsSum(t *testing.T, s *Sharded) {
+	t.Helper()
+	asInt := func(v reflect.Value) int64 {
+		if v.CanUint() {
+			return int64(v.Uint())
+		}
+		return v.Int()
+	}
+	got := reflect.ValueOf(s.IngestStats())
+	for f := range got.NumField() {
+		name, want := got.Type().Field(f).Name, asInt(got.Field(f))
+		var sum int64
+		for si := range s.Shards() {
+			v := asInt(reflect.ValueOf(s.Shard(si).IngestStats()).Field(f))
+			if name == "MergeThreshold" && v != want {
+				t.Fatalf("shard %d MergeThreshold %d, sharded %d", si, v, want)
+			}
+			sum += v
+		}
+		if name != "MergeThreshold" && sum != want {
+			t.Fatalf("sharded IngestStats.%s = %d, shards sum to %d", name, want, sum)
 		}
 	}
 }

@@ -56,9 +56,8 @@ type IngestStats struct {
 	// cycle that installed a new tree).
 	Merges        uint64
 	SnapshotSwaps uint64
-	// MergeThreshold is the live delta size that triggers a background
-	// merge (the WithMergeThreshold option, possibly moved by
-	// WithAutoTune).
+	// MergeThreshold is the delta size that triggers a background merge
+	// (the WithMergeThreshold option; per shard on a sharded index).
 	MergeThreshold int
 	// Live and Tombstoned partition the landed series (base plus appends)
 	// into searchable and deleted/expired.
@@ -66,26 +65,13 @@ type IngestStats struct {
 	Tombstoned int
 }
 
-// ingestStatsOf mirrors the internal snapshot into the public type.
-func ingestStatsOf(st messi.IngestStats) IngestStats {
-	return IngestStats{
-		Appended:       st.Appended,
-		Pending:        st.Pending,
-		Merged:         st.Merged,
-		Merges:         st.Merges,
-		SnapshotSwaps:  st.SnapshotSwaps,
-		MergeThreshold: st.MergeThreshold,
-		Live:           st.Live,
-		Tombstoned:     st.Tombstoned,
-	}
-}
-
 // SearchStats reports the work one query performed — the pruning behavior
 // behind its latency. Lower RawDistances relative to Observed means the
 // index discarded more of the collection without touching raw values.
 type SearchStats struct {
 	// ProbeLeaves is the number of leaves the approximate phase probed to
-	// seed the best-so-far (the WithProbeLeaves option).
+	// seed the best-so-far: two, or fewer when the query's root subtree
+	// holds fewer leaves (summed over shards on a sharded index).
 	ProbeLeaves int
 	// LeavesInserted is the length of the candidate list: leaves, other
 	// than the probed ones, whose envelope bound was below the best-so-far

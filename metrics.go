@@ -52,21 +52,6 @@ func MetricsHandler(src MetricsSource) http.Handler {
 	return src.metricsRegistry().Handler()
 }
 
-// TuningStats reports the self-tuning state (the WithAutoTune option):
-// the live knob values and how often the feedback loop has moved them.
-type TuningStats struct {
-	// AutoTune reports whether the feedback loop is active.
-	AutoTune bool
-	// ProbeLeaves is the live probe count (== the configured value when
-	// AutoTune is off). For a sharded index this is shard 0's live value.
-	ProbeLeaves int
-	// MergeThreshold is the live merge threshold.
-	MergeThreshold int
-	// Adjustments counts knob changes applied since creation (summed
-	// over all shards for a sharded index).
-	Adjustments uint64
-}
-
 // ShardStats reports one shard's routing counters.
 type ShardStats struct {
 	// Shard is the shard number.
@@ -104,7 +89,6 @@ type ColdTierStats struct {
 type Metrics struct {
 	Engine EngineStats
 	Ingest IngestStats
-	Tuning TuningStats
 	// VectorImpl is the distance-kernel implementation serving queries:
 	// "avx2" on amd64 CPUs where startup detection found AVX2 (and the
 	// ForceScalar escape hatch is off), "scalar" everywhere else. The
@@ -119,16 +103,9 @@ type Metrics struct {
 
 // Metrics snapshots all of the index's counter surfaces in one call.
 func (x *index) Metrics() Metrics {
-	tu := x.b.Tuning()
 	return Metrics{
-		Engine: x.EngineStats(),
-		Ingest: x.IngestStats(),
-		Tuning: TuningStats{
-			AutoTune:       tu.AutoTune,
-			ProbeLeaves:    tu.ProbeLeaves,
-			MergeThreshold: tu.MergeThreshold,
-			Adjustments:    tu.Adjustments,
-		},
+		Engine:     x.EngineStats(),
+		Ingest:     x.IngestStats(),
 		VectorImpl: vector.Impl(),
 	}
 }

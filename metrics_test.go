@@ -63,7 +63,7 @@ func sampleValues(t *testing.T, text, family string) []float64 {
 
 func TestShardedMetricsSnapshotAndScrape(t *testing.T) {
 	coll := dsidx.Generate(dsidx.Synthetic, 1200, 64, 21)
-	idx, err := dsidx.NewSharded(coll, dsidx.WithShards(2), dsidx.WithWorkers(2), dsidx.WithAutoTune(true))
+	idx, err := dsidx.NewSharded(coll, dsidx.WithShards(2), dsidx.WithWorkers(2), dsidx.WithMergeThreshold(512))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,8 +91,8 @@ func TestShardedMetricsSnapshotAndScrape(t *testing.T) {
 	if m.Ingest.Appended != 30 {
 		t.Fatalf("ingest section: %+v", m.Ingest)
 	}
-	if !m.Tuning.AutoTune || m.Tuning.ProbeLeaves <= 0 || m.Tuning.MergeThreshold <= 0 {
-		t.Fatalf("tuning section: %+v", m.Tuning)
+	if m.Ingest.MergeThreshold != 512 {
+		t.Fatalf("ingest section dropped WithMergeThreshold: %+v", m.Ingest)
 	}
 	if len(m.Shards) != 2 {
 		t.Fatalf("got %d shard sections", len(m.Shards))
@@ -119,7 +119,7 @@ func TestShardedMetricsSnapshotAndScrape(t *testing.T) {
 		"dsidx_ingest_appended_total", "dsidx_ingest_pending", "dsidx_ingest_merges_total",
 		"dsidx_ingest_snapshot_swaps_total",
 		"dsidx_index_queries_total", "dsidx_index_query_seconds",
-		"dsidx_tuning_autotune", "dsidx_tuning_probe_leaves",
+		"dsidx_ingest_merge_threshold",
 		"dsidx_shards", "dsidx_shard_base_series", "dsidx_shard_appends_total",
 		"dsidx_cold_shards", "dsidx_cold_cache_hits_total", "dsidx_cold_device_reads_total",
 		"dsidx_vector_simd",
@@ -152,13 +152,13 @@ func TestMESSIMetricsSnapshotAndScrape(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := idx.Metrics()
-	if m.Engine.Queries == 0 || m.Shards != nil || m.Tuning.AutoTune {
+	if m.Engine.Queries == 0 || m.Shards != nil || m.Ingest.MergeThreshold != 4096 {
 		t.Fatalf("MESSI metrics: %+v", m)
 	}
 	_, fams := scrape(t, idx)
 	for _, want := range []string{
 		"dsidx_engine_queries_total", "dsidx_ingest_appended_total",
-		"dsidx_index_query_seconds", "dsidx_tuning_autotune",
+		"dsidx_index_query_seconds", "dsidx_ingest_merge_threshold",
 	} {
 		if _, ok := fams[want]; !ok {
 			t.Errorf("scrape lacks family %s", want)
@@ -231,7 +231,7 @@ func TestVectorImplExposure(t *testing.T) {
 func TestMetricsScrapeWhileServing(t *testing.T) {
 	coll := dsidx.Generate(dsidx.Synthetic, 800, 64, 25)
 	idx, err := dsidx.NewSharded(coll, dsidx.WithShards(2), dsidx.WithWorkers(2),
-		dsidx.WithAutoTune(true), dsidx.WithMergeThreshold(64))
+		dsidx.WithMergeThreshold(64))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,17 +18,17 @@ func TestMESSISaveLoadRoundTrip(t *testing.T) {
 	if err := idx.Save(path); err != nil {
 		t.Fatal(err)
 	}
-	// A loaded index takes the options a built one does, WithAutoTune
+	// A loaded index takes the options a built one does, WithMergeThreshold
 	// included.
-	loaded, err := dsidx.LoadMESSI(path, coll, dsidx.WithAutoTune(true))
+	loaded, err := dsidx.LoadMESSI(path, coll, dsidx.WithMergeThreshold(64))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if loaded.Len() != idx.Len() {
 		t.Fatalf("loaded Len %d != %d", loaded.Len(), idx.Len())
 	}
-	if !loaded.Metrics().Tuning.AutoTune {
-		t.Error("LoadMESSI dropped WithAutoTune")
+	if got := loaded.Metrics().Ingest.MergeThreshold; got != 64 {
+		t.Errorf("LoadMESSI dropped WithMergeThreshold: threshold %d, want 64", got)
 	}
 
 	queries := dsidx.GenerateQueries(dsidx.Synthetic, 5, 256, 21)

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # metrics_smoke.sh — assert the observability surface actually serves: a
-# small dsbench -metrics run builds an auto-tuned sharded index, drives
-# appends and queries through the public API, scrapes dsidx.MetricsHandler
-# and validates the Prometheus exposition (format plus required families)
-# before printing it. This script additionally greps the printed text for
+# small dsbench -metrics run builds a sharded index, drives appends, a
+# Flush that merges them and queries through the public API, scrapes
+# dsidx.MetricsHandler and validates the Prometheus exposition (format
+# plus required families) before printing it. This script additionally greps the printed text for
 # the family names dashboards key on, so a rename that survives the Go
 # validator still fails loudly here.
 #
@@ -25,7 +25,6 @@ for family in \
     dsidx_ingest_appended_total \
     dsidx_ingest_merges_total \
     dsidx_index_query_seconds_bucket \
-    dsidx_tuning_autotune \
     dsidx_shard_appends_total \
     dsidx_cold_cache_hits_total \
     dsidx_vector_simd
@@ -36,13 +35,15 @@ do
     fi
 done
 
-# Spot-check semantics, not just presence: the run appended 64 series and
-# issued queries, so the totals must be positive.
+# Spot-check semantics, not just presence: the run appended 64 series,
+# flushed them into the trees and issued queries, so the totals (summed
+# over shards) must be positive.
 appended=$(awk '/^dsidx_ingest_appended_total/ { sum += $NF } END { print sum + 0 }' "$OUT")
+merges=$(awk '/^dsidx_ingest_merges_total/ { sum += $NF } END { print sum + 0 }' "$OUT")
 queries=$(awk '/^dsidx_engine_queries_total/ { print $NF + 0 }' "$OUT")
-if [ "$appended" -le 0 ] || [ "$queries" -le 0 ]; then
-    echo "metrics smoke: implausible totals (appended=$appended, queries=$queries)" >&2
+if [ "$appended" -le 0 ] || [ "$merges" -le 0 ] || [ "$queries" -le 0 ]; then
+    echo "metrics smoke: implausible totals (appended=$appended, merges=$merges, queries=$queries)" >&2
     exit 1
 fi
 
-echo "metrics smoke: exposition valid; appended=$appended queries=$queries"
+echo "metrics smoke: exposition valid; appended=$appended merges=$merges queries=$queries"
