@@ -54,7 +54,8 @@ type index struct {
 func (x *index) Search(q Series) (Match, error) { return x.one(QueryRequest{Query: q}, 0) }
 
 // SearchWithWorkers is Search with an explicit worker count (per shard on a
-// Sharded index), for scaling studies.
+// Sharded index), for scaling studies. The calling goroutine counts as one
+// of them: workers = 1 runs the whole search on it.
 func (x *index) SearchWithWorkers(q Series, workers int) (Match, error) {
 	return x.one(QueryRequest{Query: q}, workers)
 }

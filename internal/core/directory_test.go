@@ -12,15 +12,31 @@ import (
 )
 
 // checkDirectoryRows recomputes every row of d from its leaf, one byte at a
-// time: the root key from the leaf's word, the envelope from its entries.
+// time: the root key from the leaf's word, the envelope from its entries. The
+// order is root keys ascending, each root child's leaves in WalkLeaves order,
+// and Groups[h] counts the leaves whose key's high byte is below h.
 func checkDirectoryRows(t *testing.T, tree *Tree, d *LeafDirectory) {
 	t.Helper()
 	var leaves []*Node
-	tree.VisitLeaves(func(n *Node) { leaves = append(leaves, n) })
+	keys := tree.OccupiedKeys()
+	slices.Sort(keys)
+	var groups [257]int32
+	for _, key := range keys {
+		tree.roots[key].WalkLeaves(func(n *Node) { leaves = append(leaves, n) })
+		groups[key>>8+1] = int32(len(leaves))
+	}
+	for h := range 256 {
+		groups[h+1] = max(groups[h+1], groups[h])
+	}
+	var visited int
+	tree.VisitLeaves(func(*Node) { visited++ })
 	w := tree.Config().Segments
-	if !slices.Equal(leaves, d.Leaves) || len(d.Keys) != len(leaves) || len(d.Env) != len(leaves)*2*w {
-		t.Fatalf("directory of %d leaves, %d keys, %d envelope bytes for a tree of %d leaves of %d segments",
+	if visited != len(leaves) || !slices.Equal(leaves, d.Leaves) || len(d.Keys) != len(leaves) || len(d.Env) != len(leaves)*2*w {
+		t.Fatalf("directory of %d leaves, %d keys, %d envelope bytes for a tree of %d leaves of %d segments, or in another order",
 			len(d.Leaves), len(d.Keys), len(d.Env), len(leaves), w)
+	}
+	if d.Groups != groups {
+		t.Fatalf("group offsets %v, want %v", d.Groups, groups)
 	}
 	for i, leaf := range leaves {
 		var key uint32

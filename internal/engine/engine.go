@@ -496,6 +496,12 @@ func (g *Group) TrySubmit(fn func()) bool {
 	return ok
 }
 
+// Do runs fn on the calling goroutine as one of the group's tasks: a panic
+// is contained and recorded for Err exactly as a submitted task's is. A
+// caller that works beside the tasks it submitted therefore always reaches
+// Wait, and never unwinds while they still run.
+func (g *Group) Do(fn func()) { g.run(fn) }
+
 // Wait blocks until every task submitted to this group has finished.
 func (g *Group) Wait() { g.wg.Wait() }
 

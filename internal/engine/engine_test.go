@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -22,6 +23,31 @@ func TestGroupRunsEveryTask(t *testing.T) {
 	}
 	if st := e.Stats(); st.Tasks != 1000 {
 		t.Fatalf("stats counted %d tasks, want 1000", st.Tasks)
+	}
+}
+
+// A panic in work the caller does beside its group's tasks is contained
+// like a task's: Do returns, Wait still waits for the running task, and Err
+// reports the panic.
+func TestGroupDoContainsTheCallersPanic(t *testing.T) {
+	e := New(Options{Workers: 1})
+	defer e.Close()
+	g := e.NewGroup()
+	release := make(chan struct{})
+	var done atomic.Bool
+	g.Submit(func() {
+		<-release
+		done.Store(true)
+	})
+	g.Do(func() { panic("caller") })
+	close(release)
+	g.Wait()
+	if !done.Load() {
+		t.Fatal("Wait returned before the submitted task finished")
+	}
+	var pe *PanicError
+	if err := g.Err(); !errors.As(err, &pe) || pe.Value != "caller" {
+		t.Fatalf("Err = %v, want the caller's contained panic", err)
 	}
 }
 

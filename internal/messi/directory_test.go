@@ -2,6 +2,7 @@ package messi
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
@@ -16,23 +17,46 @@ import (
 	"dsidx/internal/vector"
 )
 
+// rootKey is the root key of leaf's word, recomputed bit by bit.
+func rootKey(leaf *core.Node) uint32 {
+	var key uint32
+	for j, sym := range leaf.Word.Symbols {
+		key = key<<1 | uint32(sym>>(leaf.Word.Bits[j]-1))
+	}
+	return key
+}
+
 // verifyDirectory checks a published snapshot: its directory lists exactly
-// the tree's leaves, once each, in VisitLeaves order, and every row — root
-// key, then per-segment symbol range — equals a recomputation from the leaf.
-// Then, for a random ED table and a random DTW table, the bound cascade
-// holds leaf by leaf as floats: the envelope bound is at most the
-// MinDistBatch bound of every entry in the leaf, and the root-key filter
-// passes every leaf whose envelope bound is below the threshold, at every
-// threshold some leaf's own bound can set. It reports through t.Errorf, so
-// concurrent readers may call it.
+// the tree's leaves, once each, by root key ascending and each root child's
+// leaves in WalkLeaves order (VisitLeaves order, stably sorted by key), its
+// group offsets are exact, and every row — root key, then per-segment symbol
+// range — equals a recomputation from the leaf. Then, for a random ED table
+// and a random DTW table, the bound cascade holds leaf by leaf as floats: the
+// envelope bound is at most the MinDistBatch bound of every entry in the
+// leaf, the root-key filter passes every leaf whose envelope bound is below
+// the threshold, and the group pass drops no group holding a leaf the key
+// filter passes — at every threshold some leaf's own bound can set. It
+// reports through t.Errorf, so concurrent readers may call it.
 func verifyDirectory(t *testing.T, cfg core.Config, snap *snapshot, rng *rand.Rand) {
 	t.Helper()
 	var leaves []*core.Node
 	snap.tree.VisitLeaves(func(n *core.Node) { leaves = append(leaves, n) })
+	slices.SortStableFunc(leaves, func(a, b *core.Node) int { return cmp.Compare(rootKey(a), rootKey(b)) })
 	dir, w := snap.dir, cfg.Segments
 	if !slices.Equal(leaves, dir.Leaves) || len(dir.Keys) != len(leaves) || len(dir.Env) != len(leaves)*2*w {
-		t.Errorf("directory lists %d leaves, %d keys, %d envelope bytes; VisitLeaves yields %d leaves of %d segments, or in another order",
+		t.Errorf("directory lists %d leaves, %d keys, %d envelope bytes; the tree holds %d leaves of %d segments, or they are in another order",
 			len(dir.Leaves), len(dir.Keys), len(dir.Env), len(leaves), w)
+		return
+	}
+	var groups [257]int32
+	for _, leaf := range leaves {
+		groups[rootKey(leaf)>>8+1]++
+	}
+	for h := range 256 {
+		groups[h+1] += groups[h]
+	}
+	if dir.Groups != groups {
+		t.Errorf("group offsets %v, recomputed %v", dir.Groups, groups)
 		return
 	}
 	for i, leaf := range leaves {
@@ -42,10 +66,7 @@ func verifyDirectory(t *testing.T, cfg core.Config, snap *snapshot, rng *rand.Ra
 				want[j], want[w+j] = min(want[j], sym), max(want[w+j], sym)
 			}
 		}
-		var key uint32
-		for j, sym := range leaf.Word.Symbols {
-			key = key<<1 | uint32(sym>>(leaf.Word.Bits[j]-1))
-		}
+		key := rootKey(leaf)
 		if got := dir.Env[i*2*w : (i+1)*2*w]; !bytes.Equal(got, want) || uint32(dir.Keys[i]) != key {
 			t.Errorf("leaf %d (%v, %d entries): key %#x envelope %v, recomputed %#x %v",
 				i, leaf.Word, leaf.Count, dir.Keys[i], got, key, want)
@@ -86,6 +107,18 @@ func verifyDirectory(t *testing.T, cfg core.Config, snap *snapshot, rng *rand.Ra
 					t.Errorf("%s: at threshold %v the key filter drops leaf %d (key sum %v) whose envelope bound is %v",
 						name, lim, i, keySums[i], b)
 					return
+				}
+			}
+			for h := range 256 {
+				if keyHi[h] < lim*keySlack {
+					continue
+				}
+				for i := dir.Groups[h]; i < dir.Groups[h+1]; i++ {
+					if keySums[i] < lim*keySlack {
+						t.Errorf("%s: at threshold %v the group pass drops group %d (bound %v) with leaf %d, which the key filter passes (key sum %v)",
+							name, lim, h, keyHi[h], i, keySums[i])
+						return
+					}
 				}
 			}
 		}

@@ -12,18 +12,21 @@
 //
 // Query answering: a multi-probe approximate search (the ProbeLeaves best
 // leaves under the query's summary) seeds the shared BSF. The exact
-// phase then reads the snapshot's leaf directory — every leaf of the tree
-// with its word resolved to lookup-table cells — not the pointer tree:
-// workers claim blocks of it, bound each block's leaves in one batched pass
-// against the live BSF, and list the survivors — minus the already-probed
-// ones — each on its own. The lists are folded into one, filtered against
-// the BSF as it then stands and sorted by bound; workers claim its entries in
-// that order through a shared cursor: a claimed leaf has its whole summary
-// block lower-bounded in one batched pass (bit-identical to the per-entry
-// bounds), then survivors pay an early-abandoning real distance read from
-// the leaf's contiguous raw block (leaf-ordered storage, unless
-// Options.DisableLeafRaw). The first entry whose bound is not below the BSF
-// ends a worker's drain, since every later one is at least as far. Compared
+// phase then reads the snapshot's leaf directory — every leaf of the tree,
+// ordered by root key, with its key and per-segment symbol envelope — not
+// the pointer tree: one table read per group of root keys drops the groups
+// the BSF already excludes, then workers claim runs of the kept leaves,
+// bound them against the live BSF, and list the survivors — minus the
+// already-probed ones — each on its own. The lists are folded into one,
+// filtered against the BSF as it then stands and sorted by bound; workers
+// claim its entries in that order through a shared cursor: a claimed leaf
+// has its whole summary block lower-bounded in one batched pass
+// (bit-identical to the per-entry bounds), then survivors pay an
+// early-abandoning real distance read from the leaf's contiguous raw block
+// (leaf-ordered storage, unless Options.DisableLeafRaw). The first entry
+// whose bound is not below the BSF ends a worker's drain, since every later
+// one is at least as far. The calling goroutine is the first worker, and
+// helpers join it from the pool only where there is work to share. Compared
 // to ParIS, node bounds prune *before* per-series lower bounds and work is
 // ordered best-first — the two effects behind Figure 12's speedups; the
 // batched bounds and leaf-ordered reads give both phases the sequential
@@ -148,11 +151,12 @@ func (ix *Index) publish(tree *core.Tree, mergedA int) {
 // Index is a MESSI index over an in-memory collection, serving exact
 // queries while accepting live appends.
 //
-// Query answering runs on a persistent, index-owned worker pool shared by
-// every in-flight query (see internal/engine): Query, Run and their Search*
-// wrappers may be called concurrently from any number of goroutines, and
-// their traversal/refinement tasks interleave on the pool instead of
-// spawning per-call goroutines. Append and AppendBatch (ingest.go) are safe
+// Query answering runs on the calling goroutine, with helpers from a
+// persistent, index-owned worker pool shared by every in-flight query (see
+// internal/engine): Query, Run and their Search* wrappers may be called
+// concurrently from any number of goroutines, and the helper tasks of a
+// hard query interleave on the pool instead of spawning per-call
+// goroutines. Append and AppendBatch (ingest.go) are safe
 // concurrently with all of the above. Close releases the pool; an unclosed
 // Index releases it when garbage-collected.
 type Index struct {

@@ -2,6 +2,7 @@ package messi
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -79,8 +80,11 @@ type searchScratch struct {
 	// keyLo and keyHi are table's root-word bounds (QueryTable.FillRootKeys),
 	// the first step of the bound pass.
 	keyLo, keyHi [256]float64
-	// parts[w] is bound-pass task w's survivor list; after the barrier the
-	// caller folds them all into parts[0], the query's candidate list.
+	// spans are the directory runs the group pass kept, phase A's claims.
+	spans []span
+	// parts[w] is phase A worker w's survivor list (0 is the caller); after
+	// the barrier the caller folds them all into parts[0], the query's
+	// candidate list.
 	parts [][]candidate
 	// probed records the leaves the approximate phase refined, so the
 	// bound pass does not list them: a probed leaf is already fully
@@ -116,10 +120,10 @@ func (ix *Index) putScratch(sc *searchScratch) {
 }
 
 // lbScratch is a reusable lower-bound buffer, plus the survivor lists of a
-// device-backed refinement. Every refinement or delta-scan task checks one
-// out of the index's pool for its lifetime, so concurrent tasks of the same
-// query never share a buffer and sustained traffic recycles a bounded set
-// (one buffer per concurrently running task, not per leaf).
+// device-backed refinement. Every worker that refines leaves or scans the
+// delta checks one out of the index's pool while it does, so concurrent
+// workers of the same query never share a buffer and sustained traffic
+// recycles a bounded set (one buffer per running worker, not per leaf).
 type lbScratch struct {
 	buf      []float64
 	idx, pos []int32
@@ -433,15 +437,27 @@ type Query struct {
 	// Scope.LowPos. An index resolves it against its own position space, so
 	// a sharding layer resolves it into Scope.LowPos itself.
 	LastN int
-	// Workers caps this query's share of the pool; ≤ 0 means a fair share.
+	// Workers caps the threads this query runs on: the caller, which is
+	// always its first worker, and at most Workers−1 helper tasks on the
+	// pool, submitted only where there is work to share (see
+	// queuedSearch). ≤ 0 means a fair share of the pool; a larger value is
+	// capped at the pool size.
 	Workers int
 	Scope   Scope
 }
 
 // Validate reports why q cannot run over series of length seriesLen, or nil.
+// A NaN or infinite value is refused: no distance to it orders, so it has no
+// nearest neighbour, and every lower bound the index prunes by would be NaN
+// or +Inf too.
 func (q Query) Validate(seriesLen int) error {
 	if len(q.Series) != seriesLen {
 		return fmt.Errorf("query length %d != %d", len(q.Series), seriesLen)
+	}
+	for i, x := range q.Series {
+		if math.IsNaN(float64(x)) || math.IsInf(float64(x), 0) {
+			return fmt.Errorf("query value %d is %v, want a finite number", i, x)
+		}
 	}
 	if q.Kind < NN || q.Kind > Approx {
 		return fmt.Errorf("unknown query kind %d", q.Kind)
@@ -493,7 +509,8 @@ func First(rs []core.Result, st *QueryStats, err error) (core.Result, *QueryStat
 // q.Scope: the tree snapshot plus an exact scan of the unmerged delta. A
 // 1-NN kind answers one result, KNN up to K in ascending distance order.
 // Workers ≤ 0 takes a fair share of the pool, which all in-flight queries
-// share; an explicit value is capped at the pool size.
+// share; an explicit value is capped at the pool size. Either way the
+// caller is one of the query's workers.
 func (ix *Index) Query(q Query) ([]core.Result, *QueryStats, error) {
 	sink := NewSink(q)
 	stats, err := ix.Run(q, &sink, nil)
@@ -673,6 +690,37 @@ const (
 	leafBlock  = 256
 )
 
+// inlineLeaves and drainBudget decide where a query's work runs; both come
+// from one sweep at 200,000 × 256 on mem-1nn over {512, 1024, 2048, 4096}
+// leaves × {4, 8, 16} leaves (EXPERIMENTS.md "An easy query pays only for
+// what it touches"): every point read 0.066–0.072 ms nn_p50_ms against the
+// previous schedule's 0.099, and 1,024 × 16 read lowest. Phase A stays on
+// the caller when the root-key groups it keeps hold at most inlineLeaves
+// leaves and the delta suffix fits in one deltaBlock. Phase B hands the
+// rest of the sorted list to helpers only if live candidates remain after
+// the caller has refined drainBudget of them. Below these sizes a pool
+// hand-off and its barrier cost more than the work they would share.
+const (
+	inlineLeaves = 1024
+	drainBudget  = 16
+)
+
+// schedMode is a test-only seam over those two decisions: schedMeasured
+// applies them, schedInline runs every phase on the caller whatever the
+// size, and schedHelpers submits workers−1 helpers for every phase that has
+// work at all. The schedules differ only in which goroutine does a piece of
+// work, so with one worker they do the same work in the same order.
+type schedMode int
+
+const (
+	schedMeasured schedMode = iota
+	schedInline
+	schedHelpers
+)
+
+// schedule is the schedule every query runs; only tests change it.
+var schedule = schedMeasured
+
 // keySlack widens the threshold the root-key filter compares with, so that
 // the filter never drops a leaf the envelope bound would list. A leaf's key
 // sum and its envelope bound each add one non-negative term per segment, and
@@ -690,26 +738,36 @@ const (
 // env < lim implies key < lim·keySlack.
 const keySlack = 1 + 0x1p-40
 
+// span is a run [lo, hi) of directory leaves one phase A claim covers.
+type span struct{ lo, hi int32 }
+
 // queuedSearch runs MESSI stage 3 over the snapshot's leaf directory rather
 // than its pointer tree. Phase A is one bound pass, a cascade in which each
-// step is a lower bound on the next: tasks claim blocks of the directory
-// with Fetch&Inc, read the threshold once per block, and for each leaf first
-// sum two table reads on its root key — the bound of the one-bit-per-segment
-// word it hangs under, which rules out most of the directory (see keySlack)
-// — then, for what is left, compute vector.EnvelopeDist over the leaf's
-// per-segment symbol range, at most the per-entry bound of anything stored
-// in it. There is no bound on the leaf's own word: nearly every leaf is a
-// root child, whose word is its key, and a deeper word is looser than the
-// envelope. A leaf whose envelope bound is below the threshold — probed
-// leaves aside — is appended to the task's own list. An exact scan of the
-// view's unmerged delta suffix runs beside them and shares the threshold, so
-// it tightens globally whichever side improves the answer first. After the
-// barrier the caller folds the lists into one, keeps what is still below the
-// threshold as it now stands, and sorts it by bound. Phase B tasks claim
-// entries of that list with Fetch&Inc and refine them (per-entry bounds,
-// then distances); a task stops at the first bound not below the live
-// threshold, because every later entry is at least as far and the threshold
-// only shrinks. Nothing survives: no phase B is submitted.
+// step is a lower bound on the next. It starts on the caller with one table
+// read per root-key group — the directory is ordered by root key, so the
+// leaves sharing their key's high byte h are one run — and drops every group
+// whose keyHi[h] is not below the threshold (see keySlack): keyLo is a sum
+// of non-negative cells — never NaN, since Query.Validate refuses a
+// non-finite query — so keyLo+keyHi rounds to at least keyHi and a dropped
+// group holds only leaves the per-leaf key filter would drop. On an easy
+// query that leaves a few hundred of ~15,600 leaves. The kept groups, cut
+// into spans of at most leafBlock leaves, are claimed with Fetch&Inc; a
+// claim reads the threshold once, and for each leaf first sums its two
+// root-key table reads — the bound of the one-bit-per-segment word it hangs
+// under — then, for what is left, computes vector.EnvelopeDist over the
+// leaf's per-segment symbol range, at most the per-entry bound of anything
+// stored in it. There is no bound on the leaf's own word: nearly every leaf
+// is a root child, whose word is its key, and a deeper word is looser than
+// the envelope. A leaf whose envelope bound is below the threshold — probed
+// leaves aside — goes on the claiming worker's own list. Once the spans are
+// gone a worker claims blocks of the view's unmerged delta suffix and scans
+// them exactly; they share the threshold, so it tightens globally whichever
+// side improves the answer first. The caller then folds the lists into one,
+// keeps what is still below the threshold as it now stands, and sorts it by
+// bound. Phase B claims entries of that list with Fetch&Inc and refines them
+// (per-entry bounds, then distances); a worker stops at the first bound not
+// below the live threshold, because every later entry is at least as far
+// and the threshold only shrinks.
 //
 // The paper drains a set of locked priority queues here, several of them to
 // spread lock contention. The list is built without sharing, ordered once by
@@ -717,22 +775,26 @@ const keySlack = 1 + 0x1p-40
 // and no queue count to tune — and the drain is best-first globally, not
 // per queue. r carries the flavor: r.limit reads the live threshold (the BSF
 // for 1-NN, the k-th best for k-NN) and r.score pays the real distance (ED
-// or DTW). Every task holds a per-task lower-bound buffer for its batched
-// bound computations.
+// or DTW). Every worker holds a lower-bound buffer for its batched bound
+// computations.
 //
-// All phases execute as tasks on the index's shared worker pool rather
-// than per-call goroutines: with several queries in flight, their tasks
-// interleave through one run queue and the machine runs at most pool-size
-// tasks at any instant. workers caps THIS query's share of the pool (the
-// per-call scaling knob); each phase submits at most that many tasks and
-// the phase barrier waits only for its own. sub marks a sharded
+// The caller is the query's first worker, and workers counts it: a phase
+// submits at most workers−1 helper tasks to the index's shared pool, and
+// only where there is work to share (inlineLeaves, drainBudget). An easy
+// query therefore runs start to finish on the caller and hands nothing to
+// the pool, while with several queries in flight the helpers of the hard
+// ones interleave through one run queue. Helpers claim from the caller's
+// own cursors, so which goroutine takes a claim never changes what is
+// claimed or in which order the list drains. sub marks a sharded
 // sub-search (see beginQuery).
 //
-// A task that panics — a cold-device *storage.BlockError surfacing inside
-// a refinement, typically — is contained at the Group boundary; the phase
-// barrier still releases, and queuedSearch returns the first contained
-// panic as an error. The caller must then discard the answer: the shared
-// best-so-far may be missing contributions from the failed tasks.
+// A helper that panics — a cold-device *storage.BlockError surfacing inside
+// a refinement, typically — is contained at the Group boundary, and so is a
+// panic on the caller while helpers run (engine.Group.Do): the caller waits
+// for every helper before it returns, so the pooled scratch is never handed
+// back under a running helper. queuedSearch returns the first contained
+// panic as an error, and the caller must discard the answer: the shared
+// best-so-far may be missing contributions from the failed work.
 func (ix *Index) queuedSearch(
 	workers int,
 	sub bool,
@@ -760,69 +822,88 @@ func (ix *Index) queuedSearch(
 	below, above := r.table.Sides()
 	card := r.table.Card()
 
-	// What the tasks share, as one heap object rather than six.
+	// The group pass: one read per high byte, and the kept groups cut into
+	// spans of at most leafBlock leaves (adjacent groups share a span).
+	spans, kept := sc.spans[:0], 0
+	keyLim := bsf() * keySlack
+	for h := range 256 {
+		lo, hi := dir.Groups[h], dir.Groups[h+1]
+		if lo == hi || sc.keyHi[h] >= keyLim {
+			continue
+		}
+		kept += int(hi - lo)
+		for lo < hi {
+			if n := len(spans); n > 0 && spans[n-1].hi == lo && spans[n-1].hi-spans[n-1].lo < leafBlock {
+				spans[n-1].hi = min(hi, spans[n-1].lo+leafBlock)
+			} else {
+				spans = append(spans, span{lo, min(hi, lo+leafBlock)})
+			}
+			lo = spans[len(spans)-1].hi
+		}
+	}
+	sc.spans = spans
+
+	// What the workers share, as one heap object rather than six.
 	var sh struct {
 		cursor, deltaCursor   xsync.Counter
 		popped, entries, raws atomic.Int64
 		home                  atomic.Int32 // directory index of the first probed leaf, the query's own
-	}
-	boundTasks := min(workers, (len(dir.Leaves)+leafBlock-1)/leafBlock)
-	for len(sc.parts) < max(boundTasks, 1) {
-		sc.parts = append(sc.parts, nil)
 	}
 	// A sharding layer's append cut may sit below mergedA (a merge folded
 	// appends past the cut into the tree, where the position filter handles
 	// them) — there is no delta suffix to scan then.
 	deltaLo, deltaHi := v.snap.mergedA, max(v.aLive, v.snap.mergedA)
 	deltaBlocks := (deltaHi - deltaLo + deltaBlock - 1) / deltaBlock
-	g := ix.eng.NewGroup()
-	for t := 0; t < boundTasks; t++ {
-		g.Submit(func() {
-			part := sc.parts[t][:0]
-			for {
-				lo := int(sh.cursor.Next()) * leafBlock
-				if lo >= len(dir.Leaves) {
-					break
+	helpers := min(workers-1, len(spans)+deltaBlocks)
+	if schedule == schedInline || schedule == schedMeasured && kept <= inlineLeaves && deltaBlocks <= 1 {
+		helpers = 0
+	}
+	for len(sc.parts) <= helpers {
+		sc.parts = append(sc.parts, nil)
+	}
+	err := ix.alongside(helpers, func(t int) {
+		part := sc.parts[t][:0]
+		for {
+			k := int(sh.cursor.Next())
+			if k >= len(spans) {
+				break
+			}
+			lim := bsf()
+			keyLim := lim * keySlack
+			for i := int(spans[k].lo); i < int(spans[k].hi); i++ {
+				key := dir.Keys[i]
+				if sc.keyLo[key&255]+sc.keyHi[key>>8] >= keyLim {
+					continue
 				}
-				lim := bsf()
-				keyLim := lim * keySlack
-				for k, key := range dir.Keys[lo:min(lo+leafBlock, len(dir.Leaves))] {
-					if sc.keyLo[key&255]+sc.keyHi[key>>8] >= keyLim {
-						continue
-					}
-					i := lo + k
-					b := vector.EnvelopeDist(below, above, dir.Env[i*rowLen:(i+1)*rowLen], card)
-					if b >= lim {
-						continue
-					}
-					if leaf := dir.Leaves[i]; !sc.wasProbed(leaf) {
-						part = append(part, candidate{bound: b, leaf: int32(i)})
-					} else if leaf == sc.probed[0] {
-						sh.home.Store(int32(i))
-					}
+				b := vector.EnvelopeDist(below, above, dir.Env[i*rowLen:(i+1)*rowLen], card)
+				if b >= lim {
+					continue
+				}
+				if leaf := dir.Leaves[i]; !sc.wasProbed(leaf) {
+					part = append(part, candidate{bound: b, leaf: int32(i)})
+				} else if leaf == sc.probed[0] {
+					sh.home.Store(int32(i))
 				}
 			}
-			sc.parts[t] = part
-		})
-	}
-	for t := 0; t < min(workers, deltaBlocks); t++ {
-		g.Submit(func() {
-			st := QueryStats{}
-			lb := ix.getLB()
-			for {
-				lo := deltaLo + int(sh.deltaCursor.Next())*deltaBlock
-				if lo >= deltaHi {
-					break
-				}
-				ix.scanDelta(r, lo, min(lo+deltaBlock, deltaHi), &st, lb)
+		}
+		sc.parts[t] = part
+		if deltaBlocks == 0 {
+			return
+		}
+		st := QueryStats{}
+		lb := ix.getLB()
+		for {
+			lo := deltaLo + int(sh.deltaCursor.Next())*deltaBlock
+			if lo >= deltaHi {
+				break
 			}
-			ix.putLB(lb)
-			sh.entries.Add(int64(st.EntriesChecked))
-			sh.raws.Add(int64(st.RawDistances))
-		})
-	}
-	g.Wait()
-	if err := g.Err(); err != nil {
+			ix.scanDelta(r, lo, min(lo+deltaBlock, deltaHi), &st, lb)
+		}
+		ix.putLB(lb)
+		sh.entries.Add(int64(st.EntriesChecked))
+		sh.raws.Add(int64(st.RawDistances))
+	})
+	if err != nil {
 		return err
 	}
 
@@ -830,7 +911,7 @@ func (ix *Index) queuedSearch(
 	// the other lists land past what has been read of it.
 	lim := bsf()
 	cands := sc.parts[0][:0]
-	for _, part := range sc.parts[:boundTasks] {
+	for _, part := range sc.parts[:helpers+1] {
 		for _, c := range part {
 			if c.bound < lim {
 				cands = append(cands, c)
@@ -839,11 +920,12 @@ func (ix *Index) queuedSearch(
 	}
 	sc.parts[0] = cands
 	// Equal bounds — under DTW every leaf the envelope overlaps is at zero —
-	// drain outward from the query's own leaf: its neighbours in the tree's
-	// depth-first order are the regions a slightly different summary would
-	// have routed to, and reaching them first tightens the threshold soonest.
-	// The directory index settles the rest, so the order depends only on
-	// which leaves survived, not on which task listed them.
+	// drain outward from the query's own leaf: its neighbours in the
+	// directory share its root key's leading segments' bits and, under one
+	// root child, are the leaves a slightly different summary would have
+	// routed to, so reaching them first tightens the threshold soonest. The
+	// directory index settles the rest, so the order depends only on which
+	// leaves survived, not on which worker listed them.
 	h := sh.home.Load()
 	slices.SortFunc(cands, func(a, b candidate) int {
 		switch {
@@ -858,29 +940,43 @@ func (ix *Index) queuedSearch(
 		return int(a.leaf - b.leaf)
 	})
 
-	if len(cands) > 0 {
-		sh.cursor.Reset()
-		g = ix.eng.NewGroup()
-		for t := 0; t < min(workers, len(cands)); t++ {
-			g.Submit(func() {
-				st := QueryStats{}
-				lb := ix.getLB()
-				for {
-					i := int(sh.cursor.Next())
-					if i >= len(cands) || cands[i].bound >= bsf() {
-						break
-					}
-					st.LeavesPopped++
-					ix.refineLeaf(r, dir.Leaves[cands[i].leaf], &st, lb)
-				}
-				ix.putLB(lb)
-				sh.popped.Add(int64(st.LeavesPopped))
-				sh.entries.Add(int64(st.EntriesChecked))
-				sh.raws.Add(int64(st.RawDistances))
-			})
+	// drain refines list entries until the list or the budget runs out (a
+	// negative budget never does), reporting whether the list did.
+	sh.cursor.Reset()
+	drain := func(budget int) (done bool) {
+		st := QueryStats{}
+		lb := ix.getLB()
+		for ; budget != 0; budget-- {
+			i := int(sh.cursor.Next())
+			if i >= len(cands) || cands[i].bound >= bsf() {
+				done = true
+				break
+			}
+			st.LeavesPopped++
+			ix.refineLeaf(r, dir.Leaves[cands[i].leaf], &st, lb)
 		}
-		g.Wait()
-		if err := g.Err(); err != nil {
+		ix.putLB(lb)
+		sh.popped.Add(int64(st.LeavesPopped))
+		sh.entries.Add(int64(st.EntriesChecked))
+		sh.raws.Add(int64(st.RawDistances))
+		return done
+	}
+	budget := drainBudget
+	switch {
+	case schedule == schedInline || workers == 1:
+		budget = -1
+	case schedule == schedHelpers:
+		budget = 0
+	}
+	if len(cands) > 0 && !drain(budget) {
+		// Live candidates may remain: the caller and up to workers−1
+		// helpers drain the rest.
+		next := int(sh.cursor.Value())
+		helpers := 0
+		if next < len(cands) && cands[next].bound < bsf() {
+			helpers = min(workers-1, len(cands)-next)
+		}
+		if err := ix.alongside(helpers, func(int) { drain(-1) }); err != nil {
 			return err
 		}
 	}
@@ -890,6 +986,25 @@ func (ix *Index) queuedSearch(
 	stats.EntriesChecked += int(sh.entries.Load())
 	stats.RawDistances += int(sh.raws.Load())
 	return nil
+}
+
+// alongside runs work(0) on the caller beside work(1..helpers) on the pool,
+// and returns once all of them have: with no helpers it is a plain call, and
+// a panic unwinds the caller as it would any call. With helpers, a panic
+// anywhere — the caller's included — is contained until every helper has
+// finished, then returned as the group's error.
+func (ix *Index) alongside(helpers int, work func(t int)) error {
+	if helpers <= 0 {
+		work(0)
+		return nil
+	}
+	g := ix.eng.NewGroup()
+	for t := 1; t <= helpers; t++ {
+		g.Submit(func() { work(t) })
+	}
+	g.Do(func() { work(0) })
+	g.Wait()
+	return g.Err()
 }
 
 // newRefiner fills sc's lower-bound table for q's kind — none for Approx,

@@ -497,3 +497,53 @@ func runChaos(t *testing.T, placement func(int) bool, allowPartial bool) {
 		}
 	}
 }
+
+// TestColdFaultOnCallerIsContained fails the first device read of a cold
+// shard's exact phase, which the calling goroutine makes itself: it refines
+// the head of the sorted candidate list before any helper is submitted. The
+// probe's leaves are cached beforehand (an approximate query reads exactly
+// them), so no read happens before that drain. The query returns the typed
+// *storage.BlockError and counts one failed search; once the device heals,
+// the same query answers bit-identically, so nothing of the failed query —
+// no helper, no pooled scratch — outlived its unwind.
+func TestColdFaultOnCallerIsContained(t *testing.T) {
+	g := gen.Generator{Kind: gen.Synthetic, Length: testLen, Seed: 47}
+	coll := g.Collection(2000)
+	s, fs := buildFaulty(t, coll, 1, nil, func(o *Options) {
+		o.ColdStorage.CacheBytes = 1 << 20
+		o.QuarantineAfter = 1 << 20
+		o.Options.Workers = 2
+	})
+	queries := g.Queries(8)
+	failures := 0
+	for i := 0; i < queries.Len(); i++ {
+		q := queries.At(i)
+		want := ucr.Scan(coll, q)
+		if _, err := s.SearchApproximate(q); err != nil {
+			t.Fatal(err)
+		}
+		failed := s.Health().FailedSearches
+		fs.SetPlan(deadPlan(fs))
+		_, _, err := s.Search(q, 0)
+		fs.Heal()
+		if err == nil {
+			// The probe alone settled it: nothing else was read.
+			continue
+		}
+		failures++
+		var be *storage.BlockError
+		if !errors.As(err, &be) {
+			t.Fatalf("query %d: %v, want a *storage.BlockError", i, err)
+		}
+		if n := s.Health().FailedSearches - failed; n != 1 {
+			t.Fatalf("query %d: FailedSearches rose by %d, want 1", i, n)
+		}
+		if got, _, err := s.Search(q, 0); err != nil || got != want {
+			t.Fatalf("query %d after the fault: %+v (%v), serial scan %+v", i, got, err, want)
+		}
+	}
+	t.Logf("%d of %d queries read the device past their probe", failures, queries.Len())
+	if failures == 0 {
+		t.Fatal("no query read the device past its probe")
+	}
+}

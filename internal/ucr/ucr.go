@@ -112,13 +112,13 @@ func ScanLiveDTW(coll *series.Collection, q series.Series, window, lo int, dead 
 }
 
 // ScanKNN performs serial exact k-NN search, returning the k nearest
-// neighbors in ascending distance order.
+// neighbors in ascending (distance, position) order.
 func ScanKNN(coll *series.Collection, q series.Series, k int) []Result {
 	if k <= 0 {
 		return nil
 	}
-	// Bounded max-heap on distance: the root is the current k-th best,
-	// which doubles as the abandoning threshold.
+	// Bounded max-heap on (distance, position): the root is the current
+	// k-th best, whose distance doubles as the abandoning threshold.
 	heap := newKBest(k)
 	for i := 0; i < coll.Len(); i++ {
 		d := vector.SquaredEDEarlyAbandon(q, coll.At(i), heap.threshold())
@@ -232,13 +232,22 @@ func ParallelScanDTW(coll *series.Collection, q series.Series, window, workers i
 	return Result{Pos: int32(p), Dist: d}
 }
 
-// kBest is a fixed-capacity max-heap of the k best results seen so far.
+// kBest is a fixed-capacity max-heap of the k best results seen so far,
+// ranked by (distance, position): of two exact ties the lower position is
+// the better result, at every k and at the k-th slot too — the rule every
+// index in this module answers by.
 type kBest struct {
 	k     int
 	items []Result
 }
 
 func newKBest(k int) *kBest { return &kBest{k: k, items: make([]Result, 0, k)} }
+
+// worse reports whether a ranks after b: a larger distance, or an equal one
+// at a higher position.
+func worse(a, b Result) bool {
+	return a.Dist > b.Dist || a.Dist == b.Dist && a.Pos > b.Pos
+}
 
 // threshold returns the current pruning threshold: +Inf until the heap is
 // full, then the k-th best distance.
@@ -249,14 +258,14 @@ func (h *kBest) threshold() float64 {
 	return h.items[0].Dist
 }
 
-// offer inserts r if it improves the k-best set.
+// offer inserts r if it improves the k-best set, evicting the worst result.
 func (h *kBest) offer(r Result) {
 	if len(h.items) < h.k {
 		h.items = append(h.items, r)
 		i := len(h.items) - 1
 		for i > 0 {
 			parent := (i - 1) / 2
-			if h.items[parent].Dist >= h.items[i].Dist {
+			if !worse(h.items[i], h.items[parent]) {
 				break
 			}
 			h.items[parent], h.items[i] = h.items[i], h.items[parent]
@@ -264,7 +273,7 @@ func (h *kBest) offer(r Result) {
 		}
 		return
 	}
-	if r.Dist >= h.items[0].Dist {
+	if !worse(h.items[0], r) {
 		return
 	}
 	h.items[0] = r
@@ -272,10 +281,10 @@ func (h *kBest) offer(r Result) {
 	for {
 		l, rr := 2*i+1, 2*i+2
 		largest := i
-		if l < len(h.items) && h.items[l].Dist > h.items[largest].Dist {
+		if l < len(h.items) && worse(h.items[l], h.items[largest]) {
 			largest = l
 		}
-		if rr < len(h.items) && h.items[rr].Dist > h.items[largest].Dist {
+		if rr < len(h.items) && worse(h.items[rr], h.items[largest]) {
 			largest = rr
 		}
 		if largest == i {
@@ -286,13 +295,13 @@ func (h *kBest) offer(r Result) {
 	}
 }
 
-// sorted drains the heap into ascending distance order.
+// sorted drains the heap into ascending (distance, position) order.
 func (h *kBest) sorted() []Result {
 	out := make([]Result, len(h.items))
 	copy(out, h.items)
 	// Simple insertion sort: k is small.
 	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j].Dist < out[j-1].Dist; j-- {
+		for j := i; j > 0 && worse(out[j-1], out[j]); j-- {
 			out[j], out[j-1] = out[j-1], out[j]
 		}
 	}

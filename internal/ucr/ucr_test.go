@@ -1,12 +1,15 @@
 package ucr
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"testing"
 
 	"dsidx/internal/gen"
 	"dsidx/internal/series"
 	"dsidx/internal/storage"
+	"dsidx/internal/vector"
 )
 
 func testData(t *testing.T, n int) (*series.Collection, *series.Collection) {
@@ -161,5 +164,47 @@ func TestDTWTighterThanED(t *testing.T) {
 	dtw := ScanDTW(coll, q, 4)
 	if dtw.Dist > ed.Dist+1e-9 {
 		t.Fatalf("DTW NN %v exceeds ED NN %v", dtw.Dist, ed.Dist)
+	}
+}
+
+// TestScanKNNTiesRankByPosition: exact duplicates are equidistant from every
+// query, so the k-NN answer ranks them by position, and when the k-th slot
+// falls inside a run of ties it keeps the lowest positions — at every k, for
+// queries near the duplicated series, equal to one (distance 0), and far
+// from all of them.
+func TestScanKNNTiesRankByPosition(t *testing.T) {
+	g := gen.Generator{Kind: gen.Synthetic, Length: 64, Seed: 37}
+	coll := g.Collection(300)
+	// Three copies of #5 (one of them below it) and two of #80.
+	for _, dup := range [][2]int{{5, 170}, {5, 3}, {5, 251}, {80, 20}, {80, 299}} {
+		coll.Set(dup[1], coll.At(dup[0]))
+	}
+	queries := []series.Series{coll.At(5), coll.At(80)}
+	for _, c := range []*series.Collection{g.PerturbedQueries(coll.Slice(5, 6), 3, 0.02), g.PerturbedQueries(coll.Slice(80, 81), 3, 0.02), g.Queries(2)} {
+		for i := 0; i < c.Len(); i++ {
+			queries = append(queries, c.At(i))
+		}
+	}
+	dead := func(i int) bool { return i == 170 }
+	for qi, q := range queries {
+		var all, live []Result
+		for i := 0; i < coll.Len(); i++ {
+			r := Result{Pos: int32(i), Dist: vector.SquaredED(q, coll.At(i))}
+			all = append(all, r)
+			if i >= 4 && !dead(i) {
+				live = append(live, r)
+			}
+		}
+		byRank := func(a, b Result) int { return cmp.Or(cmp.Compare(a.Dist, b.Dist), cmp.Compare(a.Pos, b.Pos)) }
+		slices.SortFunc(all, byRank)
+		slices.SortFunc(live, byRank)
+		for k := 1; k <= 8; k++ {
+			if got := ScanKNN(coll, q, k); !slices.Equal(got, all[:k]) {
+				t.Fatalf("query %d, k=%d: ScanKNN %v, want %v", qi, k, got, all[:k])
+			}
+			if got := ScanLiveKNN(coll, q, k, 4, dead); !slices.Equal(got, live[:k]) {
+				t.Fatalf("query %d, k=%d: ScanLiveKNN %v, want %v", qi, k, got, live[:k])
+			}
+		}
 	}
 }
