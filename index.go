@@ -74,8 +74,8 @@ func (x *index) SearchDTW(q Series, window int) (Match, error) {
 }
 
 // SearchApproximate returns the iSAX approximate answer, in microseconds:
-// the best series among the two leaves that best match the query's summary
-// (on every shard) and the unmerged appends. Its distance is an
+// the best series in the one leaf that best matches the query's summary
+// (on every shard) and in the unmerged appends. Its distance is an
 // upper bound on the exact answer's distance.
 func (x *index) SearchApproximate(q Series) (Match, error) {
 	return x.one(QueryRequest{Query: q, Kind: QueryApprox}, 0)

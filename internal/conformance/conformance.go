@@ -710,7 +710,7 @@ func (h *harness) opApproximate() {
 		}
 		if r.Pos < 0 {
 			// No answer is within the approximate contract once deletes
-			// exist: the probed leaves (a bounded set) may all be
+			// exist: the probed leaf (one per shard) may be wholly
 			// tombstoned even while live series sit elsewhere. With no
 			// deletes a non-empty index must always answer.
 			if exact.Pos >= 0 && len(h.dead) == 0 {

@@ -209,72 +209,6 @@ func (t *Tree) BestLeafApprox(querySAX []uint8, queryPAA []float64) *Node {
 	return node
 }
 
-// BestLeavesApprox returns up to p distinct leaves ordered by how
-// promising they are for seeding the BSF: the leaf BestLeafApprox finds,
-// then the multi-probe extension — each further probe descends the
-// unexplored sibling subtree with the smallest node lower bound among all
-// siblings passed so far (the neighboring regions a slightly-perturbed
-// query summary would have routed to). Probing p leaves instead of one
-// tightens the initial BSF, so fewer leaves survive tree pruning in the
-// exact phase. Costs p descents plus one MinDist per passed sibling; no
-// full root scan beyond the one BestLeafApprox already performs for an
-// empty matching root. Returns nil for an empty tree.
-func (t *Tree) BestLeavesApprox(querySAX []uint8, queryPAA []float64, p int) []*Node {
-	start := t.roots[t.RootKey(querySAX)]
-	if start == nil {
-		// Same fallback as BestLeafApprox: the best occupied root child.
-		bestDist := math.Inf(1)
-		for _, key := range t.OccupiedKeys() {
-			d := isax.MinDist(t.quant, queryPAA, t.roots[key].Word, t.cfg.SeriesLen)
-			if d < bestDist {
-				start, bestDist = t.roots[key], d
-			}
-		}
-		if start == nil {
-			return nil
-		}
-	}
-	leaves := make([]*Node, 0, p)
-	// siblings collects the un-routed child at every inner node passed,
-	// with its lower bound; probes pop the minimum. Descent paths are
-	// MaxDepth deep and p is small, so a linear-scan pop beats a heap.
-	// The final probe's descent skips the bound computations entirely —
-	// nothing will pop what it would collect.
-	type cand struct {
-		n  *Node
-		lb float64
-	}
-	var siblings []cand
-	descend := func(n *Node, collect bool) *Node {
-		for !n.IsLeaf() {
-			next := n.route(querySAX, t.cfg.MaxBits)
-			if collect {
-				sib := n.Left
-				if sib == next {
-					sib = n.Right
-				}
-				siblings = append(siblings, cand{sib, isax.MinDist(t.quant, queryPAA, sib.Word, t.cfg.SeriesLen)})
-			}
-			n = next
-		}
-		return n
-	}
-	leaves = append(leaves, descend(start, p > 1))
-	for len(leaves) < p && len(siblings) > 0 {
-		best := 0
-		for i := 1; i < len(siblings); i++ {
-			if siblings[i].lb < siblings[best].lb {
-				best = i
-			}
-		}
-		next := siblings[best].n
-		siblings[best] = siblings[len(siblings)-1]
-		siblings = siblings[:len(siblings)-1]
-		leaves = append(leaves, descend(next, len(leaves)+1 < p))
-	}
-	return leaves
-}
-
 // MaterializeLeaves fills every leaf below n with its entries' raw values
 // in leaf order: fetch resolves a stored position to that series' values
 // (sl points each), and the leaf's Raw block is laid out entry-aligned
@@ -296,26 +230,6 @@ func (n *Node) MaterializeLeaves(sl int, fetch func(pos int32) []float32) {
 		}
 		leaf.Raw = raw
 	})
-}
-
-// PruneWalk traverses the subtree rooted at n, pruning every node whose
-// lower-bound distance to the query is at least bsf() at visit time, and
-// calls emit with each surviving leaf and its lower bound. This is the
-// node-level pruning of MESSI stage 3.
-func (t *Tree) PruneWalk(n *Node, queryPAA []float64, bsf func() float64, emit func(*Node, float64)) {
-	if n == nil {
-		return
-	}
-	d := isax.MinDist(t.quant, queryPAA, n.Word, t.cfg.SeriesLen)
-	if d >= bsf() {
-		return
-	}
-	if n.IsLeaf() {
-		emit(n, d)
-		return
-	}
-	t.PruneWalk(n.Left, queryPAA, bsf, emit)
-	t.PruneWalk(n.Right, queryPAA, bsf, emit)
 }
 
 // Stats summarizes tree shape for diagnostics and tests.

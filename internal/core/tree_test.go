@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"sync"
 	"testing"
 
@@ -214,38 +213,6 @@ func TestBestLeafApproxEmptyRootFallback(t *testing.T) {
 	leaf := tree.BestLeafApprox([]uint8{0, 0, 0, 0}, qpaa)
 	if leaf == nil || leaf.Count != 1 {
 		t.Fatal("fallback did not find the only occupied subtree")
-	}
-}
-
-func TestPruneWalkNeverPrunesTrueNN(t *testing.T) {
-	// With bsf = true NN distance + ε, the walk must emit the leaf holding
-	// the true nearest neighbor (mindist lower-bounds real distance).
-	cfg := testConfig()
-	tree, coll, _ := buildTestTree(t, 2000, cfg)
-	g := gen.Generator{Kind: gen.Synthetic, Length: 256, Seed: 1234}
-	for qi := 0; qi < 5; qi++ {
-		q := g.Series(-(int64(qi) + 10))
-		qpaa := make([]float64, 16)
-		paa.TransformInto(q, qpaa)
-		nnPos, nnDist := coll.BruteForce1NN(q)
-
-		found := false
-		bsf := nnDist * 1.0000001
-		for _, key := range tree.OccupiedKeys() {
-			tree.PruneWalk(tree.Subtree(key), qpaa, func() float64 { return bsf }, func(leaf *Node, lb float64) {
-				if lb > bsf {
-					t.Errorf("emitted leaf with lb %v above bsf %v", lb, bsf)
-				}
-				for _, p := range leaf.Pos {
-					if int(p) == nnPos {
-						found = true
-					}
-				}
-			})
-		}
-		if !found {
-			t.Fatalf("query %d: pruning discarded the true NN (dist %v)", qi, math.Sqrt(nnDist))
-		}
 	}
 }
 

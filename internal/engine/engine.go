@@ -82,7 +82,7 @@ type Stats struct {
 	Tasks           uint64 // tasks executed by pool workers since creation
 	AdmitWaits      uint64 // admissions that blocked on a full semaphore
 	AdmitWaitNanos  uint64 // total nanoseconds spent blocked in admission
-	SubmitFallbacks uint64 // trySubmit calls rejected by a full run queue
+	SubmitFallbacks uint64 // always 0: no task is optional; kept while EngineStats and bench/ read it
 	TaskPanics      uint64 // pool tasks that panicked and were contained
 	BgPanics        uint64 // background jobs (Go) that panicked and were contained
 }
@@ -116,12 +116,10 @@ type Engine struct {
 	tasksDone atomic.Uint64
 	active    atomic.Int64
 
-	// Saturation counters: how often admission had to block (and for how
-	// long), and how often an optional task was dropped because the run
-	// queue was full. Together they are the pool's overload signal.
-	admitWaits    atomic.Uint64
-	admitWaitNs   atomic.Uint64
-	submitDropped atomic.Uint64
+	// Saturation counters: how often admission had to block, and for how
+	// long — the pool's overload signal.
+	admitWaits  atomic.Uint64
+	admitWaitNs atomic.Uint64
 
 	// Containment counters: panics recovered at the pool-task and
 	// background-job boundaries instead of crashing the process.
@@ -292,51 +290,23 @@ func (e *Engine) submit(fn func()) {
 	e.mu.RUnlock()
 }
 
-// trySubmit is submit without the blocking send: it enqueues fn only if a
-// queue slot is immediately free, reporting whether it did. Tasks that are
-// an optimization rather than required work (prefetch hints) use it from
-// inside pool tasks, where a blocking send could deadlock a small pool —
-// the submitting worker may be the only goroutine that could drain the
-// queue it is waiting on. After the final Close it runs fn inline, exactly
-// as submit does.
-func (e *Engine) trySubmit(fn func()) bool {
-	e.mu.RLock()
-	if e.closed {
-		e.mu.RUnlock()
-		fn()
-		return true
+// Admit blocks until a query slot is free and returns its release
+// function. Admission bounds scratch-buffer pinning and run-queue growth; it
+// is used by the batch and serve layers, while direct Search calls manage
+// their own concurrency. A tenanted query first clears its tenant's own gate
+// (tenant.go), then the global one; tenant "" takes the global gate alone
+// and never touches the tenant state. If ctx is done before the gates clear,
+// release is nil and err is ctx.Err(), so serving loops waiting behind a
+// long batch unblock promptly on shutdown.
+func (e *Engine) Admit(ctx context.Context, tenant string) (release func(), err error) {
+	if tenant != "" {
+		return e.admitTenant(ctx, tenant)
 	}
-	select {
-	case e.tasks <- fn:
-		e.mu.RUnlock()
-		return true
-	default:
-		e.mu.RUnlock()
-		e.submitDropped.Add(1)
-		return false
-	}
+	return e.admitGlobal(ctx)
 }
 
-// Admit blocks until a query slot is free and returns its release function.
-// Admission bounds scratch-buffer pinning and run-queue growth; it is used
-// by the batch and serve layers, while direct Search calls manage their own
-// concurrency.
-func (e *Engine) Admit() (release func()) {
-	select {
-	case e.sem <- struct{}{}:
-	default:
-		t0 := time.Now()
-		e.sem <- struct{}{}
-		e.admitWaits.Add(1)
-		e.admitWaitNs.Add(uint64(time.Since(t0)))
-	}
-	return e.admitted()
-}
-
-// AdmitContext is Admit with cancellation: it returns ctx.Err() instead of
-// a release function if ctx is done before a slot frees, so serving loops
-// waiting behind a long batch unblock promptly on shutdown.
-func (e *Engine) AdmitContext(ctx context.Context) (release func(), err error) {
+// admitGlobal takes one slot of the global semaphore.
+func (e *Engine) admitGlobal(ctx context.Context) (release func(), err error) {
 	select {
 	case e.sem <- struct{}{}:
 		return e.admitted(), nil
@@ -370,28 +340,29 @@ func (e *Engine) admitted() (release func()) {
 	}
 }
 
-// BeginQuery marks a query as actively executing on the pool and returns
-// the matching end function. Unlike Admit (the blocking admission gate used
-// by batch/serve layers), this is a plain counter: every query path calls
-// it, so ActiveQueries — and the Stats.Queries throughput counter — see
-// direct Search calls too, not just admitted traffic.
-func (e *Engine) BeginQuery() (end func()) {
-	e.CountQuery()
-	return e.BeginSubQuery()
+// CountQuery records one logical query in the Stats.Queries throughput
+// counter, and in the tenant's when tenant is non-empty, without marking an
+// active executor. Unlike Admit, this and BeginSubQuery are plain counters
+// that every query path calls, so direct Search calls are seen too, not
+// just admitted traffic. A sharding layer counts each scatter-gather query
+// exactly once here, while its N per-shard sub-searches each call
+// BeginSubQuery — so sampling Queries still yields logical QPS no matter
+// the shard count.
+func (e *Engine) CountQuery(tenant string) {
+	e.queries.Add(1)
+	if tenant != "" {
+		e.countTenant(tenant)
+	}
 }
 
-// CountQuery records one logical query in the Stats.Queries throughput
-// counter without marking an active executor. A sharding layer counts each
-// scatter-gather query exactly once through here, while its N per-shard
-// sub-searches drive ActiveQueries via BeginSubQuery — so sampling Queries
-// still yields logical QPS no matter the shard count.
-func (e *Engine) CountQuery() { e.queries.Add(1) }
-
-// BeginSubQuery marks one branch of an already-counted query as actively
-// executing: FairShare splits the pool over it, Stats.Queries does not
-// double-count it.
-func (e *Engine) BeginSubQuery() (end func()) {
+// BeginSubQuery marks one branch of a counted query as actively executing
+// and returns the matching end function: FairShare splits the pool over the
+// active branches, globally and within the tenant when tenant is non-empty.
+func (e *Engine) BeginSubQuery(tenant string) (end func()) {
 	e.active.Add(1)
+	if tenant != "" {
+		return e.beginTenant(tenant)
+	}
 	return func() { e.active.Add(-1) }
 }
 
@@ -402,13 +373,18 @@ func (e *Engine) ActiveQueries() int { return int(e.active.Load()) }
 // the whole pool when it is alone, a proportional slice when others are
 // active. Space-sharing under load beats pure time-slicing because each
 // query then submits fewer, larger tasks — less queue and barrier overhead
-// per answer — while the pool stays fully busy as long as there is work.
-func (e *Engine) FairShare() int {
-	n := e.ActiveQueries()
-	if n <= 1 {
-		return e.opt.Workers
+// per answer — while the pool stays fully busy as long as there is work. A
+// tenanted query's share is further confined to its tenant's slice
+// (tenantShare).
+func (e *Engine) FairShare(tenant string) int {
+	share := e.opt.Workers
+	if n := e.ActiveQueries(); n > 1 {
+		share = max(1, e.opt.Workers/n)
 	}
-	return max(1, e.opt.Workers/n)
+	if tenant != "" {
+		return e.tenantShare(tenant, share)
+	}
+	return share
 }
 
 // Stats snapshots the throughput counters.
@@ -424,17 +400,16 @@ func (e *Engine) Stats() Stats {
 		peak = inFlight
 	}
 	return Stats{
-		Workers:         e.opt.Workers,
-		PendingTasks:    len(e.tasks),
-		InFlight:        inFlight,
-		PeakInFlight:    peak,
-		Queries:         e.queries.Load(),
-		Tasks:           e.tasksDone.Load(),
-		AdmitWaits:      e.admitWaits.Load(),
-		AdmitWaitNanos:  e.admitWaitNs.Load(),
-		SubmitFallbacks: e.submitDropped.Load(),
-		TaskPanics:      e.taskPanics.Load(),
-		BgPanics:        e.bgPanics.Load(),
+		Workers:        e.opt.Workers,
+		PendingTasks:   len(e.tasks),
+		InFlight:       inFlight,
+		PeakInFlight:   peak,
+		Queries:        e.queries.Load(),
+		Tasks:          e.tasksDone.Load(),
+		AdmitWaits:     e.admitWaits.Load(),
+		AdmitWaitNanos: e.admitWaitNs.Load(),
+		TaskPanics:     e.taskPanics.Load(),
+		BgPanics:       e.bgPanics.Load(),
 	}
 }
 
@@ -479,21 +454,6 @@ func (g *Group) Submit(fn func()) {
 		defer g.wg.Done()
 		g.run(fn)
 	})
-}
-
-// TrySubmit schedules fn only if the pool can take it without blocking,
-// reporting whether it did. Safe to call from inside a pool task — unlike
-// Submit, it cannot deadlock a worker against its own queue.
-func (g *Group) TrySubmit(fn func()) bool {
-	g.wg.Add(1)
-	ok := g.e.trySubmit(func() {
-		defer g.wg.Done()
-		g.run(fn)
-	})
-	if !ok {
-		g.wg.Done()
-	}
-	return ok
 }
 
 // Do runs fn on the calling goroutine as one of the group's tasks: a panic

@@ -141,9 +141,9 @@ func TestAdmissionBoundsInFlight(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			release := e.Admit()
+			release := admit(e, "")
 			defer release()
-			end := e.BeginQuery()
+			end := beginQuery(e, "")
 			defer end()
 			c := cur.Add(1)
 			for {
@@ -178,25 +178,25 @@ func TestAdmitContextUnblocksOnCancel(t *testing.T) {
 	// A canceled waiter must not sit behind traffic holding every slot.
 	e := New(Options{Workers: 1, MaxInFlight: 1})
 	defer e.Close()
-	release := e.Admit() // occupy the only slot
+	release := admit(e, "") // occupy the only slot
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := e.AdmitContext(ctx)
+		_, err := e.Admit(ctx, "")
 		done <- err
 	}()
 	cancel()
 	select {
 	case err := <-done:
 		if err == nil {
-			t.Fatal("AdmitContext returned a slot that was never free")
+			t.Fatal("Admit returned a slot that was never free")
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("AdmitContext did not unblock on cancel")
+		t.Fatal("Admit did not unblock on cancel")
 	}
 	release()
-	// With the slot free again, AdmitContext succeeds.
-	r2, err := e.AdmitContext(context.Background())
+	// With the slot free again, Admit succeeds.
+	r2, err := e.Admit(context.Background(), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,10 +206,10 @@ func TestAdmitContextUnblocksOnCancel(t *testing.T) {
 func TestReleaseIsIdempotent(t *testing.T) {
 	e := New(Options{Workers: 1, MaxInFlight: 1})
 	defer e.Close()
-	release := e.Admit()
+	release := admit(e, "")
 	release()
 	release() // second call must not double-free the slot
-	r2 := e.Admit()
+	r2 := admit(e, "")
 	r2()
 	if got := e.Stats().InFlight; got != 0 {
 		t.Fatalf("in-flight %d, want 0", got)
@@ -219,22 +219,22 @@ func TestReleaseIsIdempotent(t *testing.T) {
 func TestFairShareScalesWithActiveQueries(t *testing.T) {
 	e := New(Options{Workers: 8})
 	defer e.Close()
-	if got := e.FairShare(); got != 8 {
+	if got := e.FairShare(""); got != 8 {
 		t.Fatalf("idle fair share = %d, want full pool 8", got)
 	}
-	end1 := e.BeginQuery()
-	if got := e.FairShare(); got != 8 {
+	end1 := beginQuery(e, "")
+	if got := e.FairShare(""); got != 8 {
 		t.Fatalf("solo fair share = %d, want full pool 8", got)
 	}
-	end2 := e.BeginQuery()
-	if got := e.FairShare(); got != 4 {
+	end2 := beginQuery(e, "")
+	if got := e.FairShare(""); got != 4 {
 		t.Fatalf("fair share with 2 active = %d, want 4", got)
 	}
 	ends := make([]func(), 0, 14)
 	for i := 0; i < 14; i++ {
-		ends = append(ends, e.BeginQuery())
+		ends = append(ends, beginQuery(e, ""))
 	}
-	if got := e.FairShare(); got != 1 {
+	if got := e.FairShare(""); got != 1 {
 		t.Fatalf("fair share with 16 active = %d, want floor 1", got)
 	}
 	end1()
@@ -357,43 +357,15 @@ func TestRetainKeepsSharedPoolAlive(t *testing.T) {
 	}
 }
 
-func TestTrySubmitRefusesWhenSaturated(t *testing.T) {
-	e := New(Options{Workers: 1, QueueDepth: 1})
-	defer e.Close()
-	g := e.NewGroup()
-	started := make(chan struct{})
-	release := make(chan struct{})
-	g.Submit(func() { close(started); <-release })
-	<-started
-	// Worker blocked, queue empty: the non-blocking path must accept.
-	var queued atomic.Int64
-	if !g.TrySubmit(func() { queued.Add(1) }) {
-		t.Fatal("TrySubmit refused with a free queue slot")
-	}
-	// Queue now full: TrySubmit must refuse instead of blocking — the
-	// property the query pipeline's prefetch relies on to never deadlock a
-	// worker submitting from inside the pool.
-	for g.TrySubmit(func() { queued.Add(1) }) {
-		// A refusal must arrive before the buffer could plausibly drain
-		// (the only worker is parked on release).
-	}
-	close(release)
-	g.Wait()
-	if queued.Load() == 0 {
-		t.Fatal("accepted TrySubmit task never ran")
-	}
+// admit is Admit with no deadline, which cannot fail.
+func admit(e *Engine, tenant string) (release func()) {
+	release, _ = e.Admit(context.Background(), tenant)
+	return release
 }
 
-func TestTrySubmitAfterCloseRunsInline(t *testing.T) {
-	e := New(Options{Workers: 1})
-	g := e.NewGroup()
-	e.Close()
-	ran := false
-	if !g.TrySubmit(func() { ran = true }) {
-		t.Fatal("TrySubmit on a closed engine must report true")
-	}
-	if !ran {
-		t.Fatal("TrySubmit on a closed engine must run the task inline")
-	}
-	g.Wait()
+// beginQuery counts a logical query and marks it executing, as an
+// unsharded index does for every query.
+func beginQuery(e *Engine, tenant string) (end func()) {
+	e.CountQuery(tenant)
+	return e.BeginSubQuery(tenant)
 }

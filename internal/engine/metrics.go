@@ -47,7 +47,7 @@ func (e *Engine) RegisterMetrics(r *metrics.Registry) {
 		}, stat(func(s Stats) float64 { return float64(s.AdmitWaitNanos) / 1e9 })),
 		metrics.NewCounterFunc(metrics.Opts{
 			Name: "dsidx_engine_submit_fallbacks_total",
-			Help: "Optional tasks (TrySubmit) rejected by a full run queue.",
+			Help: "Optional pool tasks dropped by a full run queue; always 0, since every task is required.",
 		}, stat(func(s Stats) float64 { return float64(s.SubmitFallbacks) })),
 		metrics.NewCounterFunc(metrics.Opts{
 			Name: "dsidx_engine_task_panics_total",

@@ -13,8 +13,8 @@ func TestRegisterMetricsSamplesStats(t *testing.T) {
 	r := metrics.NewRegistry()
 	e.RegisterMetrics(r)
 
-	release := e.Admit()
-	end := e.BeginQuery()
+	release := admit(e, "")
+	end := beginQuery(e, "")
 	g := e.NewGroup()
 	g.Submit(func() {})
 	g.Wait()

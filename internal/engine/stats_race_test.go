@@ -4,8 +4,8 @@ package engine
 // monotonic counter must be non-decreasing across successive snapshots,
 // PeakInFlight must never read below InFlight, and InFlight must respect
 // the admission bound. The writers deliberately keep the semaphore and the
-// run queue saturated so the blocking-admission and fallback counters see
-// real traffic.
+// run queue saturated so the blocking-admission and task counters see real
+// traffic.
 
 import (
 	"runtime"
@@ -36,15 +36,15 @@ func TestStatsConsistentUnderLoad(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for !stopped() {
-				release := e.Admit()
-				end := e.BeginQuery()
+				release := admit(e, "")
+				end := beginQuery(e, "")
 				end()
 				release()
 			}
 		}()
 	}
-	// Optional-task traffic against a tiny queue, forcing fallbacks; the
-	// busy sink keeps workers occupied so the queue actually fills.
+	// Task traffic against a tiny queue; the busy sink keeps workers
+	// occupied so the queue actually fills and submissions block.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -55,7 +55,7 @@ func TestStatsConsistentUnderLoad(t *testing.T) {
 			}
 		}
 		for !stopped() {
-			e.trySubmit(busy)
+			e.submit(busy)
 		}
 	}()
 

@@ -1,23 +1,24 @@
 package engine
 
-// Tenant-aware fairness: every admission and scheduling surface has a
-// *Tenant variant taking an opaque tenant ID. The design keeps the global
-// machinery untouched and layers a per-tenant gate in front of it:
+// Tenant-aware fairness: every admission and scheduling entry (Admit,
+// CountQuery, BeginSubQuery, FairShare) takes an opaque tenant ID. The
+// design keeps the global machinery untouched and layers a per-tenant gate
+// in front of it:
 //
-//   - AdmitTenant first takes a tenant slot — each tenant with live work is
-//     entitled to MaxInFlight / liveTenants slots (at least one) — and only
-//     then the global semaphore. A storm from one tenant queues on its own
-//     gate while other tenants sail through theirs, so the global window is
-//     shared instead of captured. Caps shrink and grow as tenants arrive
-//     and drain; a shrunken cap never evicts admitted queries, it just
-//     holds newcomers until the tenant drains below it.
-//   - FairShareTenant divides the pool first across tenants with active
-//     queries, then across the tenant's own, and never exceeds the global
-//     FairShare — with a single tenant (or none) it degenerates to exactly
-//     the untenanted formula.
+//   - A tenanted Admit first takes a tenant slot — each tenant with live
+//     work is entitled to MaxInFlight / liveTenants slots (at least one) —
+//     and only then the global semaphore. A storm from one tenant queues on
+//     its own gate while other tenants sail through theirs, so the global
+//     window is shared instead of captured. Caps shrink and grow as tenants
+//     arrive and drain; a shrunken cap never evicts admitted queries, it
+//     just holds newcomers until the tenant drains below it.
+//   - A tenanted FairShare divides the pool first across tenants with
+//     active queries, then across the tenant's own, and never exceeds the
+//     global share — with a single tenant (or none) it degenerates to
+//     exactly the untenanted formula.
 //
-// Tenant "" is the untenanted default and bypasses everything here — those
-// calls are byte-for-byte the pre-tenant paths, so existing single-tenant
+// Tenant "" is the untenanted default and never reaches this file: those
+// calls take the global paths alone and never lock tmu, so single-tenant
 // deployments see zero overhead and identical scheduling.
 //
 // State for a tenant is retained after its work drains (the counters feed
@@ -81,33 +82,9 @@ func (e *Engine) tenantCap() int {
 	return max(1, e.opt.MaxInFlight/max(1, e.liveTenants))
 }
 
-// AdmitTenant is Admit under a tenant identity: the query first clears the
-// tenant's own admission gate (its equal split of MaxInFlight), then the
-// global one. Tenant "" is exactly Admit.
-func (e *Engine) AdmitTenant(tenant string) (release func()) {
-	if tenant == "" {
-		return e.Admit()
-	}
-	e.tmu.Lock()
-	ts := e.tenant(tenant)
-	for waited := false; ts.inFlight >= e.tenantCap(); {
-		if !waited {
-			waited = true
-			ts.waits++
-		}
-		e.tcond.Wait()
-	}
-	ts.inFlight++
-	e.tmu.Unlock()
-	return e.tenantRelease(ts, e.Admit())
-}
-
-// AdmitTenantContext is AdmitTenant with cancellation: release is nil and
-// err non-nil if ctx is done before both gates clear.
-func (e *Engine) AdmitTenantContext(ctx context.Context, tenant string) (release func(), err error) {
-	if tenant == "" {
-		return e.AdmitContext(ctx)
-	}
+// admitTenant is a tenanted Admit: the query first clears the tenant's own
+// admission gate (its equal split of MaxInFlight), then the global one.
+func (e *Engine) admitTenant(ctx context.Context, tenant string) (release func(), err error) {
 	// The tenant gate waits on a condition variable, which cannot select on
 	// ctx; a cancellation callback broadcasting the condition bounds every
 	// waiter's wake-up latency to one Broadcast.
@@ -133,7 +110,7 @@ func (e *Engine) AdmitTenantContext(ctx context.Context, tenant string) (release
 	}
 	ts.inFlight++
 	e.tmu.Unlock()
-	globalRelease, err := e.AdmitContext(ctx)
+	globalRelease, err := e.admitGlobal(ctx)
 	if err != nil {
 		e.tmu.Lock()
 		ts.inFlight--
@@ -162,20 +139,8 @@ func (e *Engine) tenantRelease(ts *tenantState, globalRelease func()) func() {
 	}
 }
 
-// BeginQueryTenant is BeginQuery under a tenant identity. Tenant "" is
-// exactly BeginQuery.
-func (e *Engine) BeginQueryTenant(tenant string) (end func()) {
-	e.CountQueryTenant(tenant)
-	return e.BeginSubQueryTenant(tenant)
-}
-
-// CountQueryTenant records one logical query for the throughput counters —
-// global always, per-tenant when tenant is non-empty.
-func (e *Engine) CountQueryTenant(tenant string) {
-	e.CountQuery()
-	if tenant == "" {
-		return
-	}
+// countTenant records one logical query in the tenant's counter.
+func (e *Engine) countTenant(tenant string) {
 	e.tmu.Lock()
 	ts := e.tenants[tenant]
 	if ts == nil {
@@ -186,16 +151,11 @@ func (e *Engine) CountQueryTenant(tenant string) {
 	e.tmu.Unlock()
 }
 
-// BeginSubQueryTenant marks one branch of an already-counted query as
-// actively executing under a tenant identity: global and per-tenant active
-// counts both move, so FairShareTenant can split the pool first across
-// tenants, then across the tenant's own branches. Tenant "" is exactly
-// BeginSubQuery.
-func (e *Engine) BeginSubQueryTenant(tenant string) (end func()) {
-	endGlobal := e.BeginSubQuery()
-	if tenant == "" {
-		return endGlobal
-	}
+// beginTenant is the tenant side of a tenanted BeginSubQuery, whose global
+// active count has already moved: the tenant's own count moves too, so
+// FairShare can split the pool first across tenants, then across the
+// tenant's own branches. The returned end undoes both.
+func (e *Engine) beginTenant(tenant string) (end func()) {
 	e.tmu.Lock()
 	ts := e.tenant(tenant)
 	ts.active++
@@ -203,7 +163,7 @@ func (e *Engine) BeginSubQueryTenant(tenant string) (end func()) {
 	var once sync.Once
 	return func() {
 		once.Do(func() {
-			endGlobal()
+			e.active.Add(-1)
 			e.tmu.Lock()
 			ts.active--
 			e.tenantDone(ts)
@@ -212,16 +172,13 @@ func (e *Engine) BeginSubQueryTenant(tenant string) (end func()) {
 	}
 }
 
-// FairShareTenant is FairShare under a tenant identity: the pool divides
-// first across tenants with active queries, then across this tenant's own
-// active branches, and the result never exceeds the global fair share — so
-// a lone tenant (or untenanted traffic) gets exactly FairShare, while under
-// multi-tenant contention each tenant's storm is confined to its slice.
-func (e *Engine) FairShareTenant(tenant string) int {
-	global := e.FairShare()
-	if tenant == "" {
-		return global
-	}
+// tenantShare confines a tenanted query's global fair share to its
+// tenant's slice: the pool divides first across tenants with active
+// queries, then across this tenant's own active branches, and the result
+// never exceeds global — so a lone tenant gets exactly the global share,
+// while under multi-tenant contention each tenant's storm is confined to
+// its slice.
+func (e *Engine) tenantShare(tenant string, global int) int {
 	e.tmu.Lock()
 	nt := e.liveTenants
 	own := 0

@@ -19,8 +19,8 @@ func TestAdmitTenantSequential(t *testing.T) {
 	e := New(Options{Workers: 2, MaxInFlight: 4})
 	defer e.Close()
 
-	r1 := e.AdmitTenant("a")
-	r2 := e.AdmitTenant("a")
+	r1 := admit(e, "a")
+	r2 := admit(e, "a")
 	st := e.TenantStats()
 	if len(st) != 1 || st[0].Tenant != "a" || st[0].InFlight != 2 {
 		t.Fatalf("stats after two admissions: %+v", st)
@@ -34,7 +34,7 @@ func TestAdmitTenantSequential(t *testing.T) {
 	}
 
 	// Tenant "" bypasses the gate entirely: no tenant entry appears.
-	rel := e.AdmitTenant("")
+	rel := admit(e, "")
 	rel()
 	if st := e.TenantStats(); len(st) != 1 {
 		t.Fatalf("untenanted admission created a tenant entry: %+v", st)
@@ -46,11 +46,11 @@ func TestAdmitTenantContextCancel(t *testing.T) {
 	defer e.Close()
 
 	// Fill the lone tenant's cap (its equal split of MaxInFlight = 2).
-	r1, err := e.AdmitTenantContext(context.Background(), "a")
+	r1, err := e.Admit(context.Background(), "a")
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := e.AdmitTenantContext(context.Background(), "a")
+	r2, err := e.Admit(context.Background(), "a")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestAdmitTenantContextCancel(t *testing.T) {
 	// A third admission blocks on the tenant gate until its context dies.
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	if _, err := e.AdmitTenantContext(ctx, "a"); err == nil {
+	if _, err := e.Admit(ctx, "a"); err == nil {
 		t.Fatal("over-cap admission returned without error")
 	}
 	st := e.TenantStats()
@@ -69,13 +69,13 @@ func TestAdmitTenantContextCancel(t *testing.T) {
 	// An already-dead context fails fast.
 	dead, kill := context.WithCancel(context.Background())
 	kill()
-	if _, err := e.AdmitTenantContext(dead, "a"); err == nil {
+	if _, err := e.Admit(dead, "a"); err == nil {
 		t.Fatal("admission under a canceled context returned without error")
 	}
 
 	// Releasing a slot unblocks the gate again.
 	r1()
-	r3, err := e.AdmitTenantContext(context.Background(), "a")
+	r3, err := e.Admit(context.Background(), "a")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,12 +94,12 @@ func TestAdmitTenantCapSplitsAcrossTenants(t *testing.T) {
 
 	var relA []func()
 	// b registers first so a's cap is already the two-tenant split.
-	relB, err := e.AdmitTenantContext(context.Background(), "b")
+	relB, err := e.Admit(context.Background(), "b")
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
-		r, err := e.AdmitTenantContext(context.Background(), "a")
+		r, err := e.Admit(context.Background(), "a")
 		if err != nil {
 			t.Fatalf("admission %d for tenant a: %v", i, err)
 		}
@@ -108,11 +108,11 @@ func TestAdmitTenantCapSplitsAcrossTenants(t *testing.T) {
 	// a is at its split (4/2 = 2): one more must block.
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	if _, err := e.AdmitTenantContext(ctx, "a"); err == nil {
+	if _, err := e.Admit(ctx, "a"); err == nil {
 		t.Fatal("tenant a exceeded its split")
 	}
 	// b still has room in its own split and in the global window.
-	relB2, err := e.AdmitTenantContext(context.Background(), "b")
+	relB2, err := e.Admit(context.Background(), "b")
 	if err != nil {
 		t.Fatalf("tenant b blocked by tenant a's storm: %v", err)
 	}
@@ -135,8 +135,8 @@ func TestAdmitTenantConcurrentStorm(t *testing.T) {
 			go func(tenant string) {
 				defer wg.Done()
 				for i := 0; i < 20; i++ {
-					rel := e.AdmitTenant(tenant)
-					end := e.BeginQueryTenant(tenant)
+					rel := admit(e, tenant)
+					end := beginQuery(e, tenant)
 					end()
 					rel()
 				}
@@ -159,43 +159,73 @@ func TestFairShareTenant(t *testing.T) {
 	defer e.Close()
 
 	// Untenanted and lone-tenant callers get the global fair share.
-	if got, want := e.FairShareTenant(""), e.FairShare(); got != want {
-		t.Fatalf("untenanted share %d, global %d", got, want)
+	if got := e.FairShare(""); got != 8 {
+		t.Fatalf("idle untenanted share %d, want the whole pool 8", got)
 	}
-	endA := e.BeginSubQueryTenant("a")
-	if got, want := e.FairShareTenant("a"), e.FairShare(); got != want {
+	endA := e.BeginSubQuery("a")
+	if got, want := e.FairShare("a"), e.FairShare(""); got != want {
 		t.Fatalf("lone tenant share %d, global %d", got, want)
 	}
 
 	// A second live tenant halves the slice; a second active branch of the
 	// same tenant halves it again. Never above global, never below 1.
-	endB := e.BeginSubQueryTenant("b")
-	if got := e.FairShareTenant("a"); got != 4 {
+	endB := e.BeginSubQuery("b")
+	if got := e.FairShare("a"); got != 4 {
 		t.Fatalf("two-tenant share %d, want 4", got)
 	}
-	endA2 := e.BeginSubQueryTenant("a")
-	if got := e.FairShareTenant("a"); got != 2 {
+	endA2 := e.BeginSubQuery("a")
+	if got := e.FairShare("a"); got != 2 {
 		t.Fatalf("two-branch share %d, want 2", got)
 	}
-	if got := e.FairShareTenant("zzz-idle"); got < 1 {
+	if got := e.FairShare("zzz-idle"); got < 1 {
 		t.Fatalf("idle tenant share %d, want >= 1", got)
 	}
 	endA()
 	endA2()
 	endB()
 	// All branches done: back to the global share.
-	if got, want := e.FairShareTenant("a"), e.FairShare(); got != want {
+	if got, want := e.FairShare("a"), e.FairShare(""); got != want {
 		t.Fatalf("post-drain share %d, global %d", got, want)
+	}
+}
+
+// TestUntenantedNeverLocksTenantState: tenant "" takes the global paths
+// alone, so every entry completes while the tenant state's lock is held.
+func TestUntenantedNeverLocksTenantState(t *testing.T) {
+	e := New(Options{Workers: 4})
+	defer e.Close()
+	e.tmu.Lock()
+	defer e.tmu.Unlock()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		release, err := e.Admit(context.Background(), "")
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		e.CountQuery("")
+		end := e.BeginSubQuery("")
+		if got := e.FairShare(""); got != 4 {
+			t.Errorf("lone untenanted share %d, want the whole pool 4", got)
+		}
+		end()
+		release()
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("an untenanted call waited on the tenant lock")
 	}
 }
 
 func TestTenantStatsSortedAndCounted(t *testing.T) {
 	e := New(Options{Workers: 1})
 	defer e.Close()
-	e.CountQueryTenant("b")
-	e.CountQueryTenant("a")
-	e.CountQueryTenant("a")
-	e.CountQueryTenant("") // global only, no tenant entry
+	e.CountQuery("b")
+	e.CountQuery("a")
+	e.CountQuery("a")
+	e.CountQuery("") // global only, no tenant entry
 	st := e.TenantStats()
 	if len(st) != 2 || st[0].Tenant != "a" || st[1].Tenant != "b" {
 		t.Fatalf("stats not sorted by tenant: %+v", st)
@@ -211,9 +241,9 @@ func TestTenantMetricsExposition(t *testing.T) {
 	r := metrics.NewRegistry()
 	e.RegisterMetrics(r)
 
-	e.CountQueryTenant("beta")
-	e.CountQueryTenant("alpha")
-	rel := e.AdmitTenant("alpha")
+	e.CountQuery("beta")
+	e.CountQuery("alpha")
+	rel := admit(e, "alpha")
 	defer rel()
 
 	text := r.Text()

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"time"
@@ -49,6 +50,9 @@ const machineBoundNote = "absolute numbers are machine-bound; compare points gen
 // the hot-path numbers tracked across PRs.
 type QueryBenchResult struct {
 	BenchHeader
+	// ProbeLeaves is the leaves each exact query probes to seed its
+	// best-so-far: 1, the paper's single probe. Trajectory points that
+	// read 2 were recorded with two probes per query.
 	ProbeLeaves int `json:"probe_leaves"`
 
 	// NsPerQuery is single-stream mean exact-query latency; QPSByInflight
@@ -77,7 +81,7 @@ type QueryBenchResult struct {
 // the bench runners measure through it, so the sharded benchmark reuses
 // the query benchmark's machinery instead of duplicating it.
 type searchIndex interface {
-	Admit() (release func())
+	AdmitTenantContext(ctx context.Context, tenant string) (release func(), err error)
 	Search(q series.Series, workers int) (core.Result, *messi.QueryStats, error)
 }
 
@@ -129,7 +133,7 @@ func RunQueryBench(cfg Config) (*QueryBenchResult, error) {
 
 	res := &QueryBenchResult{
 		BenchHeader:            header("dsidx-bench-query/v1", cfg, w),
-		ProbeLeaves:            messi.ProbeLeaves,
+		ProbeLeaves:            1,
 		QPSByInflight:          make(map[string]float64, len(cfg.InFlightAxis)),
 		RawDistancesPerQuery:   float64(raw) / float64(len(qs)),
 		EntriesCheckedPerQuery: float64(entries) / float64(len(qs)),

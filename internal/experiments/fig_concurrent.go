@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"time"
@@ -75,7 +76,8 @@ func runConcurrent(ix searchIndex, queries *series.Collection, inflight, total i
 				if i >= total {
 					return
 				}
-				release := ix.Admit()
+				// Admission fails only when its context is done, and this one never is.
+				release, _ := ix.AdmitTenantContext(context.TODO(), "")
 				_, _, err := ix.Search(queries.At(i%queries.Len()), 0)
 				release()
 				if err != nil {

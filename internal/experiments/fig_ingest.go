@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -91,7 +92,8 @@ func runIngestMix(ix *messi.Index, queries, pool *series.Collection, rate int, w
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; time.Now().Before(deadline); i++ {
-				release := ix.Admit()
+				// Admission fails only when its context is done, and this one never is.
+				release, _ := ix.AdmitTenantContext(context.TODO(), "")
 				_, _, err := ix.Search(queries.At(i%queries.Len()), 0)
 				release()
 				if err != nil {

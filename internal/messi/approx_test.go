@@ -102,7 +102,7 @@ func TestConcurrentMixedSearches(t *testing.T) {
 }
 
 // TestScopeSeededRunsOnceAfterTheApproximatePhase: every exact kind calls
-// the scope's Seeded hook exactly once, after the probed leaves have fed the
+// the scope's Seeded hook exactly once, after the probed leaf has fed the
 // shared answer (the threshold is already finite); an Approx query, whose
 // probe is all it does, never calls it.
 func TestScopeSeededRunsOnceAfterTheApproximatePhase(t *testing.T) {
@@ -131,7 +131,7 @@ func TestScopeSeededRunsOnceAfterTheApproximatePhase(t *testing.T) {
 		if kind == Approx {
 			want = 0
 		}
-		if calls != want || st.ProbeLeaves == 0 {
+		if calls != want || st.ProbeLeaves != 1 {
 			t.Errorf("kind %d: Seeded ran %d times over %d probed leaves, want %d", kind, calls, st.ProbeLeaves, want)
 		}
 	}

@@ -8,10 +8,16 @@ import (
 	"dsidx/internal/series"
 )
 
-// counterCeilings are this commit's per-flavor work totals on counterWorkload,
-// Workers: 1, so the next regression in the bound cascade is caught where it
-// happens. LeavesPopped and EntriesChecked are the cascade's own: with the
-// one word bound per leaf that the envelope replaced they read 5,507 /
+// counterCeilings are per-flavor work totals on counterWorkload, Workers: 1,
+// so the next regression in the bound cascade is caught where it happens.
+// Refined and EntriesChecked are the cascade's own. Refined counts every
+// leaf refined, wherever: ProbeLeaves + LeavesPopped. It is held as one sum
+// because a leaf the approximate phase does not probe is popped from the
+// list instead. The ceilings are the readings with two probed leaves per
+// query; the one probe the paper uses reads 1,112 (1-NN), 3,577 (k-NN),
+// 2,242 (DTW) and 1,572 (window), with LeavesPopped alone 4–6 higher than
+// at two. EntriesChecked is the one-probe reading. With the one word bound
+// per leaf that the envelope replaced, popped and entries read 5,507 /
 // 53,130 (1-NN), 21,228 / 129,524 (k-NN), 9,882 / 77,179 (DTW) and 8,048 /
 // 66,452 (window). RawDistances is not the cascade's to lower — which
 // entries pay a distance is decided by the per-entry bound against the
@@ -22,11 +28,11 @@ import (
 // the answer a little later for the ED flavors and sooner under DTW, so the
 // RawDistances entries stay the word-bound drain's totals and are held with
 // rawTolerance on top, not re-recorded.
-var counterCeilings = map[string]QueryStats{
-	"1nn":    {RawDistances: 1455, EntriesChecked: 42902, LeavesPopped: 1092},
-	"knn":    {RawDistances: 4508, EntriesChecked: 90073, LeavesPopped: 3555},
-	"dtw":    {RawDistances: 3686, EntriesChecked: 59647, LeavesPopped: 2220},
-	"window": {RawDistances: 1174, EntriesChecked: 51916, LeavesPopped: 1552},
+var counterCeilings = map[string]struct{ RawDistances, EntriesChecked, Refined int }{
+	"1nn":    {RawDistances: 1455, EntriesChecked: 42507, Refined: 1114},
+	"knn":    {RawDistances: 4508, EntriesChecked: 90073, Refined: 3577},
+	"dtw":    {RawDistances: 3686, EntriesChecked: 59647, Refined: 2242},
+	"window": {RawDistances: 1174, EntriesChecked: 51521, Refined: 1574},
 }
 
 // rawTolerance is how far a change of drain order alone may move a
@@ -35,9 +41,9 @@ var counterCeilings = map[string]QueryStats{
 const rawTolerance = 0.06
 
 // warmSearchAllocs is testing.AllocsPerRun of a warm Search on the same
-// workload at the commit before the cascade; the one-sided and root-key
-// tables live in the pooled scratch, so it did not move.
-const warmSearchAllocs = 20
+// workload: the per-query closures and answer, with every table and
+// candidate list in the pooled scratch.
+const warmSearchAllocs = 11
 
 func counterWorkload(t *testing.T) (*Index, []series.Series) {
 	t.Helper()
@@ -93,15 +99,17 @@ func TestCountersStayUnderCascadeCeilings(t *testing.T) {
 			sum.EntriesChecked += st.EntriesChecked
 			sum.LeavesPopped += st.LeavesPopped
 			sum.LeavesInserted += st.LeavesInserted
+			sum.ProbeLeaves += st.ProbeLeaves
 		}
-		t.Logf("%s: raw %d, entries %d, popped %d, listed %d", name,
-			sum.RawDistances, sum.EntriesChecked, sum.LeavesPopped, sum.LeavesInserted)
+		refined := sum.ProbeLeaves + sum.LeavesPopped
+		t.Logf("%s: raw %d, entries %d, refined %d (probed %d, popped %d), listed %d", name,
+			sum.RawDistances, sum.EntriesChecked, refined, sum.ProbeLeaves, sum.LeavesPopped, sum.LeavesInserted)
 		top := counterCeilings[name]
 		rawTop := int(float64(top.RawDistances) * (1 + rawTolerance))
-		if sum.RawDistances > rawTop || sum.EntriesChecked > top.EntriesChecked || sum.LeavesPopped > top.LeavesPopped {
-			t.Errorf("%s: raw %d, entries %d, popped %d exceed the ceilings %d, %d, %d", name,
-				sum.RawDistances, sum.EntriesChecked, sum.LeavesPopped,
-				rawTop, top.EntriesChecked, top.LeavesPopped)
+		if sum.RawDistances > rawTop || sum.EntriesChecked > top.EntriesChecked || refined > top.Refined {
+			t.Errorf("%s: raw %d, entries %d, refined %d exceed the ceilings %d, %d, %d", name,
+				sum.RawDistances, sum.EntriesChecked, refined,
+				rawTop, top.EntriesChecked, top.Refined)
 		}
 	}
 }
@@ -125,6 +133,6 @@ func TestWarmSearchAllocations(t *testing.T) {
 	})
 	t.Logf("allocations per warm Search: %v", got)
 	if got > warmSearchAllocs {
-		t.Errorf("a warm Search allocates %v times, %d before the cascade", got, warmSearchAllocs)
+		t.Errorf("a warm Search allocates %v times, want at most %d", got, warmSearchAllocs)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"dsidx/internal/core"
 	"dsidx/internal/gen"
 	"dsidx/internal/series"
+	"dsidx/internal/vector"
 )
 
 // verifyLeafRaw asserts every leaf of the index's current tree is
@@ -198,12 +199,13 @@ func TestLeafMaterializationAnswerEquivalence(t *testing.T) {
 	}
 }
 
-func TestMultiProbePruningRegression(t *testing.T) {
-	// Multi-probe BSF seeding exists to cut refinement work: every exact
-	// search probes ProbeLeaves leaves before its bound pass, reports them,
-	// and still answers exactly. Its raw-distance cost against the classic
-	// single-probe seed was last swept in EXPERIMENTS.md ("Knobs on
-	// trial"); counterCeilings holds the totals it must not exceed.
+// TestProbedLeafNeverListed: every exact search refines the one leaf
+// BestLeafApprox finds before its bound pass, and never lists that leaf,
+// where it would be refined twice. With one worker and no delta the
+// threshold does not move between the probe and the fold, so the list is
+// exactly the other leaves whose envelope bound is below the threshold the
+// probe left.
+func TestProbedLeafNeverListed(t *testing.T) {
 	g := gen.Generator{Kind: gen.Synthetic, Seed: 71}
 	coll := g.Collection(20_000)
 	ix, err := Build(coll, core.Config{}, Options{Workers: 1})
@@ -211,21 +213,51 @@ func TestMultiProbePruningRegression(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ix.Close()
-	queries := g.Queries(12)
-	if _, st, err := ix.Search(queries.At(0), 1); err != nil || st.ProbeLeaves != ProbeLeaves {
-		t.Fatalf("ProbeLeaves stat %d (err %v), want %d", st.ProbeLeaves, err, ProbeLeaves)
-	}
-	for _, qs := range []*series.Collection{queries, g.PerturbedQueries(coll, 12, 0.05)} {
+	dir, rowLen := ix.snap.Load().dir, 2*ix.cfg.Segments
+	probeBelow := 0
+	for _, qs := range []*series.Collection{g.Queries(12), g.PerturbedQueries(coll, 12, 0.05)} {
 		for i := 0; i < qs.Len(); i++ {
 			q := qs.At(i)
-			got, _, err := ix.Search(q, 1)
+			got, st, err := ix.Search(q, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if _, want := coll.BruteForce1NN(q); math.Abs(got.Dist-want) > 1e-6*math.Max(1, want) {
 				t.Fatalf("query %d: dist %v, want %v", i, got.Dist, want)
 			}
+			if st.ProbeLeaves != 1 {
+				t.Fatalf("query %d: %d probed leaves, want 1", i, st.ProbeLeaves)
+			}
+
+			// Replay the probe to read the threshold it leaves.
+			sc := ix.getScratch()
+			sc.summarizeQuery(q)
+			v, mp, f := ix.sharedCut(nil, FullScope)
+			nn := Query{Kind: NN, Series: q}
+			sink := NewSink(nn)
+			r := ix.newRefiner(nn, &sink, sc, v.snap.tree.Quantizer(), mp, f)
+			ix.probeLeaf(sc, v.snap.tree, &QueryStats{}, r, nil)
+			lim := r.limit()
+			below, above := r.table.Sides()
+			want := 0
+			for j, leaf := range dir.Leaves {
+				if vector.EnvelopeDist(below, above, dir.Env[j*rowLen:(j+1)*rowLen], r.table.Card()) >= lim {
+					continue
+				}
+				if leaf == sc.probed {
+					probeBelow++
+				} else {
+					want++
+				}
+			}
+			ix.putScratch(sc)
+			if st.LeavesInserted != want {
+				t.Fatalf("query %d: %d leaves listed, want the %d other than the probed one below %v", i, st.LeavesInserted, want, lim)
+			}
 		}
+	}
+	if probeBelow == 0 {
+		t.Fatal("no probed leaf was below its own threshold: the exclusion went untested")
 	}
 }
 
@@ -258,11 +290,8 @@ func TestBatchSearchStatsMatchesSearch(t *testing.T) {
 		if stats[i].RawDistances <= 0 || stats[i].EntriesChecked <= 0 {
 			t.Fatalf("query %d: empty stats %+v", i, stats[i])
 		}
-		// Probes are capped by the leaves reachable from the query's root
-		// subtree, so shallow subtrees may yield fewer than the configured
-		// count.
-		if stats[i].ProbeLeaves < 1 || stats[i].ProbeLeaves > ProbeLeaves {
-			t.Fatalf("query %d: ProbeLeaves %d outside [1,%d]", i, stats[i].ProbeLeaves, ProbeLeaves)
+		if stats[i].ProbeLeaves != 1 {
+			t.Fatalf("query %d: ProbeLeaves %d, want 1", i, stats[i].ProbeLeaves)
 		}
 	}
 }

@@ -10,14 +10,14 @@
 // claim whole buffers with Fetch&Inc and build the corresponding subtrees
 // independently (footnote 3).
 //
-// Query answering: a multi-probe approximate search (the ProbeLeaves best
-// leaves under the query's summary) seeds the shared BSF. The exact
+// Query answering: an approximate search (the one leaf under the query's
+// summary, as in the paper) seeds the shared BSF. The exact
 // phase then reads the snapshot's leaf directory — every leaf of the tree,
 // ordered by root key, with its key and per-segment symbol envelope — not
 // the pointer tree: one table read per group of root keys drops the groups
 // the BSF already excludes, then workers claim runs of the kept leaves,
 // bound them against the live BSF, and list the survivors — minus the
-// already-probed ones — each on its own. The lists are folded into one,
+// already-probed one — each on its own. The lists are folded into one,
 // filtered against the BSF as it then stands and sorted by bound; workers
 // claim its entries in that order through a shared cursor: a claimed leaf
 // has its whole summary block lower-bounded in one batched pass
@@ -109,14 +109,6 @@ func (o Options) normalize() Options {
 	}
 	return o
 }
-
-// ProbeLeaves is the number of leaves the approximate phase probes to seed
-// the best-so-far before exact search (the paper probes one). It is a
-// constant because it barely matters: over 1, 2 and 4 probes on identical
-// queries, raw distances moved by under 1% and bounds checked by under
-// 2.5% in every query kind (EXPERIMENTS.md, "Knobs on trial").
-// counterCeilings in the tests holds the totals at this value.
-const ProbeLeaves = 2
 
 // BuildStats splits creation time into the two phases of Figure 5.
 type BuildStats struct {
@@ -278,23 +270,15 @@ func (ix *Index) Close() { ix.engRef.release() }
 // EngineStats snapshots the shared pool's throughput counters.
 func (ix *Index) EngineStats() engine.Stats { return ix.eng.Stats() }
 
-// Admit blocks until the engine's admission control grants a query slot and
-// returns its release function. BatchSearch and the public serving layer
-// wrap every query in an Admit/release pair.
-func (ix *Index) Admit() (release func()) { return ix.eng.Admit() }
-
-// AdmitContext is Admit with cancellation: release is nil and err non-nil
-// if ctx is done before a slot frees.
-func (ix *Index) AdmitContext(ctx context.Context) (release func(), err error) {
-	return ix.eng.AdmitContext(ctx)
-}
-
-// AdmitTenantContext is AdmitContext under a tenant identity: the query
-// clears the tenant's own admission gate before the global one, so one
-// tenant's storm queues on its own gate instead of capturing the shared
-// window. Tenant "" is exactly AdmitContext.
+// AdmitTenantContext blocks until the engine's admission control grants a
+// query slot and returns its release function; release is nil and err
+// non-nil if ctx is done first. The public serving layer wraps every query
+// in an admission/release pair. A tenanted query clears the tenant's own
+// admission gate before the global one, so one tenant's storm queues on its
+// own gate instead of capturing the shared window; tenant "" takes the
+// global gate alone.
 func (ix *Index) AdmitTenantContext(ctx context.Context, tenant string) (release func(), err error) {
-	return ix.eng.AdmitTenantContext(ctx, tenant)
+	return ix.eng.Admit(ctx, tenant)
 }
 
 // TenantStats snapshots the engine's per-tenant accounting, sorted by

@@ -229,11 +229,11 @@ func TestIndexAdmissionProbeAndRaw(t *testing.T) {
 	if ix.MaxInFlight() <= 0 {
 		t.Fatalf("MaxInFlight() = %d", ix.MaxInFlight())
 	}
-	release := ix.Admit()
-	release()
-	release, err := ix.AdmitContext(context.Background())
-	if err != nil {
-		t.Fatal(err)
+	for _, tenant := range []string{"", "a"} {
+		release, err := ix.AdmitTenantContext(context.Background(), tenant)
+		if err != nil {
+			t.Fatal(err)
+		}
+		release()
 	}
-	release()
 }

@@ -1,6 +1,7 @@
 package messi
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"slices"
@@ -20,9 +21,11 @@ import (
 // QueryStats counts the work of one query, exposing the pruning effects the
 // paper credits for MESSI's speedups.
 type QueryStats struct {
-	ProbeLeaves int // leaves probed by the BSF-seeding approximate phase
+	// ProbeLeaves counts the leaves the BSF-seeding approximate phase
+	// refined: 1, or 0 over an empty tree; a sharded query sums its shards.
+	ProbeLeaves int
 	// LeavesInserted is the length of the candidate list: leaves, other
-	// than the probed ones, whose envelope bound is below the best-so-far as
+	// than the probed one, whose envelope bound is below the best-so-far as
 	// it stood when the bound pass and delta scan had both finished.
 	LeavesInserted int
 	LeavesPopped   int // listed leaves actually refined
@@ -86,12 +89,11 @@ type searchScratch struct {
 	// the barrier the caller folds them all into parts[0], the query's
 	// candidate list.
 	parts [][]candidate
-	// probed records the leaves the approximate phase refined, so the
-	// bound pass does not list them: a probed leaf is already fully
+	// probed is the leaf the approximate phase refined (nil on an empty
+	// tree), so the bound pass does not list it: it is already fully
 	// refined against a bound at least as tight, and re-refining it would
-	// double-count its surviving entries' distances. Read-only during the
-	// bound pass; len ≤ ProbeLeaves, so membership is a pointer scan.
-	probed []*core.Node
+	// double-count its surviving entries' distances.
+	probed *core.Node
 	// r is the query's refiner (newRefiner), pooled with the tables it reads.
 	r refiner
 }
@@ -108,13 +110,12 @@ func (ix *Index) newScratch() *searchScratch {
 func (ix *Index) getScratch() *searchScratch { return ix.scratch.Get().(*searchScratch) }
 
 func (ix *Index) putScratch(sc *searchScratch) {
-	// Drop the probed-leaf pointers and the refiner's closures before
+	// Drop the probed-leaf pointer and the refiner's closures before
 	// parking in the pool: after a merge retires a snapshot, a pooled
 	// scratch must not pin the old subtrees' materialized raw blocks, nor a
 	// finished query's series and answer, until its next reuse. (The
 	// candidate lists hold directory indexes, so they have nothing to drop.)
-	clear(sc.probed)
-	sc.probed = sc.probed[:0]
+	sc.probed = nil
 	sc.r = refiner{}
 	ix.scratch.Put(sc)
 }
@@ -255,34 +256,20 @@ func (ix *Index) scanDelta(r *refiner, lo, hi int, st *QueryStats, lb *lbScratch
 	}
 }
 
-// probeLeaves runs the approximate phase: the ProbeLeaves best leaves
-// under the query's summary (see core.Tree.BestLeavesApprox) are refined
-// exactly as the exact phase refines, seeding the BSF with exact distances.
-// Probing several neighboring leaves instead of one tightens the initial
-// BSF, which shrinks everything downstream: fewer leaves survive the bound
-// pass, fewer entries survive the lower-bound filter. seeded is the
-// scope's hook (see Scope.Seeded), called once the leaves are refined.
-func (ix *Index) probeLeaves(sc *searchScratch, t *core.Tree, stats *QueryStats, r *refiner, seeded func()) {
-	lb := ix.getLB()
-	sc.probed = append(sc.probed[:0], t.BestLeavesApprox(sc.qsax, sc.qpaa, ProbeLeaves)...)
-	for _, leaf := range sc.probed {
-		stats.ProbeLeaves++
-		ix.refineLeaf(r, leaf, stats, lb)
+// probeLeaf runs the approximate phase: the leaf under the query's summary
+// (core.Tree.BestLeafApprox, the paper's single probe) is refined exactly as
+// the exact phase refines, seeding the BSF with exact distances. seeded is
+// the scope's hook (see Scope.Seeded), called once the leaf is refined.
+func (ix *Index) probeLeaf(sc *searchScratch, t *core.Tree, stats *QueryStats, r *refiner, seeded func()) {
+	if sc.probed = t.BestLeafApprox(sc.qsax, sc.qpaa); sc.probed != nil {
+		stats.ProbeLeaves = 1
+		lb := ix.getLB()
+		ix.refineLeaf(r, sc.probed, stats, lb)
+		ix.putLB(lb)
 	}
-	ix.putLB(lb)
 	if seeded != nil {
 		seeded()
 	}
-}
-
-// wasProbed reports whether the approximate phase already refined leaf.
-func (sc *searchScratch) wasProbed(leaf *core.Node) bool {
-	for _, p := range sc.probed {
-		if p == leaf {
-			return true
-		}
-	}
-	return false
 }
 
 // identPos is the position map of an unsharded query: local positions ARE
@@ -361,12 +348,10 @@ func (ix *Index) failQuery(err error) error {
 // (per-index search count and latency histogram).
 func (ix *Index) beginQuery(sub bool, tenant string) (end func()) {
 	t0 := time.Now()
-	var endE func()
-	if sub {
-		endE = ix.eng.BeginSubQueryTenant(tenant)
-	} else {
-		endE = ix.eng.BeginQueryTenant(tenant)
+	if !sub {
+		ix.eng.CountQuery(tenant)
 	}
+	endE := ix.eng.BeginSubQuery(tenant)
 	return func() {
 		endE()
 		ix.searches.Add(1)
@@ -414,11 +399,10 @@ const (
 	// per-entry filtering use the envelope-based iSAX lower bound, candidates
 	// pass an LB_Keogh check, and survivors pay the full dynamic program.
 	DTW
-	// Approx is the approximate algorithm of the iSAX family, extended with
-	// multi-probing: the ProbeLeaves best-matching leaves (the classic
-	// algorithm reads the single matching leaf) and the unmerged delta,
-	// with no traversal of the rest of the tree. Its distance upper-bounds
-	// the exact answer over everything the query observed.
+	// Approx is the approximate algorithm of the iSAX family: the one leaf
+	// that best matches the query's summary and the unmerged delta, with no
+	// traversal of the rest of the tree. Its distance upper-bounds the
+	// exact answer over everything the query observed.
 	Approx
 )
 
@@ -530,7 +514,7 @@ func (ix *Index) Query(q Query) ([]core.Result, *QueryStats, error) {
 // (and after every sibling shard's call, when sharing).
 //
 // Run validates q, captures its consistent cut (sharedCut), fills the
-// kind's lower-bound table, probes the approximate phase's leaves, calls
+// kind's lower-bound table, probes the approximate phase's leaf, calls
 // q.Scope.Seeded, and hands the rest to the exact phase (queuedSearch). An
 // Approx query stops after its probe and never calls Seeded. A fault on
 // the way — a cold-device read that exhausted its retries — is contained
@@ -569,8 +553,8 @@ func (ix *Index) Run(q Query, sink *Sink, mapPos func(int32) int32) (stats *Quer
 		ix.approximate(r, sc, v, mapPos != nil, q.Scope.Tenant, stats)
 		return stats, nil
 	}
-	// Approximate phase: exact distances over the closest p leaves.
-	ix.probeLeaves(sc, t, stats, r, q.Scope.Seeded)
+	// Approximate phase: exact distances over the closest leaf.
+	ix.probeLeaf(sc, t, stats, r, q.Scope.Seeded)
 
 	if err := ix.queuedSearch(q.Workers, mapPos != nil, q.Scope.Tenant, stats, sc, v, r); err != nil {
 		return nil, ix.failQuery(err)
@@ -647,7 +631,8 @@ func RunBatch(eng *engine.Engine, qs []series.Series,
 				if i >= len(qs) {
 					return
 				}
-				release := eng.Admit()
+				// Admission fails only when its context is done, and this one never is.
+				release, _ := eng.Admit(context.TODO(), "")
 				var st *QueryStats
 				results[i], st, errs[i] = search(qs[i])
 				if st != nil {
@@ -758,8 +743,8 @@ type span struct{ lo, hi int32 }
 // leaf's per-segment symbol range, at most the per-entry bound of anything
 // stored in it. There is no bound on the leaf's own word: nearly every leaf
 // is a root child, whose word is its key, and a deeper word is looser than
-// the envelope. A leaf whose envelope bound is below the threshold — probed
-// leaves aside — goes on the claiming worker's own list. Once the spans are
+// the envelope. A leaf whose envelope bound is below the threshold — the probed
+// leaf aside — goes on the claiming worker's own list. Once the spans are
 // gone a worker claims blocks of the view's unmerged delta suffix and scans
 // them exactly; they share the threshold, so it tightens globally whichever
 // side improves the answer first. The caller then folds the lists into one,
@@ -813,7 +798,7 @@ func (ix *Index) queuedSearch(
 		// for a tenanted query, a slice of the tenant's share, so one
 		// tenant's storm cannot starve the rest. An explicit workers value
 		// (the paper's scaling knob) is honored up to the pool size.
-		workers = ix.eng.FairShareTenant(tenant)
+		workers = ix.eng.FairShare(tenant)
 	} else if workers > ix.eng.Workers() {
 		workers = ix.eng.Workers()
 	}
@@ -847,7 +832,7 @@ func (ix *Index) queuedSearch(
 	var sh struct {
 		cursor, deltaCursor   xsync.Counter
 		popped, entries, raws atomic.Int64
-		home                  atomic.Int32 // directory index of the first probed leaf, the query's own
+		home                  atomic.Int32 // directory index of the probed leaf, the query's own
 	}
 	// A sharding layer's append cut may sit below mergedA (a merge folded
 	// appends past the cut into the tree, where the position filter handles
@@ -879,9 +864,9 @@ func (ix *Index) queuedSearch(
 				if b >= lim {
 					continue
 				}
-				if leaf := dir.Leaves[i]; !sc.wasProbed(leaf) {
+				if dir.Leaves[i] != sc.probed {
 					part = append(part, candidate{bound: b, leaf: int32(i)})
-				} else if leaf == sc.probed[0] {
+				} else {
 					sh.home.Store(int32(i))
 				}
 			}
@@ -1063,9 +1048,8 @@ func (ix *Index) newRefiner(q Query, sink *Sink, sc *searchScratch, quant *isax.
 }
 
 // approximate is the body of an Approx query: every visible entry of the
-// ProbeLeaves best leaves under the query's summary (see
-// core.Tree.BestLeavesApprox) and of the unmerged delta pays a real
-// distance, with no bound pass and no traversal of the rest of the tree.
+// leaf under the query's summary (core.Tree.BestLeafApprox) and of the
+// unmerged delta pays a real distance, with no bound pass and no traversal of the rest of the tree.
 // The delta is small by construction — merges keep it under the threshold
 // — and scanning it keeps the answer's distance an upper bound on the
 // exact answer over everything the query observed. sub marks a sharded
@@ -1073,21 +1057,21 @@ func (ix *Index) newRefiner(q Query, sink *Sink, sc *searchScratch, quant *isax.
 func (ix *Index) approximate(r *refiner, sc *searchScratch, v view, sub bool, tenant string, stats *QueryStats) {
 	end := ix.beginQuery(sub, tenant)
 	defer end()
-	lb := ix.getLB()
-	defer ix.putLB(lb)
-	for _, leaf := range v.snap.tree.BestLeavesApprox(sc.qsax, sc.qpaa, ProbeLeaves) {
-		stats.ProbeLeaves++
+	if leaf := v.snap.tree.BestLeafApprox(sc.qsax, sc.qpaa); leaf != nil {
+		stats.ProbeLeaves = 1
 		admit := func(i int) bool { return !r.f.skip(leaf.Pos[i], r.mp) }
 		visit := func(i int, s series.Series) { r.score(r.mp(leaf.Pos[i]), s, r.limit(), stats) }
 		if ix.readBatch != nil && leaf.Raw == nil {
 			// No bound pass here, but the same read discipline: the
 			// visible entries of the leaf in one device-ordered batch.
+			lb := ix.getLB()
 			ix.coldEntries(leaf, lb, admit, visit)
-			continue
-		}
-		for i := range leaf.Pos {
-			if admit(i) {
-				visit(i, ix.leafSeries(leaf, i))
+			ix.putLB(lb)
+		} else {
+			for i := range leaf.Pos {
+				if admit(i) {
+					visit(i, ix.leafSeries(leaf, i))
+				}
 			}
 		}
 	}

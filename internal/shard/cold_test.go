@@ -320,33 +320,47 @@ func TestColdReadsOnlySurvivors(t *testing.T) {
 }
 
 // TestColdLeafWithoutSurvivorsReadsNothing: a query that IS a member finds
-// distance zero in the first leaf the approximate phase probes — that leaf's
-// members are neighbours on the device, so it costs exactly one read — and
-// from then on no bound survives anywhere: the second probed leaf, and every
-// leaf the traversal examines, cause no device access at all.
+// distance zero in the leaf the approximate phase probes — that leaf's
+// members are neighbours on the device, so it costs exactly one read. And a
+// refined leaf with no survivors reads nothing: the same member run through
+// the shard with a sink already holding (member, 0), as a sibling shard
+// would leave it, computes the probed leaf's bounds, pays no distance and
+// touches no device block, nor does any leaf after it.
 func TestColdLeafWithoutSurvivorsReadsNothing(t *testing.T) {
 	g := gen.Generator{Kind: gen.Synthetic, Length: testLen, Seed: 43}
 	coll := g.Collection(1000)
-	// Few segments and small leaves: every root subtree is deep, so every
-	// query probes two leaves.
 	cfg := core.Config{Segments: 4, LeafCapacity: 8}
 	for _, blockSeries := range []int{1, 8, 64} {
 		s := coldCounters(t, coll, cfg, 1, blockSeries) // one-block cache: nothing is served from RAM
 		for _, member := range []int{0, 333, 999} {
 			before := s.ColdStats().Device.ReadOps
-			got, st, err := s.Search(coll.At(member), 0)
+			got, _, err := s.Search(coll.At(member), 0)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if got.Pos != int32(member) || got.Dist != 0 {
 				t.Fatalf("member %d answered (#%d, %v)", member, got.Pos, got.Dist)
 			}
-			if st.ProbeLeaves < 2 || st.EntriesChecked <= st.RawDistances {
-				t.Fatalf("member %d: %+v — want a second probed leaf whose bounds were computed", member, *st)
-			}
 			if d := s.ColdStats().Device.ReadOps - before; d != 1 {
-				t.Fatalf("BlockSeries %d, member %d: %d device reads over %d probed leaves, want 1",
-					blockSeries, member, d, st.ProbeLeaves)
+				t.Fatalf("BlockSeries %d, member %d: %d device reads, want 1", blockSeries, member, d)
+			}
+
+			q := messi.Query{Kind: messi.NN, Series: coll.At(member), Scope: messi.FullScope}
+			sink := messi.NewSink(q)
+			sink.Best.Update(0, int64(member))
+			before = s.ColdStats().Device.ReadOps
+			st, err := s.Shard(0).Run(q, &sink, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.ProbeLeaves != 1 || st.EntriesChecked == 0 || st.RawDistances != 0 {
+				t.Fatalf("member %d: %+v — want one probed leaf whose bounds were computed and no distance", member, *st)
+			}
+			if d := s.ColdStats().Device.ReadOps - before; d != 0 {
+				t.Fatalf("BlockSeries %d, member %d: %d device reads behind a sibling's zero, want 0", blockSeries, member, d)
+			}
+			if r := sink.Results()[0]; r.Pos != int32(member) || r.Dist != 0 {
+				t.Fatalf("member %d: the sink now holds (#%d, %v)", member, r.Pos, r.Dist)
 			}
 		}
 	}

@@ -433,19 +433,12 @@ func (s *Sharded) At(pos int) series.Series {
 // shard, so this is already the aggregate view.
 func (s *Sharded) EngineStats() engine.Stats { return s.eng.Stats() }
 
-// Admit blocks until the shared pool's admission control grants a query
-// slot; one slot covers a whole scatter-gather query across all shards.
-func (s *Sharded) Admit() (release func()) { return s.eng.Admit() }
-
-// AdmitContext is Admit with cancellation.
-func (s *Sharded) AdmitContext(ctx context.Context) (release func(), err error) {
-	return s.eng.AdmitContext(ctx)
-}
-
-// AdmitTenantContext is AdmitContext under a tenant identity; tenant "" is
-// exactly AdmitContext.
+// AdmitTenantContext blocks until the shared pool's admission control
+// grants a query slot under the tenant's gate (tenant "" takes the global
+// gate alone); one slot covers a whole scatter-gather query across all
+// shards. release is nil and err non-nil if ctx is done first.
 func (s *Sharded) AdmitTenantContext(ctx context.Context, tenant string) (release func(), err error) {
-	return s.eng.AdmitTenantContext(ctx, tenant)
+	return s.eng.Admit(ctx, tenant)
 }
 
 // TenantStats snapshots the shared pool's per-tenant accounting.
@@ -484,7 +477,7 @@ func (s *Sharded) view() (cuts []int32, observed int) {
 // gap in stats.UncoveredShards. Non-storage errors are bugs and fail the
 // query as-is.
 func (s *Sharded) scatter(scope messi.Scope, cuts []int32, stats *messi.QueryStats, fn func(si int, scope messi.Scope) (*messi.QueryStats, error)) error {
-	s.eng.CountQueryTenant(scope.Tenant)
+	s.eng.CountQuery(scope.Tenant)
 	sts := make([]*messi.QueryStats, s.n)
 	errs := make([]error, s.n)
 	skipped := make([]bool, s.n)

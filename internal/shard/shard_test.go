@@ -507,13 +507,13 @@ func TestShardedAdmissionAndBatchSearch(t *testing.T) {
 	if s.MaxInFlight() <= 0 {
 		t.Fatalf("MaxInFlight() = %d", s.MaxInFlight())
 	}
-	release := s.Admit()
-	release()
-	release, err := s.AdmitContext(context.Background())
-	if err != nil {
-		t.Fatal(err)
+	for _, tenant := range []string{"", "a"} {
+		release, err := s.AdmitTenantContext(context.Background(), tenant)
+		if err != nil {
+			t.Fatal(err)
+		}
+		release()
 	}
-	release()
 	qs := []series.Series{coll.At(0), coll.At(7), coll.At(123)}
 	want := []int32{0, 7, 123}
 	rs, err := s.BatchSearch(qs)

@@ -70,11 +70,12 @@ type IngestStats struct {
 // index discarded more of the collection without touching raw values.
 type SearchStats struct {
 	// ProbeLeaves is the number of leaves the approximate phase probed to
-	// seed the best-so-far: two, or fewer when the query's root subtree
-	// holds fewer leaves (summed over shards on a sharded index).
+	// seed the best-so-far: the one leaf the query's summary routes to, as
+	// in the paper, or none over an empty tree (summed over shards on a
+	// sharded index).
 	ProbeLeaves int
 	// LeavesInserted is the length of the candidate list: leaves, other
-	// than the probed ones, whose envelope bound was below the best-so-far
+	// than the probed one, whose envelope bound was below the best-so-far
 	// once the bound pass and the scan of unmerged appends had finished.
 	// LeavesPopped counts those actually refined afterwards.
 	LeavesInserted int
@@ -123,9 +124,10 @@ type EngineStats struct {
 	Queries uint64
 	Tasks   uint64
 	// Saturation counters: AdmitWaits counts admissions that blocked on a
-	// full in-flight budget, AdmitWaitNanos their total blocked time, and
-	// SubmitFallbacks optional pool tasks dropped because the run queue
-	// was full. Together they say whether the pool is the bottleneck.
+	// full in-flight budget and AdmitWaitNanos their total blocked time;
+	// together they say whether the pool is the bottleneck.
+	// SubmitFallbacks reads 0: no pool task is optional, so none is ever
+	// dropped. It stays until the benchmark stops reading it.
 	AdmitWaits      uint64
 	AdmitWaitNanos  uint64
 	SubmitFallbacks uint64
