@@ -23,10 +23,7 @@ func NewADSPlus(dc *DiskCollection, opts ...Option) (*ADSPlus, error) {
 
 // Search returns the exact nearest neighbor of q under Euclidean distance
 // (single-threaded, as ADS+ is a serial index).
-func (ix *ADSPlus) Search(q Series) (Match, error) {
-	r, _, err := ix.inner.Search(q)
-	return matchOf(r), err
-}
+func (ix *ADSPlus) Search(q Series) (Match, error) { return answerOf(ix.inner.Search(q)) }
 
 // Stats returns the index tree shape.
 func (ix *ADSPlus) Stats() IndexStats { return statsOf(ix.inner.Tree()) }

@@ -232,7 +232,7 @@ func BenchmarkParISInMemoryQuery(b *testing.B) {
 	queries := gen.Generator{Kind: gen.Synthetic, Seed: 9}.PerturbedQueries(coll, 16, 0.05)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := ix.Search(queries.At(i%queries.Len()), 0); err != nil {
+		if _, _, err := ix.Run(paris.Query{Kind: messi.NN, Series: queries.At(i % queries.Len())}); err != nil {
 			b.Fatal(err)
 		}
 	}

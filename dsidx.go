@@ -127,6 +127,10 @@ func matchOf(r core.Result) Match {
 	return Match{Pos: int(r.Pos), Distance: math.Sqrt(r.Dist)}
 }
 
+// answerOf converts a 1-NN answer, dropping the work stats of whichever
+// index gave it.
+func answerOf[S any](r core.Result, _ S, err error) (Match, error) { return matchOf(r), err }
+
 // matchesOf converts a slice of internal results.
 func matchesOf(rs []core.Result) []Match {
 	out := make([]Match, len(rs))

@@ -2,21 +2,23 @@
 // Palpanas, VLDBJ 2016) as the paper evaluates it: the state-of-the-art
 // *serial* iSAX index that ParIS/ParIS+ are compared against for on-disk
 // data. Index creation reads the raw file sequentially and builds the tree
-// with a single thread; exact query answering is the serial
-// skip-sequential algorithm (SIMS): an approximate tree search seeds the
-// best-so-far, a scan of the in-memory SAX array prunes by lower bound, and
-// surviving candidates are read from disk in position order for exact
-// distances. ParIS parallelizes exactly these stages, so this package is
-// also the single-threaded reference point of the scaling figures.
+// with a single thread — Figure 4's baseline. Exact query answering is the
+// serial skip-sequential algorithm (SIMS): an approximate tree search seeds
+// the best-so-far, a scan of the in-memory SAX array prunes by lower bound,
+// and surviving candidates are read from disk in position order for exact
+// distances. ParIS parallelizes exactly these stages, so SIMS is paris.Run
+// on one worker over this package's tree, SAX array, raw file and leaf
+// store, and this package is also the single-threaded reference point of
+// the scaling figures.
 package adsplus
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"dsidx/internal/core"
-	"dsidx/internal/isax"
+	"dsidx/internal/messi"
+	"dsidx/internal/paris"
 	"dsidx/internal/series"
 	"dsidx/internal/storage"
 )
@@ -31,24 +33,14 @@ type BuildStats struct {
 	Total time.Duration
 }
 
-// QueryStats counts the work of the last query, for the pruning-power
-// analyses in EXPERIMENTS.md.
-type QueryStats struct {
-	Candidates   int // series surviving the lower-bound scan
-	RawDistances int // exact distances computed (including approx phase)
-	PrunedByScan int // series eliminated by the SAX-array scan
-	ApproxDist   float64
-	LeafOfApprox int
-}
+// QueryStats counts the work of one query, for the pruning-power analyses
+// in EXPERIMENTS.md.
+type QueryStats = paris.QueryStats
 
 // Index is a built ADS+ index over an on-disk series file.
 type Index struct {
-	cfg    core.Config
-	tree   *core.Tree
-	sax    *core.SAXArray
-	raw    *storage.SeriesFile
-	leaves *storage.LeafStore
-	build  BuildStats
+	px    *paris.Index
+	build BuildStats
 }
 
 // BatchSize is the number of series read per sequential batch during index
@@ -65,8 +57,8 @@ func Build(raw *storage.SeriesFile, leafStore *storage.LeafStore, cfg core.Confi
 		return nil, fmt.Errorf("adsplus: %w", err)
 	}
 	cfg = tree.Config()
-	n := int(raw.Count())
-	ix := &Index{cfg: cfg, tree: tree, sax: core.NewSAXArray(n, cfg.Segments), raw: raw, leaves: leafStore}
+	sax := core.NewSAXArray(int(raw.Count()), cfg.Segments)
+	ix := &Index{px: paris.Over(tree, sax, raw, leafStore)}
 
 	sm := core.NewSummarizer(cfg, tree.Quantizer())
 	start := time.Now()
@@ -85,7 +77,7 @@ func Build(raw *storage.SeriesFile, leafStore *storage.LeafStore, cfg core.Confi
 		t0 = time.Now()
 		for i := 0; i < batch.Len(); i++ {
 			pos := int32(lo) + int32(i)
-			dst := ix.sax.At(int(pos))
+			dst := sax.At(int(pos))
 			sm.Summarize(batch.At(i), dst)
 			tree.Insert(dst, pos)
 		}
@@ -115,90 +107,13 @@ func Build(raw *storage.SeriesFile, leafStore *storage.LeafStore, cfg core.Confi
 func (ix *Index) BuildStats() BuildStats { return ix.build }
 
 // Tree exposes the underlying tree (read-only) for diagnostics.
-func (ix *Index) Tree() *core.Tree { return ix.tree }
+func (ix *Index) Tree() *core.Tree { return ix.px.Tree() }
 
 // Count returns the number of indexed series.
-func (ix *Index) Count() int { return ix.sax.Len() }
+func (ix *Index) Count() int { return ix.px.Count() }
 
 // Search answers an exact 1-NN query, returning the position and squared
-// Euclidean distance of the nearest series.
+// Euclidean distance of the nearest series: ParIS's query on one worker.
 func (ix *Index) Search(q series.Series) (core.Result, *QueryStats, error) {
-	if len(q) != ix.cfg.SeriesLen {
-		return core.NoResult(), nil, fmt.Errorf("adsplus: query length %d != %d", len(q), ix.cfg.SeriesLen)
-	}
-	stats := &QueryStats{}
-	sm := core.NewSummarizer(ix.cfg, ix.tree.Quantizer())
-	qsax := make([]uint8, ix.cfg.Segments)
-	sm.Summarize(q, qsax)
-	qpaa := make([]float64, ix.cfg.Segments)
-	copy(qpaa, sm.PAA(q))
-
-	best := core.NoResult()
-	buf := make(series.Series, ix.cfg.SeriesLen)
-	table := isax.NewQueryTable(ix.tree.Quantizer(), qpaa, ix.cfg.SeriesLen)
-
-	// Phase 1: approximate answer from the closest leaf (BSF seed). As in
-	// the paper, the BSF is "the real distance between the query and the
-	// best candidate series" of that leaf — the candidate is chosen by its
-	// in-memory summary lower bound, so the phase costs one random read.
-	leaf := ix.tree.BestLeafApprox(qsax, qpaa)
-	if leaf == nil {
-		return best, stats, nil // empty index
-	}
-	leafSAX, pos, err := core.LoadLeaf(leaf, ix.cfg.Segments, ix.leaves)
-	if err != nil {
-		return best, stats, fmt.Errorf("adsplus: approximate phase: %w", err)
-	}
-	if len(pos) > 0 {
-		w := ix.cfg.Segments
-		bestEntry, bestLB := 0, math.Inf(1)
-		for i := range pos {
-			if lb := table.MinDistSAX(leafSAX[i*w : (i+1)*w]); lb < bestLB {
-				bestEntry, bestLB = i, lb
-			}
-		}
-		seeds := []int32{pos[bestEntry]}
-		// Robustness at scaled-down leaf sizes: also refine the globally
-		// best-bounded positions (see SAXArray.TopKByLowerBound).
-		seeds = append(seeds, ix.sax.TopKByLowerBound(table, 4)...)
-		for _, p := range seeds {
-			if err := ix.raw.ReadSeries(int64(p), buf); err != nil {
-				return best, stats, fmt.Errorf("adsplus: reading series %d: %w", p, err)
-			}
-			stats.RawDistances++
-			if d := series.SquaredEDEarlyAbandon(q, buf, best.Dist); d < best.Dist {
-				best = core.Result{Pos: p, Dist: d}
-			}
-		}
-	}
-	stats.ApproxDist = best.Dist
-	stats.LeafOfApprox = leaf.Count
-
-	// Phase 2: serial lower-bound scan over the SAX array.
-	n := ix.sax.Len()
-	candidates := make([]int32, 0, n/16)
-	for i := 0; i < n; i++ {
-		if table.MinDistSAX(ix.sax.At(i)) < best.Dist {
-			candidates = append(candidates, int32(i))
-		}
-	}
-	stats.Candidates = len(candidates)
-	stats.PrunedByScan = n - len(candidates)
-
-	// Phase 3: skip-sequential exact distances in position order (ascending
-	// file offsets minimize seek cost, as in ADS+'s SIMS).
-	for _, p := range candidates {
-		// Re-check against the tightened best-so-far before paying a read.
-		if table.MinDistSAX(ix.sax.At(int(p))) >= best.Dist {
-			continue
-		}
-		if err := ix.raw.ReadSeries(int64(p), buf); err != nil {
-			return best, stats, fmt.Errorf("adsplus: reading candidate %d: %w", p, err)
-		}
-		stats.RawDistances++
-		if d := series.SquaredEDEarlyAbandon(q, buf, best.Dist); d < best.Dist {
-			best = core.Result{Pos: p, Dist: d}
-		}
-	}
-	return best, stats, nil
+	return messi.First(ix.px.Run(paris.Query{Kind: messi.NN, Series: q, Workers: 1}))
 }

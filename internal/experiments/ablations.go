@@ -86,7 +86,7 @@ func AblationQueryHardness(cfg Config) (*Table, error) {
 		queries := g.PerturbedQueries(w.coll, cfg.QueryCount, eps)
 		var cands, raws int
 		for qi := 0; qi < queries.Len(); qi++ {
-			_, stats, err := ix.Search(queries.At(qi), cfg.MaxCores)
+			_, stats, err := ix.Run(paris.Query{Kind: messi.NN, Series: queries.At(qi), Workers: cfg.MaxCores})
 			if err != nil {
 				return nil, err
 			}

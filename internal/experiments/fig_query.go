@@ -58,7 +58,7 @@ func Fig8(cfg Config) (*Table, error) {
 		row := make([]float64, 0, len(coreCounts))
 		for _, cores := range coreCounts {
 			mean, err := timeQueries(w.queries, func(q series.Series) error {
-				_, _, err := ix.Search(q, cores)
+				_, _, err := ix.Run(paris.Query{Kind: messi.NN, Series: q, Workers: cores})
 				return err
 			})
 			if err != nil {
@@ -116,7 +116,7 @@ func Fig9(cfg Config) (*Table, error) {
 			return nil
 		}},
 		{"ParIS", func(q series.Series, cores int) error {
-			_, _, err := parisIx.Search(q, cores)
+			_, _, err := parisIx.Run(paris.Query{Kind: messi.NN, Series: q, Workers: cores})
 			return err
 		}},
 		{"MESSI", func(q series.Series, cores int) error {
@@ -187,7 +187,7 @@ func diskQueryRow(cfg Config, kind gen.Kind, profile storage.Profile) (ucrS, ads
 		return 0, 0, 0, fmt.Errorf("ParIS+ build: %w", err)
 	}
 	mean, err = timeQueries(w.queries, func(q series.Series) error {
-		_, _, err := parisIx.Search(q, cfg.MaxCores)
+		_, _, err := parisIx.Run(paris.Query{Kind: messi.NN, Series: q, Workers: cfg.MaxCores})
 		return err
 	})
 	if err != nil {
@@ -264,7 +264,7 @@ func Fig12(cfg Config) (*Table, error) {
 		}
 		row[0] = millis(mean)
 		mean, err = timeQueries(w.queries, func(q series.Series) error {
-			_, _, err := parisIx.Search(q, cores)
+			_, _, err := parisIx.Run(paris.Query{Kind: messi.NN, Series: q, Workers: cores})
 			return err
 		})
 		if err != nil {

@@ -212,9 +212,6 @@ func (ix *Index) Flush() {
 	}
 }
 
-// mergeBlock is the buffer-fill work-claiming granularity in series.
-const mergeBlock = 1024
-
 // mergeOnce folds the published delta suffix into the tree: buffer-fill
 // groups pending entries by root subtree, tree-insert rebuilds affected
 // subtrees aside, and the new snapshot is installed atomically. Merges are
@@ -241,7 +238,7 @@ func (ix *Index) mergeOnce() bool {
 	// so a racing Delete loses nothing.
 	tombs := ix.tombs.Load()
 	pending := total - lo
-	blocks := xsync.Blocks(pending, mergeBlock)
+	blocks := xsync.Blocks(pending, claimBlock)
 	workers := min(ix.eng.Workers(), len(blocks))
 
 	// Phase 1 — buffer fill (ParIS+ stage 1): workers claim blocks of the

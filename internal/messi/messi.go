@@ -66,10 +66,6 @@ type Options struct {
 	// Workers is the number of index worker goroutines (the paper's
 	// "number of cores"). 0 means GOMAXPROCS.
 	Workers int
-	// BlockSeries is the stage-1 chunk size in series (0 means 1024); small
-	// blocks assigned with Fetch&Inc give the load balancing the paper
-	// describes.
-	BlockSeries int
 	// MaxInFlight bounds the number of queries admitted simultaneously by
 	// BatchSearch and the serving layer (0 means 2×Workers). Directly
 	// invoked Search calls are not admission-controlled.
@@ -97,12 +93,14 @@ type Options struct {
 	Engine *engine.Engine
 }
 
+// claimBlock is the work-claiming granularity in series of build stage 1
+// and of a merge's buffer fill: small blocks assigned with Fetch&Inc give the
+// load balancing the paper describes.
+const claimBlock = 1024
+
 func (o Options) normalize() Options {
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
-	}
-	if o.BlockSeries <= 0 {
-		o.BlockSeries = 1024
 	}
 	if o.MergeThreshold <= 0 {
 		o.MergeThreshold = 4096
@@ -354,7 +352,7 @@ func Build(coll series.Reader, cfg core.Config, opt Options) (*Index, error) {
 	// Stage 1: summarization. Every worker has its own partition of each
 	// iSAX buffer, so appends need no synchronization (footnote 2: one
 	// locked buffer per root subtree lost to contention).
-	blocks := xsync.Blocks(n, opt.BlockSeries)
+	blocks := xsync.Blocks(n, claimBlock)
 	parts := make([]map[uint32][]int32, opt.Workers) // parts[w][key] = positions
 	var blockCursor xsync.Counter
 	var wg sync.WaitGroup

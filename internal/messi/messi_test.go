@@ -20,7 +20,7 @@ func dataset(t *testing.T, kind gen.Kind, n int) (*series.Collection, *series.Co
 func build(t *testing.T, coll *series.Collection, workers int) *Index {
 	t.Helper()
 	ix, err := Build(coll, core.Config{LeafCapacity: 32},
-		Options{Workers: workers, BlockSeries: 100})
+		Options{Workers: workers})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,6 +29,7 @@ func build(t *testing.T, coll *series.Collection, workers int) *Index {
 
 func TestBuildIndexesEverything(t *testing.T) {
 	for _, workers := range []int{1, 4, 16} {
+		// Two claim blocks, one of them partial.
 		coll, _ := dataset(t, gen.Synthetic, 1100)
 		ix := build(t, coll, workers)
 		if ix.Count() != coll.Len() || ix.Tree().Count() != coll.Len() {
@@ -43,8 +44,9 @@ func TestBuildIndexesEverything(t *testing.T) {
 func TestBuildDeterministicTreeContent(t *testing.T) {
 	// Different worker counts must index the same set of positions (tree
 	// shape may differ only in insertion order effects, but the multiset of
-	// entries per root subtree is fixed by the data).
-	coll, _ := dataset(t, gen.SALD, 900)
+	// entries per root subtree is fixed by the data). Three claim blocks, so
+	// the workers split stage 1.
+	coll, _ := dataset(t, gen.SALD, 2100)
 	collect := func(ix *Index) map[int32]bool {
 		seen := make(map[int32]bool)
 		ix.Tree().VisitLeaves(func(n *core.Node) {

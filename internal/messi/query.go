@@ -3,7 +3,6 @@ package messi
 import (
 	"context"
 	"fmt"
-	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -430,18 +429,12 @@ type Query struct {
 	Scope   Scope
 }
 
-// Validate reports why q cannot run over series of length seriesLen, or nil.
-// A NaN or infinite value is refused: no distance to it orders, so it has no
-// nearest neighbour, and every lower bound the index prunes by would be NaN
-// or +Inf too.
+// Validate reports why q cannot run over series of length seriesLen, or nil:
+// a wrong length or a non-finite value (series.CheckQuery), or an unknown
+// kind.
 func (q Query) Validate(seriesLen int) error {
-	if len(q.Series) != seriesLen {
-		return fmt.Errorf("query length %d != %d", len(q.Series), seriesLen)
-	}
-	for i, x := range q.Series {
-		if math.IsNaN(float64(x)) || math.IsInf(float64(x), 0) {
-			return fmt.Errorf("query value %d is %v, want a finite number", i, x)
-		}
+	if err := series.CheckQuery(q.Series, seriesLen); err != nil {
+		return err
 	}
 	if q.Kind < NN || q.Kind > Approx {
 		return fmt.Errorf("unknown query kind %d", q.Kind)
@@ -481,8 +474,9 @@ func (s *Sink) Results() []core.Result {
 }
 
 // First is a 1-NN query's answer out of its results: the only one, or
-// core.NoResult when there is none (the query failed).
-func First(rs []core.Result, st *QueryStats, err error) (core.Result, *QueryStats, error) {
+// core.NoResult when there is none (the query failed). S is the stats type
+// of whichever index answered.
+func First[S any](rs []core.Result, st S, err error) (core.Result, S, error) {
 	if len(rs) == 0 {
 		return core.NoResult(), st, err
 	}

@@ -6,6 +6,7 @@ import (
 
 	"dsidx/internal/core"
 	"dsidx/internal/gen"
+	"dsidx/internal/messi"
 	"dsidx/internal/series"
 	"dsidx/internal/ucr"
 )
@@ -28,7 +29,7 @@ func TestSearchKNNMatchesSerial(t *testing.T) {
 			for qi := 0; qi < queries.Len(); qi++ {
 				q := queries.At(qi)
 				want := ucr.ScanKNN(coll, q, k)
-				got, stats, err := ix.SearchKNN(q, k, 4)
+				got, stats, err := ix.Run(Query{Kind: messi.KNN, Series: q, K: k, Workers: 4})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -54,21 +55,21 @@ func TestSearchKNNDegenerate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, _, err := ix.SearchKNN(queries.At(0), 0, 2); err != nil || got != nil {
+	if got, _, err := ix.Run(Query{Kind: messi.KNN, Series: queries.At(0), K: 0, Workers: 2}); err != nil || got != nil {
 		t.Errorf("k=0: %v %v", got, err)
 	}
-	got, _, err := ix.SearchKNN(queries.At(0), 1, 2)
+	got, _, err := ix.Run(Query{Kind: messi.KNN, Series: queries.At(0), K: 1, Workers: 2})
 	if err != nil || len(got) != 1 {
 		t.Fatalf("k=1: %v %v", got, err)
 	}
-	one, _, err := ix.Search(queries.At(0), 2)
+	one, _, err := nn(ix, queries.At(0), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(got[0].Dist-one.Dist) > 1e-9 {
 		t.Errorf("k=1 %v != 1-NN %v", got[0].Dist, one.Dist)
 	}
-	if _, _, err := ix.SearchKNN(make(series.Series, 3), 2, 2); err == nil {
+	if _, _, err := ix.Run(Query{Kind: messi.KNN, Series: make(series.Series, 3), K: 2, Workers: 2}); err == nil {
 		t.Error("bad query length accepted")
 	}
 }
@@ -93,7 +94,7 @@ func TestSearchDTWMatchesSerial(t *testing.T) {
 			for qi := 0; qi < queries.Len(); qi++ {
 				q := queries.At(qi)
 				want := ucr.ScanDTW(coll, q, window)
-				got, _, err := ix.SearchDTW(q, window, 4)
+				got, _, err := messi.First(ix.Run(Query{Kind: messi.DTW, Series: q, Warp: window, Workers: 4}))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -112,11 +113,11 @@ func TestSearchDTWZeroWindowEqualsED(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := queries.At(0)
-	ed, _, err := ix.Search(q, 2)
+	ed, _, err := nn(ix, q, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dtw, _, err := ix.SearchDTW(q, 0, 2)
+	dtw, _, err := messi.First(ix.Run(Query{Kind: messi.DTW, Series: q, Warp: 0, Workers: 2}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,11 +144,11 @@ func TestSearchApproximateParIS(t *testing.T) {
 			}
 			for qi := 0; qi < queries.Len(); qi++ {
 				q := queries.At(qi)
-				approx, err := ix.SearchApproximate(q)
+				approx, _, err := messi.First(ix.Run(Query{Kind: messi.Approx, Series: q}))
 				if err != nil {
 					t.Fatal(err)
 				}
-				exact, _, err := ix.Search(q, 4)
+				exact, _, err := nn(ix, q, 4)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -18,12 +18,16 @@
 // hide behind, and ParIS+'s repeated subtree visits make it *slower* than
 // ParIS — the effect Figure 7 reports.
 //
-// Query answering (identical for ParIS and ParIS+) first computes an
-// approximate best-so-far from the closest leaf, then lower-bound workers
-// scan the in-memory SAX array with vectorized kernels, appending surviving
-// positions to a lock-free candidate list, and finally real-distance
-// workers read the surviving raw series and refine the BSF under early
-// abandoning.
+// Query answering (identical for ParIS and ParIS+) is one pipeline, Run,
+// for every kind — exact 1-NN, k-NN and DTW, and approximate: exact
+// distances to a few seed series (the approximate answer's leaf, or the
+// best-bounded series) set a threshold, lower-bound workers scan the
+// in-memory SAX array with vectorized kernels against it, appending
+// surviving positions to a lock-free candidate list, and real-distance
+// workers read the survivors (on disk in position order) and refine the
+// answer under early abandoning. A kind supplies only its lower-bound table, its seeds,
+// its threshold and its score. ADS+'s serial SIMS is the same pipeline on
+// one worker (package adsplus).
 package paris
 
 import (
@@ -68,9 +72,11 @@ type Options struct {
 	// (the paper iterates "until all available main memory is full").
 	// 0 means 65536.
 	BatchSeries int
-	// ReadBlock is the coordinator's read granularity in series. 0 means 1024.
-	ReadBlock int
 }
+
+// readBlock is the coordinator's read granularity in series, and the block
+// in-memory stage-2 workers claim.
+const readBlock = 1024
 
 func (o Options) normalize() Options {
 	if o.Workers <= 0 {
@@ -78,9 +84,6 @@ func (o Options) normalize() Options {
 	}
 	if o.BatchSeries <= 0 {
 		o.BatchSeries = 65536
-	}
-	if o.ReadBlock <= 0 {
-		o.ReadBlock = 1024
 	}
 	return o
 }
@@ -99,8 +102,8 @@ type BuildStats struct {
 // QueryStats counts the work of one query.
 type QueryStats struct {
 	Candidates   int // positions surviving the lower-bound scan
-	PrunedByScan int
-	RawDistances int
+	PrunedByScan int // positions the scan eliminated
+	RawDistances int // real distances paid, the seeds' included
 }
 
 // recBuf is one receiving buffer: the positions (pointers into the SAX
@@ -171,7 +174,15 @@ func Decode(data []byte, raw *storage.SeriesFile, leaves *storage.LeafStore, opt
 		return nil, fmt.Errorf("paris: index covers %d series, file has %d",
 			sax.Len(), raw.Count())
 	}
-	return &Index{cfg: cfg, opt: opt, tree: tree, sax: sax, raw: raw, leaves: leaves}, nil
+	ix := Over(tree, sax, raw, leaves)
+	ix.opt = opt
+	return ix, nil
+}
+
+// Over returns the on-disk index over a tree and SAX array built elsewhere
+// — ADS+'s serial builder — with its raw series file and leaf store.
+func Over(tree *core.Tree, sax *core.SAXArray, raw *storage.SeriesFile, leaves *storage.LeafStore) *Index {
+	return &Index{cfg: tree.Config(), tree: tree, sax: sax, raw: raw, leaves: leaves}
 }
 
 // DecodeInMemory reconstructs an in-memory index from Encode output over
@@ -352,7 +363,7 @@ func Build(raw *storage.SeriesFile, leafStore *storage.LeafStore, cfg core.Confi
 		// allocations, and reuse keeps the garbage collector out of the
 		// measured pipeline.
 		bufPool := sync.Pool{New: func() any {
-			buf := make([]byte, opt.ReadBlock*cfg.SeriesLen*4)
+			buf := make([]byte, readBlock*cfg.SeriesLen*4)
 			return &buf
 		}}
 		blocks := make(chan block, 4)
@@ -360,8 +371,8 @@ func Build(raw *storage.SeriesFile, leafStore *storage.LeafStore, cfg core.Confi
 		var readErr error
 		go func() {
 			defer close(blocks)
-			for lo := batchLo; lo < batchHi; lo += int64(opt.ReadBlock) {
-				hi := lo + int64(opt.ReadBlock)
+			for lo := batchLo; lo < batchHi; lo += int64(readBlock) {
+				hi := lo + int64(readBlock)
 				if hi > batchHi {
 					hi = batchHi
 				}
@@ -385,7 +396,7 @@ func Build(raw *storage.SeriesFile, leafStore *storage.LeafStore, cfg core.Confi
 			go func() {
 				defer wg.Done()
 				sm := core.NewSummarizer(cfg, tree.Quantizer())
-				values := make([]float32, opt.ReadBlock*cfg.SeriesLen)
+				values := make([]float32, readBlock*cfg.SeriesLen)
 				touched := make(map[uint32]struct{}, 64)
 				for blk := range blocks {
 					vals := values[:blk.n*cfg.SeriesLen]
@@ -451,7 +462,7 @@ func BuildInMemory(coll *series.Collection, cfg core.Config, opt Options) (*Inde
 	b := newBuilder(ix, opt)
 
 	start := time.Now()
-	blocks := xsync.Blocks(n, opt.ReadBlock)
+	blocks := xsync.Blocks(n, readBlock)
 	var cursor xsync.Counter
 	var wg sync.WaitGroup
 	for w := 0; w < opt.Workers; w++ {

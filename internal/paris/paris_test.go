@@ -6,6 +6,7 @@ import (
 
 	"dsidx/internal/core"
 	"dsidx/internal/gen"
+	"dsidx/internal/messi"
 	"dsidx/internal/series"
 	"dsidx/internal/storage"
 )
@@ -24,15 +25,21 @@ func buildDisk(t *testing.T, coll *series.Collection, mode Mode, workers int) *I
 	}
 	leaves := storage.NewLeafStore(storage.NewMemStore())
 	ix, err := Build(raw, leaves, core.Config{LeafCapacity: 32},
-		Options{Mode: mode, Workers: workers, BatchSeries: 300, ReadBlock: 64})
+		Options{Mode: mode, Workers: workers, BatchSeries: 1500})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return ix
 }
 
+// nn answers an exact 1-NN query.
+func nn(ix *Index, q series.Series, workers int) (core.Result, *QueryStats, error) {
+	return messi.First(ix.Run(Query{Kind: messi.NN, Series: q, Workers: workers}))
+}
+
 func TestBuildBothModesIndexEverything(t *testing.T) {
-	coll, _ := dataset(t, gen.Synthetic, 1000)
+	// Three batches, the first two of two read blocks each.
+	coll, _ := dataset(t, gen.Synthetic, 3100)
 	for _, mode := range []Mode{ModeParIS, ModeParISPlus} {
 		t.Run(mode.String(), func(t *testing.T) {
 			ix := buildDisk(t, coll, mode, 4)
@@ -52,7 +59,8 @@ func TestBuildBothModesIndexEverything(t *testing.T) {
 func TestBuildMatchesSerialReference(t *testing.T) {
 	// The parallel build must produce exactly the same SAX array as a
 	// serial summarization pass, and a tree containing every position once.
-	coll, _ := dataset(t, gen.Seismic, 700)
+	// Two batches of two read blocks each.
+	coll, _ := dataset(t, gen.Seismic, 2600)
 	ix := buildDisk(t, coll, ModeParISPlus, 8)
 
 	tree, err := core.NewTree(core.Config{SeriesLen: coll.SeriesLen(), LeafCapacity: 32})
@@ -89,11 +97,12 @@ func TestBuildMatchesSerialReference(t *testing.T) {
 }
 
 func TestBuildInMemoryBothModes(t *testing.T) {
-	coll, _ := dataset(t, gen.SALD, 900)
+	// Three claim blocks, one of them partial.
+	coll, _ := dataset(t, gen.SALD, 2600)
 	for _, mode := range []Mode{ModeParIS, ModeParISPlus} {
 		t.Run(mode.String(), func(t *testing.T) {
 			ix, err := BuildInMemory(coll, core.Config{LeafCapacity: 32},
-				Options{Mode: mode, Workers: 6, ReadBlock: 50})
+				Options{Mode: mode, Workers: 6})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -116,7 +125,7 @@ func TestSearchExactnessOnDisk(t *testing.T) {
 				for qi := 0; qi < queries.Len(); qi++ {
 					q := queries.At(qi)
 					_, wantDist := coll.BruteForce1NN(q)
-					got, stats, err := ix.Search(q, 4)
+					got, stats, err := nn(ix, q, 4)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -142,7 +151,7 @@ func TestSearchExactnessInMemory(t *testing.T) {
 		for qi := 0; qi < queries.Len(); qi++ {
 			q := queries.At(qi)
 			_, wantDist := coll.BruteForce1NN(q)
-			got, _, err := ix.Search(q, workers)
+			got, _, err := nn(ix, q, workers)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -163,7 +172,7 @@ func TestSearchEmptyIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := ix.Search(make(series.Series, 256), 2)
+	got, _, err := nn(ix, make(series.Series, 256), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +187,7 @@ func TestSearchValidatesQueryLength(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := ix.Search(make(series.Series, 100), 2); err == nil {
+	if _, _, err := nn(ix, make(series.Series, 100), 2); err == nil {
 		t.Error("mismatched query length accepted")
 	}
 }

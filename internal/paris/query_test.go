@@ -9,27 +9,39 @@ import (
 
 	"dsidx/internal/core"
 	"dsidx/internal/gen"
+	"dsidx/internal/messi"
 	"dsidx/internal/storage"
 )
 
-// faultStore wraps a Store and fails every read once armed.
+// faultStore wraps a Store, counts its reads, and fails every read from
+// the failAt-th on (none while failAt is negative).
 type faultStore struct {
 	storage.Store
-	fail atomic.Bool
+	reads, failAt atomic.Int64
+}
+
+func newFaultStore() *faultStore {
+	fs := &faultStore{Store: storage.NewMemStore()}
+	fs.failAt.Store(-1)
+	return fs
 }
 
 var errInjected = errors.New("injected fault")
 
 func (f *faultStore) ReadAt(p []byte, off int64) (int, error) {
-	if f.fail.Load() {
+	if n, at := f.reads.Add(1), f.failAt.Load(); at >= 0 && n > at {
 		return 0, errInjected
 	}
 	return f.Store.ReadAt(p, off)
 }
 
+// TestSearchPropagatesReadErrors fails the raw file's reads of each kind's
+// query from its first read (a seed), its middle one and its last one (a
+// refinement read, for the exact kinds): the query must return the fault.
+// One worker keeps the read count of a query the same on every run.
 func TestSearchPropagatesReadErrors(t *testing.T) {
 	coll, queries := dataset(t, gen.Synthetic, 300)
-	fs := &faultStore{Store: storage.NewMemStore()}
+	fs := newFaultStore()
 	raw, err := storage.WriteCollection(fs, coll)
 	if err != nil {
 		t.Fatal(err)
@@ -39,20 +51,32 @@ func TestSearchPropagatesReadErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs.fail.Store(true)
-	if _, _, err := ix.Search(queries.At(0), 2); !errors.Is(err, errInjected) {
-		t.Fatalf("Search error = %v, want injected fault", err)
+	for _, q := range []Query{{Kind: messi.NN}, {Kind: messi.KNN, K: 3}, {Kind: messi.DTW, Warp: 4}, {Kind: messi.Approx}} {
+		q.Series, q.Workers = queries.At(0), 1
+		fs.failAt.Store(-1)
+		fs.reads.Store(0)
+		if _, _, err := ix.Run(q); err != nil {
+			t.Fatal(err)
+		}
+		reads := fs.reads.Load()
+		for _, at := range []int64{0, reads / 2, reads - 1} {
+			fs.reads.Store(0)
+			fs.failAt.Store(at)
+			if _, _, err := ix.Run(q); !errors.Is(err, errInjected) {
+				t.Fatalf("kind %d, reads failing from %d of %d: error = %v, want the injected fault", q.Kind, at, reads, err)
+			}
+		}
 	}
 }
 
 func TestBuildPropagatesReadErrors(t *testing.T) {
 	coll, _ := dataset(t, gen.Synthetic, 300)
-	fs := &faultStore{Store: storage.NewMemStore()}
+	fs := newFaultStore()
 	raw, err := storage.WriteCollection(fs, coll)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs.fail.Store(true)
+	fs.failAt.Store(0)
 	_, err = Build(raw, storage.NewLeafStore(storage.NewMemStore()),
 		core.Config{LeafCapacity: 16}, Options{Workers: 2})
 	if !errors.Is(err, errInjected) {
@@ -67,7 +91,7 @@ func TestQueryStatsConsistency(t *testing.T) {
 		t.Fatal(err)
 	}
 	for qi := 0; qi < queries.Len(); qi++ {
-		_, stats, err := ix.Search(queries.At(qi), 4)
+		_, stats, err := nn(ix, queries.At(qi), 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,7 +124,7 @@ func TestConcurrentSearches(t *testing.T) {
 			wg.Add(1)
 			go func(qi int) {
 				defer wg.Done()
-				got, _, err := ix.Search(queries.At(qi), 2)
+				got, _, err := nn(ix, queries.At(qi), 2)
 				if err != nil {
 					t.Error(err)
 					return
@@ -126,7 +150,7 @@ func TestDiskMetricsChargedDuringQuery(t *testing.T) {
 		t.Fatal(err)
 	}
 	disk.ResetMetrics()
-	if _, _, err := ix.Search(queries.At(0), 2); err != nil {
+	if _, _, err := nn(ix, queries.At(0), 2); err != nil {
 		t.Fatal(err)
 	}
 	m := disk.Metrics()

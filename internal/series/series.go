@@ -109,34 +109,20 @@ func SquaredED(a, b Series) float64 {
 // ED returns the Euclidean distance between a and b.
 func ED(a, b Series) float64 { return math.Sqrt(SquaredED(a, b)) }
 
-// SquaredEDEarlyAbandon computes the squared Euclidean distance between a and
-// b but abandons the computation as soon as the partial sum exceeds limit,
-// returning a value > limit (not necessarily the full distance). This is the
-// core optimization of the UCR Suite and of the real-distance phases of
-// ParIS and MESSI.
-func SquaredEDEarlyAbandon(a, b Series, limit float64) float64 {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("series: SquaredEDEarlyAbandon length mismatch %d != %d", len(a), len(b)))
+// CheckQuery reports why q cannot be a query over series of length n, or
+// nil. A NaN or infinite value is refused: no distance to it orders, so it
+// has no nearest neighbour, and every lower bound an index prunes by would
+// be NaN or +Inf too.
+func CheckQuery(q Series, n int) error {
+	if len(q) != n {
+		return fmt.Errorf("query length %d != %d", len(q), n)
 	}
-	var acc float64
-	i := 0
-	// Process in blocks of 8 between abandon checks: checking every element
-	// costs more than it saves, checking every block preserves almost all of
-	// the abandoning benefit.
-	for ; i+8 <= len(a); i += 8 {
-		for j := i; j < i+8; j++ {
-			d := float64(a[j]) - float64(b[j])
-			acc += d * d
-		}
-		if acc > limit {
-			return acc
+	for i, x := range q {
+		if math.IsNaN(float64(x)) || math.IsInf(float64(x), 0) {
+			return fmt.Errorf("query value %d is %v, want a finite number", i, x)
 		}
 	}
-	for ; i < len(a); i++ {
-		d := float64(a[i]) - float64(b[i])
-		acc += d * d
-	}
-	return acc
+	return nil
 }
 
 // Collection is a contiguous, flat container of equal-length series: the

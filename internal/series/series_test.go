@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func almostEqual(a, b, eps float64) bool {
@@ -103,52 +102,6 @@ func TestSquaredEDPanicsOnMismatch(t *testing.T) {
 		}
 	}()
 	SquaredED(Series{1}, Series{1, 2})
-}
-
-func TestEarlyAbandonExactWhenUnderLimit(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 50; trial++ {
-		n := 1 + rng.Intn(300)
-		a, b := randomSeries(rng, n), randomSeries(rng, n)
-		full := SquaredED(a, b)
-		got := SquaredEDEarlyAbandon(a, b, math.Inf(1))
-		if !almostEqual(got, full, 1e-12) {
-			t.Fatalf("n=%d: early abandon with inf limit = %v, want %v", n, got, full)
-		}
-	}
-}
-
-func TestEarlyAbandonExceedsLimitWhenAbandoned(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	for trial := 0; trial < 50; trial++ {
-		a, b := randomSeries(rng, 256), randomSeries(rng, 256)
-		full := SquaredED(a, b)
-		limit := full / 4
-		got := SquaredEDEarlyAbandon(a, b, limit)
-		if got <= limit {
-			t.Fatalf("abandoned result %v must exceed limit %v", got, limit)
-		}
-	}
-}
-
-func TestEarlyAbandonProperty(t *testing.T) {
-	// Property: result > limit implies true distance > limit, and
-	// result <= limit implies result == true distance.
-	rng := rand.New(rand.NewSource(5))
-	f := func(seed int64, limFrac float64) bool {
-		r := rand.New(rand.NewSource(seed))
-		a, b := randomSeries(r, 128), randomSeries(r, 128)
-		full := SquaredED(a, b)
-		limit := math.Abs(limFrac) * full
-		got := SquaredEDEarlyAbandon(a, b, limit)
-		if got <= limit {
-			return almostEqual(got, full, 1e-12)
-		}
-		return full > limit || almostEqual(full, limit, 1e-12)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200, Rand: rng}); err != nil {
-		t.Error(err)
-	}
 }
 
 func TestCollectionBasics(t *testing.T) {

@@ -64,6 +64,25 @@ func TestEarlyAbandonExceedsLimit(t *testing.T) {
 	}
 }
 
+// TestEarlyAbandonProperty: a result at or under the limit is the full
+// distance, bit for bit, and a result over it means the full distance is
+// over it too.
+func TestEarlyAbandonProperty(t *testing.T) {
+	f := func(seed int64, limFrac float64) bool {
+		r := rand.New(rand.NewSource(seed))
+		a, b := randVec(r, 128), randVec(r, 128)
+		full := SquaredED(a, b)
+		limit := math.Abs(limFrac) * full
+		if got := SquaredEDEarlyAbandon(a, b, limit); got <= limit {
+			return math.Float64bits(got) == math.Float64bits(full)
+		}
+		return full > limit
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestMinDistLookup16(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	const card = 256

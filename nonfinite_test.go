@@ -9,8 +9,9 @@ import (
 
 // TestNonFiniteQueriesRejected: a query holding a NaN or an infinity has no
 // nearest neighbour, so every public entry refuses it with an error — and
-// answers nothing — on a plain and on a sharded index alike, while the same
-// entries still answer a finite query.
+// answers nothing — on a plain and on a sharded index alike, on ParIS on
+// disk and in memory, and on ADS+, while the same entries still answer a
+// finite query.
 func TestNonFiniteQueriesRejected(t *testing.T) {
 	coll := Generate(Synthetic, 600, 64, 17)
 	plain, err := NewMESSI(coll, WithLeafCapacity(16))
@@ -67,29 +68,60 @@ func TestNonFiniteQueriesRejected(t *testing.T) {
 		"Serve/Approx": serve(QueryRequest{Kind: QueryApprox}),
 		"Serve/Window": serve(QueryRequest{Kind: QueryWindowNN, LastN: 100}),
 	}
-	bad := map[string]float32{"NaN": float32(math.NaN()), "+Inf": float32(math.Inf(1)), "-Inf": float32(math.Inf(-1))}
+	cases := map[string]func(q Series) ([]Match, error){}
 	for name, call := range entries {
 		for backend, x := range map[string]*index{"MESSI": &plain.index, "Sharded": &sharded.index} {
-			t.Run(name+"/"+backend, func(t *testing.T) {
-				q := append(Series(nil), coll.At(7)...)
-				if _, err := call(x, q); err != nil {
-					t.Fatalf("finite query: %v", err)
+			cases[name+"/"+backend] = func(q Series) ([]Match, error) { return call(x, q) }
+		}
+	}
+	// The on-disk family and the in-memory ParIS.
+	dc, err := NewSimulatedDisk(coll, Unthrottled)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dc.Close()
+	parisDisk, err := NewParIS(dc, WithLeafCapacity(16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	parisMem, err := NewParISInMemory(coll, WithLeafCapacity(16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ads, err := NewADSPlus(dc, WithLeafCapacity(16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for backend, p := range map[string]*ParIS{"ParIS": parisDisk, "ParISInMemory": parisMem} {
+		cases["Search/"+backend] = func(q Series) ([]Match, error) { return one(p.Search(q)) }
+		cases["SearchWithWorkers/"+backend] = func(q Series) ([]Match, error) { return one(p.SearchWithWorkers(q, 2)) }
+		cases["SearchKNN/"+backend] = func(q Series) ([]Match, error) { return p.SearchKNN(q, 3) }
+		cases["SearchDTW/"+backend] = func(q Series) ([]Match, error) { return one(p.SearchDTW(q, 4)) }
+		cases["SearchApproximate/"+backend] = func(q Series) ([]Match, error) { return one(p.SearchApproximate(q)) }
+	}
+	cases["Search/ADSPlus"] = func(q Series) ([]Match, error) { return one(ads.Search(q)) }
+
+	bad := map[string]float32{"NaN": float32(math.NaN()), "+Inf": float32(math.Inf(1)), "-Inf": float32(math.Inf(-1))}
+	for name, call := range cases {
+		t.Run(name, func(t *testing.T) {
+			q := append(Series(nil), coll.At(7)...)
+			if _, err := call(q); err != nil {
+				t.Fatalf("finite query: %v", err)
+			}
+			for what, v := range bad {
+				q[len(q)/2] = v
+				ms, err := call(q)
+				if err == nil || !strings.Contains(err.Error(), "finite") {
+					t.Fatalf("query holding %s: error %v, want one naming the non-finite value", what, err)
 				}
-				for what, v := range bad {
-					q[len(q)/2] = v
-					ms, err := call(x, q)
-					if err == nil || !strings.Contains(err.Error(), "finite") {
-						t.Fatalf("query holding %s: error %v, want one naming the non-finite value", what, err)
-					}
-					if name != "BatchSearch" && name != "BatchSearchStats" {
-						for _, m := range ms {
-							if m.Pos >= 0 {
-								t.Fatalf("query holding %s answered %+v", what, ms)
-							}
+				if !strings.HasPrefix(name, "BatchSearch") {
+					for _, m := range ms {
+						if m.Pos >= 0 {
+							t.Fatalf("query holding %s answered %+v", what, ms)
 						}
 					}
 				}
-			})
-		}
+			}
+		})
 	}
 }

@@ -1,6 +1,7 @@
 package dsidx
 
 import (
+	"dsidx/internal/messi"
 	"dsidx/internal/paris"
 	"dsidx/internal/storage"
 )
@@ -53,21 +54,17 @@ func NewParISInMemory(coll *Collection, opts ...Option) (*ParIS, error) {
 
 // Search returns the exact nearest neighbor of q under Euclidean distance,
 // using the index's configured parallelism.
-func (ix *ParIS) Search(q Series) (Match, error) {
-	r, _, err := ix.inner.Search(q, 0)
-	return matchOf(r), err
-}
+func (ix *ParIS) Search(q Series) (Match, error) { return ix.SearchWithWorkers(q, 0) }
 
 // SearchWithWorkers is Search with an explicit worker count.
 func (ix *ParIS) SearchWithWorkers(q Series, workers int) (Match, error) {
-	r, _, err := ix.inner.Search(q, workers)
-	return matchOf(r), err
+	return answerOf(messi.First(ix.inner.Run(paris.Query{Kind: messi.NN, Series: q, Workers: workers})))
 }
 
 // SearchKNN returns the exact k nearest neighbors of q in ascending
 // distance order.
 func (ix *ParIS) SearchKNN(q Series, k int) ([]Match, error) {
-	rs, _, err := ix.inner.SearchKNN(q, k, 0)
+	rs, _, err := ix.inner.Run(paris.Query{Kind: messi.KNN, Series: q, K: k})
 	return matchesOf(rs), err
 }
 
@@ -75,15 +72,13 @@ func (ix *ParIS) SearchKNN(q Series, k int) ([]Match, error) {
 // warping with a Sakoe-Chiba band of half-width window, answered on the
 // unchanged index (paper §V).
 func (ix *ParIS) SearchDTW(q Series, window int) (Match, error) {
-	r, _, err := ix.inner.SearchDTW(q, window, 0)
-	return matchOf(r), err
+	return answerOf(messi.First(ix.inner.Run(paris.Query{Kind: messi.DTW, Series: q, Warp: window})))
 }
 
 // SearchApproximate returns the classic iSAX approximate answer (one
 // random read on disk); its distance upper-bounds the exact answer's.
 func (ix *ParIS) SearchApproximate(q Series) (Match, error) {
-	r, err := ix.inner.SearchApproximate(q)
-	return matchOf(r), err
+	return answerOf(messi.First(ix.inner.Run(paris.Query{Kind: messi.Approx, Series: q})))
 }
 
 // Stats returns the index tree shape.
