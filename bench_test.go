@@ -92,16 +92,6 @@ func BenchmarkAblationVectorKernelsScalar(b *testing.B) {
 	_ = sink
 }
 
-func BenchmarkAblationVectorKernelsUnrolled(b *testing.B) {
-	x, y := benchVectors(b, 256)
-	b.SetBytes(256 * 4)
-	var sink float64
-	for i := 0; i < b.N; i++ {
-		sink += vector.SquaredEDUnrolled(x, y)
-	}
-	_ = sink
-}
-
 func BenchmarkEarlyAbandonED(b *testing.B) {
 	x, y := benchVectors(b, 256)
 	var sink float64

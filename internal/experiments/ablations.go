@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
 	"dsidx/internal/core"
@@ -10,57 +9,7 @@ import (
 	"dsidx/internal/messi"
 	"dsidx/internal/paris"
 	"dsidx/internal/series"
-	"dsidx/internal/vector"
 )
-
-// AblationVectorKernels measures the distance-kernel implementation
-// ladder: the dispatched production kernel (AVX2 assembly where the CPU
-// has it), the forced scalar oracle, and the 8-way unrolled "SIMD-style"
-// Go transcription kept from before the assembly layer existed.
-func AblationVectorKernels(cfg Config) (*Table, error) {
-	cfg = cfg.Normalize()
-	t := &Table{
-		ID:      "ablation-kernels",
-		Title:   fmt.Sprintf("Distance kernels: dispatch (%s) vs scalar vs unrolled", vector.Impl()),
-		Unit:    "nanoseconds per 256-point distance",
-		Columns: []string{"ns/op"},
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	const n, pairs = 256, 512
-	a := make([][]float32, pairs)
-	b := make([][]float32, pairs)
-	for i := range a {
-		a[i] = make([]float32, n)
-		b[i] = make([]float32, n)
-		for j := 0; j < n; j++ {
-			a[i][j] = float32(rng.NormFloat64())
-			b[i][j] = float32(rng.NormFloat64())
-		}
-	}
-	var sink float64
-	measure := func(fn func(x, y []float32) float64) float64 {
-		const reps = 200
-		t0 := time.Now()
-		for r := 0; r < reps; r++ {
-			for i := range a {
-				sink += fn(a[i], b[i])
-			}
-		}
-		return float64(time.Since(t0).Nanoseconds()) / float64(reps*pairs)
-	}
-	vector.ForceScalar(false)
-	defer vector.ForceScalar(false)
-	t.AddRow(fmt.Sprintf("dispatch (%s, production)", vector.Impl()), measure(vector.SquaredED))
-	vector.ForceScalar(true)
-	t.AddRow("scalar oracle (forced)", measure(vector.SquaredED))
-	t.AddRow("8-way unrolled (Go)", measure(vector.SquaredEDUnrolled))
-	vector.ForceScalar(false)
-	if sink == 0 {
-		t.Note("sink zero (unexpected)")
-	}
-	t.Note("the unroll transcribes the paper's SIMD style in pure Go; the assembly layer implements the same pinned summation order bit-identically (internal/vector)")
-	return t, nil
-}
 
 // AblationQueryHardness sweeps the query perturbation eps and reports the
 // fraction of the collection surviving the lower-bound scan — the pruning

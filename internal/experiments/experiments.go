@@ -16,7 +16,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 	"time"
 )
@@ -33,20 +32,6 @@ type Config struct {
 	Seed int64
 	// MaxCores caps the core-count axis (default 24, the paper's machine).
 	MaxCores int
-	// InFlightAxis lists the concurrent-query levels of the multi-query
-	// throughput experiment (default 1, 4, 16).
-	InFlightAxis []int
-	// AppendRates lists the live-append rates (series/s) of the ingestion
-	// experiment (default 0, 1000, 10000; 0 is the query-only baseline).
-	AppendRates []int
-	// ShardAxis lists the shard counts of the sharded scatter-gather
-	// experiment (default 1, 2, 4; 1 is the unsharded baseline).
-	ShardAxis []int
-	// DeleteRate is the fraction of the collection tombstoned (evenly
-	// spaced, uncompacted) before the query benchmark runs, measuring the
-	// tombstone-filtered search path. 0 (the default) benchmarks the
-	// delete-free hot path; values are clamped to [0, 0.9].
-	DeleteRate float64
 }
 
 // Normalize fills defaults.
@@ -62,21 +47,6 @@ func (c Config) Normalize() Config {
 	}
 	if c.MaxCores <= 0 {
 		c.MaxCores = 24
-	}
-	if len(c.InFlightAxis) == 0 {
-		c.InFlightAxis = []int{1, 4, 16}
-	}
-	if len(c.AppendRates) == 0 {
-		c.AppendRates = []int{0, 1000, 10000}
-	}
-	if len(c.ShardAxis) == 0 {
-		c.ShardAxis = []int{1, 2, 4}
-	}
-	if c.DeleteRate < 0 {
-		c.DeleteRate = 0
-	}
-	if c.DeleteRate > 0.9 {
-		c.DeleteRate = 0.9
 	}
 	return c
 }
@@ -200,14 +170,8 @@ var All = []Experiment{
 	{"fig10", "Exact query answering across datasets on HDD: UCR vs ADS+ vs ParIS+", Fig10},
 	{"fig11", "Exact query answering across datasets on SSD: UCR vs ADS+ vs ParIS+", Fig11},
 	{"fig12", "In-memory exact query answering across datasets: UCR-p vs ParIS vs MESSI", Fig12},
-	{"ablation-kernels", "Vectorized vs scalar distance kernels", AblationVectorKernels},
 	{"ablation-leafcap", "MESSI build/query tradeoff vs leaf capacity", AblationLeafCapacity},
 	{"ablation-hardness", "Pruning power vs query difficulty (eps sweep)", AblationQueryHardness},
-	{"concurrent", "MESSI multi-query throughput vs in-flight queries (shared pool)", ConcurrentQPS},
-	{"ingest", "MESSI query throughput under live appends (delta buffer + background merge)", IngestThroughput},
-	{"sharded", "Sharded scatter-gather vs shard count (shared pool, shared BSF)", ShardedSweep},
-	{"mem", "Resident bytes per series: flat vs sharded build (zero-copy views)", MemResidency},
-	{"outofcore", "Out-of-core tiered shards: cold-tier query latency, hit rate and residency vs cache budget", OutOfCore},
 }
 
 // ByID returns the experiment with the given ID.
@@ -226,12 +190,5 @@ func IDs() []string {
 	for i, e := range All {
 		out[i] = e.ID
 	}
-	return out
-}
-
-// sortedCopy returns a sorted copy of xs (used for medians in ablations).
-func sortedCopy(xs []float64) []float64 {
-	out := append([]float64(nil), xs...)
-	sort.Float64s(out)
 	return out
 }

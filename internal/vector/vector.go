@@ -189,34 +189,3 @@ func EnvelopeDist(below, above []float64, env []uint8, card int) float64 {
 	}
 	return acc
 }
-
-// SquaredEDUnrolled is the manually 8-way-unrolled scalar kernel with 4
-// independent accumulators — the literal transcription of the paper's
-// SIMD-style distance code, kept for the kernel ablation benchmark. Its
-// result can differ from the pinned contract by floating-point
-// reassociation only (relative error ~1e-15).
-func SquaredEDUnrolled(a, b []float32) float64 {
-	n := len(a)
-	_ = b[n-1]
-	var acc0, acc1, acc2, acc3 float64
-	i := 0
-	for ; i+8 <= n; i += 8 {
-		d0 := float64(a[i]) - float64(b[i])
-		d1 := float64(a[i+1]) - float64(b[i+1])
-		d2 := float64(a[i+2]) - float64(b[i+2])
-		d3 := float64(a[i+3]) - float64(b[i+3])
-		d4 := float64(a[i+4]) - float64(b[i+4])
-		d5 := float64(a[i+5]) - float64(b[i+5])
-		d6 := float64(a[i+6]) - float64(b[i+6])
-		d7 := float64(a[i+7]) - float64(b[i+7])
-		acc0 += d0*d0 + d4*d4
-		acc1 += d1*d1 + d5*d5
-		acc2 += d2*d2 + d6*d6
-		acc3 += d3*d3 + d7*d7
-	}
-	for ; i < n; i++ {
-		d := float64(a[i]) - float64(b[i])
-		acc0 += d * d
-	}
-	return (acc0 + acc1) + (acc2 + acc3)
-}

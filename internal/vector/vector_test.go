@@ -23,9 +23,6 @@ func TestSquaredEDMatchesScalar(t *testing.T) {
 		if got := SquaredED(a, b); math.Abs(got-want) > 1e-9*math.Max(1, want) {
 			t.Errorf("n=%d: SquaredED %v vs scalar %v", n, got, want)
 		}
-		if got := SquaredEDUnrolled(a, b); math.Abs(got-want) > 1e-9*math.Max(1, want) {
-			t.Errorf("n=%d: unrolled %v vs scalar %v", n, got, want)
-		}
 	}
 }
 
