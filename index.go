@@ -155,12 +155,14 @@ func (x *index) BatchSearchStats(qs []Series) ([]Match, []SearchStats, error) {
 // Sharded index routes the series to one shard by its policy). The series
 // becomes visible to queries before Append returns; a background merge
 // folds it into the index tree later. Safe for concurrent use with queries,
-// other appends, Flush, Save and Close.
+// other appends, Flush, Save and Close. A series of the wrong length, or
+// holding a NaN or an infinity, is refused with an error and lands nothing.
 func (x *index) Append(s Series) (int, error) { return x.b.Append(s) }
 
 // AppendBatch adds a batch of series at consecutive positions, returning
-// the position of the first. The batch becomes visible atomically (across
-// all shards): a concurrent query sees either none or all of it.
+// the position of the first, or lands none if Append would refuse one. The
+// batch becomes visible atomically (across all shards): a query sees none
+// or all of it.
 func (x *index) AppendBatch(ss []Series) (int, error) { return x.b.AppendBatch(ss) }
 
 // Flush synchronously merges every series appended before the call into

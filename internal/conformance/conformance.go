@@ -18,15 +18,14 @@
 // tenant ID: tenancy only moves scheduling, so answers must be
 // bit-identical with or without it.
 //
-// Every (re)build of the sharded instance randomly chooses among the
-// zero-copy view-based base split, the legacy materialized copy
-// (shard.Options.CopyBase) and the out-of-core cold tier
+// Every (re)build of the sharded instance randomly chooses between the
+// zero-copy view-based base split and the out-of-core cold tier
 // (shard.Options.ColdStorage, with a deliberately tiny block cache and a
 // random hot/cold shard placement so eviction, cache misses and the
 // mixed-tier path all run under the op stream). Answers must be
 // bit-identical however the base is placed, so the harness differentially
-// verifies view-based, copied and device-backed indexing against each
-// other and the oracle.
+// verifies in-RAM and device-backed indexing against each other and the
+// oracle.
 //
 // The harness is deterministic per seed: a failure reproduces from its
 // seed and op count alone. It runs as a normal test with fixed seeds
@@ -247,10 +246,10 @@ func (h *harness) build(base *series.Collection) {
 		h.t.Fatal(err)
 	}
 	sopt := shard.Options{Shards: h.cfg.Shards, Policy: h.cfg.Policy, Options: opt}
-	// Toss the base placement: zero-copy views (the default), materialized
-	// flat copies, or the out-of-core cold tier. Answers must be
-	// bit-identical whichever way the base is stored, so the whole op
-	// stream differentially verifies all three paths against each other.
+	// Toss the base placement: zero-copy views (the default) or the
+	// out-of-core cold tier. Answers must be bit-identical whichever way
+	// the base is stored, so the whole op stream differentially verifies
+	// both paths against each other.
 	h.tossPlacement(&sopt, base)
 	shrd, err := shard.Build(base, cfg, sopt)
 	if err != nil {
@@ -260,11 +259,11 @@ func (h *harness) build(base *series.Collection) {
 }
 
 // tossPlacement randomly picks how the sharded instance stores its base
-// values: zero-copy views, materialized copies, or the device-backed cold
-// tier. The cold configuration uses a cache far smaller than the data
-// (16 KiB, 8-series blocks) so evictions and misses actually happen, and
-// half the time assigns tiers per shard at random (always at least one
-// cold) to exercise the mixed hot/cold path.
+// values: zero-copy views or the device-backed cold tier. The cold
+// configuration uses a cache far smaller than the data (16 KiB) so
+// evictions and misses actually happen, and half the time assigns tiers per
+// shard at random (always at least one cold) to exercise the mixed hot/cold
+// path.
 //
 // In fault mode the cold tier is mandatory and its store is a
 // storage.FaultStore (healed at build time — staging and construction run
@@ -290,14 +289,11 @@ func (h *harness) tossPlacement(opt *shard.Options, base *series.Collection) {
 		}
 		h.tossColdPlacement(cs)
 		opt.ColdStorage = cs
-		opt.QuarantineAfter = 2
 		return
 	}
-	switch h.rng.Intn(3) {
-	case 0: // zero-copy views — the default
-	case 1:
-		opt.CopyBase = true
-	case 2:
+	// One build in three goes cold, whose tiny cache makes its queries the
+	// harness's slowest; the rest keep the zero-copy views, the default.
+	if h.rng.Intn(3) == 2 {
 		cs := &shard.ColdStorage{CacheBytes: 16 << 10}
 		h.tossColdPlacement(cs)
 		opt.ColdStorage = cs

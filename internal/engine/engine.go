@@ -49,10 +49,11 @@ type Options struct {
 	// 0 means 2×Workers — enough to keep the pool saturated while one
 	// query is in a serial section, without unbounded scratch pinning.
 	MaxInFlight int
-	// QueueDepth is the task channel buffer. 0 means 64×Workers. Submit
-	// blocks (backpressure on the query goroutine) when the queue is full.
-	QueueDepth int
 }
+
+// queuePerWorker sizes the task channel: 64 slots per pool goroutine.
+// Submit blocks (backpressure on the query goroutine) when it is full.
+const queuePerWorker = 64
 
 func (o Options) normalize() Options {
 	if o.Workers <= 0 {
@@ -60,9 +61,6 @@ func (o Options) normalize() Options {
 	}
 	if o.MaxInFlight <= 0 {
 		o.MaxInFlight = 2 * o.Workers
-	}
-	if o.QueueDepth <= 0 {
-		o.QueueDepth = 64 * o.Workers
 	}
 	return o
 }
@@ -141,7 +139,7 @@ func New(opt Options) *Engine {
 	opt = opt.normalize()
 	e := &Engine{
 		opt:     opt,
-		tasks:   make(chan func(), opt.QueueDepth),
+		tasks:   make(chan func(), queuePerWorker*opt.Workers),
 		quit:    make(chan struct{}),
 		sem:     make(chan struct{}, opt.MaxInFlight),
 		tenants: make(map[string]*tenantState),

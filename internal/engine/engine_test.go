@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -110,25 +111,49 @@ func TestSubmitAfterCloseRunsInline(t *testing.T) {
 
 func TestCloseConcurrentWithSubmitters(t *testing.T) {
 	// Close racing many submitting goroutines: every task must still run
-	// (pool or inline) and every Wait must return.
-	e := New(Options{Workers: 4, QueueDepth: 8})
+	// (pool or inline) and every Wait must return. The workers are held
+	// until the submitters have filled the task queue, so Close also races
+	// submitters blocked on a full queue.
+	e := New(Options{Workers: 4})
+	const submitters, perSubmitter = 16, 100
+	if submitters*perSubmitter <= cap(e.tasks) {
+		t.Fatalf("%d tasks cannot fill a %d-slot queue", submitters*perSubmitter, cap(e.tasks))
+	}
+	gate := make(chan struct{})
+	var parked sync.WaitGroup
+	parked.Add(e.Workers())
+	hold := e.NewGroup()
+	for w := 0; w < e.Workers(); w++ {
+		hold.Submit(func() { parked.Done(); <-gate })
+	}
+	parked.Wait()
 	var n atomic.Int64
 	var wg sync.WaitGroup
-	for q := 0; q < 16; q++ {
+	for q := 0; q < submitters; q++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			g := e.NewGroup()
-			for i := 0; i < 100; i++ {
+			for i := 0; i < perSubmitter; i++ {
 				g.Submit(func() { n.Add(1) })
 			}
 			g.Wait()
 		}()
 	}
-	e.Close()
+	for e.Stats().PendingTasks < cap(e.tasks) {
+		runtime.Gosched()
+	}
+	closed := make(chan struct{})
+	go func() {
+		e.Close()
+		close(closed)
+	}()
+	close(gate)
 	wg.Wait()
-	if n.Load() != 1600 {
-		t.Fatalf("ran %d tasks, want 1600", n.Load())
+	hold.Wait()
+	<-closed
+	if n.Load() != submitters*perSubmitter {
+		t.Fatalf("ran %d tasks, want %d", n.Load(), submitters*perSubmitter)
 	}
 }
 

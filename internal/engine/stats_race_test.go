@@ -16,7 +16,7 @@ import (
 )
 
 func TestStatsConsistentUnderLoad(t *testing.T) {
-	e := New(Options{Workers: 2, MaxInFlight: 2, QueueDepth: 4})
+	e := New(Options{Workers: 2, MaxInFlight: 2})
 	defer e.Close()
 
 	stop := make(chan struct{})
@@ -43,8 +43,8 @@ func TestStatsConsistentUnderLoad(t *testing.T) {
 			}
 		}()
 	}
-	// Task traffic against a tiny queue; the busy sink keeps workers
-	// occupied so the queue actually fills and submissions block.
+	// Task traffic; the busy sink keeps workers occupied so the queue
+	// actually fills and submissions block (checked after the run).
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -65,6 +65,7 @@ func TestStatsConsistentUnderLoad(t *testing.T) {
 	}
 	deadline := time.Now().Add(dur)
 	var prev Stats
+	peakPending := 0
 	for k := 0; ; k++ {
 		if k%64 == 0 {
 			if time.Now().After(deadline) {
@@ -85,6 +86,7 @@ func TestStatsConsistentUnderLoad(t *testing.T) {
 			t.Fatalf("sample %d: counter regressed: %+v after %+v", k, st, prev)
 		}
 		prev = st
+		peakPending = max(peakPending, st.PendingTasks)
 	}
 	close(stop)
 	wg.Wait()
@@ -92,6 +94,9 @@ func TestStatsConsistentUnderLoad(t *testing.T) {
 	st := e.Stats()
 	if st.Queries == 0 {
 		t.Fatal("no queries recorded during the stress run")
+	}
+	if peakPending != cap(e.tasks) {
+		t.Fatalf("task queue peaked at %d of %d slots: submissions never blocked", peakPending, cap(e.tasks))
 	}
 	if st.AdmitWaits > 0 && st.AdmitWaitNanos == 0 {
 		t.Fatalf("blocked admissions recorded with zero wait time: %+v", st)

@@ -51,8 +51,8 @@ import (
 // Append returns; a background merge folds it into the tree later. Safe for
 // concurrent use with queries, other appends, Flush and Close.
 func (ix *Index) Append(s series.Series) (int, error) {
-	if len(s) != ix.cfg.SeriesLen {
-		return 0, fmt.Errorf("messi: append length %d != %d", len(s), ix.cfg.SeriesLen)
+	if err := series.Check(s, ix.cfg.SeriesLen); err != nil {
+		return 0, fmt.Errorf("messi: append %w", err)
 	}
 	ix.ingestMu.Lock()
 	pos := ix.baseLen + int(ix.appended.Load())
@@ -67,12 +67,12 @@ func (ix *Index) Append(s series.Series) (int, error) {
 
 // AppendBatch adds a batch of series, returning the position of the first;
 // the batch occupies consecutive positions and becomes visible atomically
-// (a query sees either none or all of it).
+// (a query sees either none or all of it). A batch holding one invalid
+// series lands nothing.
 func (ix *Index) AppendBatch(ss []series.Series) (int, error) {
 	for i, s := range ss {
-		if len(s) != ix.cfg.SeriesLen {
-			return 0, fmt.Errorf("messi: append batch series %d length %d != %d",
-				i, len(s), ix.cfg.SeriesLen)
+		if err := series.Check(s, ix.cfg.SeriesLen); err != nil {
+			return 0, fmt.Errorf("messi: append batch series %d %w", i, err)
 		}
 	}
 	ix.ingestMu.Lock()

@@ -430,11 +430,10 @@ type Query struct {
 }
 
 // Validate reports why q cannot run over series of length seriesLen, or nil:
-// a wrong length or a non-finite value (series.CheckQuery), or an unknown
-// kind.
+// a wrong length or a non-finite value (series.Check), or an unknown kind.
 func (q Query) Validate(seriesLen int) error {
-	if err := series.CheckQuery(q.Series, seriesLen); err != nil {
-		return err
+	if err := series.Check(q.Series, seriesLen); err != nil {
+		return fmt.Errorf("query %w", err)
 	}
 	if q.Kind < NN || q.Kind > Approx {
 		return fmt.Errorf("unknown query kind %d", q.Kind)

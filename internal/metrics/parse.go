@@ -25,8 +25,8 @@ type Family struct {
 //   - histogram _bucket series are cumulative (non-decreasing in le
 //     order as emitted)
 //
-// It is the validator behind the golden tests, the dsbench -metrics
-// self-check, and the metrics_smoke.sh CI step.
+// It is the validator behind the golden tests and the public scrape tests
+// (TestShardedMetricsSnapshotAndScrape).
 func Parse(text string) (map[string]Family, error) {
 	fams := make(map[string]Family)
 	// Track cumulative-bucket monotonicity per histogram series (family

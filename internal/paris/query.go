@@ -49,8 +49,8 @@ type kind struct {
 // after its seeds. A 1-NN kind answers one result (core.NoResult when the
 // index is empty), KNN up to K in ascending (distance, position) order.
 func (ix *Index) Run(q Query) ([]core.Result, *QueryStats, error) {
-	if err := series.CheckQuery(q.Series, ix.cfg.SeriesLen); err != nil {
-		return nil, nil, fmt.Errorf("paris: %w", err)
+	if err := series.Check(q.Series, ix.cfg.SeriesLen); err != nil {
+		return nil, nil, fmt.Errorf("paris: query %w", err)
 	}
 	sink := messi.NewSink(messi.Query{Kind: q.Kind, K: q.K})
 	stats := &QueryStats{}

@@ -163,13 +163,3 @@ func (v ChunkedView) At(i int) Series {
 	}
 	return v.c.At(i)
 }
-
-// Materialize copies the view into a flat Collection — the form the serial
-// ground-truth scans consume.
-func (v ChunkedView) Materialize() *Collection {
-	out := NewCollection(v.n, v.c.SeriesLen())
-	for i := 0; i < v.n; i++ {
-		out.Set(i, v.c.At(i))
-	}
-	return out
-}

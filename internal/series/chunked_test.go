@@ -53,17 +53,8 @@ func TestChunkedViewIsStablePrefix(t *testing.T) {
 		c.Append(Series{float32(100 + i), float32(100 + i)})
 	}
 	for i := 0; i < 6; i++ {
-		if got := v.At(i)[0]; got != float32(i) {
-			t.Fatalf("view At(%d) = %v after growth, want %v", i, got, float32(i))
-		}
-	}
-	flat := v.Materialize()
-	if flat.Len() != 6 || flat.SeriesLen() != 2 {
-		t.Fatalf("materialized shape %dx%d", flat.Len(), flat.SeriesLen())
-	}
-	for i := 0; i < 6; i++ {
-		if flat.At(i)[1] != float32(-i) {
-			t.Fatalf("materialized At(%d) = %v", i, flat.At(i))
+		if got := v.At(i); got[0] != float32(i) || got[1] != float32(-i) {
+			t.Fatalf("view At(%d) = %v after growth, want [%v %v]", i, got, float32(i), float32(-i))
 		}
 	}
 	// Out-of-snapshot access must panic rather than silently read newer data.

@@ -109,17 +109,19 @@ func SquaredED(a, b Series) float64 {
 // ED returns the Euclidean distance between a and b.
 func ED(a, b Series) float64 { return math.Sqrt(SquaredED(a, b)) }
 
-// CheckQuery reports why q cannot be a query over series of length n, or
-// nil. A NaN or infinite value is refused: no distance to it orders, so it
-// has no nearest neighbour, and every lower bound an index prunes by would
-// be NaN or +Inf too.
-func CheckQuery(q Series, n int) error {
-	if len(q) != n {
-		return fmt.Errorf("query length %d != %d", len(q), n)
+// Check reports why s cannot be a query over, or a member of, an index of
+// series of length n, or nil. A NaN or infinite value is refused: no
+// distance to or from it orders, so as a query it has no nearest neighbour,
+// as a member it is nobody's, and every lower bound an index prunes by
+// would be NaN or +Inf too. Callers prefix the error with what s is
+// ("query", "append").
+func Check(s Series, n int) error {
+	if len(s) != n {
+		return fmt.Errorf("length %d != %d", len(s), n)
 	}
-	for i, x := range q {
+	for i, x := range s {
 		if math.IsNaN(float64(x)) || math.IsInf(float64(x), 0) {
-			return fmt.Errorf("query value %d is %v, want a finite number", i, x)
+			return fmt.Errorf("value %d is %v, want a finite number", i, x)
 		}
 	}
 	return nil

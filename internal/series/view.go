@@ -79,15 +79,3 @@ func (v *View) Positions() []int32 { return v.pos }
 
 // Base returns the Reader the view remaps into.
 func (v *View) Base() Reader { return v.base }
-
-// Materialize copies the view's members into a flat Collection — the
-// storage a view-based build makes unnecessary. It exists for differential
-// tests (a build over Materialize() must equal a build over the view) and
-// for callers that outlive the base.
-func (v *View) Materialize() *Collection {
-	out := NewCollection(v.Len(), v.SeriesLen())
-	for i := range v.pos {
-		out.Set(i, v.At(i))
-	}
-	return out
-}

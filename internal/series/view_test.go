@@ -68,36 +68,11 @@ func TestViewOfView(t *testing.T) {
 	}
 }
 
-func TestViewMaterializeEqualsView(t *testing.T) {
-	c := testCollection(t, 16, 8)
-	pos := []int32{15, 3, 3, 0, 8}
-	v := NewView(c, pos)
-	m := v.Materialize()
-	if m.Len() != v.Len() || m.SeriesLen() != v.SeriesLen() {
-		t.Fatalf("materialized shape (%d,%d) != view shape (%d,%d)",
-			m.Len(), m.SeriesLen(), v.Len(), v.SeriesLen())
-	}
-	for i := 0; i < v.Len(); i++ {
-		got, want := m.At(i), v.At(i)
-		if &got[0] == &want[0] {
-			t.Fatalf("materialized series %d aliases the base — Materialize must copy", i)
-		}
-		for j := range want {
-			if got[j] != want[j] {
-				t.Fatalf("materialized series %d differs at point %d", i, j)
-			}
-		}
-	}
-}
-
 func TestViewEmpty(t *testing.T) {
 	c := testCollection(t, 4, 4)
 	v := NewView(c, nil)
-	if v.Len() != 0 {
-		t.Fatalf("empty view Len() = %d", v.Len())
-	}
-	if m := v.Materialize(); m.Len() != 0 || m.SeriesLen() != 4 {
-		t.Fatalf("empty view materialized to shape (%d,%d)", m.Len(), m.SeriesLen())
+	if v.Len() != 0 || v.SeriesLen() != 4 {
+		t.Fatalf("empty view shape (%d,%d), want (0,4)", v.Len(), v.SeriesLen())
 	}
 }
 

@@ -13,6 +13,7 @@ package shard
 import (
 	"errors"
 	"math/rand"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -52,8 +53,7 @@ func buildFaulty(t *testing.T, coll *series.Collection, shards int, cold func(in
 			Retry:       instantRetry,
 			Source:      coll,
 		},
-		QuarantineAfter: 2,
-		Options:         messi.Options{MergeThreshold: 64},
+		Options: messi.Options{MergeThreshold: 64},
 	}
 	if opt != nil {
 		opt(&o)
@@ -112,10 +112,11 @@ func TestHealthTypesRendering(t *testing.T) {
 }
 
 // TestChaosQuarantineRestageRoundTrip walks the deterministic lifecycle on
-// a mixed hot/cold index with one cold shard: kill the device, watch
-// queries fail fast with the typed error, the shard quarantine, partial
-// results answer over the covered shards, and a re-stage restore
-// bit-identical service — the ISSUE's acceptance scenario.
+// a mixed hot/cold index with one cold shard: transient faults retried
+// away, then a dead device — queries fail fast with the typed error, the
+// shard quarantines, partial results answer over the covered shards — and
+// a re-stage restoring bit-identical service. The metrics exposition must
+// then record every step.
 func TestChaosQuarantineRestageRoundTrip(t *testing.T) {
 	g := gen.Generator{Kind: gen.Synthetic, Length: testLen, Seed: 31}
 	coll := g.Collection(600)
@@ -137,6 +138,33 @@ func TestChaosQuarantineRestageRoundTrip(t *testing.T) {
 	if got.Pos != want.Pos || got.Dist != want.Dist {
 		t.Fatalf("healthy: (#%d, %v) != serial (#%d, %v)", got.Pos, got.Dist, want.Pos, want.Dist)
 	}
+
+	// Transient faults: the block loaders' retries absorb them. Every answer
+	// stays bit-identical; a load whose MaxRetries re-reads all fail (a
+	// second burst right behind the first) fails its query typed, and never
+	// counts toward quarantine. The phase queries other members than the
+	// outage below, so the outage's blocks are not cached when it starts.
+	fs.SetPlan(storage.FaultPlan{Seed: 31, TransientProb: 0.25, TransientBurst: 2})
+	transQ := shardMemberQueries(s, coll, coldShard, 27, 75, 123, 171)
+	for i := 0; i < transQ.Len(); i++ {
+		q := transQ.At(i)
+		want := ucr.Scan(coll, q)
+		got, _, err := s.Search(q, 0)
+		var be *storage.BlockError
+		switch {
+		case err != nil && (!errors.As(err, &be) || be.Class != storage.FaultTransient):
+			t.Fatalf("transient query %d: %v, want a transient *storage.BlockError", i, err)
+		case err == nil && (got.Pos != want.Pos || got.Dist != want.Dist):
+			t.Fatalf("transient query %d: (#%d, %v) != serial (#%d, %v)", i, got.Pos, got.Dist, want.Pos, want.Dist)
+		}
+	}
+	if fs.Stats().TransientFaults == 0 {
+		t.Fatal("the transient plan injected no faults")
+	}
+	if hs := s.Health().Shards[coldShard]; hs.State != Serving || hs.PermanentFailures != 0 {
+		t.Fatalf("cold shard health %+v after transient faults alone", hs)
+	}
+	fs.Heal()
 
 	// Kill the device. Queries must fail with the typed error naming the
 	// cold shard — never a panic, never an untyped error — and after
@@ -164,7 +192,7 @@ func TestChaosQuarantineRestageRoundTrip(t *testing.T) {
 	if len(h.Quarantined) != 1 || h.Quarantined[0] != coldShard {
 		t.Fatalf("Health().Quarantined = %v, want [%d]", h.Quarantined, coldShard)
 	}
-	if hs := h.Shards[coldShard]; hs.PermanentFailures < 2 || hs.Quarantines != 1 || hs.LastError == "" {
+	if hs := h.Shards[coldShard]; hs.PermanentFailures < QuarantineAfter || hs.Quarantines != 1 || hs.LastError == "" {
 		t.Fatalf("cold shard health %+v lacks the failure record", hs)
 	}
 	if hs := h.Shards[0]; hs.Failures != 0 || hs.State != Serving {
@@ -237,46 +265,61 @@ func TestChaosQuarantineRestageRoundTrip(t *testing.T) {
 	if h.FailedSearches == 0 {
 		t.Fatal("health reports no failed searches after the outage")
 	}
+
+	// The exposition records the whole walk: retries from the transient
+	// phase, permanent faults from the outage, exactly one quarantine and
+	// one re-stage, and every shard back to serving.
+	text := s.Registry().Text()
+	sum := func(family string) float64 {
+		var total float64
+		for _, v := range familySamples(t, text, family) {
+			total += v
+		}
+		return total
+	}
+	for _, family := range []string{
+		"dsidx_shard_state", "dsidx_shard_failures_total",
+		"dsidx_shard_quarantines_total", "dsidx_shard_restages_total",
+		"dsidx_cold_retries_total", "dsidx_cold_faults_transient_total",
+		"dsidx_cold_faults_permanent_total",
+	} {
+		if len(familySamples(t, text, family)) == 0 {
+			t.Errorf("exposition lacks family %s", family)
+		}
+	}
+	if r := sum("dsidx_cold_retries_total"); r <= 0 {
+		t.Errorf("dsidx_cold_retries_total = %v after transient faults, want > 0", r)
+	}
+	if p := sum("dsidx_cold_faults_permanent_total"); p <= 0 {
+		t.Errorf("dsidx_cold_faults_permanent_total = %v after the outage, want > 0", p)
+	}
+	if q, r := sum("dsidx_shard_quarantines_total"), sum("dsidx_shard_restages_total"); q != 1 || r != 1 {
+		t.Errorf("quarantines %v, re-stages %v over the walk, want 1 and 1", q, r)
+	}
+	for si, st := range familySamples(t, text, "dsidx_shard_state") {
+		if st != float64(Serving) {
+			t.Errorf("dsidx_shard_state sample %d = %v after recovery, want %d (serving)", si, st, Serving)
+		}
+	}
 }
 
-// TestChaosAutoRestage verifies the hands-off path: with AutoRestage on,
-// quarantining a shard schedules the rewrite as a background job on the
-// shared pool and the shard returns to Serving without operator action.
-func TestChaosAutoRestage(t *testing.T) {
-	g := gen.Generator{Kind: gen.Synthetic, Length: testLen, Seed: 37}
-	coll := g.Collection(400)
-	s, fs := buildFaulty(t, coll, 2, func(si int) bool { return si == 0 },
-		func(o *Options) { o.AutoRestage = true })
-
-	fs.SetPlan(deadPlan(fs))
-	q := shardMemberQueries(s, coll, 0, 7).At(0)
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		_, _, err := s.Search(q, 0)
-		if err == nil && s.ShardState(0) == Serving && s.Health().Shards[0].Restages >= 1 {
-			break // auto re-stage landed and service recovered
+// familySamples returns the value of every sample line of one family in a
+// Prometheus text exposition, one per label set.
+func familySamples(t *testing.T, text, family string) []float64 {
+	t.Helper()
+	var vals []float64
+	for _, line := range strings.Split(text, "\n") {
+		rest, ok := strings.CutPrefix(line, family)
+		if !ok || (!strings.HasPrefix(rest, " ") && !strings.HasPrefix(rest, "{")) {
+			continue // another family, or a longer name sharing the prefix
 		}
+		v, err := strconv.ParseFloat(line[strings.LastIndexByte(line, ' ')+1:], 64)
 		if err != nil {
-			var su *ErrShardsUnavailable
-			if !errors.As(err, &su) {
-				t.Fatalf("untyped failure during outage: %v", err)
-			}
+			t.Fatalf("sample line %q: %v", line, err)
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("auto re-stage never recovered the shard: state %v, health %+v",
-				s.ShardState(0), s.Health().Shards[0])
-		}
-		time.Sleep(time.Millisecond)
+		vals = append(vals, v)
 	}
-	want := ucr.Scan(coll, q)
-	got, _, err := s.Search(q, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Pos != want.Pos || got.Dist != want.Dist {
-		t.Fatalf("post-auto-restage: (#%d, %v) != serial (#%d, %v)",
-			got.Pos, got.Dist, want.Pos, want.Dist)
-	}
+	return vals
 }
 
 // chaosAnswer is one completed query recorded mid-chaos for post-hoc
@@ -511,7 +554,6 @@ func TestColdFaultOnCallerIsContained(t *testing.T) {
 	coll := g.Collection(2000)
 	s, fs := buildFaulty(t, coll, 1, nil, func(o *Options) {
 		o.ColdStorage.CacheBytes = 1 << 20
-		o.QuarantineAfter = 1 << 20
 		o.Options.Workers = 2
 	})
 	queries := g.Queries(8)

@@ -231,16 +231,6 @@ func TestColdStorageFileStore(t *testing.T) {
 	}
 }
 
-func TestColdStorageRejectsCopyBase(t *testing.T) {
-	g := gen.Generator{Kind: gen.Synthetic, Length: testLen, Seed: 23}
-	coll := g.Collection(64)
-	_, err := Build(coll, testConfig(), Options{Shards: 2, CopyBase: true,
-		ColdStorage: coldOptions(nil)})
-	if err == nil {
-		t.Fatal("CopyBase together with ColdStorage accepted")
-	}
-}
-
 // TestColdStorageAllHotPlacement: a ColdStorage whose Cold func marks every
 // shard hot is a no-op — no tier is built, no device exists.
 func TestColdStorageAllHotPlacement(t *testing.T) {

@@ -52,9 +52,12 @@ func (st ShardState) String() string {
 	}
 }
 
-// DefaultQuarantineAfter is the consecutive-permanent-failure threshold at
-// which a cold shard is quarantined when Options.QuarantineAfter is zero.
-const DefaultQuarantineAfter = 3
+// QuarantineAfter is the number of CONSECUTIVE permanent cold-read failures
+// after which a shard is quarantined. Retry-exhausted transient faults never
+// count: only errors the storage tier classified permanent advance the
+// streak, and any clean query resets it. A quarantined shard stays out of
+// queries until the operator calls Restage.
+const QuarantineAfter = 3
 
 // ErrShardsUnavailable is the typed failure a query returns when one or
 // more shards cannot be covered (quarantined, or failed mid-query) and the
@@ -206,10 +209,9 @@ func (s *Sharded) noteShardError(si int, err error) (absorbed bool) {
 		return true
 	}
 	h.permFaults.Add(1)
-	if int(h.consecPerm.Add(1)) >= s.quarantineAfter() &&
+	if h.consecPerm.Add(1) >= QuarantineAfter &&
 		h.state.CompareAndSwap(int32(Serving), int32(Quarantined)) {
 		h.quarantines.Add(1)
-		s.onQuarantine(si)
 	}
 	return true
 }
@@ -218,24 +220,6 @@ func (s *Sharded) noteShardError(si int, err error) (absorbed bool) {
 // completes a query cleanly.
 func (s *Sharded) noteShardSuccess(si int) {
 	s.health[si].consecPerm.Store(0)
-}
-
-func (s *Sharded) quarantineAfter() int {
-	if s.opt.QuarantineAfter > 0 {
-		return s.opt.QuarantineAfter
-	}
-	return DefaultQuarantineAfter
-}
-
-// onQuarantine runs once per Serving→Quarantined transition. Under
-// Options.AutoRestage it schedules the rewrite as a tracked background job
-// on the shared pool (contained like any other background work); otherwise
-// the shard stays quarantined until the operator calls Restage.
-func (s *Sharded) onQuarantine(si int) {
-	if !s.opt.AutoRestage {
-		return
-	}
-	s.eng.Go(func() { _ = s.Restage(si) })
 }
 
 // Restage rewrites cold shard si onto a fresh store and returns it to

@@ -122,10 +122,7 @@ func Decode(data []byte, coll *series.Collection, opt Options) (*Sharded, error)
 	}
 	opt.Shards, opt.Policy = n, policy
 
-	s, parts, err := newShell(coll, opt)
-	if err != nil {
-		return nil, err
-	}
+	s, views := newShell(coll, opt)
 	routed := make([]int, n)
 	for _, r := range routes {
 		routed[r]++
@@ -143,13 +140,13 @@ func Decode(data []byte, coll *series.Collection, opt Options) (*Sharded, error)
 		}
 		blob := rest[:blobLen]
 		rest = rest[blobLen:]
-		sh, err := messi.Decode(blob, parts[si], s.shardOptions(si))
+		sh, err := messi.Decode(blob, views[si], s.shardOptions(si))
 		if err != nil {
 			s.abort()
 			return nil, fmt.Errorf("shard: decoding shard %d: %w", si, err)
 		}
 		s.shards[si] = sh
-		if want := parts[si].Len() + routed[si]; sh.Count() != want {
+		if want := views[si].Len() + routed[si]; sh.Count() != want {
 			s.abort()
 			return nil, fmt.Errorf("shard: shard %d holds %d series, route log implies %d",
 				si, sh.Count(), want)
@@ -183,11 +180,8 @@ func decodeLegacy(data []byte, coll *series.Collection, opt Options, wantShards 
 			wantPolicy.Name())
 	}
 	opt.Shards, opt.Policy = 1, RoundRobin{}
-	s, parts, err := newShell(coll, opt)
-	if err != nil {
-		return nil, err
-	}
-	sh, err := messi.Decode(data, parts[0], s.shardOptions(0))
+	s, views := newShell(coll, opt)
+	sh, err := messi.Decode(data, views[0], s.shardOptions(0))
 	if err != nil {
 		s.abort()
 		return nil, err

@@ -68,20 +68,11 @@ type Options struct {
 	Shards int
 	// Policy routes series to shards (nil means RoundRobin).
 	Policy Policy
-	// CopyBase restores the legacy build: each shard indexes a
-	// materialized flat copy of its slice of the base collection instead
-	// of a zero-copy position-remapping view, doubling base-data
-	// residency. Answers, stats and encoded bytes are identical either
-	// way — the conformance harness toggles it randomly and a
-	// differential test pins the equivalence — so the knob exists only
-	// for that testing and as a measurement baseline, never for serving.
-	// Mutually exclusive with ColdStorage.
-	CopyBase bool
 	// ColdStorage, when set, places shards' base values on a device behind
 	// a block cache instead of RAM — the out-of-core tier. Answers stay
 	// bit-identical to a hot build (float32 values round-trip the device
 	// exactly); the conformance harness tosses placement randomly to pin
-	// that. Mutually exclusive with CopyBase.
+	// that.
 	ColdStorage *ColdStorage
 	// AllowPartial opts queries into best-effort answers when shards are
 	// unavailable: instead of failing with ErrShardsUnavailable, the query
@@ -89,17 +80,6 @@ type Options struct {
 	// QueryStats.UncoveredShards. Off by default — a partial answer is no
 	// longer the exact nearest neighbor, so the caller must opt in.
 	AllowPartial bool
-	// QuarantineAfter is the number of CONSECUTIVE permanent cold-read
-	// failures after which a shard is quarantined (0 means
-	// DefaultQuarantineAfter). Retry-exhausted transient faults never
-	// count: only errors the storage tier classified permanent advance
-	// the streak, and any clean query resets it.
-	QuarantineAfter int
-	// AutoRestage schedules a background re-stage (Restage) as soon as a
-	// shard is quarantined, using the shared pool's tracked-job path.
-	// Without it the shard stays quarantined until the operator calls
-	// Restage explicitly.
-	AutoRestage bool
 }
 
 // ColdStorage configures the out-of-core tier: which shards are cold, what
@@ -143,9 +123,9 @@ type ColdStorage struct {
 	// Cold reports whether shard si is placed cold; nil places every
 	// shard cold.
 	Cold func(si int) bool
-	// Retry overrides the cold readers' transient-fault retry policy (the
-	// zero value means storage defaults: 3 retries, capped exponential
-	// backoff). Applies to the shared tier and to re-staged shard files.
+	// Retry is the cold readers' transient-fault retry policy (the zero
+	// value retries storage.MaxRetries times, sleeping for real). Applies
+	// to the shared tier and to re-staged shard files.
 	Retry storage.RetryPolicy
 	// Source, when set, is the hot reader re-staging copies base values
 	// from (it must cover the full base collection in global positions).
@@ -168,9 +148,6 @@ func (o Options) normalize() (Options, error) {
 	}
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
-	}
-	if o.CopyBase && o.ColdStorage != nil {
-		return o, fmt.Errorf("shard: CopyBase and ColdStorage are mutually exclusive")
 	}
 	return o, nil
 }
@@ -226,10 +203,7 @@ type Sharded struct {
 // Nothing is copied: each shard's messi index reads its series straight
 // out of the caller's collection through the view, so a sharded index
 // holds the base raw data exactly once — the same single-residency
-// guarantee an unsharded index gives, and the property the CI memory
-// smoke test pins (bytes/series within 1.1x of a flat build). The legacy
-// copying split survives behind Options.CopyBase for differential
-// testing.
+// guarantee an unsharded index gives (TestViewBuildHoldsBaseOnce).
 func splitBase(coll *series.Collection, policy Policy, n int) (views []*series.View, baseMap [][]int32) {
 	baseMap = make([][]int32, n)
 	for i := 0; i < coll.Len(); i++ {
@@ -244,21 +218,13 @@ func splitBase(coll *series.Collection, policy Policy, n int) (views []*series.V
 }
 
 // newShell assembles the Sharded state common to Build and Decode: the
-// base split (views, or flat copies under Options.CopyBase), the tier
-// placement under Options.ColdStorage, the shared engine, and empty
-// append-routing structures. Every part reads the in-RAM collection, cold
-// shards included — the device is staged from the finished trees. The
-// caller fills s.shards (one per part) and then calls finish.
-func newShell(coll *series.Collection, opt Options) (*Sharded, []series.Reader, error) {
+// base split into one view per shard, the tier placement under
+// Options.ColdStorage, the shared engine, and empty append-routing
+// structures. Every view reads the in-RAM collection, cold shards included
+// — the device is staged from the finished trees. The caller fills
+// s.shards (one per view) and then calls finish.
+func newShell(coll *series.Collection, opt Options) (*Sharded, []*series.View) {
 	views, baseMap := splitBase(coll, opt.Policy, opt.Shards)
-	parts := make([]series.Reader, opt.Shards)
-	for si, v := range views {
-		if opt.CopyBase {
-			parts[si] = v.Materialize()
-		} else {
-			parts[si] = v
-		}
-	}
 	s := &Sharded{
 		opt:       opt,
 		n:         opt.Shards,
@@ -281,7 +247,7 @@ func newShell(coll *series.Collection, opt Options) (*Sharded, []series.Reader, 
 	if opt.ColdStorage != nil {
 		s.placeCold(opt.ColdStorage)
 	}
-	return s, parts, nil
+	return s, views
 }
 
 // shardOptions is shard si's messi configuration: identical settings, one
@@ -378,12 +344,9 @@ func Build(coll *series.Collection, cfg core.Config, opt Options) (*Sharded, err
 	if err != nil {
 		return nil, err
 	}
-	s, parts, err := newShell(coll, opt)
-	if err != nil {
-		return nil, err
-	}
+	s, views := newShell(coll, opt)
 	for si := range s.shards {
-		s.shards[si], err = messi.Build(parts[si], cfg, s.shardOptions(si))
+		s.shards[si], err = messi.Build(views[si], cfg, s.shardOptions(si))
 		if err != nil {
 			s.abort()
 			return nil, err
@@ -690,8 +653,8 @@ func (s *Sharded) BatchSearch(qs []series.Series) ([]core.Result, error) {
 // The series is visible to queries before Append returns; merges into the
 // shard's tree happen in the background exactly as for a plain index.
 func (s *Sharded) Append(ser series.Series) (int, error) {
-	if len(ser) != s.seriesLen {
-		return 0, fmt.Errorf("shard: append length %d != %d", len(ser), s.seriesLen)
+	if err := series.Check(ser, s.seriesLen); err != nil {
+		return 0, fmt.Errorf("shard: append %w", err)
 	}
 	s.mu.Lock()
 	g := s.appendLocked(ser)
@@ -703,12 +666,11 @@ func (s *Sharded) Append(ser series.Series) (int, error) {
 // AppendBatch routes a batch of series, returning the global position of
 // the first; the batch occupies consecutive global positions and becomes
 // visible atomically (the cut vector publishes once, after the last
-// series lands).
+// series lands). A batch holding one invalid series lands nothing.
 func (s *Sharded) AppendBatch(ss []series.Series) (int, error) {
 	for i, ser := range ss {
-		if len(ser) != s.seriesLen {
-			return 0, fmt.Errorf("shard: append batch series %d length %d != %d",
-				i, len(ser), s.seriesLen)
+		if err := series.Check(ser, s.seriesLen); err != nil {
+			return 0, fmt.Errorf("shard: append batch series %d %w", i, err)
 		}
 	}
 	s.mu.Lock()
@@ -733,7 +695,7 @@ func (s *Sharded) appendLocked(ser series.Series) int {
 	s.appendMap[si].Append([]int32{int32(g)})
 	s.routeLog.Append([]int32{int32(si), int32(local)})
 	if _, err := s.shards[si].Append(ser); err != nil {
-		// Lengths are validated before routing; a shard of the same config
+		// Series are validated before routing; a shard of the same config
 		// cannot reject the append.
 		panic(fmt.Sprintf("shard: shard %d rejected a validated append: %v", si, err))
 	}
@@ -760,8 +722,8 @@ func (s *Sharded) publishLocked(n int) {
 // deadline tombstones it. The TTL is attached before the cut publishes, so
 // no reader can observe the series without its deadline.
 func (s *Sharded) AppendWithTTL(ser series.Series, deadline int64) (int, error) {
-	if len(ser) != s.seriesLen {
-		return 0, fmt.Errorf("shard: append length %d != %d", len(ser), s.seriesLen)
+	if err := series.Check(ser, s.seriesLen); err != nil {
+		return 0, fmt.Errorf("shard: append %w", err)
 	}
 	s.mu.Lock()
 	g := s.appendLocked(ser)

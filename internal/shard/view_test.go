@@ -9,15 +9,39 @@ import (
 	"dsidx/internal/series"
 )
 
-// buildDiff builds a sharded index with the view-vs-copy toggle and one
-// worker, so both build paths are fully deterministic and their encodings
-// are comparable byte-for-byte.
+// buildDiff builds a sharded index with one worker, so builds are fully
+// deterministic and their encodings are comparable byte-for-byte. Without
+// copyBase it is Build itself: every shard indexes a zero-copy view of the
+// caller's collection. With copyBase it assembles the same index by hand
+// over a flat copy of each shard's slice instead — the baseline a view
+// build must equal.
 func buildDiff(t *testing.T, coll *series.Collection, shards int, policy Policy, copyBase bool) *Sharded {
 	t.Helper()
-	s, err := Build(coll, testConfig(), Options{
-		Shards: shards, Policy: policy, CopyBase: copyBase,
-		Options: messi.Options{Workers: 1, MergeThreshold: 1 << 30}})
+	opt := Options{Shards: shards, Policy: policy,
+		Options: messi.Options{Workers: 1, MergeThreshold: 1 << 30}}
+	if !copyBase {
+		s, err := Build(coll, testConfig(), opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(s.Close)
+		return s
+	}
+	opt, err := opt.normalize()
 	if err != nil {
+		t.Fatal(err)
+	}
+	s, views := newShell(coll, opt)
+	for si, v := range views {
+		flat := series.NewCollection(0, coll.SeriesLen())
+		for i := 0; i < v.Len(); i++ {
+			flat.Append(v.At(i))
+		}
+		if s.shards[si], err = messi.Build(flat, testConfig(), s.shardOptions(si)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.finish(); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(s.Close)
@@ -99,6 +123,9 @@ func TestViewBuildIdenticalToCopyBuild(t *testing.T) {
 		for _, n := range []int{1, 3, 4} {
 			view := buildDiff(t, coll, n, policy, false)
 			copied := buildDiff(t, coll, n, policy, true)
+			if _, ok := copied.Shard(0).Raw().(*series.Collection); !ok {
+				t.Fatalf("copy build shard 0 raw backing is %T, want *series.Collection", copied.Shard(0).Raw())
+			}
 
 			assertSameAnswers(t, view, copied, queries)
 			if ve, ce := view.Encode(), copied.Encode(); !bytes.Equal(ve, ce) {
@@ -148,18 +175,6 @@ func TestViewBuildHoldsBaseOnce(t *testing.T) {
 			if &v.At(i)[0] != &coll.At(int(gp))[0] {
 				t.Fatalf("shard %d series %d does not alias base series %d", si, i, gp)
 			}
-		}
-	}
-	// CopyBase is the explicit opt-out: each shard then owns flat storage.
-	c, err := Build(coll, testConfig(), Options{Shards: 4, CopyBase: true,
-		Options: messi.Options{MergeThreshold: 1 << 30}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	for si := 0; si < c.Shards(); si++ {
-		if _, ok := c.Shard(si).Raw().(*series.Collection); !ok {
-			t.Fatalf("CopyBase shard %d raw backing is %T, want *series.Collection", si, c.Shard(si).Raw())
 		}
 	}
 }

@@ -72,44 +72,23 @@ const (
 )
 
 // RetryPolicy governs how a DiskReader re-reads a block after a transient
-// device fault: up to MaxRetries re-reads, sleeping Backoff before the
-// first and doubling up to MaxBackoff between attempts. Permanent faults
-// and unclassified errors are never retried — only failures the store
-// explicitly marked transient (see IsTransient).
+// device fault: up to MaxRetries re-reads, sleeping RetryBackoff before the
+// first and doubling per attempt (1, 2, 4 ms: ~7 ms in all). Permanent
+// faults and unclassified errors are never retried — only failures the
+// store explicitly marked transient (see IsTransient).
 type RetryPolicy struct {
-	// MaxRetries is the number of re-reads after the first failure
-	// (0 means DefaultMaxRetries; negative disables retries).
-	MaxRetries int
-	// Backoff is the sleep before the first retry (0 means
-	// DefaultBackoff); it doubles per attempt, capped at MaxBackoff
-	// (0 means DefaultMaxBackoff).
-	Backoff    time.Duration
-	MaxBackoff time.Duration
-	// Sleep replaces time.Sleep, letting tests run backoff schedules
-	// instantly while still observing them.
+	// Sleep replaces time.Sleep (nil means time.Sleep), letting tests run
+	// backoff schedules instantly while still observing them.
 	Sleep func(time.Duration)
 }
 
-// Retry policy zero-value defaults: three quick retries spanning ~7 ms.
+// The retry schedule: three quick re-reads after the first failure.
 const (
-	DefaultMaxRetries = 3
-	DefaultBackoff    = time.Millisecond
-	DefaultMaxBackoff = 50 * time.Millisecond
+	MaxRetries   = 3
+	RetryBackoff = time.Millisecond
 )
 
 func (p RetryPolicy) normalize() RetryPolicy {
-	if p.MaxRetries == 0 {
-		p.MaxRetries = DefaultMaxRetries
-	}
-	if p.MaxRetries < 0 {
-		p.MaxRetries = 0
-	}
-	if p.Backoff <= 0 {
-		p.Backoff = DefaultBackoff
-	}
-	if p.MaxBackoff <= 0 {
-		p.MaxBackoff = DefaultMaxBackoff
-	}
 	if p.Sleep == nil {
 		p.Sleep = time.Sleep
 	}
@@ -124,8 +103,8 @@ type DiskReaderOptions struct {
 	// BlockSeries is the number of consecutive series per cached block —
 	// the device-read batch size (0 means DefaultBlockSeries).
 	BlockSeries int
-	// Retry governs transient-fault re-reads (zero value means the
-	// defaults; MaxRetries < 0 disables retrying).
+	// Retry governs transient-fault re-reads (the zero value sleeps for
+	// real).
 	Retry RetryPolicy
 }
 
@@ -442,25 +421,23 @@ func (r *DiskReader) loadRun(run []*cacheBlock) {
 }
 
 // load performs the device read with the retry policy: transient faults
-// are re-read up to MaxRetries times under capped exponential backoff;
-// anything else fails immediately.
+// are re-read up to MaxRetries times under exponential backoff; anything
+// else fails immediately.
 func (r *DiskReader) load(buf []byte, start int64) error {
-	backoff := r.retry.Backoff
+	backoff := RetryBackoff
 	for attempt := 0; ; attempt++ {
 		err := r.file.ReadBatchBytesInto(buf, start)
 		if err == nil {
 			return nil
 		}
-		if !IsTransient(err) || attempt >= r.retry.MaxRetries {
+		if !IsTransient(err) || attempt >= MaxRetries {
 			return err
 		}
 		r.mu.Lock()
 		r.retries++
 		r.mu.Unlock()
 		r.retry.Sleep(backoff)
-		if backoff *= 2; backoff > r.retry.MaxBackoff {
-			backoff = r.retry.MaxBackoff
-		}
+		backoff *= 2
 	}
 }
 

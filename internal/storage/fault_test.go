@@ -2,6 +2,7 @@ package storage
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -154,7 +155,9 @@ func TestDiskReaderRetriesTransient(t *testing.T) {
 }
 
 func TestDiskReaderRetryExhaustionPanicsTyped(t *testing.T) {
-	r, fs := faultReader(t, 64, 8, DiskReaderOptions{BlockSeries: 16, Retry: RetryPolicy{MaxRetries: 2}})
+	var slept []time.Duration
+	r, fs := faultReader(t, 64, 8, DiskReaderOptions{BlockSeries: 16,
+		Retry: RetryPolicy{Sleep: func(d time.Duration) { slept = append(slept, d) }}})
 	fs.SetPlan(FaultPlan{Seed: 4, TransientProb: 1, TransientBurst: 100})
 	defer func() {
 		rec := recover()
@@ -166,8 +169,13 @@ func TestDiskReaderRetryExhaustionPanicsTyped(t *testing.T) {
 			t.Fatalf("BlockError = %+v, want transient block 0", be)
 		}
 		st := r.Stats()
-		if st.Retries != 2 || st.TransientFaults != 1 {
-			t.Fatalf("retries/faults = %d/%d, want 2 retries then 1 transient fault", st.Retries, st.TransientFaults)
+		if st.Retries != MaxRetries || st.TransientFaults != 1 {
+			t.Fatalf("retries/faults = %d/%d, want %d retries then 1 transient fault",
+				st.Retries, st.TransientFaults, MaxRetries)
+		}
+		// The backoff doubles from RetryBackoff: 1, 2, 4 ms.
+		if want := []time.Duration{RetryBackoff, 2 * RetryBackoff, 4 * RetryBackoff}; fmt.Sprint(slept) != fmt.Sprint(want) {
+			t.Fatalf("backoff schedule %v, want %v", slept, want)
 		}
 		// The failed block was dropped: healing the store makes the same
 		// access succeed — nothing is poisoned.
@@ -312,7 +320,7 @@ func FuzzFaultPlan(f *testing.F) {
 		r, err := NewDiskReader(sf, DiskReaderOptions{
 			BlockSeries: 8,
 			CacheBytes:  1,
-			Retry:       RetryPolicy{MaxRetries: 2, Sleep: func(time.Duration) {}},
+			Retry:       RetryPolicy{Sleep: func(time.Duration) {}},
 		})
 		if err != nil {
 			t.Fatal(err)

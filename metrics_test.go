@@ -75,6 +75,7 @@ func TestShardedMetricsSnapshotAndScrape(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	idx.Flush() // merges the appends, below the threshold, into the trees
 	queries := dsidx.GenerateQueries(dsidx.Synthetic, 4, 64, 21)
 	qs := make([]dsidx.Series, queries.Len())
 	for i := range qs {
@@ -131,13 +132,26 @@ func TestShardedMetricsSnapshotAndScrape(t *testing.T) {
 	if !strings.Contains(text, `shard="0"`) || !strings.Contains(text, `shard="1"`) {
 		t.Fatalf("scrape lacks per-shard labels:\n%s", text)
 	}
-	// The exposition and the structured snapshot must agree on totals.
-	var appended float64
-	for _, v := range sampleValues(t, text, "dsidx_ingest_appended_total") {
-		appended += v
+	// The exposition and the structured snapshot must agree on totals, and
+	// the traffic must have moved them: the Flush merged, the batch queried.
+	sum := func(family string) float64 {
+		var total float64
+		for _, v := range sampleValues(t, text, family) {
+			total += v
+		}
+		return total
 	}
-	if appended != 30 {
+	if appended := sum("dsidx_ingest_appended_total"); appended != 30 {
 		t.Fatalf("scraped appended %v, want 30", appended)
+	}
+	if merges := sum("dsidx_ingest_merges_total"); merges <= 0 {
+		t.Fatalf("scraped merges %v after Flush, want > 0", merges)
+	}
+	if queries := sum("dsidx_engine_queries_total"); queries <= 0 {
+		t.Fatalf("scraped engine queries %v after a batch, want > 0", queries)
+	}
+	if len(sampleValues(t, text, "dsidx_index_query_seconds_bucket")) == 0 {
+		t.Fatal("scrape lacks dsidx_index_query_seconds_bucket samples")
 	}
 }
 

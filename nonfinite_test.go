@@ -125,3 +125,59 @@ func TestNonFiniteQueriesRejected(t *testing.T) {
 		})
 	}
 }
+
+// TestNonFiniteAppendsRejected: a series holding a NaN or an infinity would
+// sit in the index as nobody's nearest neighbour while the serial scan
+// still reports it, so every append entry refuses it with an error and
+// lands nothing — a batch holding one such series included — on a plain
+// and on a sharded index alike, while the same entries still land finite
+// series.
+func TestNonFiniteAppendsRejected(t *testing.T) {
+	coll := Generate(Synthetic, 200, 64, 19)
+	plain, err := NewMESSI(coll, WithLeafCapacity(16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer plain.Close()
+	sharded, err := NewSharded(coll, WithShards(2), WithLeafCapacity(16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sharded.Close()
+
+	entries := map[string]func(x *index, s Series) error{
+		"Append": func(x *index, s Series) error { _, err := x.Append(s); return err },
+		"AppendBatch": func(x *index, s Series) error {
+			_, err := x.AppendBatch([]Series{coll.At(1), s})
+			return err
+		},
+		"AppendWithTTL": func(x *index, s Series) error { _, err := x.AppendWithTTL(s, 1<<40); return err },
+	}
+	bad := map[string]float32{"NaN": float32(math.NaN()), "+Inf": float32(math.Inf(1)), "-Inf": float32(math.Inf(-1))}
+	for name, call := range entries {
+		for backend, x := range map[string]*index{"MESSI": &plain.index, "Sharded": &sharded.index} {
+			t.Run(name+"/"+backend, func(t *testing.T) {
+				s := append(Series(nil), coll.At(7)...)
+				for what, v := range bad {
+					s[len(s)/2] = v
+					before := x.Len()
+					err := call(x, s)
+					if err == nil || !strings.Contains(err.Error(), "finite") {
+						t.Fatalf("append holding %s: error %v, want one naming the non-finite value", what, err)
+					}
+					if x.Len() != before {
+						t.Fatalf("append holding %s: Len %d -> %d, want nothing landed", what, before, x.Len())
+					}
+				}
+				s[len(s)/2] = 0
+				before := x.Len()
+				if err := call(x, s); err != nil {
+					t.Fatalf("finite append: %v", err)
+				}
+				if x.Len() <= before {
+					t.Fatalf("finite append: Len %d -> %d", before, x.Len())
+				}
+			})
+		}
+	}
+}
