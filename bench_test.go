@@ -194,7 +194,7 @@ func BenchmarkMESSIConcurrentQPS(b *testing.B) {
 // control included), complementing the explicit-goroutine sweep above.
 func BenchmarkMESSIBatchSearch(b *testing.B) {
 	coll := benchCollection(b, 50_000)
-	ix, err := messi.Build(coll, core.Config{}, messi.Options{})
+	ix, err := dsidx.NewMESSI(coll)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -247,7 +247,8 @@ func BenchmarkMESSIQueryDTW(b *testing.B) {
 	queries := gen.Generator{Kind: gen.Synthetic, Seed: 9}.PerturbedQueries(coll, 8, 0.05)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := ix.SearchDTW(queries.At(i%queries.Len()), 16, 0); err != nil {
+		q := messi.Query{Kind: messi.DTW, Series: queries.At(i % queries.Len()), Warp: 16, Scope: messi.FullScope}
+		if _, _, err := ix.Query(q); err != nil {
 			b.Fatal(err)
 		}
 	}

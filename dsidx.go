@@ -78,8 +78,11 @@
 // collection's global position space, so results are identical to the
 // unsharded index. All shards share one worker pool and one admission
 // budget; appends route by policy and publish one consistent cross-shard
-// cut. Sharded indexes persist as a DSS1 manifest over the per-shard files
-// (Save / OpenSharded); plain MESSI files open as a 1-shard instance.
+// cut. A MESSI is the one-shard case of the same index: its one sub-search
+// runs on the calling goroutine. Both persist as a DSS1 manifest over the
+// per-shard files (Save / LoadMESSI / OpenSharded); LoadMESSI opens a
+// one-shard manifest, OpenSharded any, and both open the single-index files
+// a MESSI saved before it was a one-shard Sharded.
 //
 //	s, err := dsidx.NewSharded(coll, dsidx.WithShards(4))
 //	m, err := s.Search(q)            // same answer as the unsharded index

@@ -1,53 +1,19 @@
 package dsidx
 
 import (
-	"context"
-
 	"dsidx/internal/core"
-	"dsidx/internal/engine"
-	"dsidx/internal/messi"
-	"dsidx/internal/metrics"
-	"dsidx/internal/series"
+	"dsidx/internal/shard"
 )
 
-// queryBackend is the index under a public one: *messi.Index under MESSI,
-// *shard.Sharded under Sharded. Both answer every query kind through one
-// Query entry and share the admission, write and stats surface, so the
-// public methods over them are written once, on index.
-type queryBackend interface {
-	Query(q messi.Query) ([]core.Result, *messi.QueryStats, error)
-	BatchSearchStats(qs []series.Series) ([]core.Result, []messi.QueryStats, error)
-	AdmitTenantContext(ctx context.Context, tenant string) (release func(), err error)
-	MaxInFlight() int
-
-	Append(s series.Series) (int, error)
-	AppendBatch(ss []series.Series) (int, error)
-	AppendWithTTL(s series.Series, deadline int64) (int, error)
-	Flush()
-	Delete(pos int) (bool, error)
-	DeleteRange(lo, hi int) (int, error)
-	SetTTL(pos int, deadline int64) error
-	ExpireBefore(now int64) int
-	Compact()
-	Close()
-	Encode() []byte
-
-	Count() int
-	Tombstoned() int
-	Live() int
-	IngestStats() messi.IngestStats
-	EngineStats() engine.Stats
-	TenantStats() []engine.TenantStat
-	Registry() *metrics.Registry
-}
-
 // index is the surface MESSI and Sharded share, embedded in both so its
-// methods are theirs. On a Sharded index every position is global (base
-// collection order, then appends in arrival order), every query scatters to
-// all shards with one shared best-so-far, and the worker pool and admission
-// budget are the one all shards share.
+// methods are theirs. Under both is one partitioned index: a MESSI is a
+// Sharded of one shard. Every position is global (base collection order,
+// then appends in arrival order), every query scatters to all shards with
+// one shared best-so-far — a one-shard query runs its one sub-search on the
+// caller — and the worker pool and admission budget are the one all shards
+// share.
 type index struct {
-	b queryBackend
+	s *shard.Sharded
 }
 
 // Search returns the exact nearest neighbor of q under Euclidean distance.
@@ -142,7 +108,7 @@ func (x *index) BatchSearch(qs []Series) ([]Match, error) {
 // report pruning ratios the same way single-query experiments do. stats[i]
 // describes the query that produced results[i].
 func (x *index) BatchSearchStats(qs []Series) ([]Match, []SearchStats, error) {
-	rs, sts, err := x.b.BatchSearchStats(qs)
+	rs, sts, err := x.s.BatchSearchStats(qs)
 	stats := make([]SearchStats, len(sts))
 	for i, st := range sts {
 		stats[i] = statsFromQuery(st)
@@ -157,31 +123,31 @@ func (x *index) BatchSearchStats(qs []Series) ([]Match, []SearchStats, error) {
 // folds it into the index tree later. Safe for concurrent use with queries,
 // other appends, Flush, Save and Close. A series of the wrong length, or
 // holding a NaN or an infinity, is refused with an error and lands nothing.
-func (x *index) Append(s Series) (int, error) { return x.b.Append(s) }
+func (x *index) Append(s Series) (int, error) { return x.s.Append(s) }
 
 // AppendBatch adds a batch of series at consecutive positions, returning
 // the position of the first, or lands none if Append would refuse one. The
 // batch becomes visible atomically (across all shards): a query sees none
 // or all of it.
-func (x *index) AppendBatch(ss []Series) (int, error) { return x.b.AppendBatch(ss) }
+func (x *index) AppendBatch(ss []Series) (int, error) { return x.s.AppendBatch(ss) }
 
 // Flush synchronously merges every series appended before the call into
 // the index tree (every shard's). Queries do not require it — unmerged
 // series are already searched exactly — so Flush is about merge timing
 // (e.g. before Save, or to bound per-query delta-scan cost ahead of a
 // traffic spike).
-func (x *index) Flush() { x.b.Flush() }
+func (x *index) Flush() { x.s.Flush() }
 
 // Delete removes the series at position pos from every future search: it
 // is tombstoned immediately (no search flavor can return it from the
 // moment Delete returns) and physically dropped from the tree by the next
 // merge or Compact. Positions are never reused. Reports whether this call
 // newly deleted it; deleting a deleted position is a no-op.
-func (x *index) Delete(pos int) (bool, error) { return x.b.Delete(pos) }
+func (x *index) Delete(pos int) (bool, error) { return x.s.Delete(pos) }
 
 // DeleteRange deletes every series at positions [lo, hi), returning how
 // many this call newly deleted. The range must lie within [0, Len()].
-func (x *index) DeleteRange(lo, hi int) (int, error) { return x.b.DeleteRange(lo, hi) }
+func (x *index) DeleteRange(lo, hi int) (int, error) { return x.s.DeleteRange(lo, hi) }
 
 // AppendWithTTL is Append with an expiry deadline attached: once a later
 // ExpireBefore(now) observes now at or past the deadline, the series is
@@ -189,51 +155,51 @@ func (x *index) DeleteRange(lo, hi int) (int, error) { return x.b.DeleteRange(lo
 // nanoseconds, a logical epoch, whatever the caller's clock produces; the
 // index never reads a clock itself.
 func (x *index) AppendWithTTL(s Series, deadline int64) (int, error) {
-	return x.b.AppendWithTTL(s, deadline)
+	return x.s.AppendWithTTL(s, deadline)
 }
 
 // SetTTL sets (or replaces) the expiry deadline on the series at position
 // pos; a deadline already past still requires an ExpireBefore call to take
 // effect.
-func (x *index) SetTTL(pos int, deadline int64) error { return x.b.SetTTL(pos, deadline) }
+func (x *index) SetTTL(pos int, deadline int64) error { return x.s.SetTTL(pos, deadline) }
 
 // ExpireBefore deletes every series whose TTL deadline is at or before
 // now, returning how many it newly deleted. The caller owns the clock:
 // call it from a ticker for wall-clock TTLs, or at logical epoch
 // boundaries.
-func (x *index) ExpireBefore(now int64) int { return x.b.ExpireBefore(now) }
+func (x *index) ExpireBefore(now int64) int { return x.s.ExpireBefore(now) }
 
 // Tombstoned counts deleted (or expired) series; Live counts the rest.
 // Len stays the full position space: Len() == Live() + Tombstoned().
-func (x *index) Tombstoned() int { return x.b.Tombstoned() }
+func (x *index) Tombstoned() int { return x.s.Tombstoned() }
 
 // Live counts landed-and-not-deleted series.
-func (x *index) Live() int { return x.b.Live() }
+func (x *index) Live() int { return x.s.Live() }
 
 // Compact synchronously flushes pending appends and rebuilds the index
 // tree (every shard's) without its tombstoned entries, reclaiming their
 // tree residency. Searches never require it — tombstoned series are
 // filtered either way — and it is safe to call concurrently with queries
 // and appends.
-func (x *index) Compact() { x.b.Compact() }
+func (x *index) Compact() { x.s.Compact() }
 
 // Len returns the number of indexed series, including live appends.
-func (x *index) Len() int { return x.b.Count() }
+func (x *index) Len() int { return x.s.Count() }
 
 // Close stops the index's worker pool. It is idempotent and safe to call
 // with queries in flight; queries issued after Close still answer
 // correctly, executing serially on the calling goroutine.
-func (x *index) Close() { x.b.Close() }
+func (x *index) Close() { x.s.Close() }
 
 // IngestStats snapshots the write path's counters, summed over shards on a
 // Sharded index (MergeThreshold is then the per-shard threshold).
-func (x *index) IngestStats() IngestStats { return IngestStats(x.b.IngestStats()) }
+func (x *index) IngestStats() IngestStats { return IngestStats(x.s.IngestStats()) }
 
 // EngineStats snapshots the worker pool's counters — on a Sharded index the
 // one pool all shards share, so already the aggregate view. Sample it
 // periodically to derive throughput.
-func (x *index) EngineStats() EngineStats { return engineStatsOf(x.b.EngineStats()) }
+func (x *index) EngineStats() EngineStats { return engineStatsOf(x.s.EngineStats()) }
 
 // TenantStats snapshots every tenant ever seen, sorted by ID; untenanted
 // traffic never appears. Empty until the first tenanted call.
-func (x *index) TenantStats() []TenantStats { return tenantStatsOf(x.b.TenantStats()) }
+func (x *index) TenantStats() []TenantStats { return tenantStatsOf(x.s.TenantStats()) }

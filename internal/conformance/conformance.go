@@ -34,8 +34,10 @@ package conformance
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -572,6 +574,30 @@ func (h *harness) opRebuild() {
 // isDead is the oracle's tombstone predicate.
 func (h *harness) isDead(pos int) bool { return h.dead[pos] }
 
+// ask puts q to both systems and holds each answer to want, the serial
+// scan's, rank by rank; both must have observed the whole mirror. A sharded
+// failure that shardErr tolerates skips the sharded comparison.
+func (h *harness) ask(op string, q messi.Query, want ...core.Result) {
+	for _, sys := range []struct {
+		name  string
+		query func(messi.Query) ([]core.Result, *messi.QueryStats, error)
+	}{{"plain", h.plain.Query}, {"sharded", h.shrd.Query}} {
+		got, st, err := sys.query(q)
+		if sys.name == "sharded" && h.shardErr(op, err) {
+			continue
+		}
+		if err != nil {
+			h.t.Fatal(err)
+		}
+		if st.Observed != h.mirror.Len() {
+			h.t.Fatalf("%s: observed %s %d, mirror has %d", op, sys.name, st.Observed, h.mirror.Len())
+		}
+		if !slices.Equal(got, want) {
+			h.t.Errorf("%s: %s %v != serial %v", op, sys.name, got, want)
+		}
+	}
+}
+
 func (h *harness) opSearch() {
 	q := h.query()
 	// A third of exact searches carry a random tenant ID: tenancy touches
@@ -582,27 +608,7 @@ func (h *harness) opSearch() {
 		scope.Tenant = []string{"tenant-a", "tenant-b"}[h.rng.Intn(2)]
 		h.tenanted++
 	}
-	want := ucr.ScanLive(h.mirror, q, 0, h.isDead)
-	got, st, err := h.plain.SearchScoped(q, 0, scope)
-	if err != nil {
-		h.t.Fatal(err)
-	}
-	if st.Observed != h.mirror.Len() {
-		h.t.Fatalf("observed plain %d, mirror has %d", st.Observed, h.mirror.Len())
-	}
-	if got.Pos != want.Pos || got.Dist != want.Dist {
-		h.t.Errorf("1-NN: plain (#%d, %v) != serial (#%d, %v)", got.Pos, got.Dist, want.Pos, want.Dist)
-	}
-	sgot, sst, err := h.shrd.SearchScoped(q, 0, scope)
-	if h.shardErr("1-NN", err) {
-		return
-	}
-	if sst.Observed != h.mirror.Len() {
-		h.t.Fatalf("observed sharded %d, mirror has %d", sst.Observed, h.mirror.Len())
-	}
-	if sgot.Pos != want.Pos || sgot.Dist != want.Dist {
-		h.t.Errorf("1-NN: sharded (#%d, %v) != serial (#%d, %v)", sgot.Pos, sgot.Dist, want.Pos, want.Dist)
-	}
+	h.ask("1-NN", messi.Query{Kind: messi.NN, Series: q, Scope: scope}, ucr.ScanLive(h.mirror, q, 0, h.isDead))
 }
 
 // opSearchWindow queries the most recent n landed series — sometimes a
@@ -612,79 +618,28 @@ func (h *harness) opSearch() {
 func (h *harness) opSearchWindow() {
 	q := h.query()
 	n := 1 + h.rng.Intn(h.mirror.Len()+8)
-	tenant := ""
+	scope := messi.FullScope
 	if h.rng.Intn(4) == 0 {
-		tenant = "tenant-w"
+		scope.Tenant = "tenant-w"
 		h.tenanted++
 	}
-	want := ucr.ScanLive(h.mirror, q, h.mirror.Len()-n, h.isDead)
-	got, _, err := h.plain.SearchWindowTenant(q, n, 0, tenant)
-	if err != nil {
-		h.t.Fatal(err)
-	}
-	if got.Pos != want.Pos || got.Dist != want.Dist {
-		h.t.Errorf("window(n=%d): plain (#%d, %v) != serial (#%d, %v)", n, got.Pos, got.Dist, want.Pos, want.Dist)
-	}
-	sgot, _, err := h.shrd.SearchWindowTenant(q, n, 0, tenant)
-	if h.shardErr("window", err) {
-		return
-	}
-	if sgot.Pos != want.Pos || sgot.Dist != want.Dist {
-		h.t.Errorf("window(n=%d): sharded (#%d, %v) != serial (#%d, %v)", n, sgot.Pos, sgot.Dist, want.Pos, want.Dist)
-	}
+	h.ask(fmt.Sprintf("window(n=%d)", n), messi.Query{Kind: messi.NN, Series: q, LastN: n, Scope: scope},
+		ucr.ScanLive(h.mirror, q, h.mirror.Len()-n, h.isDead))
 	h.windows++
 }
 
 func (h *harness) opKNN() {
 	q := h.query()
 	k := 1 + h.rng.Intn(6)
-	want := ucr.ScanLiveKNN(h.mirror, q, k, 0, h.isDead)
-	got, _, err := h.plain.SearchKNN(q, k, 0)
-	if err != nil {
-		h.t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		h.t.Fatalf("k-NN sizes: plain %d, serial %d", len(got), len(want))
-	}
-	for r := range want {
-		if got[r].Pos != want[r].Pos || got[r].Dist != want[r].Dist {
-			h.t.Errorf("k-NN rank %d: plain (#%d, %v) != serial (#%d, %v)",
-				r, got[r].Pos, got[r].Dist, want[r].Pos, want[r].Dist)
-		}
-	}
-	sgot, _, err := h.shrd.SearchKNN(q, k, 0)
-	if h.shardErr("k-NN", err) {
-		return
-	}
-	if len(sgot) != len(want) {
-		h.t.Fatalf("k-NN sizes: sharded %d, serial %d", len(sgot), len(want))
-	}
-	for r := range want {
-		if sgot[r].Pos != want[r].Pos || sgot[r].Dist != want[r].Dist {
-			h.t.Errorf("k-NN rank %d: sharded (#%d, %v) != serial (#%d, %v)",
-				r, sgot[r].Pos, sgot[r].Dist, want[r].Pos, want[r].Dist)
-		}
-	}
+	h.ask("k-NN", messi.Query{Kind: messi.KNN, Series: q, K: k, Scope: messi.FullScope},
+		ucr.ScanLiveKNN(h.mirror, q, k, 0, h.isDead)...)
 }
 
 func (h *harness) opDTW() {
 	q := h.query()
 	w := h.rng.Intn(6)
-	want := ucr.ScanLiveDTW(h.mirror, q, w, 0, h.isDead)
-	got, _, err := h.plain.SearchDTW(q, w, 0)
-	if err != nil {
-		h.t.Fatal(err)
-	}
-	if got.Pos != want.Pos || got.Dist != want.Dist {
-		h.t.Errorf("DTW(w=%d): plain (#%d, %v) != serial (#%d, %v)", w, got.Pos, got.Dist, want.Pos, want.Dist)
-	}
-	sgot, _, err := h.shrd.SearchDTW(q, w, 0)
-	if h.shardErr("DTW", err) {
-		return
-	}
-	if sgot.Pos != want.Pos || sgot.Dist != want.Dist {
-		h.t.Errorf("DTW(w=%d): sharded (#%d, %v) != serial (#%d, %v)", w, sgot.Pos, sgot.Dist, want.Pos, want.Dist)
-	}
+	h.ask(fmt.Sprintf("DTW(w=%d)", w), messi.Query{Kind: messi.DTW, Series: q, Warp: w, Scope: messi.FullScope},
+		ucr.ScanLiveDTW(h.mirror, q, w, 0, h.isDead))
 }
 
 // opApproximate checks the approximate contract on both systems: the
@@ -693,11 +648,12 @@ func (h *harness) opDTW() {
 func (h *harness) opApproximate() {
 	q := h.query()
 	exact := ucr.ScanLive(h.mirror, q, 0, h.isDead)
-	for name, search := range map[string]func() (core.Result, error){
-		"plain":   func() (core.Result, error) { return h.plain.SearchApproximate(q) },
-		"sharded": func() (core.Result, error) { return h.shrd.SearchApproximate(q) },
+	approx := messi.Query{Kind: messi.Approx, Series: q, Scope: messi.FullScope}
+	for name, search := range map[string]func(messi.Query) ([]core.Result, *messi.QueryStats, error){
+		"plain":   h.plain.Query,
+		"sharded": h.shrd.Query,
 	} {
-		r, err := search()
+		r, _, err := messi.First(search(approx))
 		if name == "sharded" && h.shardErr("approx", err) {
 			continue
 		}

@@ -70,7 +70,7 @@ func AblationLeafCapacity(cfg Config) (*Table, error) {
 		}
 		build := seconds(time.Since(t0))
 		mean, err := timeQueries(w.queries, func(q series.Series) error {
-			_, _, err := ix.Search(q, cores)
+			_, _, err := ix.Query(messi.Query{Kind: messi.NN, Series: q, Workers: cores, Scope: messi.FullScope})
 			return err
 		})
 		ix.Close()

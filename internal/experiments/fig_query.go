@@ -120,7 +120,7 @@ func Fig9(cfg Config) (*Table, error) {
 			return err
 		}},
 		{"MESSI", func(q series.Series, cores int) error {
-			_, _, err := messiIx.Search(q, cores)
+			_, _, err := messiIx.Query(messi.Query{Kind: messi.NN, Series: q, Workers: cores, Scope: messi.FullScope})
 			return err
 		}},
 	}
@@ -272,7 +272,7 @@ func Fig12(cfg Config) (*Table, error) {
 		}
 		row[1] = millis(mean)
 		mean, err = timeQueries(w.queries, func(q series.Series) error {
-			_, _, err := messiIx.Search(q, cores)
+			_, _, err := messiIx.Query(messi.Query{Kind: messi.NN, Series: q, Workers: cores, Scope: messi.FullScope})
 			return err
 		})
 		messiIx.Close()

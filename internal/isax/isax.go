@@ -105,9 +105,6 @@ func normalQuantile(p float64) float64 {
 	return x - u/(1+x*u/2)
 }
 
-// MaxBitsValue returns the quantizer's maximum cardinality in bits.
-func (q *Quantizer) MaxBitsValue() int { return q.maxBits }
-
 // Breakpoints returns the sorted breakpoint slice for the given cardinality
 // bits (1..maxBits). The returned slice is shared and must not be modified.
 func (q *Quantizer) Breakpoints(bits int) []float64 {

@@ -136,27 +136,6 @@ func (t *QueryTable) MinDistSAX(fullSAX []uint8) float64 {
 	return acc
 }
 
-// MinDistSAXStrided computes lower bounds for a batch of summaries laid out
-// back-to-back in sax (stride = segments), writing one bound per summary
-// into out. Separating the batched form lets internal/vector provide an
-// unrolled implementation with identical semantics.
-func (t *QueryTable) MinDistSAXStrided(sax []uint8, out []float64) {
-	w := t.segments
-	if len(sax) != len(out)*w {
-		panic(fmt.Sprintf("isax: strided batch mismatch: %d summaries of %d segments vs %d bounds",
-			len(sax)/w, w, len(out)))
-	}
-	vector.MinDistBatch(t.cells, sax, w, t.card, out)
-}
-
-// MinDistWord returns the lower bound between the query underlying t and a
-// variable-cardinality word, using region arithmetic from the quantizer.
-// Node-level pruning in MESSI uses this (leaves store their words, not
-// full-cardinality summaries).
-func MinDistWord(q *Quantizer, paaCoeffs []float64, w Word, n int) float64 {
-	return MinDist(q, paaCoeffs, w, n)
-}
-
 // MinDistDTW returns a DTW-valid lower bound between a query envelope's PAA
 // bounds and an iSAX word. For DTW queries (paper §V) the query is replaced
 // by its warping envelope: a segment contributes distance only if the word's

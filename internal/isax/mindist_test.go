@@ -118,39 +118,6 @@ func TestQueryTableMatchesMinDist(t *testing.T) {
 	}
 }
 
-func TestMinDistSAXStrided(t *testing.T) {
-	q := mustQuantizer(t, 8)
-	rng := rand.New(rand.NewSource(24))
-	n, segments, count := 256, 16, 33
-	a := randomSeries(rng, n)
-	qPAA := paa.Transform(a, segments)
-	table := NewQueryTable(q, qPAA, n)
-
-	sax := make([]uint8, count*segments)
-	for i := range sax {
-		sax[i] = uint8(rng.Intn(256))
-	}
-	out := make([]float64, count)
-	table.MinDistSAXStrided(sax, out)
-	for i := 0; i < count; i++ {
-		want := table.MinDistSAX(sax[i*segments : (i+1)*segments])
-		if out[i] != want {
-			t.Fatalf("strided[%d] = %v, want %v", i, out[i], want)
-		}
-	}
-}
-
-func TestMinDistSAXStridedPanicsOnMismatch(t *testing.T) {
-	q := mustQuantizer(t, 8)
-	table := NewQueryTable(q, make([]float64, 16), 256)
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic on mismatched batch")
-		}
-	}()
-	table.MinDistSAXStrided(make([]uint8, 17), make([]float64, 1))
-}
-
 func TestMinDistDTWLowerBoundsDTW(t *testing.T) {
 	// DTW extension invariant: the envelope-based iSAX bound never exceeds
 	// the true DTW distance.

@@ -15,7 +15,7 @@ func TestSearchApproximateUpperBoundsExact(t *testing.T) {
 	ix := build(t, coll, 8)
 	for qi := 0; qi < queries.Len(); qi++ {
 		q := queries.At(qi)
-		approx, err := ix.SearchApproximate(q)
+		approx, _, err := First(ix.Query(Query{Kind: Approx, Series: q, Scope: FullScope}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -48,7 +48,7 @@ func TestSearchApproximateQualityOnPerturbedQueries(t *testing.T) {
 	hits := 0
 	for qi := 0; qi < queries.Len(); qi++ {
 		q := queries.At(qi)
-		approx, err := ix.SearchApproximate(q)
+		approx, _, err := First(ix.Query(Query{Kind: Approx, Series: q, Scope: FullScope}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -68,14 +68,14 @@ func TestSearchApproximateQualityOnPerturbedQueries(t *testing.T) {
 func TestSearchApproximateValidation(t *testing.T) {
 	coll, _ := dataset(t, gen.Synthetic, 50)
 	ix := build(t, coll, 2)
-	if _, err := ix.SearchApproximate(make(series.Series, 5)); err == nil {
+	if _, _, err := First(ix.Query(Query{Kind: Approx, Series: make(series.Series, 5), Scope: FullScope})); err == nil {
 		t.Error("mismatched query length accepted")
 	}
 	empty, err := Build(series.NewCollection(0, 256), core.Config{}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := empty.SearchApproximate(make(series.Series, 256))
+	r, _, err := First(empty.Query(Query{Kind: Approx, Series: make(series.Series, 256), Scope: FullScope}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,9 +94,15 @@ func TestConcurrentMixedSearches(t *testing.T) {
 		q := queries.At(qi)
 		wg.Add(4)
 		go func() { defer wg.Done(); _, _, _ = ix.Search(q, 2) }()
-		go func() { defer wg.Done(); _, _ = ix.SearchApproximate(q) }()
-		go func() { defer wg.Done(); _, _, _ = ix.SearchKNN(q, 3, 2) }()
-		go func() { defer wg.Done(); _, _, _ = ix.SearchDTW(q, 8, 2) }()
+		go func() { defer wg.Done(); _, _, _ = First(ix.Query(Query{Kind: Approx, Series: q, Scope: FullScope})) }()
+		go func() {
+			defer wg.Done()
+			_, _, _ = ix.Query(Query{Kind: KNN, Series: q, K: 3, Workers: 2, Scope: FullScope})
+		}()
+		go func() {
+			defer wg.Done()
+			_, _, _ = First(ix.Query(Query{Kind: DTW, Series: q, Warp: 8, Workers: 2, Scope: FullScope}))
+		}()
 	}
 	wg.Wait()
 }

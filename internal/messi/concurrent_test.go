@@ -83,7 +83,7 @@ func (w *stressWorkload) checkQuery(t *testing.T, i int) {
 				i, got.Pos, got.Dist, want.Pos, want.Dist)
 		}
 	case 1:
-		got, _, err := w.ix.SearchKNN(q, stressKNNK, 0)
+		got, _, err := w.ix.Query(Query{Kind: KNN, Series: q, K: stressKNNK, Scope: FullScope})
 		if err != nil {
 			t.Errorf("query %d: %v", i, err)
 			return
@@ -100,7 +100,7 @@ func (w *stressWorkload) checkQuery(t *testing.T, i int) {
 			}
 		}
 	case 2:
-		got, _, err := w.ix.SearchDTW(q, stressWindow, 0)
+		got, _, err := First(w.ix.Query(Query{Kind: DTW, Series: q, Warp: stressWindow, Scope: FullScope}))
 		if err != nil {
 			t.Errorf("query %d: %v", i, err)
 			return
@@ -147,43 +147,6 @@ func TestConcurrentStressRepeated(t *testing.T) {
 			}(i)
 		}
 		wg.Wait()
-	}
-}
-
-func TestBatchSearchMatchesSerial(t *testing.T) {
-	w := newStressWorkload(t, 3000)
-	qs := make([]series.Series, w.queries.Len())
-	for i := range qs {
-		qs[i] = w.queries.At(i)
-	}
-	got, err := w.ix.BatchSearch(qs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := w.ix.EngineStats() // snapshot before the serial re-runs below
-	for i := range qs {
-		want, _, err := w.ix.Search(qs[i], 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got[i].Pos != want.Pos || got[i].Dist != want.Dist {
-			t.Fatalf("batch result %d: (#%d, %v) != serial (#%d, %v)",
-				i, got[i].Pos, got[i].Dist, want.Pos, want.Dist)
-		}
-	}
-	if st.Queries != uint64(len(qs)) {
-		t.Errorf("engine counted %d queries, want %d", st.Queries, len(qs))
-	}
-	if st.PeakInFlight > w.ix.MaxInFlight() {
-		t.Errorf("peak in-flight %d exceeds admission bound %d", st.PeakInFlight, w.ix.MaxInFlight())
-	}
-}
-
-func TestBatchSearchReportsQueryError(t *testing.T) {
-	w := newStressWorkload(t, 1000)
-	bad := make(series.Series, 3) // wrong length
-	if _, err := w.ix.BatchSearch([]series.Series{w.queries.At(0), bad}); err == nil {
-		t.Fatal("batch with a wrong-length query returned no error")
 	}
 }
 

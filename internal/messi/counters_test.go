@@ -78,10 +78,16 @@ func TestCountersStayUnderCascadeCeilings(t *testing.T) {
 	ix, qs := counterWorkload(t)
 	flavors := map[string]func(q series.Series) (*QueryStats, error){
 		"1nn": func(q series.Series) (*QueryStats, error) { _, st, err := ix.Search(q, 1); return st, err },
-		"knn": func(q series.Series) (*QueryStats, error) { _, st, err := ix.SearchKNN(q, 5, 1); return st, err },
-		"dtw": func(q series.Series) (*QueryStats, error) { _, st, err := ix.SearchDTW(q, 8, 1); return st, err },
+		"knn": func(q series.Series) (*QueryStats, error) {
+			_, st, err := ix.Query(Query{Kind: KNN, Series: q, K: 5, Workers: 1, Scope: FullScope})
+			return st, err
+		},
+		"dtw": func(q series.Series) (*QueryStats, error) {
+			_, st, err := First(ix.Query(Query{Kind: DTW, Series: q, Warp: 8, Workers: 1, Scope: FullScope}))
+			return st, err
+		},
 		"window": func(q series.Series) (*QueryStats, error) {
-			_, st, err := ix.SearchWindow(q, 12_000, 1)
+			_, st, err := First(ix.Query(Query{Kind: NN, Series: q, LastN: 12_000, Workers: 1, Scope: FullScope}))
 			return st, err
 		},
 	}

@@ -181,14 +181,14 @@ func TestConcurrentDeleteStress(t *testing.T) {
 					}
 					o.res = []core.Result{res}
 				case 1:
-					res, _, err := ix.SearchKNN(q, delStressKNNK, 0)
+					res, _, err := ix.Query(Query{Kind: KNN, Series: q, K: delStressKNNK, Scope: FullScope})
 					if err != nil {
 						t.Error(err)
 						return
 					}
 					o.res = res
 				case 2:
-					res, _, err := ix.SearchDTW(q, delStressDTWWin, 0)
+					res, _, err := First(ix.Query(Query{Kind: DTW, Series: q, Warp: delStressDTWWin, Scope: FullScope}))
 					if err != nil {
 						t.Error(err)
 						return
@@ -196,7 +196,7 @@ func TestConcurrentDeleteStress(t *testing.T) {
 					o.res = []core.Result{res}
 				case 3:
 					o.winN = 64 + 97*it
-					res, _, err := ix.SearchWindow(q, o.winN, 0)
+					res, _, err := First(ix.Query(Query{Kind: NN, Series: q, LastN: o.winN, Scope: FullScope}))
 					if err != nil {
 						t.Error(err)
 						return

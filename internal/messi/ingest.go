@@ -452,7 +452,9 @@ func (ix *Index) encodeLive() []byte {
 // collection it was built from — the same Reader shape too: an index built
 // through a position-remapping view decodes through the replayed view, so
 // loading is as zero-copy as building. The append store and the
-// merged/pending split are restored exactly as saved.
+// merged/pending split are restored exactly as saved. As in Build, a
+// collection holding a NaN or an infinity is refused with a
+// *NonFiniteError.
 func Decode(data []byte, coll series.Reader, opt Options) (*Index, error) {
 	opt = opt.normalize()
 	inner, tombPos, ttls, err := splitTomb(data)
@@ -475,6 +477,11 @@ func Decode(data []byte, coll series.Reader, opt Options) (*Index, error) {
 	if sax.Len() != coll.Len()+mergedA {
 		return nil, fmt.Errorf("messi: index covers %d series, collection has %d (+%d merged appends)",
 			sax.Len(), coll.Len(), mergedA)
+	}
+	for i := 0; i < coll.Len(); i++ {
+		if series.Check(coll.At(i), cfg.SeriesLen) != nil {
+			return nil, &NonFiniteError{Pos: i}
+		}
 	}
 	valBytes := a * cfg.SeriesLen * 4
 	if len(tail) != valBytes+a*cfg.Segments {

@@ -257,14 +257,14 @@ func TestIngestRaceStress(t *testing.T) {
 					}
 					recs = append(recs, ingestRecord{kind: 0, qi: qi, observed: st.Observed, nn: got})
 				case 1:
-					got, st, err := ix.SearchKNN(q, ingestKNNK, 0)
+					got, st, err := ix.Query(Query{Kind: KNN, Series: q, K: ingestKNNK, Scope: FullScope})
 					if err != nil {
 						t.Error(err)
 						return
 					}
 					recs = append(recs, ingestRecord{kind: 1, qi: qi, observed: st.Observed, knn: got})
 				case 2:
-					got, st, err := ix.SearchDTW(q, ingestWindow, 0)
+					got, st, err := First(ix.Query(Query{Kind: DTW, Series: q, Warp: ingestWindow, Scope: FullScope}))
 					if err != nil {
 						t.Error(err)
 						return

@@ -172,11 +172,11 @@ func TestLeafMaterializationAnswerEquivalence(t *testing.T) {
 		if a != b {
 			t.Fatalf("query %d: ED answers diverge: %+v vs %+v", qi, a, b)
 		}
-		ka, _, err := mat.SearchKNN(q, 5, 4)
+		ka, _, err := mat.Query(Query{Kind: KNN, Series: q, K: 5, Workers: 4, Scope: FullScope})
 		if err != nil {
 			t.Fatal(err)
 		}
-		kb, _, err := pos.SearchKNN(q, 5, 4)
+		kb, _, err := pos.Query(Query{Kind: KNN, Series: q, K: 5, Workers: 4, Scope: FullScope})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -185,11 +185,11 @@ func TestLeafMaterializationAnswerEquivalence(t *testing.T) {
 				t.Fatalf("query %d rank %d: kNN dists diverge: %v vs %v", qi, i, ka[i].Dist, kb[i].Dist)
 			}
 		}
-		da, _, err := mat.SearchDTW(q, 8, 4)
+		da, _, err := First(mat.Query(Query{Kind: DTW, Series: q, Warp: 8, Workers: 4, Scope: FullScope}))
 		if err != nil {
 			t.Fatal(err)
 		}
-		db, _, err := pos.SearchDTW(q, 8, 4)
+		db, _, err := First(pos.Query(Query{Kind: DTW, Series: q, Warp: 8, Workers: 4, Scope: FullScope}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -258,40 +258,5 @@ func TestProbedLeafNeverListed(t *testing.T) {
 	}
 	if probeBelow == 0 {
 		t.Fatal("no probed leaf was below its own threshold: the exclusion went untested")
-	}
-}
-
-func TestBatchSearchStatsMatchesSearch(t *testing.T) {
-	coll, queries := dataset(t, gen.Synthetic, 1000)
-	ix := build(t, coll, 4)
-	defer ix.Close()
-	qs := make([]series.Series, queries.Len())
-	for i := range qs {
-		qs[i] = queries.At(i)
-	}
-	results, stats, err := ix.BatchSearchStats(qs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != len(qs) || len(stats) != len(qs) {
-		t.Fatalf("%d results, %d stats for %d queries", len(results), len(stats), len(qs))
-	}
-	for i, q := range qs {
-		want, wantSt, err := ix.Search(q, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if results[i] != want {
-			t.Fatalf("query %d: batch %+v vs direct %+v", i, results[i], want)
-		}
-		if stats[i].Observed != wantSt.Observed || stats[i].Observed != coll.Len() {
-			t.Fatalf("query %d: Observed %d, want %d", i, stats[i].Observed, coll.Len())
-		}
-		if stats[i].RawDistances <= 0 || stats[i].EntriesChecked <= 0 {
-			t.Fatalf("query %d: empty stats %+v", i, stats[i])
-		}
-		if stats[i].ProbeLeaves != 1 {
-			t.Fatalf("query %d: ProbeLeaves %d, want 1", i, stats[i].ProbeLeaves)
-		}
 	}
 }

@@ -34,6 +34,11 @@
 // the tree and drains several locked priority queues; queuedSearch's comment
 // says why a flat pass and one sorted list replace them here.
 //
+// Every query kind enters through one pipeline, Index.Run: Index.Query runs
+// it over the index alone, and a sharding layer (internal/shard) runs it
+// per shard with one shared sink. The public dsidx types reach an Index
+// only through that layer — a dsidx.MESSI is its one-shard case.
+//
 // Live ingestion: the paper builds the index as a one-shot batch job; this
 // implementation additionally accepts new series while queries run (see
 // ingest.go). Appends land in a concurrent delta buffer, summarized with
@@ -46,7 +51,6 @@
 package messi
 
 import (
-	"context"
 	"fmt"
 	"runtime"
 	"slices"
@@ -66,9 +70,9 @@ type Options struct {
 	// Workers is the number of index worker goroutines (the paper's
 	// "number of cores"). 0 means GOMAXPROCS.
 	Workers int
-	// MaxInFlight bounds the number of queries admitted simultaneously by
-	// BatchSearch and the serving layer (0 means 2×Workers). Directly
-	// invoked Search calls are not admission-controlled.
+	// MaxInFlight bounds the number of queries the pool's admission control
+	// lets in at once — batches and the serving layer admit through it (0
+	// means 2×Workers). Directly invoked queries are not admission-controlled.
 	MaxInFlight int
 	// MergeThreshold is the delta-buffer size (in series) at which a
 	// background merge into the tree is scheduled (0 means 4096). Queries
@@ -143,12 +147,12 @@ func (ix *Index) publish(tree *core.Tree, mergedA int) {
 //
 // Query answering runs on the calling goroutine, with helpers from a
 // persistent, index-owned worker pool shared by every in-flight query (see
-// internal/engine): Query, Run and their Search* wrappers may be called
-// concurrently from any number of goroutines, and the helper tasks of a
-// hard query interleave on the pool instead of spawning per-call
-// goroutines. Append and AppendBatch (ingest.go) are safe
-// concurrently with all of the above. Close releases the pool; an unclosed
-// Index releases it when garbage-collected.
+// internal/engine): Query, Run and Search may be called concurrently from
+// any number of goroutines, and the helper tasks of a hard query interleave
+// on the pool instead of spawning per-call goroutines. Append and
+// AppendBatch (ingest.go) are safe concurrently with all of the above.
+// Close releases the pool; an unclosed Index releases it when
+// garbage-collected.
 type Index struct {
 	cfg     core.Config
 	opt     Options
@@ -268,28 +272,6 @@ func (ix *Index) Close() { ix.engRef.release() }
 // EngineStats snapshots the shared pool's throughput counters.
 func (ix *Index) EngineStats() engine.Stats { return ix.eng.Stats() }
 
-// AdmitTenantContext blocks until the engine's admission control grants a
-// query slot and returns its release function; release is nil and err
-// non-nil if ctx is done first. The public serving layer wraps every query
-// in an admission/release pair. A tenanted query clears the tenant's own
-// admission gate before the global one, so one tenant's storm queues on its
-// own gate instead of capturing the shared window; tenant "" takes the
-// global gate alone.
-func (ix *Index) AdmitTenantContext(ctx context.Context, tenant string) (release func(), err error) {
-	return ix.eng.Admit(ctx, tenant)
-}
-
-// TenantStats snapshots the engine's per-tenant accounting, sorted by
-// tenant ID; empty until the first tenanted call.
-func (ix *Index) TenantStats() []engine.TenantStat { return ix.eng.TenantStats() }
-
-// MaxInFlight returns the admission bound on concurrently admitted queries.
-func (ix *Index) MaxInFlight() int { return ix.eng.MaxInFlight() }
-
-// Searches returns the number of queries this index has searched (see
-// Health.Searches) — for a sharded index, this shard's sub-search count.
-func (ix *Index) Searches() uint64 { return ix.searches.Load() }
-
 // Health is one index's fault-tolerance snapshot: how often queries and
 // merges hit contained faults, alongside the engine's panic-containment
 // counters. All zeros on a healthy index.
@@ -334,7 +316,8 @@ func (ix *Index) Health() Health {
 // series.View over someone else's collection (how a sharding layer builds
 // each shard over its slice of the base data without copying it). The
 // index retains coll and reads it on every unmaterialized refinement, so
-// it must stay immutable for the index's lifetime.
+// it must stay immutable for the index's lifetime. A collection holding a
+// NaN or an infinity is refused with a *NonFiniteError.
 func Build(coll series.Reader, cfg core.Config, opt Options) (*Index, error) {
 	opt = opt.normalize()
 	cfg.SeriesLen = coll.SeriesLen()
@@ -352,16 +335,22 @@ func Build(coll series.Reader, cfg core.Config, opt Options) (*Index, error) {
 	// Stage 1: summarization. Every worker has its own partition of each
 	// iSAX buffer, so appends need no synchronization (footnote 2: one
 	// locked buffer per root subtree lost to contention).
+	// The PAA each series is summarized from doubles as the input check: a
+	// float64 mean of float32 values cannot overflow, so a segment's mean is
+	// finite exactly when every value in the segment is.
 	blocks := xsync.Blocks(n, claimBlock)
 	parts := make([]map[uint32][]int32, opt.Workers) // parts[w][key] = positions
+	bad := make([]int, opt.Workers)                  // bad[w] = lowest non-finite position worker w met
 	var blockCursor xsync.Counter
 	var wg sync.WaitGroup
 	for w := 0; w < opt.Workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			sm := core.NewSummarizer(cfg, tree.Quantizer())
+			quant := tree.Quantizer()
+			sm := core.NewSummarizer(cfg, quant)
 			mine := make(map[uint32][]int32, 256)
+			bad[w] = n
 			for {
 				bi := blockCursor.Next()
 				if int(bi) >= len(blocks) {
@@ -370,7 +359,12 @@ func Build(coll series.Reader, cfg core.Config, opt Options) (*Index, error) {
 				blk := blocks[bi]
 				for i := blk.Lo; i < blk.Hi; i++ {
 					dst := sax.At(i)
-					sm.Summarize(coll.At(i), dst)
+					coeffs := sm.PAA(coll.At(i))
+					if !finite(coeffs) {
+						bad[w] = min(bad[w], i)
+						continue
+					}
+					quant.SymbolsInto(coeffs, dst)
 					key := tree.RootKey(dst)
 					mine[key] = append(mine[key], int32(i))
 				}
@@ -379,6 +373,9 @@ func Build(coll series.Reader, cfg core.Config, opt Options) (*Index, error) {
 		}(w)
 	}
 	wg.Wait()
+	if first := slices.Min(bad); first < n {
+		return nil, &NonFiniteError{Pos: first}
+	}
 	ix.build.Summarize = time.Since(start)
 
 	// Stage 2: one worker per buffer (Fetch&Inc over the key list) builds
@@ -434,6 +431,26 @@ func Build(coll series.Reader, cfg core.Config, opt Options) (*Index, error) {
 	ix.build.Total = time.Since(start)
 	ix.initLive(tree, sax, 0)
 	return ix, nil
+}
+
+// NonFiniteError is Build's and Decode's refusal of a collection that holds
+// a NaN or an infinity: Pos is the lowest such series' position in the
+// collection they were given.
+type NonFiniteError struct{ Pos int }
+
+func (e *NonFiniteError) Error() string {
+	return fmt.Sprintf("messi: series %d holds a NaN or an infinity", e.Pos)
+}
+
+// finite reports whether every PAA coefficient is a finite number. Their
+// sum cannot overflow (each is a mean of float32 values), so it is finite
+// exactly when they all are; and x−x is 0 for a finite x, NaN otherwise.
+func finite(coeffs []float64) bool {
+	var sum float64
+	for _, c := range coeffs {
+		sum += c
+	}
+	return sum-sum == 0
 }
 
 // Count returns the number of series the index answers over: the base

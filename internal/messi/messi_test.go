@@ -146,7 +146,7 @@ func TestSearchKNNMatchesSerialKNN(t *testing.T) {
 	for qi := 0; qi < queries.Len(); qi++ {
 		q := queries.At(qi)
 		want := ucr.ScanKNN(coll, q, k)
-		got, _, err := ix.SearchKNN(q, k, 8)
+		got, _, err := ix.Query(Query{Kind: KNN, Series: q, K: k, Workers: 8, Scope: FullScope})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -164,10 +164,10 @@ func TestSearchKNNMatchesSerialKNN(t *testing.T) {
 func TestSearchKNNDegenerate(t *testing.T) {
 	coll, queries := dataset(t, gen.Synthetic, 100)
 	ix := build(t, coll, 4)
-	if got, _, err := ix.SearchKNN(queries.At(0), 0, 2); err != nil || got != nil {
+	if got, _, err := ix.Query(Query{Kind: KNN, Series: queries.At(0), K: 0, Workers: 2, Scope: FullScope}); err != nil || got != nil {
 		t.Errorf("k=0: (%v,%v)", got, err)
 	}
-	got, _, err := ix.SearchKNN(queries.At(0), 1, 2)
+	got, _, err := ix.Query(Query{Kind: KNN, Series: queries.At(0), K: 1, Workers: 2, Scope: FullScope})
 	if err != nil || len(got) != 1 {
 		t.Fatalf("k=1: %v %v", got, err)
 	}
@@ -189,7 +189,7 @@ func TestSearchDTWMatchesUCRDTW(t *testing.T) {
 	for qi := 0; qi < queries.Len(); qi++ {
 		q := queries.At(qi)
 		want := ucr.ScanDTW(coll, q, window)
-		got, stats, err := ix.SearchDTW(q, window, 8)
+		got, stats, err := First(ix.Query(Query{Kind: DTW, Series: q, Warp: window, Workers: 8, Scope: FullScope}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -212,7 +212,7 @@ func TestSearchDTWZeroWindowMatchesED(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dtw, _, err := ix.SearchDTW(q, 0, 4)
+	dtw, _, err := First(ix.Query(Query{Kind: DTW, Series: q, Warp: 0, Workers: 4, Scope: FullScope}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,11 +228,11 @@ func TestIndexAdmissionProbeAndRaw(t *testing.T) {
 	if ix.Raw() != series.Reader(coll) {
 		t.Fatal("Raw() does not return the collection the index was built over")
 	}
-	if ix.MaxInFlight() <= 0 {
-		t.Fatalf("MaxInFlight() = %d", ix.MaxInFlight())
+	if ix.eng.MaxInFlight() <= 0 {
+		t.Fatalf("MaxInFlight() = %d", ix.eng.MaxInFlight())
 	}
 	for _, tenant := range []string{"", "a"} {
-		release, err := ix.AdmitTenantContext(context.Background(), tenant)
+		release, err := ix.eng.Admit(context.Background(), tenant)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,10 +1,8 @@
 package messi
 
 import (
-	"context"
 	"fmt"
 	"slices"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -506,7 +504,8 @@ func (ix *Index) Query(q Query) ([]core.Result, *QueryStats, error) {
 // space; nil means identity); the caller reads it from sink after the call
 // (and after every sibling shard's call, when sharing).
 //
-// Run validates q, captures its consistent cut (sharedCut), fills the
+// Run validates q (unless mapPos marks it a sub-search of a sharding layer,
+// which has), captures its consistent cut (sharedCut), fills the
 // kind's lower-bound table, probes the approximate phase's leaf, calls
 // q.Scope.Seeded, and hands the rest to the exact phase (queuedSearch). An
 // Approx query stops after its probe and never calls Seeded. A fault on
@@ -514,8 +513,11 @@ func (ix *Index) Query(q Query) ([]core.Result, *QueryStats, error) {
 // into a typed error, counted in Health().FailedSearches, and leaves sink
 // holding a partial answer the caller must discard.
 func (ix *Index) Run(q Query, sink *Sink, mapPos func(int32) int32) (stats *QueryStats, err error) {
-	if err := q.Validate(ix.cfg.SeriesLen); err != nil {
-		return nil, fmt.Errorf("messi: %w", err)
+	// A sharding layer (mapPos non-nil) validates q once for all its shards.
+	if mapPos == nil {
+		if err := q.Validate(ix.cfg.SeriesLen); err != nil {
+			return nil, fmt.Errorf("messi: %w", err)
+		}
 	}
 	if q.Kind == KNN && q.K <= 0 {
 		return &QueryStats{}, nil
@@ -557,106 +559,7 @@ func (ix *Index) Run(q Query, sink *Sink, mapPos func(int32) int32) (stats *Quer
 
 // Search answers an exact 1-NN query over everything published.
 func (ix *Index) Search(q series.Series, workers int) (core.Result, *QueryStats, error) {
-	return ix.SearchScoped(q, workers, FullScope)
-}
-
-// SearchScoped is Search under an explicit Scope: a bounded append cut, a
-// sliding-window lower cut, a tenant identity, or any combination.
-func (ix *Index) SearchScoped(q series.Series, workers int, scope Scope) (core.Result, *QueryStats, error) {
-	return First(ix.Query(Query{Kind: NN, Series: q, Workers: workers, Scope: scope}))
-}
-
-// SearchWindow answers an exact 1-NN query over the most recent n landed
-// series. A window wider than everything landed so far degenerates to
-// Search. The answer is bit-identical to a serial scan of exactly that
-// suffix minus tombstones.
-func (ix *Index) SearchWindow(q series.Series, n, workers int) (core.Result, *QueryStats, error) {
-	return ix.SearchWindowTenant(q, n, workers, "")
-}
-
-// SearchWindowTenant is SearchWindow under a tenant identity.
-func (ix *Index) SearchWindowTenant(q series.Series, n, workers int, tenant string) (core.Result, *QueryStats, error) {
-	if n <= 0 {
-		return core.NoResult(), nil, fmt.Errorf("messi: window size %d, want > 0", n)
-	}
-	return First(ix.Query(Query{Kind: NN, Series: q, LastN: n, Workers: workers, Scope: Scope{AppendCut: -1, Tenant: tenant}}))
-}
-
-// SearchKNN answers an exact k-NN query, returning the k nearest series in
-// ascending distance order.
-func (ix *Index) SearchKNN(q series.Series, k, workers int) ([]core.Result, *QueryStats, error) {
-	return ix.Query(Query{Kind: KNN, Series: q, K: k, Workers: workers, Scope: FullScope})
-}
-
-// SearchDTW answers an exact 1-NN query under DTW with a Sakoe-Chiba band
-// of half-width window.
-func (ix *Index) SearchDTW(q series.Series, window, workers int) (core.Result, *QueryStats, error) {
-	return First(ix.Query(Query{Kind: DTW, Series: q, Warp: window, Workers: workers, Scope: FullScope}))
-}
-
-// SearchApproximate answers an Approx query: not guaranteed to be the true
-// nearest neighbor, but computed in microseconds.
-func (ix *Index) SearchApproximate(q series.Series) (core.Result, error) {
-	r, _, err := First(ix.Query(Query{Kind: Approx, Series: q, Scope: FullScope}))
-	return r, err
-}
-
-// RunBatch answers one exact query per element of qs concurrently under
-// eng's admission control — the shared skeleton of every BatchSearch
-// surface (plain and sharded): at most MaxInFlight worker goroutines claim
-// queries with Fetch&Inc, each holding an admission slot for the duration
-// of its search. results[i] and stats[i] answer qs[i]; the first query
-// error (if any) is returned after all queries finish.
-func RunBatch(eng *engine.Engine, qs []series.Series,
-	search func(q series.Series) (core.Result, *QueryStats, error)) ([]core.Result, []QueryStats, error) {
-	results := make([]core.Result, len(qs))
-	stats := make([]QueryStats, len(qs))
-	errs := make([]error, len(qs))
-	spawn := min(len(qs), eng.MaxInFlight())
-	var next xsync.Counter
-	var wg sync.WaitGroup
-	for w := 0; w < spawn; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Next())
-				if i >= len(qs) {
-					return
-				}
-				// Admission fails only when its context is done, and this one never is.
-				release, _ := eng.Admit(context.TODO(), "")
-				var st *QueryStats
-				results[i], st, errs[i] = search(qs[i])
-				if st != nil {
-					stats[i] = *st
-				}
-				release()
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return results, stats, err
-		}
-	}
-	return results, stats, nil
-}
-
-// BatchSearchStats answers many exact 1-NN queries concurrently on the
-// shared worker pool, bounded by the engine's admission control, returning
-// each query's answer and work stats.
-func (ix *Index) BatchSearchStats(qs []series.Series) ([]core.Result, []QueryStats, error) {
-	return RunBatch(ix.eng, qs, func(q series.Series) (core.Result, *QueryStats, error) {
-		return ix.Search(q, 0)
-	})
-}
-
-// BatchSearch is BatchSearchStats without the per-query stats.
-func (ix *Index) BatchSearch(qs []series.Series) ([]core.Result, error) {
-	results, _, err := ix.BatchSearchStats(qs)
-	return results, err
+	return First(ix.Query(Query{Kind: NN, Series: q, Workers: workers, Scope: FullScope}))
 }
 
 // deltaBlock and leafBlock are the work-claiming granularities of phase A:
@@ -1010,7 +913,10 @@ func (ix *Index) newRefiner(q Query, sink *Sink, sc *searchScratch, quant *isax.
 		// full dynamic program.
 		r.limit = best.Distance
 		r.score = func(gpos int32, s series.Series, lim float64, st *QueryStats) {
-			if series.LBKeogh(env, s, lim) >= lim {
+			// >, not >=: LBKeogh abandons only above lim, and at warp 0
+			// it equals DTW bit for bit, so a bound at lim may be an
+			// exact tie the lower position has to win.
+			if series.LBKeogh(env, s, lim) > lim {
 				return
 			}
 			st.RawDistances++

@@ -84,29 +84,32 @@ func scheduleFlavors(ix *Index, all *series.Collection, dead map[int]bool) map[s
 	oracle func(q series.Series) []core.Result
 } {
 	isDead := func(i int) bool { return dead[i] }
-	one := func(r core.Result, st *QueryStats, err error) ([]core.Result, *QueryStats, error) {
-		return []core.Result{r}, st, err
-	}
 	const window = 12_000
 	return map[string]struct {
 		run    func(q series.Series, workers int) ([]core.Result, *QueryStats, error)
 		oracle func(q series.Series) []core.Result
 	}{
 		"1nn": {
-			func(q series.Series, w int) ([]core.Result, *QueryStats, error) { return one(ix.Search(q, w)) },
+			func(q series.Series, w int) ([]core.Result, *QueryStats, error) {
+				return ix.Query(Query{Kind: NN, Series: q, Workers: w, Scope: FullScope})
+			},
 			func(q series.Series) []core.Result { return []core.Result{ucr.ScanLive(all, q, 0, isDead)} },
 		},
 		"knn": {
-			func(q series.Series, w int) ([]core.Result, *QueryStats, error) { return ix.SearchKNN(q, 5, w) },
+			func(q series.Series, w int) ([]core.Result, *QueryStats, error) {
+				return ix.Query(Query{Kind: KNN, Series: q, K: 5, Workers: w, Scope: FullScope})
+			},
 			func(q series.Series) []core.Result { return ucr.ScanLiveKNN(all, q, 5, 0, isDead) },
 		},
 		"dtw": {
-			func(q series.Series, w int) ([]core.Result, *QueryStats, error) { return one(ix.SearchDTW(q, 8, w)) },
+			func(q series.Series, w int) ([]core.Result, *QueryStats, error) {
+				return ix.Query(Query{Kind: DTW, Series: q, Warp: 8, Workers: w, Scope: FullScope})
+			},
 			func(q series.Series) []core.Result { return []core.Result{ucr.ScanLiveDTW(all, q, 8, 0, isDead)} },
 		},
 		"window": {
 			func(q series.Series, w int) ([]core.Result, *QueryStats, error) {
-				return one(ix.SearchWindow(q, window, w))
+				return ix.Query(Query{Kind: NN, Series: q, LastN: window, Workers: w, Scope: FullScope})
 			},
 			func(q series.Series) []core.Result {
 				return []core.Result{ucr.ScanLive(all, q, all.Len()-window, isDead)}

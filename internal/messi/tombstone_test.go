@@ -125,17 +125,10 @@ func TestSearchWindowBasics(t *testing.T) {
 	mirror := g.Collection(70)
 	q := g.PerturbedQueries(mirror, 1, 0.05).At(0)
 
-	if _, _, err := ix.SearchWindow(q, 0, 0); err == nil {
-		t.Error("window size 0 accepted")
-	}
-	if _, _, err := ix.SearchWindow(q, -3, 0); err == nil {
-		t.Error("negative window accepted")
-	}
-
 	check := func(state string) {
 		t.Helper()
 		for _, n := range []int{1, 7, 20, 35, 70, 1000} {
-			got, _, err := ix.SearchWindow(q, n, 0)
+			got, _, err := First(ix.Query(Query{Kind: NN, Series: q, LastN: n, Scope: FullScope}))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -146,7 +139,7 @@ func TestSearchWindowBasics(t *testing.T) {
 			}
 		}
 		// A window wider than everything landed degenerates to Search.
-		wide, _, err := ix.SearchWindow(q, 1000, 0)
+		wide, _, err := First(ix.Query(Query{Kind: NN, Series: q, LastN: 1000, Scope: FullScope}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -174,7 +167,7 @@ func TestSearchWindowWithDeletes(t *testing.T) {
 	}
 	dead := func(p int) bool { return p >= 40 && p < 55 }
 	for _, n := range []int{5, 15, 25, 60} {
-		got, _, err := ix.SearchWindow(q, n, 0)
+		got, _, err := First(ix.Query(Query{Kind: NN, Series: q, LastN: n, Scope: FullScope}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -186,7 +179,7 @@ func TestSearchWindowWithDeletes(t *testing.T) {
 	}
 	// An all-deleted window answers NoResult rather than leaking a
 	// tombstoned or out-of-window series.
-	got, _, err := ix.SearchWindow(q, 5, 0)
+	got, _, err := First(ix.Query(Query{Kind: NN, Series: q, LastN: 5, Scope: FullScope}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +187,7 @@ func TestSearchWindowWithDeletes(t *testing.T) {
 		t.Fatalf("window over deleted suffix answered deleted series %d", got.Pos)
 	}
 	ix.Compact()
-	got2, _, err := ix.SearchWindow(q, 5, 0)
+	got2, _, err := First(ix.Query(Query{Kind: NN, Series: q, LastN: 5, Scope: FullScope}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +217,7 @@ func TestDeleteVisibleInAllFlavors(t *testing.T) {
 		if want := ucr.ScanLive(mirror, q, 0, dead); got != core.Result(want) {
 			t.Fatalf("%s: 1-NN %+v, want %+v", state, got, want)
 		}
-		knn, _, err := ix.SearchKNN(q, 4, 0)
+		knn, _, err := ix.Query(Query{Kind: KNN, Series: q, K: 4, Scope: FullScope})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -233,14 +226,14 @@ func TestDeleteVisibleInAllFlavors(t *testing.T) {
 				t.Fatalf("%s: k-NN returned deleted %d", state, victim)
 			}
 		}
-		dtw, _, err := ix.SearchDTW(q, 4, 0)
+		dtw, _, err := First(ix.Query(Query{Kind: DTW, Series: q, Warp: 4, Scope: FullScope}))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if want := ucr.ScanLiveDTW(mirror, q, 4, 0, dead); dtw != core.Result(want) {
 			t.Fatalf("%s: DTW %+v, want %+v", state, dtw, want)
 		}
-		approx, err := ix.SearchApproximate(q)
+		approx, _, err := First(ix.Query(Query{Kind: Approx, Series: q, Scope: FullScope}))
 		if err != nil {
 			t.Fatal(err)
 		}

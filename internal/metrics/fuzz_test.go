@@ -26,8 +26,7 @@ func FuzzParse(f *testing.F) {
 	r := NewRegistry()
 	h := NewHistogram(Opts{Name: "seed_seconds", Help: "Seed."}, LatencyBuckets)
 	h.Observe(0.002)
-	c := NewCounter(Opts{Name: "seed_total", Labels: []Label{{Key: "shard", Value: "0"}}})
-	c.Inc()
+	c := NewCounterFunc(Opts{Name: "seed_total", Labels: []Label{{Key: "shard", Value: "0"}}}, func() float64 { return 1 })
 	r.MustRegister(h, c)
 	seeds = append(seeds, r.Text())
 

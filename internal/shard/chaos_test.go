@@ -561,7 +561,7 @@ func TestColdFaultOnCallerIsContained(t *testing.T) {
 	for i := 0; i < queries.Len(); i++ {
 		q := queries.At(i)
 		want := ucr.Scan(coll, q)
-		if _, err := s.SearchApproximate(q); err != nil {
+		if _, _, err := messi.First(s.Query(messi.Query{Kind: messi.Approx, Series: q, Scope: messi.FullScope})); err != nil {
 			t.Fatal(err)
 		}
 		failed := s.Health().FailedSearches

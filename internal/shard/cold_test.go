@@ -58,11 +58,11 @@ func TestColdStorageMatchesHot(t *testing.T) {
 					t.Fatalf("query %d: cold (#%d, %v) != hot (#%d, %v)",
 						i, got.Pos, got.Dist, want.Pos, want.Dist)
 				}
-				gotK, _, err := s.SearchKNN(q, 5, 0)
+				gotK, _, err := s.Query(messi.Query{Kind: messi.KNN, Series: q, K: 5, Scope: messi.FullScope})
 				if err != nil {
 					t.Fatal(err)
 				}
-				wantK, _, err := hot.SearchKNN(q, 5, 0)
+				wantK, _, err := hot.Query(messi.Query{Kind: messi.KNN, Series: q, K: 5, Scope: messi.FullScope})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -71,11 +71,11 @@ func TestColdStorageMatchesHot(t *testing.T) {
 						t.Fatalf("query %d rank %d: cold %+v != hot %+v", i, r, gotK[r], wantK[r])
 					}
 				}
-				gotD, _, err := s.SearchDTW(q, 4, 0)
+				gotD, _, err := messi.First(s.Query(messi.Query{Kind: messi.DTW, Series: q, Warp: 4, Scope: messi.FullScope}))
 				if err != nil {
 					t.Fatal(err)
 				}
-				wantD, _, err := hot.SearchDTW(q, 4, 0)
+				wantD, _, err := messi.First(hot.Query(messi.Query{Kind: messi.DTW, Series: q, Warp: 4, Scope: messi.FullScope}))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -461,23 +461,23 @@ func sameAnswers(t *testing.T, stage string, hot, cold *Sharded, queries *series
 		if got != want {
 			t.Fatalf("%s: 1-NN query %d: cold %+v != hot %+v", stage, i, got, want)
 		}
-		wantK, _, _ := hot.SearchKNN(q, 5, 0)
-		gotK, _, err := cold.SearchKNN(q, 5, 0)
+		wantK, _, _ := hot.Query(messi.Query{Kind: messi.KNN, Series: q, K: 5, Scope: messi.FullScope})
+		gotK, _, err := cold.Query(messi.Query{Kind: messi.KNN, Series: q, K: 5, Scope: messi.FullScope})
 		if err != nil || !slices.Equal(gotK, wantK) {
 			t.Fatalf("%s: k-NN query %d: cold %+v (%v) != hot %+v", stage, i, gotK, err, wantK)
 		}
-		wantD, _, _ := hot.SearchDTW(q, 4, 0)
-		gotD, _, err := cold.SearchDTW(q, 4, 0)
+		wantD, _, _ := messi.First(hot.Query(messi.Query{Kind: messi.DTW, Series: q, Warp: 4, Scope: messi.FullScope}))
+		gotD, _, err := messi.First(cold.Query(messi.Query{Kind: messi.DTW, Series: q, Warp: 4, Scope: messi.FullScope}))
 		if err != nil || gotD != wantD {
 			t.Fatalf("%s: DTW query %d: cold %+v (%v) != hot %+v", stage, i, gotD, err, wantD)
 		}
-		wantW, _, _ := hot.SearchWindow(q, 300, 0)
-		gotW, _, err := cold.SearchWindow(q, 300, 0)
+		wantW, _, _ := messi.First(hot.Query(messi.Query{Kind: messi.NN, Series: q, LastN: 300, Scope: messi.FullScope}))
+		gotW, _, err := messi.First(cold.Query(messi.Query{Kind: messi.NN, Series: q, LastN: 300, Scope: messi.FullScope}))
 		if err != nil || gotW != wantW {
 			t.Fatalf("%s: window query %d: cold %+v (%v) != hot %+v", stage, i, gotW, err, wantW)
 		}
-		wantA, _ := hot.SearchApproximate(q)
-		gotA, err := cold.SearchApproximate(q)
+		wantA, _, _ := messi.First(hot.Query(messi.Query{Kind: messi.Approx, Series: q, Scope: messi.FullScope}))
+		gotA, _, err := messi.First(cold.Query(messi.Query{Kind: messi.Approx, Series: q, Scope: messi.FullScope}))
 		if err != nil || gotA != wantA {
 			t.Fatalf("%s: approximate query %d: cold %+v (%v) != hot %+v", stage, i, gotA, err, wantA)
 		}

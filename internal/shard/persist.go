@@ -143,7 +143,7 @@ func Decode(data []byte, coll *series.Collection, opt Options) (*Sharded, error)
 		sh, err := messi.Decode(blob, views[si], s.shardOptions(si))
 		if err != nil {
 			s.abort()
-			return nil, fmt.Errorf("shard: decoding shard %d: %w", si, err)
+			return nil, fmt.Errorf("shard: decoding shard %d: %w", si, s.globalErr(si, err))
 		}
 		s.shards[si] = sh
 		if want := views[si].Len() + routed[si]; sh.Count() != want {
@@ -184,7 +184,7 @@ func decodeLegacy(data []byte, coll *series.Collection, opt Options, wantShards 
 	sh, err := messi.Decode(data, views[0], s.shardOptions(0))
 	if err != nil {
 		s.abort()
-		return nil, err
+		return nil, s.globalErr(0, err)
 	}
 	s.shards[0] = sh
 	routes := make([]byte, sh.Count()-coll.Len())

@@ -35,12 +35,18 @@
 //
 // Routing is pluggable (Policy): round-robin by arrival order, or
 // content-hashing so identical series co-locate. Persistence wraps the
-// per-shard DSI1/DSL1 blobs in a DSS1 manifest (persist.go); plain
+// per-shard DSI1/DSL1/DST1 blobs in a DSS1 manifest (persist.go); plain
 // single-index files load as a 1-shard instance.
+//
+// This layer is the one backend under the public API: a dsidx.MESSI is a
+// one-shard Sharded. A scatter runs one shard's sub-search on the calling
+// goroutine, so a one-shard query starts no goroutine and does the work its
+// one tree's own Query would.
 package shard
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"sort"
@@ -53,6 +59,7 @@ import (
 	"dsidx/internal/metrics"
 	"dsidx/internal/series"
 	"dsidx/internal/storage"
+	"dsidx/internal/xsync"
 )
 
 // MaxShards bounds the shard count: shard ids persist as one byte per
@@ -203,16 +210,26 @@ type Sharded struct {
 // Nothing is copied: each shard's messi index reads its series straight
 // out of the caller's collection through the view, so a sharded index
 // holds the base raw data exactly once — the same single-residency
-// guarantee an unsharded index gives (TestViewBuildHoldsBaseOnce).
-func splitBase(coll *series.Collection, policy Policy, n int) (views []*series.View, baseMap [][]int32) {
+// guarantee an unsharded index gives (TestViewBuildHoldsBaseOnce). One
+// shard's map is the identity, so its view is the collection itself: a
+// build materializes leaves in tree order, and reading through a view would
+// add a map lookup — a cache miss, at random positions — per series.
+func splitBase(coll *series.Collection, policy Policy, n int) (views []series.Reader, baseMap [][]int32) {
 	baseMap = make([][]int32, n)
+	for si := range baseMap {
+		baseMap[si] = make([]int32, 0, coll.Len()/n+1)
+	}
 	for i := 0; i < coll.Len(); i++ {
 		si := policy.Route(i, coll.At(i), n)
 		baseMap[si] = append(baseMap[si], int32(i))
 	}
-	views = make([]*series.View, n)
+	views = make([]series.Reader, n)
 	for si := range views {
-		views[si] = series.NewView(coll, baseMap[si])
+		if n == 1 {
+			views[si] = coll
+		} else {
+			views[si] = series.NewView(coll, baseMap[si])
+		}
 	}
 	return views, baseMap
 }
@@ -223,7 +240,7 @@ func splitBase(coll *series.Collection, policy Policy, n int) (views []*series.V
 // structures. Every view reads the in-RAM collection, cold shards included
 // — the device is staged from the finished trees. The caller fills
 // s.shards (one per view) and then calls finish.
-func newShell(coll *series.Collection, opt Options) (*Sharded, []*series.View) {
+func newShell(coll *series.Collection, opt Options) (*Sharded, []series.Reader) {
 	views, baseMap := splitBase(coll, opt.Policy, opt.Shards)
 	s := &Sharded{
 		opt:       opt,
@@ -317,6 +334,11 @@ func (s *Sharded) finish() error {
 			return am.At(int(p) - len(bm))[0]
 		}
 	}
+	if s.n == 1 {
+		// One shard's local positions are the global ones, appends
+		// included: skip the lookup, a cache miss per scored entry.
+		s.mappers[0] = func(p int32) int32 { return p }
+	}
 	if s.cold != nil {
 		if err := s.stageCold(); err != nil {
 			return err
@@ -349,7 +371,7 @@ func Build(coll *series.Collection, cfg core.Config, opt Options) (*Sharded, err
 		s.shards[si], err = messi.Build(views[si], cfg, s.shardOptions(si))
 		if err != nil {
 			s.abort()
-			return nil, err
+			return nil, s.globalErr(si, err)
 		}
 	}
 	if err := s.finish(); err != nil {
@@ -357,6 +379,16 @@ func Build(coll *series.Collection, cfg core.Config, opt Options) (*Sharded, err
 		return nil, err
 	}
 	return s, nil
+}
+
+// globalErr restates a shard's refusal of a non-finite base series at that
+// series' position in the caller's collection; other errors pass through.
+func (s *Sharded) globalErr(si int, err error) error {
+	var nf *messi.NonFiniteError
+	if errors.As(err, &nf) {
+		return fmt.Errorf("shard: series %d of the collection holds a NaN or an infinity", s.baseMap[si][nf.Pos])
+	}
+	return err
 }
 
 // Close releases every shard's reference to the shared worker pool; the
@@ -427,9 +459,11 @@ func (s *Sharded) view() (cuts []int32, observed int) {
 // scatter runs fn for every shard concurrently, under that shard's slice of
 // the query's scope (each call coordinates its shard's search, whose tasks
 // run on the shared pool), and merges the per-shard work stats into stats.
-// The logical query is counted once here; the per-shard sub-searches
-// register only as active executors, so the engine's Queries counter reads
-// in logical QPS at any shard count.
+// The last available shard's call runs on the calling goroutine and every
+// other on a goroutine of its own, so a one-shard query starts none and N
+// shards start N−1. The logical query is counted once here; the per-shard
+// sub-searches register only as active executors, so the engine's Queries
+// counter reads in logical QPS at any shard count.
 //
 // Fault handling: quarantined shards are skipped up front, and a shard
 // that fails mid-query with a storage-classified error (a contained
@@ -441,22 +475,23 @@ func (s *Sharded) view() (cuts []int32, observed int) {
 // query as-is.
 func (s *Sharded) scatter(scope messi.Scope, cuts []int32, stats *messi.QueryStats, fn func(si int, scope messi.Scope) (*messi.QueryStats, error)) error {
 	s.eng.CountQuery(scope.Tenant)
-	sts := make([]*messi.QueryStats, s.n)
-	errs := make([]error, s.n)
-	skipped := make([]bool, s.n)
+	type outcome struct {
+		st      *messi.QueryStats
+		err     error
+		skipped bool
+	}
+	out := make([]outcome, s.n)
 	var wg, seeded sync.WaitGroup
-	for si := 0; si < s.n; si++ {
-		if skipped[si] = !s.available(si); !skipped[si] {
-			wg.Add(1)
+	last := -1 // the shard the caller runs
+	for si := range out {
+		if out[si].skipped = !s.available(si); !out[si].skipped {
+			last = si
 			if s.cold != nil {
 				seeded.Add(1)
 			}
 		}
 	}
-	for si := 0; si < s.n; si++ {
-		if skipped[si] {
-			continue
-		}
+	run := func(si int) {
 		sub := s.shardScope(scope, cuts, si)
 		arrive := func() {}
 		if s.cold != nil {
@@ -464,33 +499,43 @@ func (s *Sharded) scatter(scope messi.Scope, cuts []int32, stats *messi.QuerySta
 			// seeded the shared threshold from its approximate phase:
 			// whichever holds the near neighbour tightens it first, and the
 			// others prune against that instead of paying device reads for
-			// candidates it excludes. The sub-searches run on goroutines of
-			// their own, not on pool workers, so waiting here holds up no
-			// one's tasks; a sub-search that returns without seeding (a
-			// fault, nothing visible) arrives on its way out.
+			// candidates it excludes. Every sibling of the caller's shard
+			// runs on a goroutine started before it, and none of them on a
+			// pool worker, so waiting here holds up no one's tasks; a
+			// sub-search that returns without seeding (a fault, nothing
+			// visible) arrives on its way out.
 			arrive = sync.OnceFunc(seeded.Done)
 			sub.Seeded = func() { arrive(); seeded.Wait() }
 		}
-		go func(si int) {
-			defer wg.Done()
-			defer arrive()
-			sts[si], errs[si] = fn(si, sub)
-		}(si)
+		defer arrive()
+		out[si].st, out[si].err = fn(si, sub)
+	}
+	for si := 0; si < last; si++ {
+		if !out[si].skipped {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				run(si)
+			}()
+		}
+	}
+	if last >= 0 {
+		run(last)
 	}
 	wg.Wait()
 	var skippedIDs, failedIDs []int
 	var cause error
-	for si := 0; si < s.n; si++ {
+	for si, o := range out {
 		switch {
-		case skipped[si]:
+		case o.skipped:
 			skippedIDs = append(skippedIDs, si)
-		case errs[si] != nil:
-			if !s.noteShardError(si, errs[si]) {
-				return errs[si]
+		case o.err != nil:
+			if !s.noteShardError(si, o.err) {
+				return o.err
 			}
 			failedIDs = append(failedIDs, si)
 			if cause == nil {
-				cause = errs[si]
+				cause = o.err
 			}
 		default:
 			s.noteShardSuccess(si)
@@ -505,15 +550,15 @@ func (s *Sharded) scatter(scope messi.Scope, cuts []int32, stats *messi.QuerySta
 		}
 		stats.UncoveredShards = miss
 	}
-	for _, st := range sts {
-		if st == nil {
+	for _, o := range out {
+		if o.st == nil {
 			continue
 		}
-		stats.ProbeLeaves += st.ProbeLeaves
-		stats.LeavesInserted += st.LeavesInserted
-		stats.LeavesPopped += st.LeavesPopped
-		stats.EntriesChecked += st.EntriesChecked
-		stats.RawDistances += st.RawDistances
+		stats.ProbeLeaves += o.st.ProbeLeaves
+		stats.LeavesInserted += o.st.LeavesInserted
+		stats.LeavesPopped += o.st.LeavesPopped
+		stats.EntriesChecked += o.st.EntriesChecked
+		stats.RawDistances += o.st.RawDistances
 	}
 	return nil
 }
@@ -584,14 +629,9 @@ func (s *Sharded) SearchScoped(q series.Series, workers int, scope messi.Scope) 
 	return messi.First(s.Query(messi.Query{Kind: messi.NN, Series: q, Workers: workers, Scope: scope}))
 }
 
-// SearchWindow answers an exact 1-NN query over the most recent n landed
-// series across all shards — a contiguous range of global positions no
-// matter how appends were routed.
-func (s *Sharded) SearchWindow(q series.Series, n, workers int) (core.Result, *messi.QueryStats, error) {
-	return s.SearchWindowTenant(q, n, workers, "")
-}
-
-// SearchWindowTenant is SearchWindow under a tenant identity.
+// SearchWindowTenant answers an exact 1-NN query over the most recent n
+// landed series across all shards — a contiguous range of global positions
+// no matter how appends were routed — under a tenant identity.
 func (s *Sharded) SearchWindowTenant(q series.Series, n, workers int, tenant string) (core.Result, *messi.QueryStats, error) {
 	if n <= 0 {
 		return core.NoResult(), nil, fmt.Errorf("shard: window size %d, want > 0", n)
@@ -599,54 +639,65 @@ func (s *Sharded) SearchWindowTenant(q series.Series, n, workers int, tenant str
 	return messi.First(s.Query(messi.Query{Kind: messi.NN, Series: q, LastN: n, Workers: workers, Scope: messi.Scope{AppendCut: -1, Tenant: tenant}}))
 }
 
-// SearchKNN answers an exact k-NN query with one k-best set shared by every
-// shard.
-func (s *Sharded) SearchKNN(q series.Series, k, workers int) ([]core.Result, *messi.QueryStats, error) {
-	return s.SearchKNNScoped(q, k, workers, messi.FullScope)
-}
-
-// SearchKNNScoped is SearchKNN under an explicit scope (see Query).
+// SearchKNNScoped answers an exact k-NN query, with one k-best set shared
+// by every shard, under an explicit scope (see Query).
 func (s *Sharded) SearchKNNScoped(q series.Series, k, workers int, scope messi.Scope) ([]core.Result, *messi.QueryStats, error) {
 	return s.Query(messi.Query{Kind: messi.KNN, Series: q, K: k, Workers: workers, Scope: scope})
 }
 
-// SearchDTW answers an exact 1-NN DTW query (Sakoe-Chiba half-width
-// window) over every shard.
-func (s *Sharded) SearchDTW(q series.Series, window, workers int) (core.Result, *messi.QueryStats, error) {
-	return s.SearchDTWScoped(q, window, workers, messi.FullScope)
-}
-
-// SearchDTWScoped is SearchDTW under an explicit scope (see Query).
+// SearchDTWScoped answers an exact 1-NN DTW query (Sakoe-Chiba half-width
+// window) over every shard, under an explicit scope (see Query).
 func (s *Sharded) SearchDTWScoped(q series.Series, window, workers int, scope messi.Scope) (core.Result, *messi.QueryStats, error) {
 	return messi.First(s.Query(messi.Query{Kind: messi.DTW, Series: q, Warp: window, Workers: workers, Scope: scope}))
 }
 
-// SearchApproximate returns the best answer among every shard's
-// approximate probe; its distance upper-bounds the exact answer's.
-func (s *Sharded) SearchApproximate(q series.Series) (core.Result, error) {
-	return s.SearchApproximateScoped(q, messi.FullScope)
-}
-
-// SearchApproximateScoped is SearchApproximate under an explicit scope (see
-// Query).
+// SearchApproximateScoped returns the best answer among every shard's
+// approximate probe, under an explicit scope (see Query); its distance
+// upper-bounds the exact answer's.
 func (s *Sharded) SearchApproximateScoped(q series.Series, scope messi.Scope) (core.Result, error) {
 	r, _, err := messi.First(s.Query(messi.Query{Kind: messi.Approx, Series: q, Scope: scope}))
 	return r, err
 }
 
 // BatchSearchStats answers many exact 1-NN queries concurrently under the
-// shared pool's admission control; one admission slot covers one query's
-// whole cross-shard scatter.
+// shared pool's admission control: at most MaxInFlight goroutines claim
+// queries with Fetch&Inc, each holding an admission slot — which covers
+// one query's whole cross-shard scatter — for the duration of its search.
+// results[i] and stats[i] answer qs[i]; the first query error (if any) is
+// returned after all queries finish.
 func (s *Sharded) BatchSearchStats(qs []series.Series) ([]core.Result, []messi.QueryStats, error) {
-	return messi.RunBatch(s.eng, qs, func(q series.Series) (core.Result, *messi.QueryStats, error) {
-		return s.Search(q, 0)
-	})
-}
-
-// BatchSearch is BatchSearchStats without the per-query stats.
-func (s *Sharded) BatchSearch(qs []series.Series) ([]core.Result, error) {
-	results, _, err := s.BatchSearchStats(qs)
-	return results, err
+	results := make([]core.Result, len(qs))
+	stats := make([]messi.QueryStats, len(qs))
+	errs := make([]error, len(qs))
+	var next xsync.Counter
+	var wg sync.WaitGroup
+	for range min(len(qs), s.eng.MaxInFlight()) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Next())
+				if i >= len(qs) {
+					return
+				}
+				// Admission fails only when its context is done, and this one never is.
+				release, _ := s.eng.Admit(context.TODO(), "")
+				var st *messi.QueryStats
+				results[i], st, errs[i] = s.Search(qs[i], 0)
+				if st != nil {
+					stats[i] = *st
+				}
+				release()
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return results, stats, err
+		}
+	}
+	return results, stats, nil
 }
 
 // Append routes one series to its shard and returns its global position.
@@ -767,21 +818,28 @@ func (s *Sharded) Delete(pos int) (bool, error) {
 
 // DeleteRange tombstones every series in the global position range
 // [lo, hi), returning how many this call newly deleted. The range must lie
-// within [0, Count()].
+// within [0, Count()]. A shard's local positions ascend with the global
+// ones they map to — its base positions in collection order, then its
+// appends in arrival order, after every base position — so the ones inside
+// [lo, hi) are one local run, and each shard that holds any publishes one
+// tombstone set for the whole call.
 func (s *Sharded) DeleteRange(lo, hi int) (int, error) {
-	total := s.Count()
+	cuts, total := s.view()
 	if lo < 0 || hi < lo || hi > total {
 		return 0, fmt.Errorf("shard: delete range [%d, %d) outside [0, %d]", lo, hi, total)
 	}
 	deleted := 0
-	for pos := lo; pos < hi; pos++ {
-		si, local := s.locate(pos)
-		ok, err := s.shards[si].Delete(local)
+	for si, mp := range s.mappers {
+		n := len(s.baseMap[si]) + int(cuts[si])
+		a := sort.Search(n, func(j int) bool { return int(mp(int32(j))) >= lo })
+		b := a + sort.Search(n-a, func(j int) bool { return int(mp(int32(a+j))) >= hi })
+		if a == b {
+			continue
+		}
+		k, err := s.shards[si].DeleteRange(a, b)
+		deleted += k
 		if err != nil {
 			return deleted, err
-		}
-		if ok {
-			deleted++
 		}
 	}
 	return deleted, nil

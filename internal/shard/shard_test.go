@@ -1,12 +1,15 @@
 package shard
 
 import (
+	"bytes"
 	"cmp"
 	"context"
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -67,7 +70,7 @@ func TestShardedMatchesSerialAcrossShardCountsAndPolicies(t *testing.T) {
 					t.Fatalf("%s/%d query %d: (#%d, %v) != serial (#%d, %v)",
 						policy.Name(), n, i, got.Pos, got.Dist, want.Pos, want.Dist)
 				}
-				gotK, _, err := s.SearchKNN(q, 5, 0)
+				gotK, _, err := s.Query(messi.Query{Kind: messi.KNN, Series: q, K: 5, Scope: messi.FullScope})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -82,7 +85,7 @@ func TestShardedMatchesSerialAcrossShardCountsAndPolicies(t *testing.T) {
 							policy.Name(), n, i, r, gotK[r].Pos, gotK[r].Dist, wantK[r].Pos, wantK[r].Dist)
 					}
 				}
-				gotD, _, err := s.SearchDTW(q, 4, 0)
+				gotD, _, err := messi.First(s.Query(messi.Query{Kind: messi.DTW, Series: q, Warp: 4, Scope: messi.FullScope}))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -128,7 +131,7 @@ func TestShardedSharedPoolServesAllShards(t *testing.T) {
 	// every series refines every leaf, so at two workers each shard's caller
 	// takes a helper, and it must come from the one pool (a worker books a
 	// task just after releasing its group, so wait for the count).
-	if _, _, err := s.SearchKNN(qs[0], coll.Len(), 2); err != nil {
+	if _, _, err := s.Query(messi.Query{Kind: messi.KNN, Series: qs[0], K: coll.Len(), Workers: 2, Scope: messi.FullScope}); err != nil {
 		t.Fatal(err)
 	}
 	for deadline := time.Now().Add(time.Second); s.EngineStats().Tasks == 0 && time.Now().Before(deadline); {
@@ -448,7 +451,7 @@ func TestShardedEmptyAndErrorPaths(t *testing.T) {
 	if _, err := s.AppendBatch([]series.Series{q, make(series.Series, 1)}); err == nil {
 		t.Fatal("wrong-length batch accepted")
 	}
-	if k, _, err := s.SearchKNN(q, 0, 0); err != nil || k != nil {
+	if k, _, err := s.Query(messi.Query{Kind: messi.KNN, Series: q, K: 0, Scope: messi.FullScope}); err != nil || k != nil {
 		t.Fatalf("k=0 returned (%v, %v)", k, err)
 	}
 
@@ -481,7 +484,7 @@ func TestShardedApproximateUpperBounds(t *testing.T) {
 	s := buildSharded(t, coll, 4, HashSeries{})
 	for i := 0; i < queries.Len(); i++ {
 		q := queries.At(i)
-		approx, err := s.SearchApproximate(q)
+		approx, _, err := messi.First(s.Query(messi.Query{Kind: messi.Approx, Series: q, Scope: messi.FullScope}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -516,7 +519,7 @@ func TestShardedAdmissionAndBatchSearch(t *testing.T) {
 	}
 	qs := []series.Series{coll.At(0), coll.At(7), coll.At(123)}
 	want := []int32{0, 7, 123}
-	rs, err := s.BatchSearch(qs)
+	rs, _, err := s.BatchSearchStats(qs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -534,7 +537,8 @@ func TestShardedAdmissionAndBatchSearch(t *testing.T) {
 // position — what the serial scan reports — and a k-NN answer ranks the pair
 // by position and, when the k-th place falls between them, keeps the lower:
 // on hot and cold placements, one shard or four (42 and 301 then sit on
-// different shards), one worker or two.
+// different shards), one worker or two. The DTW tie holds even when the
+// higher copy is already the threshold before the lower one is refined.
 func TestDuplicateSeriesAnswerLowestPosition(t *testing.T) {
 	g := gen.Generator{Kind: gen.Synthetic, Length: testLen, Seed: 61}
 	coll := g.Collection(400)
@@ -575,17 +579,118 @@ func TestDuplicateSeriesAnswerLowestPosition(t *testing.T) {
 					if wantDTW.Pos != 42 {
 						t.Fatalf("query %d: serial DTW scan answers #%d, want #42", i, wantDTW.Pos)
 					}
-					if got, _, err := s.SearchDTW(q, window, 0); err != nil || got != wantDTW {
+					if got, _, err := messi.First(s.Query(messi.Query{Kind: messi.DTW, Series: q, Warp: window, Scope: messi.FullScope})); err != nil || got != wantDTW {
 						t.Fatalf("%s: DTW %+v (%v) != serial %+v", at, got, err, wantDTW)
+					}
+					// At warp 0 LB_Keogh equals DTW bit for bit. With the
+					// higher copy already in the sink at the exact distance,
+					// as a sibling shard would leave it, the lower copy's
+					// bound ties the threshold: it must still pay its DTW and
+					// win the tie.
+					tie := messi.Query{Kind: messi.DTW, Series: q, Scope: messi.FullScope}
+					sink := messi.NewSink(tie)
+					d := series.DTW(q, coll.At(301), 0, math.Inf(1))
+					sink.Best.Update(d, 301)
+					si, _ := s.locate(42)
+					if _, err := s.Shard(si).Run(tie, &sink, s.mappers[si]); err != nil {
+						t.Fatal(err)
+					}
+					if r := sink.Results()[0]; r.Pos != 42 || r.Dist != d {
+						t.Fatalf("%s: warp-0 DTW behind the higher copy answered (#%d, %v), want (#42, %v)", at, r.Pos, r.Dist, d)
 					}
 					order := ranked(q)
 					for k := 1; k <= 3; k++ {
-						if got, _, err := s.SearchKNN(q, k, 0); err != nil || !slices.Equal(got, order[:k]) {
+						if got, _, err := s.Query(messi.Query{Kind: messi.KNN, Series: q, K: k, Scope: messi.FullScope}); err != nil || !slices.Equal(got, order[:k]) {
 							t.Fatalf("%s: %d-NN %+v (%v) != serial %+v", at, k, got, err, order[:k])
 						}
 					}
 				}
 			}
 		}
+	}
+}
+
+// goid is the calling goroutine's id, from its stack header ("goroutine N
+// [running]:").
+func goid() string {
+	buf := make([]byte, 64)
+	return string(bytes.Fields(buf[:runtime.Stack(buf, false)])[1])
+}
+
+// TestScatterRunsOneShardOnTheCaller: a scatter runs the last serving
+// shard's sub-search on the calling goroutine and every other on a
+// goroutine of its own, hot or cold, so a one-shard query starts no
+// goroutine — a MESSI pays what its one tree does — and N shards start
+// N−1. Over a device the caller's shard still waits at the seeding gate
+// for its siblings.
+func TestScatterRunsOneShardOnTheCaller(t *testing.T) {
+	g := gen.Generator{Kind: gen.Synthetic, Length: testLen, Seed: 49}
+	coll := g.Collection(400)
+	for name, cs := range map[string]*ColdStorage{"hot": nil, "cold": coldOptions(nil)} {
+		for _, shards := range []int{1, 4} {
+			s, err := Build(coll, testConfig(), Options{Shards: shards, ColdStorage: cs})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(s.Close)
+			caller := goid()
+			var mu sync.Mutex
+			ran := map[string][]int{}
+			cuts, _ := s.view()
+			if err := s.scatter(messi.FullScope, cuts, &messi.QueryStats{}, func(si int, scope messi.Scope) (*messi.QueryStats, error) {
+				if scope.Seeded != nil {
+					scope.Seeded()
+				}
+				mu.Lock()
+				ran[goid()] = append(ran[goid()], si)
+				mu.Unlock()
+				return &messi.QueryStats{}, nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if len(ran) != shards || !slices.Equal(ran[caller], []int{shards - 1}) {
+				t.Errorf("%s, %d shards: sub-searches ran on goroutines %v, the caller %s running %v; want the last shard on the caller and one goroutine per other shard",
+					name, shards, ran, caller, ran[caller])
+			}
+		}
+	}
+}
+
+// TestDeleteRangePublishesOncePerShard: a shard's positions inside a global
+// range are one run of its local positions, so DeleteRange publishes one
+// copy-on-write tombstone set per shard, not one per position. A 64-position
+// delete across the base and the appends of four shards allocates no more
+// than four one-position deletes on one shard do, and tombstones exactly
+// those 64 positions.
+func TestDeleteRangePublishesOncePerShard(t *testing.T) {
+	g := gen.Generator{Kind: gen.Synthetic, Length: testLen, Seed: 53}
+	coll := g.Collection(1000)
+	s := buildSharded(t, coll, 4, RoundRobin{})
+	extra := g.Collection(40)
+	for i := 0; i < extra.Len(); i++ {
+		if _, err := s.Append(extra.At(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lo, hi := coll.Len()-32, coll.Len()+32
+	n, err := s.DeleteRange(lo, hi)
+	if err != nil || n != hi-lo || s.Tombstoned() != hi-lo {
+		t.Fatalf("DeleteRange(%d, %d) = %d (%v), %d tombstoned; want %d", lo, hi, n, err, s.Tombstoned(), hi-lo)
+	}
+	for pos := lo; pos < hi; pos++ {
+		if newly, err := s.Delete(pos); err != nil || newly {
+			t.Fatalf("position %d: not tombstoned by the range (%v)", pos, err)
+		}
+	}
+	for _, pos := range []int{lo - 1, hi} {
+		if newly, err := s.Delete(pos); err != nil || !newly {
+			t.Fatalf("position %d, outside the range: tombstoned by it (%v)", pos, err)
+		}
+	}
+	one := testing.AllocsPerRun(8, func() { s.shards[0].DeleteRange(0, 1) })
+	got := testing.AllocsPerRun(8, func() { s.DeleteRange(lo, hi) })
+	t.Logf("allocations: %v per one-position delete on one shard, %v per 64-position DeleteRange", one, got)
+	if got > float64(s.Shards())*one {
+		t.Errorf("a 64-position DeleteRange over %d shards allocates %v times, one shard's one-position delete %v", s.Shards(), got, one)
 	}
 }

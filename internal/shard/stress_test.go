@@ -121,14 +121,14 @@ func TestShardedIngestRaceStress(t *testing.T) {
 					}
 					recs = append(recs, stressRecord{kind: 0, qi: qi, observed: st.Observed, nn: got})
 				case 1:
-					got, st, err := s.SearchKNN(q, stressKNNK, 0)
+					got, st, err := s.Query(messi.Query{Kind: messi.KNN, Series: q, K: stressKNNK, Scope: messi.FullScope})
 					if err != nil {
 						t.Error(err)
 						return
 					}
 					recs = append(recs, stressRecord{kind: 1, qi: qi, observed: st.Observed, knn: got})
 				case 2:
-					got, st, err := s.SearchDTW(q, stressWindow, 0)
+					got, st, err := messi.First(s.Query(messi.Query{Kind: messi.DTW, Series: q, Warp: stressWindow, Scope: messi.FullScope}))
 					if err != nil {
 						t.Error(err)
 						return

@@ -72,7 +72,7 @@ func TestDeletedNearestNeverInKNN(t *testing.T) {
 					t.Helper()
 					for qi := 0; qi < queries.Len(); qi++ {
 						q := queries.At(qi)
-						got, _, err := s.SearchKNN(q, k, 0)
+						got, _, err := s.Query(messi.Query{Kind: messi.KNN, Series: q, K: k, Scope: messi.FullScope})
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -120,7 +120,7 @@ func TestDeleteMidKNNStableUnderCompact(t *testing.T) {
 	s := buildSharded(t, coll, 3, RoundRobin{})
 	q := g.PerturbedQueries(coll, 1, 0.02).At(0)
 
-	before, _, err := s.SearchKNN(q, 5, 0)
+	before, _, err := s.Query(messi.Query{Kind: messi.KNN, Series: q, K: 5, Scope: messi.FullScope})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestDeleteMidKNNStableUnderCompact(t *testing.T) {
 		t.Fatal(err)
 	}
 	for pass := 0; pass < 2; pass++ {
-		after, _, err := s.SearchKNN(q, 5, 0)
+		after, _, err := s.Query(messi.Query{Kind: messi.KNN, Series: q, K: 5, Scope: messi.FullScope})
 		if err != nil {
 			t.Fatal(err)
 		}

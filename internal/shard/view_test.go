@@ -66,11 +66,11 @@ func assertSameAnswers(t *testing.T, view, copied *Sharded, queries *series.Coll
 			t.Fatalf("query %d: view 1-NN (#%d, %v) != copy 1-NN (#%d, %v)",
 				i, vr.Pos, vr.Dist, cr.Pos, cr.Dist)
 		}
-		vk, _, err := view.SearchKNN(q, 5, 0)
+		vk, _, err := view.Query(messi.Query{Kind: messi.KNN, Series: q, K: 5, Scope: messi.FullScope})
 		if err != nil {
 			t.Fatal(err)
 		}
-		ck, _, err := copied.SearchKNN(q, 5, 0)
+		ck, _, err := copied.Query(messi.Query{Kind: messi.KNN, Series: q, K: 5, Scope: messi.FullScope})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -83,11 +83,11 @@ func assertSameAnswers(t *testing.T, view, copied *Sharded, queries *series.Coll
 					i, r, vk[r].Pos, vk[r].Dist, ck[r].Pos, ck[r].Dist)
 			}
 		}
-		vd, _, err := view.SearchDTW(q, 4, 0)
+		vd, _, err := messi.First(view.Query(messi.Query{Kind: messi.DTW, Series: q, Warp: 4, Scope: messi.FullScope}))
 		if err != nil {
 			t.Fatal(err)
 		}
-		cd, _, err := copied.SearchDTW(q, 4, 0)
+		cd, _, err := messi.First(copied.Query(messi.Query{Kind: messi.DTW, Series: q, Warp: 4, Scope: messi.FullScope}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,11 +95,11 @@ func assertSameAnswers(t *testing.T, view, copied *Sharded, queries *series.Coll
 			t.Fatalf("query %d: view DTW (#%d, %v) != copy DTW (#%d, %v)",
 				i, vd.Pos, vd.Dist, cd.Pos, cd.Dist)
 		}
-		va, err := view.SearchApproximate(q)
+		va, _, err := messi.First(view.Query(messi.Query{Kind: messi.Approx, Series: q, Scope: messi.FullScope}))
 		if err != nil {
 			t.Fatal(err)
 		}
-		ca, err := copied.SearchApproximate(q)
+		ca, _, err := messi.First(copied.Query(messi.Query{Kind: messi.Approx, Series: q, Scope: messi.FullScope}))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -202,36 +202,6 @@ func ScanDTW(coll *series.Collection, q series.Series, window int) Result {
 	return best
 }
 
-// ParallelScanDTW is the multi-core DTW scan with a shared best-so-far.
-func ParallelScanDTW(coll *series.Collection, q series.Series, window, workers int) Result {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	env := series.NewEnvelope(q, window)
-	chunks := xsync.Chunks(coll.Len(), workers)
-	best := xsync.NewBest()
-	var wg sync.WaitGroup
-	for _, ch := range chunks {
-		wg.Add(1)
-		go func(ch xsync.Chunk) {
-			defer wg.Done()
-			for i := ch.Lo; i < ch.Hi; i++ {
-				limit := best.Distance()
-				s := coll.At(i)
-				if lb := series.LBKeogh(env, s, limit); lb >= limit {
-					continue
-				}
-				if d := series.DTW(q, s, window, limit); d < limit {
-					best.Update(d, int64(i))
-				}
-			}
-		}(ch)
-	}
-	wg.Wait()
-	d, p := best.Load()
-	return Result{Pos: int32(p), Dist: d}
-}
-
 // kBest is a fixed-capacity max-heap of the k best results seen so far,
 // ranked by (distance, position): of two exact ties the lower position is
 // the better result, at every k and at the k-th slot too — the rule every

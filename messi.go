@@ -3,6 +3,7 @@ package dsidx
 import (
 	"dsidx/internal/engine"
 	"dsidx/internal/messi"
+	"dsidx/internal/shard"
 )
 
 // MESSI is the parallel in-memory index (paper §III, Figure 3). Queries are
@@ -21,25 +22,25 @@ import (
 // reaches WithMergeThreshold — folds them into the tree without blocking
 // readers. IngestStats exposes the write path's counters; Flush forces a
 // synchronous merge.
+//
+// A MESSI is a Sharded of one shard: the same index, answering on the
+// caller's goroutine as a flat tree does, without the partition options.
 type MESSI struct {
 	index
-	inner *messi.Index
 }
 
 // NewMESSI builds a MESSI index over an in-memory collection.
 func NewMESSI(coll *Collection, opts ...Option) (*MESSI, error) {
 	o := buildOptions(opts)
-	inner, err := messi.Build(coll, o.coreConfig(), o.messiOptions())
+	s, err := shard.Build(coll, o.coreConfig(), shard.Options{Shards: 1, Options: o.messiOptions()})
 	if err != nil {
 		return nil, err
 	}
-	return newMESSI(inner), nil
+	return &MESSI{index{s}}, nil
 }
 
-func newMESSI(inner *messi.Index) *MESSI { return &MESSI{index{inner}, inner} }
-
 // Stats returns the index tree shape.
-func (ix *MESSI) Stats() IndexStats { return statsOf(ix.inner.Tree()) }
+func (ix *MESSI) Stats() IndexStats { return statsOf(ix.s.Shard(0).Tree()) }
 
 // IngestStats is a snapshot of the live-ingestion counters.
 type IngestStats struct {
@@ -185,7 +186,7 @@ type Health struct {
 // Health snapshots the index's failure counters. Safe to call concurrently
 // with queries and appends.
 func (ix *MESSI) Health() Health {
-	h := ix.inner.Health()
+	h := ix.s.Shard(0).Health()
 	return Health{
 		Searches:       h.Searches,
 		FailedSearches: h.FailedSearches,

@@ -22,7 +22,10 @@ type MetricsSource interface {
 	metricsRegistry() *metrics.Registry
 }
 
-func (x *index) metricsRegistry() *metrics.Registry { return x.b.Registry() }
+// A MESSI scrape is its one shard's: the engine and index families with no
+// shard label. A Sharded scrape adds the per-shard and cold-tier families.
+func (ix *MESSI) metricsRegistry() *metrics.Registry  { return ix.s.Shard(0).Registry() }
+func (s *Sharded) metricsRegistry() *metrics.Registry { return s.s.Registry() }
 
 // VectorImpl reports the distance-kernel implementation that will serve
 // the next query: "avx2" on amd64 CPUs where startup feature detection
@@ -118,11 +121,11 @@ func (s *Sharded) Metrics() Metrics {
 	for si := range m.Shards {
 		m.Shards[si] = ShardStats{
 			Shard:      si,
-			BaseSeries: s.inner.ShardBaseLen(si),
-			Appends:    s.inner.ShardAppends(si),
+			BaseSeries: s.s.ShardBaseLen(si),
+			Appends:    s.s.ShardAppends(si),
 		}
 	}
-	cold := s.inner.ColdStats()
+	cold := s.s.ColdStats()
 	m.Cold = ColdTierStats{
 		ColdShards:         cold.ColdShards,
 		CacheHits:          cold.Cache.Hits,

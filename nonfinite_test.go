@@ -3,6 +3,7 @@ package dsidx
 import (
 	"context"
 	"math"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -179,5 +180,60 @@ func TestNonFiniteAppendsRejected(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestNonFiniteBuildInputRejected: a collection whose last series is all
+// NaN used to build, and its k-NN answer then ranked that series first at
+// distance NaN. Every constructor and every open refuses such a collection
+// with an error naming the series' position in it, whichever shard the
+// series is routed to, and a saved index reopens over the repaired
+// collection.
+func TestNonFiniteBuildInputRejected(t *testing.T) {
+	coll := Generate(Synthetic, 51, 64, 23)
+	plain, err := NewMESSI(coll, WithLeafCapacity(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer plain.Close()
+	sharded, err := NewSharded(coll, WithShards(4), WithLeafCapacity(8)) // series 50 on shard 2
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sharded.Close()
+	plainPath, shardedPath := filepath.Join(t.TempDir(), "plain.dsidx"), filepath.Join(t.TempDir(), "sharded.dsidx")
+	if err := plain.Save(plainPath); err != nil {
+		t.Fatal(err)
+	}
+	if err := sharded.Save(shardedPath); err != nil {
+		t.Fatal(err)
+	}
+	good := append(Series(nil), coll.At(50)...)
+	bad := map[string]float32{"NaN": float32(math.NaN()), "+Inf": float32(math.Inf(1)), "-Inf": float32(math.Inf(-1))}
+	for what, v := range bad {
+		nan := append(Series(nil), good...)
+		for i := range nan {
+			nan[i] = v
+		}
+		coll.Set(50, nan)
+		_, errM := NewMESSI(coll, WithLeafCapacity(8))
+		_, errS := NewSharded(coll, WithShards(4), WithLeafCapacity(8))
+		_, errL := LoadMESSI(plainPath, coll)
+		_, errO := OpenSharded(shardedPath, coll)
+		for entry, err := range map[string]error{"NewMESSI": errM, "NewSharded": errS, "LoadMESSI": errL, "OpenSharded": errO} {
+			if err == nil || !strings.Contains(err.Error(), "series 50 ") {
+				t.Errorf("%s over a collection whose series 50 is all %s: error %v, want one naming series 50", entry, what, err)
+			}
+		}
+	}
+	coll.Set(50, good)
+	m, err := LoadMESSI(plainPath, coll)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	ms, err := m.SearchKNN(coll.At(3), 51)
+	if err != nil || len(ms) != 51 || ms[0].Pos != 3 {
+		t.Fatalf("repaired collection: k-NN %+v (%v), want 51 matches led by #3", ms, err)
 	}
 }

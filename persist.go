@@ -7,42 +7,47 @@ import (
 	"os"
 	"path/filepath"
 
-	"dsidx/internal/messi"
 	"dsidx/internal/paris"
+	"dsidx/internal/shard"
 	"dsidx/internal/storage"
 )
 
 // Index persistence: a built index can be saved to a file and reopened
 // without rebuilding. The index file stores the tree and the summaries,
 // not the build-time raw series — reopening requires the same collection
-// (MESSI) or the same DiskCollection (ParIS) the index was built over.
-// Live appends are the exception: a MESSI index's appended series exist
-// nowhere but in the index, so Save includes them — raw values, on-arrival
-// summaries, and the merged/pending split — and LoadMESSI restores the
-// delta buffer exactly as it was, no Flush required before saving.
-// Sharded indexes persist the same way through Sharded.Save/OpenSharded
-// (sharded.go): a DSS1 manifest wrapping each shard's file.
+// (MESSI, Sharded) or the same DiskCollection (ParIS) the index was built
+// over. Live appends are the exception: appended series exist nowhere but
+// in the index, so Save includes them — raw values, on-arrival summaries,
+// and the merged/pending split — and a reopened index restores the delta
+// buffer exactly as it was, no Flush required before saving.
+//
+// MESSI and Sharded write one format: a DSS1 manifest wrapping each shard's
+// own encoding (internal/shard), one shard for a MESSI. LoadMESSI opens
+// every one-shard file, and the single-index files (DSI1, DSL1, DST1) that
+// MESSI.Save wrote before a MESSI was a one-shard Sharded; OpenSharded
+// opens all of them plus the multi-shard manifests.
 
 // Save writes the index to path, including its live-append store (both
-// merged and still-pending series); a Sharded index writes a DSS1 manifest
-// wrapping every shard's own encoding.
+// merged and still-pending series), as a DSS1 manifest wrapping every
+// shard's own encoding.
 func (x *index) Save(path string) error {
-	return writeFileAtomic(path, x.b.Encode())
+	return writeFileAtomic(path, x.s.Encode())
 }
 
 // LoadMESSI reopens a saved MESSI index over the collection it was built
 // from. The collection's shape is validated against the index; appended
-// series are restored from the file itself.
+// series are restored from the file itself. A file holding more than one
+// shard is refused: OpenSharded opens it.
 func LoadMESSI(path string, coll *Collection, opts ...Option) (*MESSI, error) {
 	data, err := readIndexFile(path)
 	if err != nil {
 		return nil, err
 	}
-	inner, err := messi.Decode(data, coll, buildOptions(opts).messiOptions())
+	s, err := shard.Decode(data, coll, shard.Options{Shards: 1, Options: buildOptions(opts).messiOptions()})
 	if err != nil {
 		return nil, err
 	}
-	return newMESSI(inner), nil
+	return &MESSI{index{s}}, nil
 }
 
 // Save writes the ParIS index to path. The index remains bound to the

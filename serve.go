@@ -77,7 +77,7 @@ type QueryResponse struct {
 // its buffer only absorbs the responses in flight at cancellation, it is
 // not a substitute for reading.
 func (x *index) Serve(ctx context.Context, in <-chan QueryRequest) <-chan QueryResponse {
-	consumers := x.b.MaxInFlight()
+	consumers := x.s.MaxInFlight()
 	// One buffer slot per consumer: a consumer holding a computed (or
 	// error) response at cancellation time can always deposit it and
 	// exit, even if the reader drains the channel only after the fact.
@@ -108,7 +108,7 @@ func (x *index) Serve(ctx context.Context, in <-chan QueryRequest) <-chan QueryR
 						// must not wait behind other traffic for a slot, but
 						// the preempted request still gets its response,
 						// with Err set.
-						release, err := x.b.AdmitTenantContext(ctx, req.Tenant)
+						release, err := x.s.AdmitTenantContext(ctx, req.Tenant)
 						if err != nil {
 							out <- QueryResponse{ID: req.ID, Err: err}
 							return
@@ -164,6 +164,6 @@ func (x *index) run(req QueryRequest, workers int) ([]Match, error) {
 		// An unrecognized kind must not silently run some other search.
 		return nil, fmt.Errorf("dsidx: request %d has unknown QueryKind %d", req.ID, req.Kind)
 	}
-	rs, _, err := x.b.Query(q)
+	rs, _, err := x.s.Query(q)
 	return matchesOf(rs), err
 }

@@ -67,10 +67,7 @@ func WithAllowPartial(enabled bool) Option {
 // Flush, Serve, persistence (Save/OpenSharded) and merged stats.
 type Sharded struct {
 	index
-	inner *shard.Sharded
 }
-
-func newSharded(inner *shard.Sharded) *Sharded { return &Sharded{index{inner}, inner} }
 
 // shardOptions converts public options to the internal shard form. The
 // policy stays nil when not explicitly chosen, so loading a saved index
@@ -103,14 +100,14 @@ func NewSharded(coll *Collection, opts ...Option) (*Sharded, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newSharded(inner), nil
+	return &Sharded{index{inner}}, nil
 }
 
 // OpenSharded reopens a saved sharded index over the collection it was
 // built from. The file defines the shard count and policy; WithShards and
-// WithShardPolicy, when given, must match it. A pre-sharding single-index
-// file (as written by MESSI.Save) opens as a 1-shard instance with
-// unchanged positions and answers.
+// WithShardPolicy, when given, must match it. A single-index file (as
+// MESSI.Save wrote before a MESSI was a one-shard Sharded) opens as a
+// 1-shard instance with unchanged positions and answers.
 func OpenSharded(path string, coll *Collection, opts ...Option) (*Sharded, error) {
 	data, err := readIndexFile(path)
 	if err != nil {
@@ -127,18 +124,18 @@ func OpenSharded(path string, coll *Collection, opts ...Option) (*Sharded, error
 	if err != nil {
 		return nil, err
 	}
-	return newSharded(inner), nil
+	return &Sharded{index{inner}}, nil
 }
 
 // Shards returns the number of partitions.
-func (s *Sharded) Shards() int { return s.inner.Shards() }
+func (s *Sharded) Shards() int { return s.s.Shards() }
 
 // Stats merges the shards' tree shapes into one aggregate view.
 func (s *Sharded) Stats() IndexStats {
 	var out IndexStats
 	leaves := 0
-	for si := 0; si < s.inner.Shards(); si++ {
-		st := statsOf(s.inner.Shard(si).Tree())
+	for si := 0; si < s.s.Shards(); si++ {
+		st := statsOf(s.s.Shard(si).Tree())
 		out.Series += st.Series
 		out.RootNodes += st.RootNodes
 		out.InnerNodes += st.InnerNodes
@@ -197,7 +194,7 @@ type ShardedHealth struct {
 // Health snapshots the index's serving condition. Safe to call
 // concurrently with queries, appends and background re-stages.
 func (s *Sharded) Health() ShardedHealth {
-	h := s.inner.Health()
+	h := s.s.Health()
 	out := ShardedHealth{
 		Searches:       h.Searches,
 		FailedSearches: h.FailedSearches,
