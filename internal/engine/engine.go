@@ -25,12 +25,12 @@
 //     admitted query pins scratch buffers) or grow the run queue without
 //     bound.
 //
-// One pool can serve several indexes: a sharding layer builds N indexes and
-// hands each the same Engine (Retain/Close reference counting keeps the pool
-// alive until the last holder closes), so total parallelism is governed
-// globally — N shards of one query, or tasks of N unrelated queries, all
-// share the same Workers execution slots and the same admission budget, and
-// FairShare splits the pool over every query active on any attached index.
+// One pool can serve several indexes: a sharding layer creates the Engine,
+// hands it to each of its N indexes to borrow, and closes it once when it
+// closes itself, so total parallelism is governed globally — N shards of one
+// query, or tasks of N unrelated queries, all share the same Workers
+// execution slots and the same admission budget, and FairShare splits the
+// pool over every query active on any attached index.
 package engine
 
 import (
@@ -77,7 +77,7 @@ type Stats struct {
 	InFlight        int    // queries currently admitted via Admit
 	PeakInFlight    int    // high-water mark of InFlight
 	Queries         uint64 // queries executed since creation, any entry path
-	Tasks           uint64 // tasks executed by pool workers since creation
+	Tasks           uint64 // tasks pool workers have taken since creation, counted as each starts
 	AdmitWaits      uint64 // admissions that blocked on a full semaphore
 	AdmitWaitNanos  uint64 // total nanoseconds spent blocked in admission
 	SubmitFallbacks uint64 // always 0: no task is optional; kept while EngineStats and bench/ read it
@@ -101,11 +101,6 @@ type Engine struct {
 	closed  bool
 	once    sync.Once
 	bg      sync.WaitGroup
-
-	// refs counts the holders sharing this pool (New returns the first
-	// reference, Retain adds one). Close releases a reference; the pool
-	// only shuts down when the last one is released.
-	refs atomic.Int64
 
 	sem       chan struct{}
 	inFlight  atomic.Int64
@@ -145,7 +140,6 @@ func New(opt Options) *Engine {
 		tenants: make(map[string]*tenantState),
 	}
 	e.tcond = sync.NewCond(&e.tmu)
-	e.refs.Store(1)
 	for w := 0; w < opt.Workers; w++ {
 		e.wg.Add(1)
 		go e.worker()
@@ -159,7 +153,6 @@ func (e *Engine) worker() {
 		select {
 		case fn := <-e.tasks:
 			e.runTask(fn)
-			e.tasksDone.Add(1)
 		case <-e.quit:
 			// Drain everything already enqueued so no Group waits forever,
 			// then exit.
@@ -167,7 +160,6 @@ func (e *Engine) worker() {
 				select {
 				case fn := <-e.tasks:
 					e.runTask(fn)
-					e.tasksDone.Add(1)
 				default:
 					return
 				}
@@ -176,13 +168,16 @@ func (e *Engine) worker() {
 	}
 }
 
-// runTask executes one pool task with last-resort panic containment: a
-// worker goroutine has no caller to recover for it, so an escaped panic
-// here would kill the process and strand every Group waiting on the pool.
-// Group tasks contain their own panics (recording them for Group.Err)
-// before this fires; this boundary covers raw submissions and is counted
-// separately so an escape is visible in Stats.
+// runTask counts and executes one pool task, with last-resort panic
+// containment: a worker goroutine has no caller to recover for it, so an
+// escaped panic here would kill the process and strand every Group waiting
+// on the pool. Group tasks contain their own panics (recording them for
+// Group.Err) before this fires; this boundary covers raw submissions and is
+// counted separately so an escape is visible in Stats. The task is counted
+// before it runs because a Group task releases its barrier from inside fn:
+// counted after, a Stats read right after Wait could miss it.
 func (e *Engine) runTask(fn func()) {
+	e.tasksDone.Add(1)
 	defer func() {
 		if r := recover(); r != nil {
 			e.taskPanics.Add(1)
@@ -197,27 +192,12 @@ func (e *Engine) Workers() int { return e.opt.Workers }
 // MaxInFlight returns the admission bound.
 func (e *Engine) MaxInFlight() int { return e.opt.MaxInFlight }
 
-// Retain adds a reference to the pool and returns it, so several indexes
-// can share one set of workers: each holder calls Close exactly once, and
-// the pool shuts down only when the last reference is released. The first
-// reference belongs to the New caller.
-func (e *Engine) Retain() *Engine {
-	e.refs.Add(1)
-	return e
-}
-
-// Close releases one reference to the pool; the last release stops it.
-// In-flight background jobs (Go) are waited for with the pool still live,
-// so a running merge finishes in parallel; then pending tasks are drained
-// and the workers retire. Tasks submitted after the final Close run inline
-// on the submitting goroutine. Extra Close calls past the reference count
-// are ignored, so a single-owner engine keeps its idempotent-Close
-// contract; the final Close is safe to call concurrently with running
-// queries.
+// Close stops the pool. In-flight background jobs (Go) are waited for with
+// the pool still live, so a running merge finishes in parallel; then pending
+// tasks are drained and the workers retire. Tasks submitted after Close run
+// inline on the submitting goroutine. Close is idempotent and safe to call
+// concurrently with running queries.
 func (e *Engine) Close() {
-	if e.refs.Add(-1) > 0 {
-		return
-	}
 	e.once.Do(func() {
 		e.mu.Lock()
 		e.closing = true

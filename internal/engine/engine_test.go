@@ -340,48 +340,6 @@ func TestConcurrentCloseWithBackgroundJob(t *testing.T) {
 	wg.Wait()
 }
 
-func TestRetainKeepsSharedPoolAlive(t *testing.T) {
-	// Two holders of one pool (the sharding layer's configuration): the
-	// first Close must leave the pool running for the second holder, the
-	// last Close stops it, and extra Closes past the count stay harmless.
-	e := New(Options{Workers: 2})
-	shared := e.Retain()
-	var n atomic.Int64
-	g := e.NewGroup()
-	g.Submit(func() { n.Add(1) })
-	g.Wait()
-
-	e.Close() // first holder leaves
-	if e.Closing() {
-		t.Fatal("pool shutting down with a holder remaining")
-	}
-	done := make(chan struct{})
-	g = shared.NewGroup()
-	g.Submit(func() { n.Add(1); close(done) })
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("retained pool did not execute a task after the first Close")
-	}
-	g.Wait()
-	if st := e.Stats(); st.Tasks != 2 {
-		t.Fatalf("pool executed %d tasks, want 2", st.Tasks)
-	}
-
-	shared.Close() // last holder: real shutdown
-	if !e.Closing() {
-		t.Fatal("pool still open after the last holder closed")
-	}
-	shared.Close() // past the count: ignored
-	// A closed pool degrades to inline execution.
-	g = e.NewGroup()
-	g.Submit(func() { n.Add(1) })
-	g.Wait()
-	if n.Load() != 3 {
-		t.Fatalf("inline task did not run, n=%d", n.Load())
-	}
-}
-
 // admit is Admit with no deadline, which cannot fail.
 func admit(e *Engine, tenant string) (release func()) {
 	release, _ = e.Admit(context.Background(), tenant)

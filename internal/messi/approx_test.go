@@ -75,6 +75,7 @@ func TestSearchApproximateValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer empty.Close()
 	r, _, err := First(empty.Query(Query{Kind: Approx, Series: make(series.Series, 256), Scope: FullScope}))
 	if err != nil {
 		t.Fatal(err)

@@ -112,7 +112,7 @@ type IngestStats struct {
 	Pending int
 	// Merged is the number of appended series the tree covers.
 	Merged int
-	// Merges counts completed merge cycles (Health.MergeAborts counts the
+	// Merges counts completed merge cycles (Index.MergeAborts counts the
 	// abandoned ones).
 	Merges uint64
 	// SnapshotSwaps counts atomically installed tree snapshots — merge
@@ -201,7 +201,7 @@ func (ix *Index) backgroundMerge() {
 // synchronously. Concurrent appends may leave new pending series behind;
 // concurrent background merges are coordinated with, not duplicated. A
 // merge cycle aborted by a contained task panic stops the Flush early —
-// the pending delta stays exactly searchable, and Health.MergeAborts
+// the pending delta stays exactly searchable, and Index.MergeAborts
 // records the failure.
 func (ix *Index) Flush() {
 	target := int(ix.appended.Load())

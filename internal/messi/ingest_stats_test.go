@@ -9,7 +9,6 @@ package messi
 
 import (
 	"runtime"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -126,33 +125,5 @@ func TestIngestStatsRestoredBaseline(t *testing.T) {
 	}
 	if st := loaded.IngestStats(); st.Appended != 1 || st.Merged+st.Pending != 41 {
 		t.Fatalf("loaded index after append: %+v", st)
-	}
-}
-
-func TestRegistryRendersIngestFamilies(t *testing.T) {
-	base := gen.Generator{Kind: gen.Synthetic, Length: ingestLen, Seed: 91}.Collection(300)
-	ix := newIngestIndex(t, base, 1024)
-	r := ix.Registry()
-	if ix.Registry() != r {
-		t.Fatal("Registry not memoized")
-	}
-	extra := gen.Generator{Kind: gen.Synthetic, Length: ingestLen, Seed: 93}.Collection(8)
-	for i := 0; i < extra.Len(); i++ {
-		if _, err := ix.Append(extra.At(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, _, err := ix.Search(extra.At(0), 0); err != nil {
-		t.Fatal(err)
-	}
-	text := r.Text()
-	for _, want := range []string{
-		"dsidx_engine_workers", "dsidx_ingest_appended_total 8", "dsidx_ingest_pending 8",
-		"dsidx_ingest_merge_threshold 1024", "dsidx_index_queries_total 1",
-		"dsidx_index_query_seconds_bucket",
-	} {
-		if !strings.Contains(text, want) {
-			t.Errorf("exposition lacks %q", want)
-		}
 	}
 }

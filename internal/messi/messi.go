@@ -37,7 +37,11 @@
 // Every query kind enters through one pipeline, Index.Run: Index.Query runs
 // it over the index alone, and a sharding layer (internal/shard) runs it
 // per shard with one shared sink. The public dsidx types reach an Index
-// only through that layer — a dsidx.MESSI is its one-shard case.
+// only through that layer — a dsidx.MESSI is its one-shard case. Under it an
+// Index is passive: it borrows the layer's worker pool (Options.Engine), and
+// the layer times, counts and exports its sub-searches. A standalone Index,
+// built or decoded without Options.Engine, creates its own pool, and its
+// Close stops it.
 //
 // Live ingestion: the paper builds the index as a one-shot batch job; this
 // implementation additionally accepts new series while queries run (see
@@ -60,7 +64,6 @@ import (
 
 	"dsidx/internal/core"
 	"dsidx/internal/engine"
-	"dsidx/internal/metrics"
 	"dsidx/internal/series"
 	"dsidx/internal/xsync"
 )
@@ -88,12 +91,12 @@ type Options struct {
 	// sharding layer sets it for cold shards, whose values stay on the
 	// device.
 	DisableLeafRaw bool
-	// Engine attaches the index to an existing shared worker pool instead
-	// of creating its own — how a sharding layer runs every shard's tasks
-	// through one globally governed pool. The engine is retained for the
-	// index's lifetime; Close releases only this index's reference, so the
-	// pool survives until its last holder closes. When set, Workers and
-	// MaxInFlight describe the shared pool (they do not size a new one).
+	// Engine lends the index an existing worker pool instead of having it
+	// create its own — how a sharding layer runs every shard's tasks
+	// through one globally governed pool. The index borrows the pool: its
+	// Close leaves it running, and the lender closes it after every
+	// borrower is done with it. When set, Workers and MaxInFlight describe
+	// the lent pool (they do not size a new one).
 	Engine *engine.Engine
 }
 
@@ -151,8 +154,8 @@ func (ix *Index) publish(tree *core.Tree, mergedA int) {
 // any number of goroutines, and the helper tasks of a hard query interleave
 // on the pool instead of spawning per-call goroutines. Append and
 // AppendBatch (ingest.go) are safe concurrently with all of the above.
-// Close releases the pool; an unclosed Index releases it when
-// garbage-collected.
+// An index that created its own pool owns it, and its Close stops it; an
+// index that borrowed one (Options.Engine) never closes it.
 type Index struct {
 	cfg     core.Config
 	opt     Options
@@ -201,39 +204,13 @@ type Index struct {
 	tombMu sync.Mutex
 	ttls   []ttlEntry
 
-	// searches counts queries that reached their search phase on this
-	// index — every Run past validation and an empty cut (for a sharded
-	// index: this shard's sub-searches); queryDur is their latency
-	// histogram. Both feed the metrics registry.
-	// searchFails counts searches that returned a contained-fault error
-	// instead of an answer.
-	searches    atomic.Uint64
-	searchFails atomic.Uint64
-	queryDur    *metrics.Histogram
-
 	eng     *engine.Engine
-	engRef  *engineRef
 	scratch sync.Pool // *searchScratch, sized for cfg/opt
 	lbPool  sync.Pool // *lbScratch, one per concurrently running task
-
-	regOnce sync.Once
-	reg     *metrics.Registry
 }
 
-// engineRef pairs the index's engine reference with a once, so Close and
-// the garbage-collection cleanup release it exactly one time even when a
-// shared pool (Options.Engine) is counting references across indexes.
-type engineRef struct {
-	eng  *engine.Engine
-	once sync.Once
-}
-
-func (r *engineRef) release() { r.once.Do(r.eng.Close) }
-
-// initLive gives a constructed index its ingestion state, worker pool and
-// scratch pool, and arranges for the pool goroutines to be released if the
-// index is garbage-collected without Close (experiments build thousands of
-// short-lived indexes).
+// initLive gives a constructed index its ingestion state, its worker pool
+// (the borrowed Options.Engine, or a new one it owns) and its scratch pools.
 func (ix *Index) initLive(tree *core.Tree, baseSAX *core.SAXArray, mergedA int) {
 	ix.baseLen = ix.raw.Len()
 	ix.baseSAX = baseSAX
@@ -245,71 +222,32 @@ func (ix *Index) initLive(tree *core.Tree, baseSAX *core.SAXArray, mergedA int) 
 	ix.ingestBf = make([]uint8, ix.cfg.Segments)
 	ix.readBatch = series.ResolveBatchReader(ix.raw)
 	ix.publish(tree, mergedA)
-	ix.queryDur = metrics.NewHistogram(metrics.Opts{
-		Name: "dsidx_index_query_seconds",
-		Help: "Search latency per index (sub-searches for a sharded index).",
-	}, metrics.LatencyBuckets)
-	if ix.opt.Engine != nil {
-		ix.eng = ix.opt.Engine.Retain()
-	} else {
+	ix.eng = ix.opt.Engine
+	if ix.eng == nil {
 		ix.eng = engine.New(engine.Options{Workers: ix.opt.Workers, MaxInFlight: ix.opt.MaxInFlight})
 	}
-	ix.engRef = &engineRef{eng: ix.eng}
 	ix.scratch.New = func() any { return ix.newScratch() }
 	ix.lbPool.New = func() any { return &lbScratch{} }
-	runtime.AddCleanup(ix, func(r *engineRef) { r.release() }, ix.engRef)
 }
 
-// Close releases the index's worker pool reference. An index-owned pool
-// stops after any in-flight background merge completes (the pool stays
-// live for it); a shared pool (Options.Engine) keeps running for its other
-// holders. Close is idempotent and safe to call concurrently with appends
-// and queries; after the pool fully stops, queries execute serially on the
-// calling goroutine, appends still land in the delta buffer, and merges
-// happen only through Flush.
-func (ix *Index) Close() { ix.engRef.release() }
+// Close stops the worker pool the index created, after any in-flight
+// background merge completes (the pool stays live for it); a borrowed pool
+// (Options.Engine) is left to its lender. Close is idempotent and safe to
+// call concurrently with appends and queries; after the pool stops, queries
+// execute serially on the calling goroutine, appends still land in the
+// delta buffer, and merges happen only through Flush.
+func (ix *Index) Close() {
+	if ix.opt.Engine == nil {
+		ix.eng.Close()
+	}
+}
 
 // EngineStats snapshots the shared pool's throughput counters.
 func (ix *Index) EngineStats() engine.Stats { return ix.eng.Stats() }
 
-// Health is one index's fault-tolerance snapshot: how often queries and
-// merges hit contained faults, alongside the engine's panic-containment
-// counters. All zeros on a healthy index.
-type Health struct {
-	// Searches counts queries of every kind that reached their search
-	// phase (Run, once past validation and an empty cut); FailedSearches
-	// counts queries that returned a contained-fault error instead of an
-	// answer.
-	Searches       uint64
-	FailedSearches uint64
-	// MergeAborts counts merge cycles abandoned after a contained task
-	// panic (the previous snapshot kept serving).
-	MergeAborts uint64
-	// TaskPanics and BgPanics mirror the engine's containment counters
-	// (pool-task and background-job boundaries). A shared pool reports
-	// the same values through every index attached to it.
-	TaskPanics uint64
-	BgPanics   uint64
-	// Live and Tombstoned split Count() into series a full search ranges
-	// over and series deleted (or TTL-expired) but still occupying
-	// positions.
-	Live       int
-	Tombstoned int
-}
-
-// Health snapshots the index's fault counters.
-func (ix *Index) Health() Health {
-	es := ix.eng.Stats()
-	return Health{
-		Searches:       ix.searches.Load(),
-		FailedSearches: ix.searchFails.Load(),
-		MergeAborts:    ix.mergeAborts.Load(),
-		TaskPanics:     es.TaskPanics,
-		BgPanics:       es.BgPanics,
-		Live:           ix.Live(),
-		Tombstoned:     ix.Tombstoned(),
-	}
-}
+// MergeAborts counts merge cycles abandoned after a contained task panic
+// (the previous snapshot kept serving).
+func (ix *Index) MergeAborts() uint64 { return ix.mergeAborts.Load() }
 
 // Build creates a MESSI index over coll — any read-only collection: the
 // flat in-memory RawData array of the paper, or a position-remapping

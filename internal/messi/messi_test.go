@@ -24,6 +24,7 @@ func build(t *testing.T, coll *series.Collection, workers int) *Index {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(ix.Close)
 	return ix
 }
 
@@ -127,6 +128,7 @@ func TestSearchEmptyAndValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer empty.Close()
 	got, _, err := empty.Search(make(series.Series, 256), 2)
 	if err != nil {
 		t.Fatal(err)

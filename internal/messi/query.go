@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 	"sync/atomic"
-	"time"
 
 	"dsidx/internal/core"
 	"dsidx/internal/engine"
@@ -329,31 +328,16 @@ func (f *qfilter) skip(p int32, mp func(int32) int32) bool {
 	return f.lowPos > 0 && mp(p) < f.lowPos
 }
 
-// failQuery records a search that is returning a contained-fault error
-// instead of an answer, feeding Health().FailedSearches.
-func (ix *Index) failQuery(err error) error {
-	ix.searchFails.Add(1)
-	return err
-}
-
 // beginQuery registers a query with the engine's counters. A sub-search —
 // one shard's branch of a scatter-gather query, recognizable by its
 // non-nil position map — contributes to pool scheduling (FairShare) but
 // not to the Queries throughput counter: the sharding layer counts the
-// logical query exactly once. Every search flavor funnels through here,
-// so the returned end also feeds the index's own observability surface
-// (per-index search count and latency histogram).
+// logical query exactly once, and times and counts each sub-search itself.
 func (ix *Index) beginQuery(sub bool, tenant string) (end func()) {
-	t0 := time.Now()
 	if !sub {
 		ix.eng.CountQuery(tenant)
 	}
-	endE := ix.eng.BeginSubQuery(tenant)
-	return func() {
-		endE()
-		ix.searches.Add(1)
-		ix.queryDur.Observe(time.Since(t0).Seconds())
-	}
+	return ix.eng.BeginSubQuery(tenant)
 }
 
 // sharedCut prepares the cross-index search state: the view (its delta
@@ -510,8 +494,8 @@ func (ix *Index) Query(q Query) ([]core.Result, *QueryStats, error) {
 // q.Scope.Seeded, and hands the rest to the exact phase (queuedSearch). An
 // Approx query stops after its probe and never calls Seeded. A fault on
 // the way — a cold-device read that exhausted its retries — is contained
-// into a typed error, counted in Health().FailedSearches, and leaves sink
-// holding a partial answer the caller must discard.
+// into a typed error, and leaves sink holding a partial answer the caller
+// must discard.
 func (ix *Index) Run(q Query, sink *Sink, mapPos func(int32) int32) (stats *QueryStats, err error) {
 	// A sharding layer (mapPos non-nil) validates q once for all its shards.
 	if mapPos == nil {
@@ -535,7 +519,7 @@ func (ix *Index) Run(q Query, sink *Sink, mapPos func(int32) int32) (stats *Quer
 	// pool-task boundary — recover it into the same typed error shape.
 	defer func() {
 		if r := recover(); r != nil {
-			stats, err = nil, ix.failQuery(engine.Contain(r))
+			stats, err = nil, engine.Contain(r)
 		}
 	}()
 
@@ -552,7 +536,7 @@ func (ix *Index) Run(q Query, sink *Sink, mapPos func(int32) int32) (stats *Quer
 	ix.probeLeaf(sc, t, stats, r, q.Scope.Seeded)
 
 	if err := ix.queuedSearch(q.Workers, mapPos != nil, q.Scope.Tenant, stats, sc, v, r); err != nil {
-		return nil, ix.failQuery(err)
+		return nil, err
 	}
 	return stats, nil
 }

@@ -226,9 +226,8 @@ func (r *faultyReader) ReadBatch(pos []int32, want func(k int) bool, visit func(
 // exact phase fails — on the caller's own drain (always, under the measured
 // schedule: the caller refines drainBudget leaves before any helper starts),
 // or on whichever worker reaches it under the helper schedule. Every
-// schedule must return the typed error, count one failed search, start no
-// read after it returned (no helper outlived it), and answer the same query
-// bit-identically afterwards.
+// schedule must return the typed error, start no read after it returned (no
+// helper outlived it), and answer the same query bit-identically afterwards.
 func TestFaultDuringDrainIsContained(t *testing.T) {
 	ix, all, qs, dead := scheduleWorkload(t, Options{DisableLeafRaw: true})
 	dev := &faultyReader{Collection: ix.Raw().(*series.Collection)}
@@ -242,7 +241,6 @@ func TestFaultDuringDrainIsContained(t *testing.T) {
 				at := fmt.Sprintf("schedule %d, %d workers, query %d", mode, workers, qi)
 				query := Query{Kind: NN, Series: q, Workers: workers, Scope: FullScope}
 				query.Scope.Seeded = func() { dev.countdown.Store(int64(1 + qi%3)) }
-				failed := ix.Health().FailedSearches
 				sink := NewSink(query)
 				dev.returned.Store(false)
 				_, err := ix.Run(query, &sink, nil)
@@ -261,9 +259,6 @@ func TestFaultDuringDrainIsContained(t *testing.T) {
 				var be *storage.BlockError
 				if !errors.As(err, &be) {
 					t.Fatalf("%s: %v, want a *storage.BlockError", at, err)
-				}
-				if n := ix.Health().FailedSearches - failed; n != 1 {
-					t.Fatalf("%s: FailedSearches rose by %d, want 1", at, n)
 				}
 				time.Sleep(time.Millisecond)
 				if n := dev.late.Swap(0); n != 0 {

@@ -224,24 +224,6 @@ func (h *Histogram) write(b *strings.Builder, labels []Label) {
 		strconv.FormatUint(h.count.Load(), 10))
 }
 
-// labeled is a registration-time view of an instrument with extra
-// constant labels appended — how a sharding layer registers one shard's
-// instruments under a shard="i" label without the shard knowing its
-// number. The underlying instrument still owns the values.
-type labeled struct {
-	Metric
-	o Opts
-}
-
-func (l labeled) opts() Opts { return l.o }
-
-// WithLabels returns a view of m with extra constant labels appended.
-func WithLabels(m Metric, extra ...Label) Metric {
-	o := m.opts()
-	o.Labels = append(append([]Label(nil), o.Labels...), extra...)
-	return labeled{Metric: m, o: o}
-}
-
 // --- registry ---
 
 // Registry holds registered instruments and renders them as one

@@ -7,7 +7,8 @@ import (
 )
 
 func TestInstrumentValuesLabelsAndEdgeFloats(t *testing.T) {
-	c := NewCounterFunc(Opts{Name: "v_events_total"}, func() float64 { return 3 })
+	c := NewCounterFunc(Opts{Name: "v_events_total", Labels: []Label{{Key: "shard", Value: "0"}}},
+		func() float64 { return 3 })
 
 	h := NewHistogram(Opts{Name: "v_seconds"}, []float64{1, 2})
 	h.Observe(0.5)
@@ -20,7 +21,7 @@ func TestInstrumentValuesLabelsAndEdgeFloats(t *testing.T) {
 	down := NewGaugeFunc(Opts{Name: "v_down"}, func() float64 { return math.Inf(-1) })
 
 	r := NewRegistry()
-	r.MustRegister(WithLabels(c, Label{Key: "shard", Value: "0"}), h, up, down)
+	r.MustRegister(c, h, up, down)
 	text := r.Text()
 	for _, want := range []string{
 		`v_events_total{shard="0"} 3`,

@@ -17,7 +17,9 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"time"
 
+	"dsidx/internal/metrics"
 	"dsidx/internal/series"
 	"dsidx/internal/storage"
 )
@@ -78,10 +80,16 @@ func (e *ErrShardsUnavailable) Error() string {
 // Unwrap exposes the storage cause so errors.Is/As reach the device error.
 func (e *ErrShardsUnavailable) Unwrap() error { return e.Cause }
 
-// shardHealth is one shard's fault accounting. State transitions are
-// Serving → Quarantined (K consecutive permanent failures, CAS so exactly
-// one query performs it) → Restaging → Serving.
+// shardHealth is one shard's query and fault accounting. State transitions
+// are Serving → Quarantined (K consecutive permanent failures, CAS so
+// exactly one query performs it) → Restaging → Serving.
 type shardHealth struct {
+	// searches counts the shard's sub-searches, searchFails the ones that
+	// returned an error instead of an answer, and queryDur times them.
+	searches    atomic.Uint64
+	searchFails atomic.Uint64
+	queryDur    *metrics.Histogram
+
 	state      atomic.Int32 // ShardState
 	consecPerm atomic.Int32 // consecutive permanent failures; reset on success
 
@@ -92,6 +100,15 @@ type shardHealth struct {
 
 	mu      sync.Mutex
 	lastErr error
+}
+
+// record counts one sub-search that took d and returned err.
+func (h *shardHealth) record(d time.Duration, err error) {
+	h.searches.Add(1)
+	if err != nil {
+		h.searchFails.Add(1)
+	}
+	h.queryDur.Observe(d.Seconds())
 }
 
 func (h *shardHealth) setErr(err error) {
@@ -127,8 +144,9 @@ type ShardHealth struct {
 // Health is the sharded index's liveness snapshot: aggregate query/merge
 // outcomes plus per-shard serving states.
 type Health struct {
-	// Searches and FailedSearches aggregate the shards' query outcomes;
-	// a failed scatter-gather query counts once per shard that failed it.
+	// Searches counts sub-searches, one per shard a query ran on, and
+	// FailedSearches those that returned an error: a failed scatter-gather
+	// query counts once per shard that failed it.
 	Searches       uint64
 	FailedSearches uint64
 	// MergeAborts counts background merges abandoned after a contained
@@ -152,13 +170,12 @@ type Health struct {
 func (s *Sharded) Health() Health {
 	out := Health{Shards: make([]ShardHealth, s.n)}
 	for si, sh := range s.shards {
-		mh := sh.Health()
-		out.Searches += mh.Searches
-		out.FailedSearches += mh.FailedSearches
-		out.MergeAborts += mh.MergeAborts
-		out.Live += mh.Live
-		out.Tombstoned += mh.Tombstoned
 		h := &s.health[si]
+		out.Searches += h.searches.Load()
+		out.FailedSearches += h.searchFails.Load()
+		out.MergeAborts += sh.MergeAborts()
+		out.Live += sh.Live()
+		out.Tombstoned += sh.Tombstoned()
 		hs := ShardHealth{
 			State:             ShardState(h.state.Load()),
 			Cold:              s.isCold(si),

@@ -1,8 +1,7 @@
 package shard
 
 import (
-	"strconv"
-
+	"dsidx/internal/messi"
 	"dsidx/internal/metrics"
 	"dsidx/internal/storage"
 )
@@ -46,9 +45,11 @@ func (s *Sharded) ShardBaseLen(si int) int { return len(s.baseMap[si]) }
 // Registry returns the sharded index's metrics registry, built on first
 // call:
 //
-//   - the shared engine's families, registered once for the whole pool
-//   - every shard's ingest/query families under a shard="i" label
-//   - per-shard routing counters (series placed, appends routed)
+//   - the engine's families, registered once for the whole pool
+//   - every shard's ingest and query families, and its routing and health
+//     counters (series placed, appends routed, state, failures,
+//     quarantines, re-stages), under a shard="i" label when there is more
+//     than one shard
 //   - the cold tier's cache and device families — always registered, so
 //     a scrape sees the full schema (zero-valued) even on an all-hot
 //     build
@@ -60,42 +61,8 @@ func (s *Sharded) Registry() *metrics.Registry {
 			Name: "dsidx_shards",
 			Help: "Number of shards.",
 		}, func() float64 { return float64(s.n) }))
-		for si := 0; si < s.n; si++ {
-			si := si
-			label := metrics.Label{Key: "shard", Value: strconv.Itoa(si)}
-			s.shards[si].RegisterMetrics(s.reg, label)
-			s.reg.MustRegister(
-				metrics.NewGaugeFunc(metrics.Opts{
-					Name:   "dsidx_shard_base_series",
-					Help:   "Build-time series placed in the shard.",
-					Labels: []metrics.Label{label},
-				}, func() float64 { return float64(s.ShardBaseLen(si)) }),
-				metrics.NewCounterFunc(metrics.Opts{
-					Name:   "dsidx_shard_appends_total",
-					Help:   "Live appends routed to the shard.",
-					Labels: []metrics.Label{label},
-				}, func() float64 { return float64(s.ShardAppends(si)) }),
-				metrics.NewGaugeFunc(metrics.Opts{
-					Name:   "dsidx_shard_state",
-					Help:   "Serving state: 0=serving, 1=quarantined, 2=restaging.",
-					Labels: []metrics.Label{label},
-				}, func() float64 { return float64(s.health[si].state.Load()) }),
-				metrics.NewCounterFunc(metrics.Opts{
-					Name:   "dsidx_shard_failures_total",
-					Help:   "Queries the shard failed with a storage-classified error.",
-					Labels: []metrics.Label{label},
-				}, func() float64 { return float64(s.health[si].failures.Load()) }),
-				metrics.NewCounterFunc(metrics.Opts{
-					Name:   "dsidx_shard_quarantines_total",
-					Help:   "Serving-to-quarantined transitions.",
-					Labels: []metrics.Label{label},
-				}, func() float64 { return float64(s.health[si].quarantines.Load()) }),
-				metrics.NewCounterFunc(metrics.Opts{
-					Name:   "dsidx_shard_restages_total",
-					Help:   "Completed re-stages onto a fresh store.",
-					Labels: []metrics.Label{label},
-				}, func() float64 { return float64(s.health[si].restages.Load()) }),
-			)
+		for si := range s.n {
+			s.registerShard(si)
 		}
 		cold := func(f func(ColdStats) float64) func() float64 {
 			return func() float64 { return f(s.ColdStats()) }
@@ -156,4 +123,48 @@ func (s *Sharded) Registry() *metrics.Registry {
 		)
 	})
 	return s.reg
+}
+
+// registerShard registers shard si's families.
+func (s *Sharded) registerShard(si int) {
+	labels := s.shardLabels(si)
+	counter := func(name, help string, fn func() float64) metrics.Metric {
+		return metrics.NewCounterFunc(metrics.Opts{Name: name, Help: help, Labels: labels}, fn)
+	}
+	gauge := func(name, help string, fn func() float64) metrics.Metric {
+		return metrics.NewGaugeFunc(metrics.Opts{Name: name, Help: help, Labels: labels}, fn)
+	}
+	ing := func(f func(messi.IngestStats) float64) func() float64 {
+		return func() float64 { return f(s.shards[si].IngestStats()) }
+	}
+	h := &s.health[si]
+	s.reg.MustRegister(
+		counter("dsidx_ingest_appended_total", "Series accepted by Append/AppendBatch since creation or load.",
+			ing(func(st messi.IngestStats) float64 { return float64(st.Appended) })),
+		gauge("dsidx_ingest_pending", "Appended series not yet merged into the tree (delta-buffer size).",
+			ing(func(st messi.IngestStats) float64 { return float64(st.Pending) })),
+		gauge("dsidx_ingest_merged", "Appended series the tree snapshot covers.",
+			ing(func(st messi.IngestStats) float64 { return float64(st.Merged) })),
+		counter("dsidx_ingest_merges_total", "Completed merge cycles.",
+			ing(func(st messi.IngestStats) float64 { return float64(st.Merges) })),
+		counter("dsidx_ingest_snapshot_swaps_total", "Tree snapshots atomically installed by merges.",
+			ing(func(st messi.IngestStats) float64 { return float64(st.SnapshotSwaps) })),
+		gauge("dsidx_ingest_merge_threshold", "Delta size that triggers a background merge.",
+			ing(func(st messi.IngestStats) float64 { return float64(st.MergeThreshold) })),
+		counter("dsidx_index_queries_total", "Sub-searches the shard ran, one per query that reached it.",
+			func() float64 { return float64(h.searches.Load()) }),
+		h.queryDur,
+		gauge("dsidx_shard_base_series", "Build-time series placed in the shard.",
+			func() float64 { return float64(s.ShardBaseLen(si)) }),
+		counter("dsidx_shard_appends_total", "Live appends routed to the shard.",
+			func() float64 { return float64(s.ShardAppends(si)) }),
+		gauge("dsidx_shard_state", "Serving state: 0=serving, 1=quarantined, 2=restaging.",
+			func() float64 { return float64(h.state.Load()) }),
+		counter("dsidx_shard_failures_total", "Queries the shard failed with a storage-classified error.",
+			func() float64 { return float64(h.failures.Load()) }),
+		counter("dsidx_shard_quarantines_total", "Serving-to-quarantined transitions.",
+			func() float64 { return float64(h.quarantines.Load()) }),
+		counter("dsidx_shard_restages_total", "Completed re-stages onto a fresh store.",
+			func() float64 { return float64(h.restages.Load()) }),
+	)
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dsidx/internal/gen"
+	"dsidx/internal/messi"
 )
 
 func TestRegistryRendersPerShardAndColdFamilies(t *testing.T) {
@@ -44,5 +45,42 @@ func TestRegistryRendersPerShardAndColdFamilies(t *testing.T) {
 	}
 	if s.ShardAppends(0)+s.ShardAppends(1) != extra.Len() {
 		t.Fatalf("append routing %d+%d != %d", s.ShardAppends(0), s.ShardAppends(1), extra.Len())
+	}
+}
+
+// A one-shard index renders one index's families: the ingest and query
+// counters read as they would on a plain index, with no shard label.
+func TestRegistryRendersIngestFamilies(t *testing.T) {
+	base := gen.Generator{Kind: gen.Synthetic, Length: testLen, Seed: 91}.Collection(300)
+	s, err := Build(base, testConfig(), Options{Options: messi.Options{MergeThreshold: 1024}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	r := s.Registry()
+	if s.Registry() != r {
+		t.Fatal("Registry not memoized")
+	}
+	extra := gen.Generator{Kind: gen.Synthetic, Length: testLen, Seed: 93}.Collection(8)
+	for i := 0; i < extra.Len(); i++ {
+		if _, err := s.Append(extra.At(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, _, err := s.Search(extra.At(0), 0); err != nil {
+		t.Fatal(err)
+	}
+	text := r.Text()
+	for _, want := range []string{
+		"dsidx_engine_workers", "dsidx_ingest_appended_total 8", "dsidx_ingest_pending 8",
+		"dsidx_ingest_merge_threshold 1024", "dsidx_index_queries_total 1",
+		"dsidx_index_query_seconds_count 1", "dsidx_shard_base_series 300",
+	} {
+		if !strings.Contains(text, want) {
+			t.Errorf("exposition lacks %q", want)
+		}
+	}
+	if strings.Contains(text, "shard=") {
+		t.Errorf("one-shard exposition carries a shard label:\n%s", text)
 	}
 }

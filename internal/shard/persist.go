@@ -129,36 +129,36 @@ func Decode(data []byte, coll *series.Collection, opt Options) (*Sharded, error)
 	}
 	for si := range s.shards {
 		if len(rest) < 8 {
-			s.abort()
+			s.Close()
 			return nil, fmt.Errorf("shard: truncated blob length for shard %d", si)
 		}
 		blobLen := binary.LittleEndian.Uint64(rest)
 		rest = rest[8:]
 		if blobLen > uint64(len(rest)) {
-			s.abort()
+			s.Close()
 			return nil, fmt.Errorf("shard: shard %d blob claims %d bytes, %d remain", si, blobLen, len(rest))
 		}
 		blob := rest[:blobLen]
 		rest = rest[blobLen:]
 		sh, err := messi.Decode(blob, views[si], s.shardOptions(si))
 		if err != nil {
-			s.abort()
+			s.Close()
 			return nil, fmt.Errorf("shard: decoding shard %d: %w", si, s.globalErr(si, err))
 		}
 		s.shards[si] = sh
 		if want := views[si].Len() + routed[si]; sh.Count() != want {
-			s.abort()
+			s.Close()
 			return nil, fmt.Errorf("shard: shard %d holds %d series, route log implies %d",
 				si, sh.Count(), want)
 		}
 	}
 	if len(rest) != 0 {
-		s.abort()
+		s.Close()
 		return nil, fmt.Errorf("shard: %d trailing bytes after the last shard blob", len(rest))
 	}
 	s.replayRoutes(routes)
 	if err := s.finish(); err != nil {
-		s.abort()
+		s.Close()
 		return nil, err
 	}
 	return s, nil
@@ -183,14 +183,14 @@ func decodeLegacy(data []byte, coll *series.Collection, opt Options, wantShards 
 	s, views := newShell(coll, opt)
 	sh, err := messi.Decode(data, views[0], s.shardOptions(0))
 	if err != nil {
-		s.abort()
+		s.Close()
 		return nil, s.globalErr(0, err)
 	}
 	s.shards[0] = sh
 	routes := make([]byte, sh.Count()-coll.Len())
 	s.replayRoutes(routes)
 	if err := s.finish(); err != nil {
-		s.abort()
+		s.Close()
 		return nil, err
 	}
 	return s, nil

@@ -9,11 +9,16 @@
 //
 // The design keeps the single-index guarantees:
 //
-//   - One shared worker pool. Every shard attaches to the same
-//     internal/engine pool (messi.Options.Engine), so parallelism is
-//     governed globally: N shards of one query, or tasks of many queries,
-//     never oversubscribe the machine, and admission control spans the
-//     whole sharded index.
+//   - One worker pool, one owner. The Sharded creates the internal/engine
+//     pool and lends it to every shard (messi.Options.Engine), so
+//     parallelism is governed globally: N shards of one query, or tasks of
+//     many queries, never oversubscribe the machine, and admission control
+//     spans the whole sharded index. A shard never closes the pool; Close
+//     stops it once.
+//   - One place that counts. The scatter times and counts every shard's
+//     sub-search (health.go), and Registry renders those counters with
+//     each shard's ingest families, so a shard keeps no query counters,
+//     health or registry of its own: it is a tree plus a write path.
 //   - One shared best-so-far. A query scatters to all shards through
 //     messi's one pipeline (Index.Run) with a single Sink — an xsync.Best,
 //     or KBest — threaded into every shard's traversal, so a tight bound
@@ -39,9 +44,9 @@
 // single-index files load as a 1-shard instance.
 //
 // This layer is the one backend under the public API: a dsidx.MESSI is a
-// one-shard Sharded. A scatter runs one shard's sub-search on the calling
-// goroutine, so a one-shard query starts no goroutine and does the work its
-// one tree's own Query would.
+// one-shard Sharded, whose scrape carries no shard label. A scatter runs one
+// shard's sub-search on the calling goroutine, so a one-shard query starts
+// no goroutine and does the work its one tree's own Query would.
 package shard
 
 import (
@@ -50,8 +55,10 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"dsidx/internal/core"
 	"dsidx/internal/engine"
@@ -236,10 +243,10 @@ func splitBase(coll *series.Collection, policy Policy, n int) (views []series.Re
 
 // newShell assembles the Sharded state common to Build and Decode: the
 // base split into one view per shard, the tier placement under
-// Options.ColdStorage, the shared engine, and empty append-routing
-// structures. Every view reads the in-RAM collection, cold shards included
-// — the device is staged from the finished trees. The caller fills
-// s.shards (one per view) and then calls finish.
+// Options.ColdStorage, the engine the index owns and lends its shards, and
+// empty append-routing structures. Every view reads the in-RAM collection,
+// cold shards included — the device is staged from the finished trees. The
+// caller fills s.shards (one per view) and then calls finish.
 func newShell(coll *series.Collection, opt Options) (*Sharded, []series.Reader) {
 	views, baseMap := splitBase(coll, opt.Policy, opt.Shards)
 	s := &Sharded{
@@ -259,6 +266,16 @@ func newShell(coll *series.Collection, opt Options) (*Sharded, []series.Reader) 
 	for si := range s.appendMap {
 		s.appendMap[si] = series.NewChunkedRows[int32](1, 0)
 	}
+	// An index dropped without Close stops its pool once it is collected: no
+	// pool goroutine holds a reference to the Sharded, only to its shards.
+	runtime.AddCleanup(s, (*engine.Engine).Close, s.eng)
+	for si := range s.health {
+		s.health[si].queryDur = metrics.NewHistogram(metrics.Opts{
+			Name:   "dsidx_index_query_seconds",
+			Help:   "Sub-search latency per shard, probe included.",
+			Labels: s.shardLabels(si),
+		}, metrics.LatencyBuckets)
+	}
 	cuts := make([]int32, opt.Shards)
 	s.cuts.Store(&cuts)
 	if opt.ColdStorage != nil {
@@ -267,8 +284,17 @@ func newShell(coll *series.Collection, opt Options) (*Sharded, []series.Reader) 
 	return s, views
 }
 
+// shardLabels labels shard si's metric families: shard="si", or none on a
+// one-shard index, whose scrape reads as one index's.
+func (s *Sharded) shardLabels(si int) []metrics.Label {
+	if s.n == 1 {
+		return nil
+	}
+	return []metrics.Label{{Key: "shard", Value: strconv.Itoa(si)}}
+}
+
 // shardOptions is shard si's messi configuration: identical settings, one
-// shared pool. Cold shards disable leaf-ordered raw blocks — a full hot
+// lent pool. Cold shards disable leaf-ordered raw blocks — a full hot
 // copy of the values would defeat the tier — so their refinement reads
 // resolve through the device cache (bounds first, survivors in one batch).
 func (s *Sharded) shardOptions(si int) messi.Options {
@@ -318,10 +344,8 @@ func (s *Sharded) ColdDisk() *storage.Disk {
 }
 
 // finish is called once every shard exists: it builds the per-shard
-// position mappers, moves the cold shards' base values onto the device, and
-// releases the constructor's engine reference (each shard retained its own,
-// so the pool now lives exactly as long as the shards do). On error the
-// caller aborts.
+// position mappers and moves the cold shards' base values onto the device.
+// On error the caller closes the half-built index.
 func (s *Sharded) finish() error {
 	s.mappers = make([]func(int32) int32, s.n)
 	for si := range s.mappers {
@@ -344,19 +368,7 @@ func (s *Sharded) finish() error {
 			return err
 		}
 	}
-	s.eng.Close()
 	return nil
-}
-
-// abort releases everything a failed construction acquired: the shards
-// decoded so far and the constructor's engine reference.
-func (s *Sharded) abort() {
-	for _, sh := range s.shards {
-		if sh != nil {
-			sh.Close()
-		}
-	}
-	s.eng.Close()
 }
 
 // Build partitions coll by the configured policy and builds one MESSI
@@ -370,12 +382,12 @@ func Build(coll *series.Collection, cfg core.Config, opt Options) (*Sharded, err
 	for si := range s.shards {
 		s.shards[si], err = messi.Build(views[si], cfg, s.shardOptions(si))
 		if err != nil {
-			s.abort()
+			s.Close()
 			return nil, s.globalErr(si, err)
 		}
 	}
 	if err := s.finish(); err != nil {
-		s.abort()
+		s.Close()
 		return nil, err
 	}
 	return s, nil
@@ -391,14 +403,10 @@ func (s *Sharded) globalErr(si int, err error) error {
 	return err
 }
 
-// Close releases every shard's reference to the shared worker pool; the
-// pool stops after the last one (waiting for in-flight background merges).
-// It is idempotent and safe to call concurrently with appends and queries.
-func (s *Sharded) Close() {
-	for _, sh := range s.shards {
-		sh.Close()
-	}
-}
+// Close stops the worker pool every shard borrows, after any in-flight
+// background merge completes. It is idempotent and safe to call concurrently
+// with appends and queries, which then run serially on their callers.
+func (s *Sharded) Close() { s.eng.Close() }
 
 // Shards returns the number of partitions.
 func (s *Sharded) Shards() int { return s.n }
@@ -463,7 +471,8 @@ func (s *Sharded) view() (cuts []int32, observed int) {
 // other on a goroutine of its own, so a one-shard query starts none and N
 // shards start N−1. The logical query is counted once here; the per-shard
 // sub-searches register only as active executors, so the engine's Queries
-// counter reads in logical QPS at any shard count.
+// counter reads in logical QPS at any shard count. Each sub-search is timed
+// and counted, failed or not, in its shard's health (shardHealth.record).
 //
 // Fault handling: quarantined shards are skipped up front, and a shard
 // that fails mid-query with a storage-classified error (a contained
@@ -508,7 +517,9 @@ func (s *Sharded) scatter(scope messi.Scope, cuts []int32, stats *messi.QuerySta
 			sub.Seeded = func() { arrive(); seeded.Wait() }
 		}
 		defer arrive()
+		t0 := time.Now()
 		out[si].st, out[si].err = fn(si, sub)
+		s.health[si].record(time.Since(t0), out[si].err)
 	}
 	for si := 0; si < last; si++ {
 		if !out[si].skipped {

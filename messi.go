@@ -163,10 +163,10 @@ func engineStatsOf(st engine.Stats) EngineStats {
 // background merges were abandoned after a contained panic. A healthy
 // index reports zeros everywhere but Searches.
 type Health struct {
-	// Searches counts queries of every kind that reached their search
-	// phase (past validation, over a non-empty index); FailedSearches
-	// counts queries that returned a contained-fault error instead of an
-	// answer.
+	// Searches counts sub-searches of the index's one shard, one per query
+	// of any kind past validation on a non-empty index, each timed whole
+	// (probe included) by dsidx_index_query_seconds; FailedSearches counts
+	// those that returned a contained-fault error instead of an answer.
 	Searches       uint64
 	FailedSearches uint64
 	// MergeAborts counts background merges abandoned because a task
@@ -186,7 +186,7 @@ type Health struct {
 // Health snapshots the index's failure counters. Safe to call concurrently
 // with queries and appends.
 func (ix *MESSI) Health() Health {
-	h := ix.s.Shard(0).Health()
+	h := ix.s.Health()
 	return Health{
 		Searches:       h.Searches,
 		FailedSearches: h.FailedSearches,

@@ -22,10 +22,9 @@ type MetricsSource interface {
 	metricsRegistry() *metrics.Registry
 }
 
-// A MESSI scrape is its one shard's: the engine and index families with no
-// shard label. A Sharded scrape adds the per-shard and cold-tier families.
-func (ix *MESSI) metricsRegistry() *metrics.Registry  { return ix.s.Shard(0).Registry() }
-func (s *Sharded) metricsRegistry() *metrics.Registry { return s.s.Registry() }
+// A MESSI scrape is its one-shard Sharded's, with no shard label; a Sharded
+// of more than one shard labels each shard's families shard="i".
+func (x *index) metricsRegistry() *metrics.Registry { return x.s.Registry() }
 
 // VectorImpl reports the distance-kernel implementation that will serve
 // the next query: "avx2" on amd64 CPUs where startup feature detection

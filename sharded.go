@@ -54,7 +54,7 @@ func WithAllowPartial(enabled bool) Option {
 }
 
 // Sharded is a partitioned MESSI index: the collection is split across N
-// independent shards — each a full MESSI index — that answer as one.
+// independent shards — each a MESSI tree and write path — that answer as one.
 // Search variants scatter to every shard with a single shared best-so-far
 // (a bound found on one shard prunes the others mid-flight) and gather
 // results in the collection's global position space, so every answer is
