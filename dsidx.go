@@ -219,7 +219,6 @@ type options struct {
 	shards         int
 	shardPolicy    ShardPolicy
 	shardPolicySet bool
-	allowPartial   bool
 }
 
 // Option customizes index construction.

@@ -69,12 +69,12 @@ type Config struct {
 	MergeThreshold int
 	// Faults switches the harness into fault-injection mode: the sharded
 	// instance's cold tier sits on a storage.FaultStore, and a new op
-	// randomly installs transient/permanent fault plans, heals the device
-	// and re-stages quarantined shards. The contract under faults: every
-	// query that COMPLETES is still bit-identical to the serial oracle;
-	// every query that fails does so with the typed
-	// shard.ErrShardsUnavailable (never an untyped error, never a process
-	// panic); and after heal + re-stage, answers are bit-identical again.
+	// randomly installs transient/permanent fault plans or heals the device.
+	// The contract under faults: every query that COMPLETES is still
+	// bit-identical to the serial oracle; every query that fails carries the
+	// typed *storage.BlockError (never an untyped error, never a process
+	// panic); and once the device heals, the next answers are bit-identical
+	// again, with nothing else done.
 	Faults bool
 }
 
@@ -150,7 +150,7 @@ func Run(t testing.TB, cfg Config) {
 	queries := 0
 	for op := 0; op < cfg.Ops; op++ {
 		// Fault mode folds device chaos into the stream: roughly every
-		// tenth op flips the fault plan or heals and re-stages.
+		// tenth op flips the fault plan or heals the device.
 		if cfg.Faults && h.rng.Intn(10) == 0 {
 			h.opFault()
 		}
@@ -252,7 +252,7 @@ func (h *harness) build(base *series.Collection) {
 	// out-of-core cold tier. Answers must be bit-identical whichever way
 	// the base is stored, so the whole op stream differentially verifies
 	// both paths against each other.
-	h.tossPlacement(&sopt, base)
+	h.tossPlacement(&sopt)
 	shrd, err := shard.Build(base, cfg, sopt)
 	if err != nil {
 		h.t.Fatal(err)
@@ -267,27 +267,16 @@ func (h *harness) build(base *series.Collection) {
 // shard at random (always at least one cold) to exercise the mixed hot/cold
 // path.
 //
-// In fault mode the cold tier is mandatory and its store is a
+// In fault mode the cold tier is mandatory and its store is a fresh
 // storage.FaultStore (healed at build time — staging and construction run
-// on a healthy device, like the experiments' dataset staging), with base
-// the hot re-stage source so Restage can route around a dead device.
-func (h *harness) tossPlacement(opt *shard.Options, base *series.Collection) {
+// on a healthy device, like the experiments' dataset staging).
+func (h *harness) tossPlacement(opt *shard.Options) {
 	if h.cfg.Faults {
 		h.fault = storage.NewFaultStore(storage.NewMemStore(), storage.FaultPlan{})
-		first := true
 		cs := &shard.ColdStorage{
-			// The build's cold tier lands on the injecting store;
-			// re-stages get genuinely fresh stores.
-			NewStore: func() (storage.Store, error) {
-				if first {
-					first = false
-					return h.fault, nil
-				}
-				return storage.NewMemStore(), nil
-			},
+			Store:      h.fault,
 			CacheBytes: 16 << 10,
 			Retry:      storage.RetryPolicy{Sleep: func(time.Duration) {}},
-			Source:     base,
 		}
 		h.tossColdPlacement(cs)
 		opt.ColdStorage = cs
@@ -499,7 +488,7 @@ func (h *harness) opFlush() {
 	if p := h.plain.Pending(); p != 0 {
 		h.t.Fatalf("plain pending %d after Flush", p)
 	}
-	if p := h.shrd.Pending(); p != 0 {
+	if p := h.shrd.IngestStats().Pending; p != 0 {
 		h.t.Fatalf("sharded pending %d after Flush", p)
 	}
 }
@@ -509,7 +498,7 @@ func (h *harness) opFlush() {
 // verifies the loaded state.
 func (h *harness) opSaveLoad() {
 	// Maintenance runs on a healthy device: a re-encode with a dead store
-	// is out of scope (and a fresh decode re-stages the cold tier anyway).
+	// is out of scope (and a fresh decode stages a new cold tier anyway).
 	h.opHeal()
 	opt := messi.Options{MergeThreshold: h.cfg.MergeThreshold}
 	enc := h.plain.Encode()
@@ -522,7 +511,7 @@ func (h *harness) opSaveLoad() {
 	// tier) independently of the saved instance's choice: persistence is
 	// backing-agnostic, so any combination must keep answering identically.
 	sopt := shard.Options{Options: opt}
-	h.tossPlacement(&sopt, h.base)
+	h.tossPlacement(&sopt)
 	shrd2, err := shard.Decode(senc, h.base, sopt)
 	if err != nil {
 		plain2.Close()
@@ -693,38 +682,36 @@ func (h *harness) opApproximate() {
 	}
 }
 
-// shardErr handles a sharded query's error under fault mode: a nil error
-// (query completed, caller compares it against the oracle) returns false;
-// the typed shards-unavailable failure is counted and tolerated; anything
-// else — or any error outside fault mode — is fatal. Every query issued
-// while a fault plan is active also counts toward faultChecks, so the run
-// can prove injection actually intersected the query stream.
+// shardErr handles a sharded query's error: a nil error (query completed,
+// caller compares it against the oracle) returns false; under an active
+// fault plan, a failure carrying the typed *storage.BlockError is counted
+// and tolerated; anything else — an untyped error, or any error outside
+// fault mode or after a heal — is fatal. Every query issued while a fault
+// plan is active also counts toward faultChecks, so the run can prove
+// injection actually intersected the query stream.
 func (h *harness) shardErr(op string, err error) (failed bool) {
-	if h.fault != nil && h.fault.Plan().Active() {
+	active := h.fault != nil && h.fault.Plan().Active()
+	if active {
 		h.faultChecks++
 	}
 	if err == nil {
 		return false
 	}
-	if h.fault == nil {
-		h.t.Fatalf("%s: sharded: %v", op, err)
+	if !active {
+		h.t.Fatalf("%s: sharded on a healthy device: %v", op, err)
 	}
-	var su *shard.ErrShardsUnavailable
-	if !errors.As(err, &su) {
+	var be *storage.BlockError
+	if !errors.As(err, &be) {
 		h.t.Fatalf("%s: sharded failed with an untyped error under faults: %v", op, err)
-	}
-	if len(su.Shards) == 0 {
-		h.t.Fatalf("%s: ErrShardsUnavailable lists no shards: %v", op, err)
 	}
 	h.typedFails++
 	return true
 }
 
-// opFault mutates the injected fault plan: heal the device (and re-stage
-// any quarantined shards, after which answers must be bit-identical
-// again), install a transient plan (retries mask most of it; exhaustion
-// produces typed failures), or kill a byte range permanently (driving
-// quarantine).
+// opFault mutates the injected fault plan: heal the device (after which
+// answers must be bit-identical again), install a transient plan (retries
+// mask most of it; exhaustion produces typed failures), or kill a byte
+// range permanently.
 func (h *harness) opFault() {
 	if h.fault == nil {
 		return
@@ -754,20 +741,11 @@ func (h *harness) opFault() {
 	}
 }
 
-// opHeal clears the fault plan and re-stages every quarantined shard onto
-// a fresh store, restoring full service; subsequent query ops assert the
+// opHeal clears the fault plan, which alone restores full service: the
+// cold reader caches no failed block, so subsequent query ops assert the
 // answers are bit-identical to the oracle again.
 func (h *harness) opHeal() {
-	if h.fault == nil {
-		return
-	}
-	h.fault.Heal()
-	for _, si := range h.shrd.Health().Quarantined {
-		if err := h.shrd.Restage(si); err != nil {
-			h.t.Fatalf("restage shard %d: %v", si, err)
-		}
-	}
-	if q := h.shrd.Health().Quarantined; len(q) != 0 {
-		h.t.Fatalf("shards %v still unavailable after heal + restage", q)
+	if h.fault != nil {
+		h.fault.Heal()
 	}
 }

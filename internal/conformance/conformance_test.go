@@ -48,11 +48,10 @@ func TestConformanceHashPolicy(t *testing.T) {
 }
 
 // TestConformanceFaults runs the op stream with a fault-injecting cold
-// tier: random transient/permanent plans, heals and re-stages interleave
-// with every other op. Completed queries must stay bit-identical to the
-// serial oracle, failed queries must carry the typed shards-unavailable
-// error, and heal + re-stage must restore exact service — the
-// fault-tolerance acceptance gate.
+// tier: random transient/permanent plans and heals interleave with every
+// other op. Completed queries must stay bit-identical to the serial oracle,
+// failed queries must carry the typed *storage.BlockError, and a heal alone
+// must restore exact service — the fault-tolerance acceptance gate.
 func TestConformanceFaults(t *testing.T) {
 	ops := opsDefault()
 	if !testing.Short() && *opsFlag == 0 {

@@ -134,7 +134,7 @@ func TestMinDistDTWLowerBoundsDTW(t *testing.T) {
 		sax := summarize(q, b, segments)
 		w := fullWord(sax, 8)
 		lb := MinDistDTW(q, upPAA, loPAA, w, n)
-		dtw := series.DTW(a, b, window, math.Inf(1))
+		dtw := series.DTW(a, b, window, math.Inf(1), new([]float64))
 		return lb <= dtw+1e-6
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300, Rand: rng}); err != nil {

@@ -309,7 +309,7 @@ func verifyDelObs(t *testing.T, mirror, queries *series.Collection, o delObs) bo
 		}
 		var d float64
 		if o.kind == 2 {
-			d = series.DTW(q, mirror.At(p), delStressDTWWin, math.Inf(1))
+			d = series.DTW(q, mirror.At(p), delStressDTWWin, math.Inf(1), new([]float64))
 		} else {
 			d = vector.SquaredEDEarlyAbandon(q, mirror.At(p), math.Inf(1))
 		}
@@ -345,7 +345,7 @@ func verifyDelObs(t *testing.T, mirror, queries *series.Collection, o delObs) bo
 				if lb := series.LBKeogh(env, mirror.At(p), limit); lb >= limit {
 					continue
 				}
-				d = series.DTW(q, mirror.At(p), delStressDTWWin, limit)
+				d = series.DTW(q, mirror.At(p), delStressDTWWin, limit, new([]float64))
 			} else {
 				d = vector.SquaredEDEarlyAbandon(q, mirror.At(p), limit)
 			}

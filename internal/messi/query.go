@@ -32,11 +32,6 @@ type QueryStats struct {
 	// query start. A serial scan over exactly that prefix returns the
 	// bit-identical answer.
 	Observed int
-	// UncoveredShards lists the shards a partial-results query (the shard
-	// layer's AllowPartial mode) could not cover — quarantined or failing
-	// at query time. Empty on a complete answer; never set by an unsharded
-	// index.
-	UncoveredShards []int
 }
 
 // view is the consistent cut one query observes: a tree snapshot plus the
@@ -117,13 +112,15 @@ func (ix *Index) putScratch(sc *searchScratch) {
 }
 
 // lbScratch is a reusable lower-bound buffer, plus the survivor lists of a
-// device-backed refinement. Every worker that refines leaves or scans the
-// delta checks one out of the index's pool while it does, so concurrent
-// workers of the same query never share a buffer and sustained traffic
-// recycles a bounded set (one buffer per running worker, not per leaf).
+// device-backed refinement and the two rows of a DTW score's dynamic
+// program (series.DTW). Every worker that refines leaves or scans the delta
+// checks one out of the index's pool while it does, so concurrent workers
+// of the same query never share a buffer and sustained traffic recycles a
+// bounded set (one buffer per running worker, not per leaf).
 type lbScratch struct {
 	buf      []float64
 	idx, pos []int32
+	rows     []float64
 }
 
 // take returns a length-n bound buffer, growing the backing array only
@@ -161,13 +158,14 @@ func (ix *Index) leafSeries(leaf *core.Node, i int) series.Series {
 // filter — plus the two things a flavor defines. limit reads the live
 // pruning threshold (the BSF for 1-NN, the k-th best for k-NN); score pays
 // the real distance of the series s at mapped position gpos under the
-// threshold lim it was admitted with, and records any improvement.
+// threshold lim it was admitted with, and records any improvement, taking
+// any scratch from the calling worker's lb (a query's helpers share r).
 type refiner struct {
 	table *isax.QueryTable
 	mp    func(int32) int32
 	f     qfilter
 	limit func() float64
-	score func(gpos int32, s series.Series, lim float64, st *QueryStats)
+	score func(gpos int32, s series.Series, lim float64, st *QueryStats, lb *lbScratch)
 }
 
 // refineLeaf checks a leaf's entries: lower bounds for the whole leaf are
@@ -185,7 +183,7 @@ func (ix *Index) refineLeaf(r *refiner, leaf *core.Node, st *QueryStats, lb *lbS
 	if ix.readBatch != nil && leaf.Raw == nil {
 		ix.coldEntries(leaf, lb,
 			func(i int) bool { return bounds[i] < r.limit() && !r.f.skip(leaf.Pos[i], r.mp) },
-			func(i int, s series.Series) { r.score(r.mp(leaf.Pos[i]), s, r.limit(), st) })
+			func(i int, s series.Series) { r.score(r.mp(leaf.Pos[i]), s, r.limit(), st, lb) })
 		return
 	}
 	for i, b := range bounds {
@@ -193,7 +191,7 @@ func (ix *Index) refineLeaf(r *refiner, leaf *core.Node, st *QueryStats, lb *lbS
 		if b >= lim || r.f.skip(leaf.Pos[i], r.mp) {
 			continue
 		}
-		r.score(r.mp(leaf.Pos[i]), ix.leafSeries(leaf, i), lim, st)
+		r.score(r.mp(leaf.Pos[i]), ix.leafSeries(leaf, i), lim, st, lb)
 	}
 }
 
@@ -246,7 +244,7 @@ func (ix *Index) scanDelta(r *refiner, lo, hi int, st *QueryStats, lb *lbScratch
 			if b >= lim || r.f.skip(p, r.mp) {
 				continue
 			}
-			r.score(r.mp(p), ix.store.At(i+j), lim, st)
+			r.score(r.mp(p), ix.store.At(i+j), lim, st, lb)
 		}
 		i += k
 	}
@@ -885,7 +883,7 @@ func (ix *Index) newRefiner(q Query, sink *Sink, sc *searchScratch, quant *isax.
 		sc.table.FillED(quant, sc.qpaa, n)
 		// The k-th best distance plays the BSF role in every pruning decision.
 		r.limit = kb.Threshold
-		r.score = func(gpos int32, s series.Series, lim float64, st *QueryStats) {
+		r.score = func(gpos int32, s series.Series, lim float64, st *QueryStats, _ *lbScratch) {
 			st.RawDistances++
 			kb.Offer(gpos, vector.SquaredEDEarlyAbandon(qs, s, lim))
 		}
@@ -896,7 +894,7 @@ func (ix *Index) newRefiner(q Query, sink *Sink, sc *searchScratch, quant *isax.
 		// Candidates that pass the iSAX bound take an LB_Keogh check before the
 		// full dynamic program.
 		r.limit = best.Distance
-		r.score = func(gpos int32, s series.Series, lim float64, st *QueryStats) {
+		r.score = func(gpos int32, s series.Series, lim float64, st *QueryStats, lb *lbScratch) {
 			// >, not >=: LBKeogh abandons only above lim, and at warp 0
 			// it equals DTW bit for bit, so a bound at lim may be an
 			// exact tie the lower position has to win.
@@ -906,7 +904,7 @@ func (ix *Index) newRefiner(q Query, sink *Sink, sc *searchScratch, quant *isax.
 			st.RawDistances++
 			// <=, as in the ED score: DTW abandons only above lim, so
 			// d == lim is an exact tie and Best keeps the lower position.
-			if d := series.DTW(qs, s, window, lim); d <= lim {
+			if d := series.DTW(qs, s, window, lim, &lb.rows); d <= lim {
 				best.Update(d, int64(gpos))
 			}
 		}
@@ -916,7 +914,7 @@ func (ix *Index) newRefiner(q Query, sink *Sink, sc *searchScratch, quant *isax.
 			sc.table.FillED(quant, sc.qpaa, n)
 		}
 		r.limit = best.Distance
-		r.score = func(gpos int32, s series.Series, lim float64, st *QueryStats) {
+		r.score = func(gpos int32, s series.Series, lim float64, st *QueryStats, _ *lbScratch) {
 			st.RawDistances++
 			// <=, not <: the kernel abandons only above lim, so d == lim
 			// is an exact tie with the best-so-far, and Best keeps the
@@ -932,10 +930,11 @@ func (ix *Index) newRefiner(q Query, sink *Sink, sc *searchScratch, quant *isax.
 
 // approximate is the body of an Approx query: every visible entry of the
 // leaf under the query's summary (core.Tree.BestLeafApprox) and of the
-// unmerged delta pays a real distance, with no bound pass and no traversal of the rest of the tree.
-// The delta is small by construction — merges keep it under the threshold
-// — and scanning it keeps the answer's distance an upper bound on the
-// exact answer over everything the query observed. sub marks a sharded
+// unmerged delta pays a real distance — ED, which needs no scratch, so the
+// score gets a nil lb — with no bound pass and no traversal of the rest of
+// the tree. The delta is small by construction — merges keep it under the
+// threshold — and scanning it keeps the answer's distance an upper bound on
+// the exact answer over everything the query observed. sub marks a sharded
 // sub-search (see beginQuery).
 func (ix *Index) approximate(r *refiner, sc *searchScratch, v view, sub bool, tenant string, stats *QueryStats) {
 	end := ix.beginQuery(sub, tenant)
@@ -943,7 +942,7 @@ func (ix *Index) approximate(r *refiner, sc *searchScratch, v view, sub bool, te
 	if leaf := v.snap.tree.BestLeafApprox(sc.qsax, sc.qpaa); leaf != nil {
 		stats.ProbeLeaves = 1
 		admit := func(i int) bool { return !r.f.skip(leaf.Pos[i], r.mp) }
-		visit := func(i int, s series.Series) { r.score(r.mp(leaf.Pos[i]), s, r.limit(), stats) }
+		visit := func(i int, s series.Series) { r.score(r.mp(leaf.Pos[i]), s, r.limit(), stats, nil) }
 		if ix.readBatch != nil && leaf.Raw == nil {
 			// No bound pass here, but the same read discipline: the
 			// visible entries of the leaf in one device-ordered batch.
@@ -960,7 +959,7 @@ func (ix *Index) approximate(r *refiner, sc *searchScratch, v view, sub bool, te
 	}
 	for i := v.snap.mergedA; i < v.aLive; i++ {
 		if p := int32(ix.baseLen + i); !r.f.skip(p, r.mp) {
-			r.score(r.mp(p), ix.store.At(i), r.limit(), stats)
+			r.score(r.mp(p), ix.store.At(i), r.limit(), stats, nil)
 		}
 	}
 }

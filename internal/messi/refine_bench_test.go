@@ -54,7 +54,7 @@ func BenchmarkMESSIRefineLeaf(b *testing.B) {
 			best := xsync.NewBest()
 			const loose = 1e18 // passes every bound; full distance on the first entry
 			r := &refiner{table: sc.table, mp: identPos, f: qfilter{posLimit: math.MaxInt32}, limit: best.Distance,
-				score: func(gpos int32, s series.Series, lim float64, st *QueryStats) {
+				score: func(gpos int32, s series.Series, lim float64, st *QueryStats, _ *lbScratch) {
 					st.RawDistances++
 					if d := vector.SquaredEDEarlyAbandon(q, s, lim); d < lim {
 						best.Update(d, int64(gpos))

@@ -44,24 +44,6 @@ func TransformInto(s series.Series, out []float64) {
 	}
 }
 
-// Reconstruct expands a PAA back to a series of length n (each segment's
-// points set to the segment mean). Useful for visualization and for testing
-// the distance bound.
-func Reconstruct(coeffs []float64, n int) series.Series {
-	w := len(coeffs)
-	if w == 0 || n%w != 0 {
-		panic(fmt.Sprintf("paa: cannot reconstruct length %d from %d segments", n, w))
-	}
-	seg := n / w
-	out := make(series.Series, n)
-	for j, c := range coeffs {
-		for k := 0; k < seg; k++ {
-			out[j*seg+k] = float32(c)
-		}
-	}
-	return out
-}
-
 // SquaredLowerBound returns the scaled squared PAA distance
 // (n/w)·Σ(a_j−b_j)², which lower-bounds the squared Euclidean distance of
 // the original series of length n.

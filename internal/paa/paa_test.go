@@ -77,24 +77,6 @@ func TestTransformIntoMatchesTransform(t *testing.T) {
 	}
 }
 
-func TestReconstructShape(t *testing.T) {
-	coeffs := []float64{1, -1}
-	s := Reconstruct(coeffs, 8)
-	if len(s) != 8 {
-		t.Fatalf("len = %d, want 8", len(s))
-	}
-	for i := 0; i < 4; i++ {
-		if s[i] != 1 {
-			t.Errorf("s[%d] = %v, want 1", i, s[i])
-		}
-	}
-	for i := 4; i < 8; i++ {
-		if s[i] != -1 {
-			t.Errorf("s[%d] = %v, want -1", i, s[i])
-		}
-	}
-}
-
 func TestLowerBoundProperty(t *testing.T) {
 	// (n/w)·ED²(PAA(a),PAA(b)) ≤ ED²(a,b): the foundation of pruning.
 	rng := rand.New(rand.NewSource(4))

@@ -33,12 +33,12 @@ type Query struct {
 // kind is what a query kind supplies to Run: the lower-bound table the scan
 // and the refinement prune by, the live pruning threshold (the BSF for the
 // 1-NN kinds, the k-th best for KNN), and the score a series pays: its real
-// distance at position p under the threshold lim it was admitted with, with
-// any improvement recorded in the query's sink.
+// distance at position p under lim, with any improvement recorded in the
+// query's sink (rows is the calling worker's series.DTW scratch).
 type kind struct {
 	table *isax.QueryTable
 	limit func() float64
-	score func(p int32, s series.Series, lim float64)
+	score func(p int32, s series.Series, lim float64, rows *[]float64)
 }
 
 // Run answers q with the ParIS/ParIS+ algorithm (identical for both modes,
@@ -73,9 +73,9 @@ func (ix *Index) Run(q Query) ([]core.Result, *QueryStats, error) {
 
 	var raw xsync.Counter
 	seeds, err := ix.seeds(q, k.table, qsax, qpaa)
-	buf := make(series.Series, ix.cfg.SeriesLen)
+	buf, rows := make(series.Series, ix.cfg.SeriesLen), new([]float64)
 	for i := 0; err == nil && i < len(seeds); i++ {
-		err = ix.pay(k, seeds[i], k.limit(), buf, &raw)
+		err = ix.pay(k, seeds[i], k.limit(), buf, rows, &raw)
 	}
 	if err != nil {
 		return nil, stats, fmt.Errorf("paris: seeding: %w", err)
@@ -100,7 +100,7 @@ func (ix *Index) newKind(q Query, sink messi.Sink, qpaa []float64) (*kind, error
 	case messi.NN, messi.Approx:
 		best := sink.Best
 		return &kind{table: isax.NewQueryTable(quant, qpaa, n), limit: best.Distance,
-			score: func(p int32, s series.Series, lim float64) {
+			score: func(p int32, s series.Series, lim float64, _ *[]float64) {
 				// <=, not <: the kernel abandons only above lim, so d == lim
 				// is an exact tie, and Best keeps the lower position — the
 				// one a serial scan reports.
@@ -111,7 +111,7 @@ func (ix *Index) newKind(q Query, sink messi.Sink, qpaa []float64) (*kind, error
 	case messi.KNN:
 		kb := sink.KBest
 		return &kind{table: isax.NewQueryTable(quant, qpaa, n), limit: kb.Threshold,
-			score: func(p int32, s series.Series, lim float64) {
+			score: func(p int32, s series.Series, lim float64, _ *[]float64) {
 				kb.Offer(p, vector.SquaredEDEarlyAbandon(qs, s, lim))
 			}}, nil
 	case messi.DTW:
@@ -120,13 +120,13 @@ func (ix *Index) newKind(q Query, sink messi.Sink, qpaa []float64) (*kind, error
 		table := isax.NewDTWQueryTable(quant, paa.Transform(env.Upper, ix.cfg.Segments),
 			paa.Transform(env.Lower, ix.cfg.Segments), n)
 		return &kind{table: table, limit: best.Distance,
-			score: func(p int32, s series.Series, lim float64) {
+			score: func(p int32, s series.Series, lim float64, rows *[]float64) {
 				// An LB_Keogh check before the dynamic program. Both
 				// comparisons let an exact tie through, as in the ED score.
 				if series.LBKeogh(env, s, lim) > lim {
 					return
 				}
-				if d := series.DTW(qs, s, window, lim); d <= lim {
+				if d := series.DTW(qs, s, window, lim, rows); d <= lim {
 					best.Update(d, int64(p))
 				}
 			}}, nil
@@ -216,13 +216,13 @@ func (ix *Index) refine(k *kind, cand []int32, workers int, raw *xsync.Counter) 
 			if ix.raw != nil {
 				slices.Sort(mine)
 			}
-			buf := make(series.Series, ix.cfg.SeriesLen)
+			buf, rows := make(series.Series, ix.cfg.SeriesLen), new([]float64)
 			for _, p := range mine {
 				lim := k.limit()
 				if k.table.MinDistSAX(ix.sax.At(int(p))) >= lim {
 					continue
 				}
-				if errs[wi] = ix.pay(k, p, lim, buf, raw); errs[wi] != nil {
+				if errs[wi] = ix.pay(k, p, lim, buf, rows, raw); errs[wi] != nil {
 					return
 				}
 			}
@@ -234,7 +234,7 @@ func (ix *Index) refine(k *kind, cand []int32, workers int, raw *xsync.Counter) 
 
 // pay reads the series at position p — from RAM without a copy, or from the
 // raw file into buf — counts one real distance and scores it under lim.
-func (ix *Index) pay(k *kind, p int32, lim float64, buf series.Series, raw *xsync.Counter) error {
+func (ix *Index) pay(k *kind, p int32, lim float64, buf series.Series, rows *[]float64, raw *xsync.Counter) error {
 	s := buf
 	if ix.mem != nil {
 		s = ix.mem.At(int(p))
@@ -242,6 +242,6 @@ func (ix *Index) pay(k *kind, p int32, lim float64, buf series.Series, raw *xsyn
 		return fmt.Errorf("series %d: %w", p, err)
 	}
 	raw.Next()
-	k.score(p, s, lim)
+	k.score(p, s, lim, rows)
 	return nil
 }

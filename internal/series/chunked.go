@@ -133,33 +133,3 @@ func (c *Chunked) Append(s Series) int { return c.rows.Append(s) }
 
 // At returns series i as a stable view into its chunk.
 func (c *Chunked) At(i int) Series { return Series(c.rows.At(i)) }
-
-// Snapshot returns a stable view of the first Len() series. The view keeps
-// answering from exactly that prefix no matter how many series are appended
-// afterwards.
-func (c *Chunked) Snapshot() ChunkedView { return c.View(c.Len()) }
-
-// View returns a stable view of the first n series; n must not exceed a
-// Len value the caller has observed.
-func (c *Chunked) View(n int) ChunkedView { return ChunkedView{c: c, n: n} }
-
-// ChunkedView is a frozen prefix of a Chunked collection: a consistent
-// snapshot for queries and ground-truth scans while appends continue.
-type ChunkedView struct {
-	c *Chunked
-	n int
-}
-
-// Len returns the number of series in the view.
-func (v ChunkedView) Len() int { return v.n }
-
-// SeriesLen returns the number of points in each series.
-func (v ChunkedView) SeriesLen() int { return v.c.SeriesLen() }
-
-// At returns series i of the view.
-func (v ChunkedView) At(i int) Series {
-	if i >= v.n {
-		panic(fmt.Sprintf("series: view index %d out of snapshot range %d", i, v.n))
-	}
-	return v.c.At(i)
-}

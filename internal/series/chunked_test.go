@@ -39,33 +39,6 @@ func TestChunkedAppendLengthMismatchPanics(t *testing.T) {
 	NewChunked(4, 0).Append(Series{1, 2})
 }
 
-func TestChunkedViewIsStablePrefix(t *testing.T) {
-	c := NewChunked(2, 4)
-	for i := 0; i < 6; i++ {
-		c.Append(Series{float32(i), float32(-i)})
-	}
-	v := c.Snapshot()
-	if v.Len() != 6 {
-		t.Fatalf("snapshot len = %d", v.Len())
-	}
-	// Growth after the snapshot must not change what the view answers.
-	for i := 6; i < 200; i++ {
-		c.Append(Series{float32(100 + i), float32(100 + i)})
-	}
-	for i := 0; i < 6; i++ {
-		if got := v.At(i); got[0] != float32(i) || got[1] != float32(-i) {
-			t.Fatalf("view At(%d) = %v after growth, want [%v %v]", i, got, float32(i), float32(-i))
-		}
-	}
-	// Out-of-snapshot access must panic rather than silently read newer data.
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic on out-of-view index")
-		}
-	}()
-	v.At(6)
-}
-
 func TestChunkedConcurrentAppendersAndReaders(t *testing.T) {
 	// Writers race Append while readers continuously re-scan every position
 	// below the Len they observe; run with -race. Values are derived from

@@ -16,8 +16,10 @@ import (
 //
 // The implementation uses the standard O(n·w) two-row dynamic program with
 // early termination when an entire row exceeds limit (pass math.Inf(1) to
-// disable early abandoning).
-func DTW(a, b Series, window int, limit float64) float64 {
+// disable early abandoning). rows holds the program's two rows between
+// calls: DTW grows it when it is shorter than 2·(len(b)+1), so a caller
+// that keeps one per goroutine pays no allocation after the first call.
+func DTW(a, b Series, window int, limit float64, rows *[]float64) float64 {
 	n, m := len(a), len(b)
 	if n == 0 || m == 0 {
 		return math.Inf(1)
@@ -31,8 +33,10 @@ func DTW(a, b Series, window int, limit float64) float64 {
 	}
 
 	const inf = math.MaxFloat64
-	prev := make([]float64, m+1)
-	curr := make([]float64, m+1)
+	if len(*rows) < 2*(m+1) {
+		*rows = make([]float64, 2*(m+1))
+	}
+	prev, curr := (*rows)[:m+1], (*rows)[m+1:2*(m+1)]
 	for j := range prev {
 		prev[j] = inf
 	}

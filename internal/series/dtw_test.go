@@ -11,7 +11,7 @@ func TestDTWIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	for _, w := range []int{0, 1, 5, -1} {
 		s := randomSeries(rng, 64)
-		if d := DTW(s, s, w, math.Inf(1)); d != 0 {
+		if d := DTW(s, s, w, math.Inf(1), new([]float64)); d != 0 {
 			t.Errorf("DTW(s,s,window=%d) = %v, want 0", w, d)
 		}
 	}
@@ -21,7 +21,7 @@ func TestDTWZeroWindowIsED(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 20; trial++ {
 		a, b := randomSeries(rng, 100), randomSeries(rng, 100)
-		dtw := DTW(a, b, 0, math.Inf(1))
+		dtw := DTW(a, b, 0, math.Inf(1), new([]float64))
 		ed := SquaredED(a, b)
 		if !almostEqual(dtw, ed, 1e-9) {
 			t.Fatalf("DTW window 0 = %v, SquaredED = %v", dtw, ed)
@@ -37,7 +37,7 @@ func TestDTWNeverExceedsED(t *testing.T) {
 		ed := SquaredED(a, b)
 		prev := ed
 		for _, w := range []int{1, 2, 5, 10, 80} {
-			d := DTW(a, b, w, math.Inf(1))
+			d := DTW(a, b, w, math.Inf(1), new([]float64))
 			if d > prev+1e-9 {
 				t.Fatalf("DTW with window %d = %v exceeds smaller-window value %v", w, d, prev)
 			}
@@ -51,7 +51,7 @@ func TestDTWKnownAlignment(t *testing.T) {
 	// boundary, so DTW should be far below ED.
 	a := Series{0, 1, 2, 3, 4, 5, 6, 7}
 	b := Series{0, 0, 1, 2, 3, 4, 5, 6}
-	dtw := DTW(a, b, 2, math.Inf(1))
+	dtw := DTW(a, b, 2, math.Inf(1), new([]float64))
 	ed := SquaredED(a, b)
 	if dtw >= ed {
 		t.Fatalf("DTW = %v not below ED = %v for shifted series", dtw, ed)
@@ -62,11 +62,11 @@ func TestDTWKnownAlignment(t *testing.T) {
 }
 
 func TestDTWEmptyAndMismatched(t *testing.T) {
-	if d := DTW(Series{}, Series{1}, 1, math.Inf(1)); !math.IsInf(d, 1) {
+	if d := DTW(Series{}, Series{1}, 1, math.Inf(1), new([]float64)); !math.IsInf(d, 1) {
 		t.Errorf("DTW with empty input = %v, want +Inf", d)
 	}
 	// Band narrower than the length difference: no path.
-	if d := DTW(make(Series, 10), make(Series, 20), 3, math.Inf(1)); !math.IsInf(d, 1) {
+	if d := DTW(make(Series, 10), make(Series, 20), 3, math.Inf(1), new([]float64)); !math.IsInf(d, 1) {
 		t.Errorf("DTW with impossible band = %v, want +Inf", d)
 	}
 }
@@ -75,8 +75,8 @@ func TestDTWEarlyAbandonConsistent(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 30; trial++ {
 		a, b := randomSeries(rng, 64), randomSeries(rng, 64)
-		full := DTW(a, b, 8, math.Inf(1))
-		got := DTW(a, b, 8, full/3)
+		full := DTW(a, b, 8, math.Inf(1), new([]float64))
+		got := DTW(a, b, 8, full/3, new([]float64))
 		if got <= full/3 && !almostEqual(got, full, 1e-9) {
 			t.Fatalf("abandoned DTW returned %v <= limit but full is %v", got, full)
 		}
@@ -117,7 +117,7 @@ func TestLBKeoghLowerBoundsDTW(t *testing.T) {
 		w := r.Intn(20)
 		env := NewEnvelope(q, w)
 		lb := LBKeogh(env, s, math.Inf(1))
-		dtw := DTW(q, s, w, math.Inf(1))
+		dtw := DTW(q, s, w, math.Inf(1), new([]float64))
 		return lb <= dtw+1e-6
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300, Rand: rng}); err != nil {
@@ -147,5 +147,25 @@ func TestLBKeoghEarlyAbandon(t *testing.T) {
 	full := LBKeogh(env, s, math.Inf(1))
 	if full != 64*100*100 {
 		t.Errorf("full LBKeogh = %v, want %v", full, 64*100*100)
+	}
+}
+
+// TestDTWReusesRows: one rows buffer, grown on the first call, serves every
+// later call — longer and shorter series alike — with answers equal to a
+// fresh buffer's and no allocation.
+func TestDTWReusesRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	var rows []float64
+	for _, n := range []int{96, 32, 96, 64} {
+		a, b := randomSeries(rng, n), randomSeries(rng, n)
+		for _, w := range []int{0, 3, -1} {
+			if got, want := DTW(a, b, w, math.Inf(1), &rows), DTW(a, b, w, math.Inf(1), new([]float64)); got != want {
+				t.Fatalf("n=%d window %d: reused rows give %v, fresh rows %v", n, w, got, want)
+			}
+		}
+	}
+	a, b := randomSeries(rng, 96), randomSeries(rng, 96)
+	if allocs := testing.AllocsPerRun(10, func() { DTW(a, b, 4, math.Inf(1), &rows) }); allocs != 0 {
+		t.Fatalf("DTW over grown rows allocates %v times", allocs)
 	}
 }

@@ -200,14 +200,12 @@ func TestColdStorageDecode(t *testing.T) {
 func TestColdStorageFileStore(t *testing.T) {
 	g := gen.Generator{Kind: gen.Synthetic, Length: testLen, Seed: 19}
 	coll := g.Collection(500)
-	dir := t.TempDir()
-	var fs *storage.FileStore
-	cs := coldOptions(nil)
-	cs.NewStore = func() (storage.Store, error) {
-		var err error
-		fs, err = storage.OpenFileStore(filepath.Join(dir, "base.dsf"))
-		return fs, err
+	fs, err := storage.OpenFileStore(filepath.Join(t.TempDir(), "base.dsf"))
+	if err != nil {
+		t.Fatal(err)
 	}
+	cs := coldOptions(nil)
+	cs.Store = fs
 	s, err := Build(coll, testConfig(), Options{Shards: 2, ColdStorage: cs,
 		Options: messi.Options{MergeThreshold: 1 << 30}})
 	if err != nil {
@@ -492,8 +490,8 @@ func sameAnswers(t *testing.T, stage string, hot, cold *Sharded, queries *series
 // TestColdEquivalence walks a cold index through its whole life beside a
 // hot twin — fresh, after appends have merged into the cold shards and split
 // their leaves (the staged runs are then subdivided, never reordered), after
-// every cold shard was re-staged, after Encode/Decode — at block sizes from
-// one series to more than a leaf, all-cold and mixed.
+// Encode/Decode — at block sizes from one series to more than a leaf,
+// all-cold and mixed.
 func TestColdEquivalence(t *testing.T) {
 	g := gen.Generator{Kind: gen.Synthetic, Length: testLen, Seed: 53}
 	coll := g.Collection(900)
@@ -507,7 +505,7 @@ func TestColdEquivalence(t *testing.T) {
 					t.Fatal(err)
 				}
 				t.Cleanup(hot.Close)
-				cs := &ColdStorage{CacheBytes: 16 << 10, BlockSeries: blockSeries, Cold: placement, Source: coll}
+				cs := &ColdStorage{CacheBytes: 16 << 10, BlockSeries: blockSeries, Cold: placement}
 				cold, err := Build(coll, testConfig(), Options{Shards: 3, ColdStorage: cs, Options: mo})
 				if err != nil {
 					t.Fatal(err)
@@ -532,15 +530,6 @@ func TestColdEquivalence(t *testing.T) {
 				}
 				sameAnswers(t, "after merges", hot, cold, queries)
 
-				for si := 0; si < 3; si++ {
-					if placement == nil || placement(si) {
-						if err := cold.Restage(si); err != nil {
-							t.Fatal(err)
-						}
-					}
-				}
-				sameAnswers(t, "after restage", hot, cold, queries)
-
 				landed := landedCollection(hot).Slice(0, coll.Len())
 				decoded, err := Decode(cold.Encode(), landed, Options{ColdStorage: cs, Options: mo})
 				if err != nil {
@@ -556,8 +545,9 @@ func TestColdEquivalence(t *testing.T) {
 // FuzzColdSlotTable: whatever the policy, shard count and cold subset — and
 // whether the trees came from a build or from decoding a compacted index,
 // whose trees no longer hold every base position — the slot table is a
-// permutation of exactly the cold shards' base positions, region by region,
-// and every position reads back from the device bit for bit.
+// permutation of exactly the cold shards' base positions, each cold shard's
+// a contiguous run in shard order, and every position reads back from the
+// device bit for bit.
 func FuzzColdSlotTable(f *testing.F) {
 	f.Add(uint8(3), uint8(0), uint8(0xff), uint8(0), int64(1))
 	f.Add(uint8(4), uint8(1), uint8(0b0101), uint8(9), int64(2))
@@ -602,13 +592,10 @@ func FuzzColdSlotTable(f *testing.F) {
 func checkSlotTable(t *testing.T, s *Sharded, coll *series.Collection) {
 	t.Helper()
 	tier := s.cold
-	seen := make([]bool, tier.regions[s.n])
+	seen := make([]bool, len(tier.slot))
+	hi := int32(0) // the end of the previous cold shard's run
 	for si := 0; si < s.n; si++ {
-		lo, hi := tier.regions[si], tier.regions[si+1]
 		if !s.coldShards[si] {
-			if lo != hi {
-				t.Fatalf("hot shard %d has a region [%d, %d)", si, lo, hi)
-			}
 			for _, g := range s.baseMap[si] {
 				if tier.slot[g] != -1 {
 					t.Fatalf("hot position %d has slot %d", g, tier.slot[g])
@@ -616,9 +603,8 @@ func checkSlotTable(t *testing.T, s *Sharded, coll *series.Collection) {
 			}
 			continue
 		}
-		if int(hi-lo) != len(s.baseMap[si]) {
-			t.Fatalf("cold shard %d: region [%d, %d) for %d base series", si, lo, hi, len(s.baseMap[si]))
-		}
+		lo := hi
+		hi = lo + int32(len(s.baseMap[si]))
 		for p, g := range s.baseMap[si] {
 			sl := tier.slot[g]
 			if sl < lo || sl >= hi || seen[sl] {

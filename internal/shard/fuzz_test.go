@@ -67,7 +67,7 @@ func FuzzShardedPersistRoundTrip(f *testing.F) {
 				s.Flush()
 			}
 		}
-		if s.Pending() == 0 {
+		if s.IngestStats().Pending == 0 {
 			t.Fatal("fuzz setup: delta buffers unexpectedly empty")
 		}
 
@@ -77,9 +77,9 @@ func FuzzShardedPersistRoundTrip(f *testing.F) {
 			t.Fatalf("round-trip decode failed: %v", err)
 		}
 		defer s2.Close()
-		if s2.Count() != s.Count() || s2.Pending() != s.Pending() || s2.Shards() != shards {
+		if s2.Count() != s.Count() || s2.IngestStats().Pending != s.IngestStats().Pending || s2.Shards() != shards {
 			t.Fatalf("round-trip shape: count %d/%d pending %d/%d shards %d/%d",
-				s2.Count(), s.Count(), s2.Pending(), s.Pending(), s2.Shards(), shards)
+				s2.Count(), s.Count(), s2.IngestStats().Pending, s.IngestStats().Pending, s2.Shards(), shards)
 		}
 		if enc2 := s2.Encode(); string(enc2) != string(enc) {
 			t.Fatal("re-encode differs after round trip")

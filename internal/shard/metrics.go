@@ -3,35 +3,7 @@ package shard
 import (
 	"dsidx/internal/messi"
 	"dsidx/internal/metrics"
-	"dsidx/internal/storage"
 )
-
-// coldFaultTotals sums the fault/retry counters over every live cold
-// reader: the shared build-time tier plus any re-staged per-shard readers
-// (each re-stage stands up its own). The shared reader appears once even
-// though many shards point at it.
-func (s *Sharded) coldFaultTotals() (retries, transient, permanent uint64) {
-	seen := make(map[*storage.DiskReader]bool)
-	add := func(r *storage.DiskReader) {
-		if r == nil || seen[r] {
-			return
-		}
-		seen[r] = true
-		st := r.Stats()
-		retries += st.Retries
-		transient += st.TransientFaults
-		permanent += st.PermanentFaults
-	}
-	if s.cold != nil {
-		add(s.cold.shared.reader)
-		for _, cp := range s.cold.parts {
-			if cp != nil {
-				add(cp.src.Load().reader)
-			}
-		}
-	}
-	return retries, transient, permanent
-}
 
 // ShardAppends returns the number of live appends routed to shard si so
 // far (the published cut), independent of merge progress.
@@ -46,10 +18,9 @@ func (s *Sharded) ShardBaseLen(si int) int { return len(s.baseMap[si]) }
 // call:
 //
 //   - the engine's families, registered once for the whole pool
-//   - every shard's ingest and query families, and its routing and health
-//     counters (series placed, appends routed, state, failures,
-//     quarantines, re-stages), under a shard="i" label when there is more
-//     than one shard
+//   - every shard's ingest and query families, and its routing and fault
+//     counters (series placed, appends routed, storage failures), under a
+//     shard="i" label when there is more than one shard
 //   - the cold tier's cache and device families — always registered, so
 //     a scrape sees the full schema (zero-valued) even on an all-hot
 //     build
@@ -111,15 +82,15 @@ func (s *Sharded) Registry() *metrics.Registry {
 			metrics.NewCounterFunc(metrics.Opts{
 				Name: "dsidx_cold_retries_total",
 				Help: "Transient cold-read faults retried by the block loaders.",
-			}, func() float64 { r, _, _ := s.coldFaultTotals(); return float64(r) }),
+			}, cold(func(c ColdStats) float64 { return float64(c.Cache.Retries) })),
 			metrics.NewCounterFunc(metrics.Opts{
 				Name: "dsidx_cold_faults_transient_total",
 				Help: "Cold block loads that failed after exhausting transient retries.",
-			}, func() float64 { _, t, _ := s.coldFaultTotals(); return float64(t) }),
+			}, cold(func(c ColdStats) float64 { return float64(c.Cache.TransientFaults) })),
 			metrics.NewCounterFunc(metrics.Opts{
 				Name: "dsidx_cold_faults_permanent_total",
 				Help: "Cold block loads that failed with a permanent device error.",
-			}, func() float64 { _, _, p := s.coldFaultTotals(); return float64(p) }),
+			}, cold(func(c ColdStats) float64 { return float64(c.Cache.PermanentFaults) })),
 		)
 	})
 	return s.reg
@@ -158,13 +129,7 @@ func (s *Sharded) registerShard(si int) {
 			func() float64 { return float64(s.ShardBaseLen(si)) }),
 		counter("dsidx_shard_appends_total", "Live appends routed to the shard.",
 			func() float64 { return float64(s.ShardAppends(si)) }),
-		gauge("dsidx_shard_state", "Serving state: 0=serving, 1=quarantined, 2=restaging.",
-			func() float64 { return float64(h.state.Load()) }),
 		counter("dsidx_shard_failures_total", "Queries the shard failed with a storage-classified error.",
 			func() float64 { return float64(h.failures.Load()) }),
-		counter("dsidx_shard_quarantines_total", "Serving-to-quarantined transitions.",
-			func() float64 { return float64(h.quarantines.Load()) }),
-		counter("dsidx_shard_restages_total", "Completed re-stages onto a fresh store.",
-			func() float64 { return float64(h.restages.Load()) }),
 	)
 }

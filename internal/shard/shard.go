@@ -31,6 +31,11 @@
 //     caps every shard at its entry, so the answer covers exactly the
 //     global prefix [0, Observed) — the property the conformance and
 //     race-stress suites verify against serial scans.
+//   - One answer or one error. Every shard takes part in every query, so an
+//     answer is always exact. A cold-read fault that outlasts its retries
+//     fails only the query that met it, with the typed storage error and
+//     the failing shard's id; the shard keeps serving, and once the device
+//     answers again the next query reads it (health.go).
 //   - One copy of the base data. Each shard is built over a zero-copy
 //     position-remapping view (series.View) of the caller's collection,
 //     not a materialized per-shard copy, so sharding never doubles
@@ -88,12 +93,6 @@ type Options struct {
 	// exactly); the conformance harness tosses placement randomly to pin
 	// that.
 	ColdStorage *ColdStorage
-	// AllowPartial opts queries into best-effort answers when shards are
-	// unavailable: instead of failing with ErrShardsUnavailable, the query
-	// answers from the shards still serving and records the skipped set in
-	// QueryStats.UncoveredShards. Off by default — a partial answer is no
-	// longer the exact nearest neighbor, so the caller must opt in.
-	AllowPartial bool
 }
 
 // ColdStorage configures the out-of-core tier: which shards are cold, what
@@ -116,11 +115,12 @@ type Options struct {
 // positions live in each shard's own chunked store, which is small by
 // construction (merges bound it).
 type ColdStorage struct {
-	// NewStore returns the byte store backing the tier's series file; nil
-	// means a fresh in-memory MemStore (hermetic, simulation-only). Real
-	// persistence supplies a FileStore. The caller owns the store's
-	// lifetime — close it after the index is closed, not before.
-	NewStore func() (storage.Store, error)
+	// Store backs the tier's series file, which the index writes from
+	// offset 0, so one store serves one index; nil means a fresh in-memory
+	// MemStore (hermetic, simulation-only). Real persistence supplies a
+	// FileStore. The caller owns the store's lifetime — close it after the
+	// index is closed, not before.
+	Store storage.Store
 	// Profile is the simulated device the store is wrapped in; the zero
 	// Profile means storage.Unthrottled. The staging write runs at latency
 	// scale 0 — a precondition, like the experiments' dataset staging —
@@ -137,17 +137,9 @@ type ColdStorage struct {
 	// Cold reports whether shard si is placed cold; nil places every
 	// shard cold.
 	Cold func(si int) bool
-	// Retry is the cold readers' transient-fault retry policy (the zero
-	// value retries storage.MaxRetries times, sleeping for real). Applies
-	// to the shared tier and to re-staged shard files.
+	// Retry is the cold reader's transient-fault retry policy (the zero
+	// value retries storage.MaxRetries times, sleeping for real).
 	Retry storage.RetryPolicy
-	// Source, when set, is the hot reader re-staging copies base values
-	// from (it must cover the full base collection in global positions).
-	// When nil, Restage reads through the index's own base reader — fine
-	// on a mixed hot/cold build, but on an all-cold build that is the
-	// failing device itself, so callers that want to re-stage around a
-	// dead store should keep a hot source and pass it here.
-	Source series.Reader
 }
 
 func (o Options) normalize() (Options, error) {
@@ -181,8 +173,8 @@ type Sharded struct {
 	shards    []*messi.Index
 
 	// cold is the shared out-of-core tier (nil when every shard is hot);
-	// coldShards[si] reports shard si's placement and health[si] its fault
-	// accounting.
+	// coldShards[si] reports shard si's placement and health[si] its query
+	// and fault accounting.
 	cold       *coldTier
 	coldShards []bool
 	health     []shardHealth
@@ -331,7 +323,7 @@ func (s *Sharded) ColdStats() ColdStats {
 			n++
 		}
 	}
-	return ColdStats{ColdShards: n, Cache: s.cold.shared.reader.Stats(), Device: s.cold.shared.disk.Metrics()}
+	return ColdStats{ColdShards: n, Cache: s.cold.reader.Stats(), Device: s.cold.disk.Metrics()}
 }
 
 // ColdDisk exposes the cold tier's device for experiments (latency scaling,
@@ -340,7 +332,7 @@ func (s *Sharded) ColdDisk() *storage.Disk {
 	if s.cold == nil {
 		return nil
 	}
-	return s.cold.shared.disk
+	return s.cold.disk
 }
 
 // finish is called once every shard exists: it builds the per-shard
@@ -414,9 +406,6 @@ func (s *Sharded) Shards() int { return s.n }
 // Shard exposes partition si for diagnostics and tests.
 func (s *Sharded) Shard(si int) *messi.Index { return s.shards[si] }
 
-// PolicyName reports the routing policy.
-func (s *Sharded) PolicyName() string { return s.policy.Name() }
-
 // Count returns the number of series the index answers over: the base
 // collection plus every published append, across all shards.
 func (s *Sharded) Count() int { return s.baseLen + int(s.appended.Load()) }
@@ -467,38 +456,30 @@ func (s *Sharded) view() (cuts []int32, observed int) {
 // scatter runs fn for every shard concurrently, under that shard's slice of
 // the query's scope (each call coordinates its shard's search, whose tasks
 // run on the shared pool), and merges the per-shard work stats into stats.
-// The last available shard's call runs on the calling goroutine and every
-// other on a goroutine of its own, so a one-shard query starts none and N
-// shards start N−1. The logical query is counted once here; the per-shard
-// sub-searches register only as active executors, so the engine's Queries
-// counter reads in logical QPS at any shard count. Each sub-search is timed
-// and counted, failed or not, in its shard's health (shardHealth.record).
+// The last shard's call runs on the calling goroutine and every other on a
+// goroutine of its own, so a one-shard query starts none and N shards start
+// N−1. The logical query is counted once here; the per-shard sub-searches
+// register only as active executors, so the engine's Queries counter reads
+// in logical QPS at any shard count. Each sub-search is timed and counted,
+// failed or not, in its shard's health (shardHealth.record).
 //
-// Fault handling: quarantined shards are skipped up front, and a shard
-// that fails mid-query with a storage-classified error (a contained
-// *storage.BlockError from the cold tier) is absorbed into its health
-// record rather than failing the process. If any shard ends uncovered the
-// query fails fast with ErrShardsUnavailable — or, under
-// Options.AllowPartial, answers from the covered shards and reports the
-// gap in stats.UncoveredShards. Non-storage errors are bugs and fail the
-// query as-is.
+// Every shard takes part in every query, so an answer is exact or the query
+// fails: a sub-search error — a contained *storage.BlockError from the cold
+// tier, or a contained task panic — fails this query alone, with the error
+// of the lowest-numbered failing shard wrapped with that shard's id
+// (errors.As and errors.Is reach the cause). Storage-classified failures
+// are also counted in each failing shard's health. Nothing else changes:
+// the next query reads the device afresh.
 func (s *Sharded) scatter(scope messi.Scope, cuts []int32, stats *messi.QueryStats, fn func(si int, scope messi.Scope) (*messi.QueryStats, error)) error {
 	s.eng.CountQuery(scope.Tenant)
 	type outcome struct {
-		st      *messi.QueryStats
-		err     error
-		skipped bool
+		st  *messi.QueryStats
+		err error
 	}
 	out := make([]outcome, s.n)
 	var wg, seeded sync.WaitGroup
-	last := -1 // the shard the caller runs
-	for si := range out {
-		if out[si].skipped = !s.available(si); !out[si].skipped {
-			last = si
-			if s.cold != nil {
-				seeded.Add(1)
-			}
-		}
+	if s.cold != nil {
+		seeded.Add(s.n)
 	}
 	run := func(si int) {
 		sub := s.shardScope(scope, cuts, si)
@@ -521,50 +502,29 @@ func (s *Sharded) scatter(scope messi.Scope, cuts []int32, stats *messi.QuerySta
 		out[si].st, out[si].err = fn(si, sub)
 		s.health[si].record(time.Since(t0), out[si].err)
 	}
-	for si := 0; si < last; si++ {
-		if !out[si].skipped {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				run(si)
-			}()
-		}
+	last := s.n - 1
+	for si := range last {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			run(si)
+		}()
 	}
-	if last >= 0 {
-		run(last)
-	}
+	run(last)
 	wg.Wait()
-	var skippedIDs, failedIDs []int
-	var cause error
+	var err error
 	for si, o := range out {
-		switch {
-		case o.skipped:
-			skippedIDs = append(skippedIDs, si)
-		case o.err != nil:
-			if !s.noteShardError(si, o.err) {
-				return o.err
+		if o.err != nil {
+			s.noteShardError(si, o.err)
+			if err == nil {
+				err = fmt.Errorf("shard %d: %w", si, o.err)
 			}
-			failedIDs = append(failedIDs, si)
-			if cause == nil {
-				cause = o.err
-			}
-		default:
-			s.noteShardSuccess(si)
 		}
 	}
-	if miss := uncovered(skippedIDs, failedIDs); len(miss) > 0 {
-		if cause == nil && len(skippedIDs) > 0 {
-			cause = s.health[skippedIDs[0]].getErr()
-		}
-		if !s.opt.AllowPartial {
-			return &ErrShardsUnavailable{Shards: miss, Cause: cause}
-		}
-		stats.UncoveredShards = miss
+	if err != nil {
+		return err
 	}
 	for _, o := range out {
-		if o.st == nil {
-			continue
-		}
 		stats.ProbeLeaves += o.st.ProbeLeaves
 		stats.LeavesInserted += o.st.LeavesInserted
 		stats.LeavesPopped += o.st.LeavesPopped
@@ -900,15 +860,6 @@ func (s *Sharded) Compact() {
 	for _, sh := range s.shards {
 		sh.Compact()
 	}
-}
-
-// Pending sums the shards' unmerged delta sizes.
-func (s *Sharded) Pending() int {
-	total := 0
-	for _, sh := range s.shards {
-		total += sh.Pending()
-	}
-	return total
 }
 
 // Flush synchronously merges every shard's delta into its tree.

@@ -221,7 +221,7 @@ func TestShardedAppendVisibleAndGloballyPositioned(t *testing.T) {
 
 	// Flush folds every shard's delta; answers must not move.
 	s.Flush()
-	if p := s.Pending(); p != 0 {
+	if p := s.IngestStats().Pending; p != 0 {
 		t.Fatalf("pending %d after Flush", p)
 	}
 	ist := s.IngestStats()
@@ -299,12 +299,12 @@ func TestShardedPersistRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer s2.Close()
-		if s2.Count() != s.Count() || s2.Shards() != s.Shards() || s2.PolicyName() != policy.Name() {
+		if s2.Count() != s.Count() || s2.Shards() != s.Shards() || s2.policy.Name() != policy.Name() {
 			t.Fatalf("%s: decoded count=%d shards=%d policy=%s", policy.Name(),
-				s2.Count(), s2.Shards(), s2.PolicyName())
+				s2.Count(), s2.Shards(), s2.policy.Name())
 		}
-		if s2.Pending() != s.Pending() {
-			t.Fatalf("%s: decoded pending %d, want %d", policy.Name(), s2.Pending(), s.Pending())
+		if p2, p := s2.IngestStats().Pending, s.IngestStats().Pending; p2 != p {
+			t.Fatalf("%s: decoded pending %d, want %d", policy.Name(), p2, p)
 		}
 		if enc2 := s2.Encode(); string(enc2) != string(enc) {
 			t.Fatalf("%s: re-encode differs from original", policy.Name())
@@ -362,9 +362,9 @@ func TestLegacySingleIndexLoadsAsOneShard(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if s.Shards() != 1 || s.Count() != ix.Count() || s.Pending() != ix.Pending() {
+	if s.Shards() != 1 || s.Count() != ix.Count() || s.IngestStats().Pending != ix.Pending() {
 		t.Fatalf("legacy load: shards=%d count=%d pending=%d, want 1/%d/%d",
-			s.Shards(), s.Count(), s.Pending(), ix.Count(), ix.Pending())
+			s.Shards(), s.Count(), s.IngestStats().Pending, ix.Count(), ix.Pending())
 	}
 	queries := g.PerturbedQueries(coll, 8, 0.05)
 	for i := 0; i < queries.Len(); i++ {
@@ -589,7 +589,7 @@ func TestDuplicateSeriesAnswerLowestPosition(t *testing.T) {
 					// win the tie.
 					tie := messi.Query{Kind: messi.DTW, Series: q, Scope: messi.FullScope}
 					sink := messi.NewSink(tie)
-					d := series.DTW(q, coll.At(301), 0, math.Inf(1))
+					d := series.DTW(q, coll.At(301), 0, math.Inf(1), new([]float64))
 					sink.Best.Update(d, 301)
 					si, _ := s.locate(42)
 					if _, err := s.Shard(si).Run(tie, &sink, s.mappers[si]); err != nil {

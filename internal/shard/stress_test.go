@@ -196,7 +196,7 @@ func TestShardedIngestRaceStress(t *testing.T) {
 
 	// Settle: flush every shard, re-check exactness and tree invariants.
 	s.Flush()
-	if p := s.Pending(); p != 0 {
+	if p := s.IngestStats().Pending; p != 0 {
 		t.Fatalf("pending %d after final Flush", p)
 	}
 	for si := 0; si < s.Shards(); si++ {
@@ -273,7 +273,7 @@ func TestShardedCloseDuringMergesAndQueries(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Flush()
-	if p := s.Pending(); p != 0 {
+	if p := s.IngestStats().Pending; p != 0 {
 		t.Fatalf("pending %d after post-Close Flush", p)
 	}
 	live := landedCollection(s)

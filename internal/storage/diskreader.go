@@ -136,8 +136,8 @@ func (s CacheStats) HitRate() float64 {
 // BlockError is the typed panic payload of a DiskReader access that failed
 // after retries: the block, the fault class of the final attempt, and the
 // underlying error. The engine's task boundaries recover it into a
-// per-query error; the shard layer classifies it (permanent faults drive
-// quarantine, transient ones do not).
+// per-query error; the shard layer counts it in the failing shard's health,
+// by class.
 type BlockError struct {
 	Block int
 	Class FaultClass

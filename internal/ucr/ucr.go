@@ -92,6 +92,7 @@ func ScanLiveKNN(coll *series.Collection, q series.Series, k, lo int, dead func(
 func ScanLiveDTW(coll *series.Collection, q series.Series, window, lo int, dead func(int) bool) Result {
 	env := series.NewEnvelope(q, window)
 	best := Result{Pos: -1, Dist: math.Inf(1)}
+	var rows []float64
 	if lo < 0 {
 		lo = 0
 	}
@@ -103,7 +104,7 @@ func ScanLiveDTW(coll *series.Collection, q series.Series, window, lo int, dead 
 		if lb := series.LBKeogh(env, s, best.Dist); lb >= best.Dist {
 			continue
 		}
-		d := series.DTW(q, s, window, best.Dist)
+		d := series.DTW(q, s, window, best.Dist, &rows)
 		if d < best.Dist {
 			best = Result{Pos: int32(i), Dist: d}
 		}
@@ -187,19 +188,7 @@ func ScanDisk(f *storage.SeriesFile, q series.Series, batch int) (Result, error)
 // envelope bound already exceeds the best-so-far never reach the O(n·w)
 // dynamic program.
 func ScanDTW(coll *series.Collection, q series.Series, window int) Result {
-	env := series.NewEnvelope(q, window)
-	best := Result{Pos: -1, Dist: math.Inf(1)}
-	for i := 0; i < coll.Len(); i++ {
-		s := coll.At(i)
-		if lb := series.LBKeogh(env, s, best.Dist); lb >= best.Dist {
-			continue
-		}
-		d := series.DTW(q, s, window, best.Dist)
-		if d < best.Dist {
-			best = Result{Pos: int32(i), Dist: d}
-		}
-	}
-	return best
+	return ScanLiveDTW(coll, q, window, 0, nil)
 }
 
 // kBest is a fixed-capacity max-heap of the k best results seen so far,

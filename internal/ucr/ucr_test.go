@@ -139,7 +139,7 @@ func TestScanDTWMatchesBruteForce(t *testing.T) {
 		// Brute force DTW.
 		wantPos, wantDist := -1, math.Inf(1)
 		for i := 0; i < coll.Len(); i++ {
-			if d := series.DTW(q, coll.At(i), window, math.Inf(1)); d < wantDist {
+			if d := series.DTW(q, coll.At(i), window, math.Inf(1), new([]float64)); d < wantDist {
 				wantPos, wantDist = i, d
 			}
 		}

@@ -89,21 +89,16 @@ type SearchStats struct {
 	// Observed is the number of series the query answered over (base
 	// collection plus published appends at query start).
 	Observed int
-	// UncoveredShards lists the shards a partial-results query (a Sharded
-	// index with WithAllowPartial) could not cover; empty whenever the
-	// answer is complete, and always empty on an unsharded index.
-	UncoveredShards []int
 }
 
 func statsFromQuery(st messi.QueryStats) SearchStats {
 	return SearchStats{
-		ProbeLeaves:     st.ProbeLeaves,
-		LeavesInserted:  st.LeavesInserted,
-		LeavesPopped:    st.LeavesPopped,
-		EntriesChecked:  st.EntriesChecked,
-		RawDistances:    st.RawDistances,
-		Observed:        st.Observed,
-		UncoveredShards: st.UncoveredShards,
+		ProbeLeaves:    st.ProbeLeaves,
+		LeavesInserted: st.LeavesInserted,
+		LeavesPopped:   st.LeavesPopped,
+		EntriesChecked: st.EntriesChecked,
+		RawDistances:   st.RawDistances,
+		Observed:       st.Observed,
 	}
 }
 

@@ -42,17 +42,6 @@ func WithShardPolicy(p ShardPolicy) Option {
 	return func(o *options) { o.shardPolicy, o.shardPolicySet = p, true }
 }
 
-// WithAllowPartial opts a Sharded index into best-effort answers when
-// shards are unavailable (quarantined after repeated device failures, or
-// failing mid-query): instead of the whole query failing with a typed
-// shards-unavailable error, it answers from the shards still serving and
-// reports the gap in SearchStats.UncoveredShards. Off by default — a
-// partial answer is no longer guaranteed to be the exact nearest neighbor,
-// so callers must opt in explicitly.
-func WithAllowPartial(enabled bool) Option {
-	return func(o *options) { o.allowPartial = enabled }
-}
-
 // Sharded is a partitioned MESSI index: the collection is split across N
 // independent shards — each a MESSI tree and write path — that answer as one.
 // Search variants scatter to every shard with a single shared best-so-far
@@ -81,10 +70,9 @@ func (o options) shardOptions() (shard.Options, error) {
 		}
 	}
 	return shard.Options{
-		Shards:       o.shards,
-		Policy:       policy,
-		AllowPartial: o.allowPartial,
-		Options:      o.messiOptions(),
+		Shards:  o.shards,
+		Policy:  policy,
+		Options: o.messiOptions(),
 	}, nil
 }
 
@@ -150,12 +138,10 @@ func (s *Sharded) Stats() IndexStats {
 	return out
 }
 
-// ShardHealth is one shard's serving condition inside a Sharded index.
+// ShardHealth is one shard's fault accounting inside a Sharded index. Every
+// shard takes part in every query: a device fault fails the query that met
+// it, and the shard answers the next one.
 type ShardHealth struct {
-	// State is "serving", "quarantined" (repeated permanent device
-	// failures; queries skip the shard) or "restaging" (being rewritten
-	// onto a fresh store).
-	State string
 	// Cold reports whether the shard's base values live on the
 	// out-of-core tier.
 	Cold bool
@@ -163,15 +149,12 @@ type ShardHealth struct {
 	// error; PermanentFailures is the permanent subset.
 	Failures          uint64
 	PermanentFailures uint64
-	// Quarantines and Restages count lifecycle transitions.
-	Quarantines uint64
-	Restages    uint64
 	// LastError describes the most recent storage failure ("" when none).
 	LastError string
 }
 
 // ShardedHealth is a Sharded index's liveness snapshot: the aggregate
-// query/merge failure counters plus each shard's serving state.
+// query/merge failure counters plus each shard's fault accounting.
 type ShardedHealth struct {
 	// Searches, FailedSearches and MergeAborts aggregate the per-shard
 	// counters (see Health on MESSI): one query counts once per shard.
@@ -185,14 +168,12 @@ type ShardedHealth struct {
 	// searchable and deleted/expired.
 	Live       int
 	Tombstoned int
-	// Shards holds one entry per shard; Quarantined lists the ids not
-	// currently serving, ascending.
-	Shards      []ShardHealth
-	Quarantined []int
+	// Shards holds one entry per shard.
+	Shards []ShardHealth
 }
 
 // Health snapshots the index's serving condition. Safe to call
-// concurrently with queries, appends and background re-stages.
+// concurrently with queries and appends.
 func (s *Sharded) Health() ShardedHealth {
 	h := s.s.Health()
 	out := ShardedHealth{
@@ -204,16 +185,12 @@ func (s *Sharded) Health() ShardedHealth {
 		Live:           h.Live,
 		Tombstoned:     h.Tombstoned,
 		Shards:         make([]ShardHealth, len(h.Shards)),
-		Quarantined:    h.Quarantined,
 	}
 	for i, sh := range h.Shards {
 		out.Shards[i] = ShardHealth{
-			State:             sh.State.String(),
 			Cold:              sh.Cold,
 			Failures:          sh.Failures,
 			PermanentFailures: sh.PermanentFailures,
-			Quarantines:       sh.Quarantines,
-			Restages:          sh.Restages,
 			LastError:         sh.LastError,
 		}
 	}

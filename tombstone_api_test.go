@@ -229,7 +229,7 @@ func TestDeleteWindowTenantAPIMESSI(t *testing.T) {
 func TestDeleteWindowTenantAPISharded(t *testing.T) {
 	coll := dsidx.Generate(dsidx.Synthetic, 400, 64, 11)
 	idx, err := dsidx.NewSharded(coll, dsidx.WithShards(2),
-		dsidx.WithLeafCapacity(32), dsidx.WithWorkers(2), dsidx.WithAllowPartial(false))
+		dsidx.WithLeafCapacity(32), dsidx.WithWorkers(2))
 	if err != nil {
 		t.Fatal(err)
 	}
