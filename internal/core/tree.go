@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"dsidx/internal/isax"
@@ -161,6 +162,16 @@ func (t *Tree) OccupiedKeys() []uint32 {
 	out := make([]uint32, len(t.occupied))
 	copy(out, t.occupied)
 	return out
+}
+
+// SortOccupied puts OccupiedKeys in ascending key order. Subtrees built
+// concurrently register in whatever order their goroutines first reach
+// them; a bulk build sorts once they are done, so what the tree encodes
+// does not depend on the schedule.
+func (t *Tree) SortOccupied() {
+	t.mu.Lock()
+	slices.Sort(t.occupied)
+	t.mu.Unlock()
 }
 
 // Count returns the total number of indexed series.

@@ -17,6 +17,21 @@ func mustQuantizer(t *testing.T, bits int) *Quantizer {
 	return q
 }
 
+// searchSymbol is the symbolizer's oracle: the number of breakpoints ≤ v
+// at the given cardinality bits, by binary search over the sorted table
+// (NaN, which no breakpoint is above, gets the last symbol).
+func searchSymbol(q *Quantizer, v float64, bits int) uint8 {
+	bp := q.Breakpoints(bits)
+	return uint8(sort.Search(len(bp), func(i int) bool { return bp[i] > v }))
+}
+
+// symbolOf runs SymbolsInto on one value.
+func symbolOf(q *Quantizer, v float64) uint8 {
+	var out [1]uint8
+	q.SymbolsInto([]float64{v}, out[:])
+	return out[0]
+}
+
 func TestNewQuantizerValidation(t *testing.T) {
 	for _, bits := range []int{0, -1, 9, 100} {
 		if _, err := NewQuantizer(bits); err == nil {
@@ -78,7 +93,7 @@ func TestSymbolRegionConsistency(t *testing.T) {
 	for trial := 0; trial < 2000; trial++ {
 		v := rng.NormFloat64() * 2
 		for bits := 1; bits <= 8; bits++ {
-			sym := q.Symbol(v, bits)
+			sym := searchSymbol(q, v, bits)
 			lo, hi := q.Region(sym, bits)
 			if v < lo || v >= hi {
 				t.Fatalf("bits=%d: value %v assigned symbol %d with region [%v,%v)", bits, v, sym, lo, hi)
@@ -93,9 +108,9 @@ func TestSymbolNestingProperty(t *testing.T) {
 	q := mustQuantizer(t, 8)
 	f := func(raw float64) bool {
 		v := math.Mod(raw, 10) // keep finite and in a reasonable range
-		full := q.Symbol(v, 8)
+		full := symbolOf(q, v)
 		for bits := 1; bits < 8; bits++ {
-			if q.Symbol(v, bits) != full>>(8-bits) {
+			if searchSymbol(q, v, bits) != full>>(8-bits) {
 				return false
 			}
 		}
@@ -110,7 +125,7 @@ func TestSymbolBoundaryBelongsToUpperRegion(t *testing.T) {
 	q := mustQuantizer(t, 2)
 	bp := q.Breakpoints(2)
 	for i, b := range bp {
-		sym := q.Symbol(b, 2)
+		sym := searchSymbol(q, b, 2)
 		if int(sym) != i+1 {
 			t.Errorf("symbol at breakpoint %d (%v) = %d, want %d", i, b, sym, i+1)
 		}
@@ -127,9 +142,96 @@ func TestSymbolsIntoMatchesSymbol(t *testing.T) {
 	out := make([]uint8, 16)
 	q.SymbolsInto(coeffs, out)
 	for j, v := range coeffs {
-		if want := q.Symbol(v, 8); out[j] != want {
+		if want := searchSymbol(q, v, 8); out[j] != want {
 			t.Errorf("SymbolsInto[%d] = %d, want %d", j, out[j], want)
 		}
+	}
+}
+
+// edgeValues returns the values where a grid symbolizer could go wrong for
+// q: every breakpoint and its ±1 and ±2-ulp neighbours, every grid-cell
+// edge and its ±1-ulp neighbours, and the special and extreme floats.
+func edgeValues(q *Quantizer) []float64 {
+	vals := []float64{
+		math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1),
+		math.MaxFloat64, -math.MaxFloat64,
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+		math.Float64frombits(0x000FFFFFFFFFFFFF), -math.Float64frombits(0x000FFFFFFFFFFFFF),
+	}
+	around := func(v float64, ulps int) {
+		vals = append(vals, v)
+		up, down := v, v
+		for k := 0; k < ulps; k++ {
+			up, down = math.Nextafter(up, math.Inf(1)), math.Nextafter(down, math.Inf(-1))
+			vals = append(vals, up, down)
+		}
+	}
+	for _, b := range q.Breakpoints(q.maxBits) {
+		around(b, 2)
+	}
+	for c := 0; c <= gridCells; c++ {
+		around(q.gridLo+float64(c)/q.gridScale, 1)
+	}
+	return vals
+}
+
+func TestSymbolsIntoMatchesSearchAtEdges(t *testing.T) {
+	for bits := 1; bits <= MaxBits; bits++ {
+		q := mustQuantizer(t, bits)
+		vals := edgeValues(q)
+		out := make([]uint8, len(vals))
+		q.SymbolsInto(vals, out)
+		for j, v := range vals {
+			if want := searchSymbol(q, v, bits); out[j] != want {
+				t.Errorf("maxBits %d: SymbolsInto(%v [%#x]) = %d, want %d",
+					bits, v, math.Float64bits(v), out[j], want)
+			}
+		}
+	}
+}
+
+// FuzzSymbolsIntoMatchesSearch holds the grid symbolizer to the binary
+// search over the breakpoints, for any float64 at every maxBits.
+func FuzzSymbolsIntoMatchesSearch(f *testing.F) {
+	for _, v := range []float64{0, math.Copysign(0, -1), 1, -1, 0.6744897501960817,
+		math.NaN(), math.Inf(1), math.Inf(-1), math.MaxFloat64, math.SmallestNonzeroFloat64, 1e-300, 2.66, -2.66} {
+		f.Add(v)
+	}
+	quants := make([]*Quantizer, MaxBits+1)
+	for bits := 1; bits <= MaxBits; bits++ {
+		q, err := NewQuantizer(bits)
+		if err != nil {
+			f.Fatal(err)
+		}
+		quants[bits] = q
+	}
+	f.Fuzz(func(t *testing.T, v float64) {
+		for bits := 1; bits <= MaxBits; bits++ {
+			q := quants[bits]
+			if got, want := symbolOf(q, v), searchSymbol(q, v, bits); got != want {
+				t.Fatalf("maxBits %d: SymbolsInto(%v [%#x]) = %d, want %d", bits, v, math.Float64bits(v), got, want)
+			}
+		}
+	})
+}
+
+func BenchmarkSymbolsInto(b *testing.B) {
+	q, err := NewQuantizer(MaxBits)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	coeffs := make([][]float64, 1024)
+	for i := range coeffs {
+		coeffs[i] = make([]float64, MaxSegments)
+		for j := range coeffs[i] {
+			coeffs[i][j] = rng.NormFloat64()
+		}
+	}
+	out := make([]uint8, MaxSegments)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		q.SymbolsInto(coeffs[i%len(coeffs)], out)
 	}
 }
 

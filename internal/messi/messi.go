@@ -3,12 +3,12 @@
 //
 // Index creation: the in-memory RawData array is split into fixed-size
 // blocks; index workers claim blocks with Fetch&Inc and write each series'
-// iSAX summary into the global SAX array, recording its position in the
-// worker's own partition of the per-root-subtree iSAX buffer (each buffer
-// is "split into parts and each worker works on its own part", eliminating
-// synchronization — paper footnote 2). When all summaries exist, workers
-// claim whole buffers with Fetch&Inc and build the corresponding subtrees
-// independently (footnote 3).
+// iSAX summary and root key at its own position, so no two share a buffer
+// (the paper splits each per-root-subtree buffer into per-worker parts to
+// the same end, footnote 2). One counting pass then groups the positions by
+// root key, and workers claim the non-empty keys with Fetch&Inc and build
+// their subtrees independently (footnote 3), each from ascending positions:
+// the build is a pure function of the collection at every worker count.
 //
 // Query answering: an approximate search (the one leaf under the query's
 // summary, as in the paper) seeds the shared BSF. The exact
@@ -270,15 +270,14 @@ func Build(coll series.Reader, cfg core.Config, opt Options) (*Index, error) {
 
 	start := time.Now()
 
-	// Stage 1: summarization. Every worker has its own partition of each
-	// iSAX buffer, so appends need no synchronization (footnote 2: one
-	// locked buffer per root subtree lost to contention).
+	// Stage 1: summarization. Each series' summary and root key land at its
+	// own position: no shared buffer, no synchronization (footnote 2).
 	// The PAA each series is summarized from doubles as the input check: a
 	// float64 mean of float32 values cannot overflow, so a segment's mean is
 	// finite exactly when every value in the segment is.
 	blocks := xsync.Blocks(n, claimBlock)
-	parts := make([]map[uint32][]int32, opt.Workers) // parts[w][key] = positions
-	bad := make([]int, opt.Workers)                  // bad[w] = lowest non-finite position worker w met
+	keys := make([]uint32, n)
+	bad := make([]int, opt.Workers) // bad[w] = lowest non-finite position worker w met
 	var blockCursor xsync.Counter
 	var wg sync.WaitGroup
 	for w := 0; w < opt.Workers; w++ {
@@ -287,7 +286,6 @@ func Build(coll series.Reader, cfg core.Config, opt Options) (*Index, error) {
 			defer wg.Done()
 			quant := tree.Quantizer()
 			sm := core.NewSummarizer(cfg, quant)
-			mine := make(map[uint32][]int32, 256)
 			bad[w] = n
 			for {
 				bi := blockCursor.Next()
@@ -303,11 +301,9 @@ func Build(coll series.Reader, cfg core.Config, opt Options) (*Index, error) {
 						continue
 					}
 					quant.SymbolsInto(coeffs, dst)
-					key := tree.RootKey(dst)
-					mine[key] = append(mine[key], int32(i))
+					keys[i] = tree.RootKey(dst)
 				}
 			}
-			parts[w] = mine
 		}(w)
 	}
 	wg.Wait()
@@ -316,26 +312,30 @@ func Build(coll series.Reader, cfg core.Config, opt Options) (*Index, error) {
 	}
 	ix.build.Summarize = time.Since(start)
 
-	// Stage 2: one worker per buffer (Fetch&Inc over the key list) builds
-	// the whole subtree from every worker's part — distinct subtrees, no
-	// synchronization.
+	// Stage 2: a counting sort of the positions by root key (begin[k] counts
+	// key k, the prefix sums make it the run's end, and placing positions
+	// backwards walks it to the start), then one worker per non-empty key,
+	// claimed in ascending order. No step depends on the schedule, so builds
+	// over identical content (a view vs a flat copy) encode byte-identically.
 	t0 := time.Now()
-	keys := make([]uint32, 0, 1024)
-	seen := make([]bool, cfg.RootFanout())
-	for _, part := range parts {
-		for key := range part {
-			if !seen[key] {
-				seen[key] = true
-				keys = append(keys, key)
-			}
+	begin := make([]int32, cfg.RootFanout()+1)
+	for _, k := range keys {
+		begin[k]++
+	}
+	for k := 1; k < len(begin); k++ {
+		begin[k] += begin[k-1]
+	}
+	order := make([]int32, n)
+	for i := n - 1; i >= 0; i-- { // backwards, so each key's positions ascend
+		begin[keys[i]]--
+		order[begin[keys[i]]] = int32(i)
+	}
+	var occupied []uint32
+	for k := range cfg.RootFanout() {
+		if begin[k+1] > begin[k] {
+			occupied = append(occupied, uint32(k))
 		}
 	}
-	// Claim keys in sorted order, not map-iteration order: with one worker
-	// the whole build is then a pure function of the collection, so two
-	// builds over identical content (say, a position-remapping view vs a
-	// flat copy of the same series) encode byte-identically — the property
-	// the sharding layer's differential tests compare against.
-	slices.Sort(keys)
 	var keyCursor xsync.Counter
 	wg = sync.WaitGroup{}
 	for w := 0; w < opt.Workers; w++ {
@@ -344,14 +344,12 @@ func Build(coll series.Reader, cfg core.Config, opt Options) (*Index, error) {
 			defer wg.Done()
 			for {
 				ki := keyCursor.Next()
-				if int(ki) >= len(keys) {
+				if int(ki) >= len(occupied) {
 					return
 				}
-				key := keys[ki]
-				for _, part := range parts {
-					for _, pos := range part[key] {
-						tree.SubtreeInsert(key, sax.At(int(pos)), pos)
-					}
+				key := occupied[ki]
+				for _, pos := range order[begin[key]:begin[key+1]] {
+					tree.SubtreeInsert(key, sax.At(int(pos)), pos)
 				}
 				// Leaf-ordered storage: once the subtree's shape is final
 				// (no more splits), copy each leaf's series into one
@@ -365,6 +363,7 @@ func Build(coll series.Reader, cfg core.Config, opt Options) (*Index, error) {
 		}()
 	}
 	wg.Wait()
+	tree.SortOccupied()
 	ix.build.TreeBuild = time.Since(t0)
 	ix.build.Total = time.Since(start)
 	ix.initLive(tree, sax, 0)

@@ -1,7 +1,9 @@
 package messi
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"math"
 	"testing"
 
@@ -43,10 +45,8 @@ func TestBuildIndexesEverything(t *testing.T) {
 }
 
 func TestBuildDeterministicTreeContent(t *testing.T) {
-	// Different worker counts must index the same set of positions (tree
-	// shape may differ only in insertion order effects, but the multiset of
-	// entries per root subtree is fixed by the data). Three claim blocks, so
-	// the workers split stage 1.
+	// Different worker counts must index the same set of positions, each
+	// exactly once. Three claim blocks, so the workers split stage 1.
 	coll, _ := dataset(t, gen.SALD, 2100)
 	collect := func(ix *Index) map[int32]bool {
 		seen := make(map[int32]bool)
@@ -64,6 +64,38 @@ func TestBuildDeterministicTreeContent(t *testing.T) {
 	b := collect(build(t, coll, 8))
 	if len(a) != len(b) || len(a) != coll.Len() {
 		t.Fatalf("different entry sets: %d vs %d (want %d)", len(a), len(b), coll.Len())
+	}
+}
+
+// TestBuildEncodesIdenticallyAtEveryWorkerCount: stage 1 writes each
+// series' root key at its own position and stage 2 inserts each key's
+// positions in ascending order, so neither the tree nor its encoding may
+// depend on which worker claimed which block or key. The workers share the
+// root-key slice, so CI repeats this test under the race detector.
+func TestBuildEncodesIdenticallyAtEveryWorkerCount(t *testing.T) {
+	g := gen.Generator{Kind: gen.Synthetic, Seed: 29}
+	coll := g.Collection(20000)
+	want := build(t, coll, 1).Encode()
+	for _, workers := range []int{2, 4} {
+		if got := build(t, coll, workers).Encode(); !bytes.Equal(got, want) {
+			t.Errorf("workers=%d: encoding (%d bytes) differs from the 1-worker build's (%d bytes)",
+				workers, len(got), len(want))
+		}
+	}
+
+	// Two bad series in blocks far apart: whichever worker meets which, the
+	// error names the lower position.
+	bad := g.Collection(20000)
+	nan, inf := make(series.Series, bad.SeriesLen()), make(series.Series, bad.SeriesLen())
+	for i := range nan {
+		nan[i], inf[i] = float32(math.NaN()), float32(math.Inf(1))
+	}
+	bad.Set(17000, nan)
+	bad.Set(4100, inf)
+	_, err := Build(bad, core.Config{LeafCapacity: 32}, Options{Workers: 2})
+	var nf *NonFiniteError
+	if !errors.As(err, &nf) || nf.Pos != 4100 {
+		t.Fatalf("Build over series 4100 (+Inf) and 17000 (NaN) at 2 workers: %v, want a NonFiniteError at 4100", err)
 	}
 }
 

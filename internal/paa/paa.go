@@ -27,6 +27,11 @@ func Transform(s series.Series, w int) []float64 {
 // TransformInto computes the PAA of s into out, whose length determines the
 // segment count. It performs no allocation, so the per-series hot paths of
 // the bulk-loading stages can reuse one buffer per worker.
+//
+// Segments are summed four at a time, in four independent accumulators, so
+// the additions of one segment need not wait on the previous addition's
+// latency. Each accumulator still adds its own segment's values in order
+// from zero, so every mean is bit-identical to a one-segment-at-a-time sum.
 func TransformInto(s series.Series, out []float64) {
 	w := len(out)
 	if w <= 0 || len(s) == 0 || len(s)%w != 0 {
@@ -34,29 +39,28 @@ func TransformInto(s series.Series, out []float64) {
 	}
 	seg := len(s) / w
 	inv := 1.0 / float64(seg)
-	for j := 0; j < w; j++ {
+	j := 0
+	for ; j+4 <= w; j += 4 {
+		s0 := s[j*seg : (j+1)*seg]
+		s1 := s[(j+1)*seg : (j+2)*seg][:len(s0)]
+		s2 := s[(j+2)*seg : (j+3)*seg][:len(s0)]
+		s3 := s[(j+3)*seg : (j+4)*seg][:len(s0)]
+		var a0, a1, a2, a3 float64
+		for k := range s0 {
+			a0 += float64(s0[k])
+			a1 += float64(s1[k])
+			a2 += float64(s2[k])
+			a3 += float64(s3[k])
+		}
+		out[j], out[j+1], out[j+2], out[j+3] = a0*inv, a1*inv, a2*inv, a3*inv
+	}
+	for ; j < w; j++ {
 		var sum float64
-		base := j * seg
-		for k := 0; k < seg; k++ {
-			sum += float64(s[base+k])
+		for _, v := range s[j*seg : (j+1)*seg] {
+			sum += float64(v)
 		}
 		out[j] = sum * inv
 	}
-}
-
-// SquaredLowerBound returns the scaled squared PAA distance
-// (n/w)·Σ(a_j−b_j)², which lower-bounds the squared Euclidean distance of
-// the original series of length n.
-func SquaredLowerBound(a, b []float64, n int) float64 {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("paa: coefficient length mismatch %d != %d", len(a), len(b)))
-	}
-	var acc float64
-	for j := range a {
-		d := a[j] - b[j]
-		acc += d * d
-	}
-	return acc * float64(n) / float64(len(a))
 }
 
 // Valid reports whether a series of length n can be summarized with w

@@ -36,14 +36,7 @@ type Result = core.Result
 // bit-exact ground truth for the index and concurrent-engine test suites,
 // not just a tolerance-based one.
 func Scan(coll *series.Collection, q series.Series) Result {
-	best := Result{Pos: -1, Dist: math.Inf(1)}
-	for i := 0; i < coll.Len(); i++ {
-		d := vector.SquaredEDEarlyAbandon(q, coll.At(i), best.Dist)
-		if d < best.Dist {
-			best = Result{Pos: int32(i), Dist: d}
-		}
-	}
-	return best
+	return ScanLive(coll, q, 0, nil)
 }
 
 // ScanLive is Scan restricted to the positions [lo, coll.Len()) for which
@@ -77,6 +70,8 @@ func ScanLiveKNN(coll *series.Collection, q series.Series, k, lo int, dead func(
 	if lo < 0 {
 		lo = 0
 	}
+	// Bounded max-heap on (distance, position): the root is the current
+	// k-th best, whose distance doubles as the abandoning threshold.
 	heap := newKBest(k)
 	for i := lo; i < coll.Len(); i++ {
 		if dead != nil && dead(i) {
@@ -115,17 +110,7 @@ func ScanLiveDTW(coll *series.Collection, q series.Series, window, lo int, dead 
 // ScanKNN performs serial exact k-NN search, returning the k nearest
 // neighbors in ascending (distance, position) order.
 func ScanKNN(coll *series.Collection, q series.Series, k int) []Result {
-	if k <= 0 {
-		return nil
-	}
-	// Bounded max-heap on (distance, position): the root is the current
-	// k-th best, whose distance doubles as the abandoning threshold.
-	heap := newKBest(k)
-	for i := 0; i < coll.Len(); i++ {
-		d := vector.SquaredEDEarlyAbandon(q, coll.At(i), heap.threshold())
-		heap.offer(Result{Pos: int32(i), Dist: d})
-	}
-	return heap.sorted()
+	return ScanLiveKNN(coll, q, k, 0, nil)
 }
 
 // ParallelScan is "UCR Suite-p": the collection is split into one chunk per
