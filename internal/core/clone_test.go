@@ -6,7 +6,7 @@ import (
 )
 
 // buildRandomTree inserts n random summaries and returns the tree plus the
-// summaries, so tests can replay inserts against clones.
+// summaries, so tests can write subtrees of shells from them.
 func buildRandomTree(t *testing.T, n int) (*Tree, [][]uint8) {
 	t.Helper()
 	cfg := Config{SeriesLen: 16, Segments: 4, MaxBits: 4, LeafCapacity: 4}
@@ -27,47 +27,14 @@ func buildRandomTree(t *testing.T, n int) (*Tree, [][]uint8) {
 	return tree, sums
 }
 
-func TestNodeCloneIsDeepForEntries(t *testing.T) {
-	tree, sums := buildRandomTree(t, 200)
-	key := tree.OccupiedKeys()[0]
-	orig := tree.Subtree(key)
-	origCount := orig.Count
-	clone := orig.Clone()
-
-	// Inserting into the clone must not disturb the original: replay every
-	// summary belonging to this subtree into the clone and re-validate.
-	inserted := 0
-	for i, sax := range sums {
-		if tree.RootKey(sax) == key {
-			clone.insert(tree.Config(), sax, int32(10_000+i), nil)
-			inserted++
-		}
-	}
-	if inserted == 0 {
-		t.Fatal("no summaries for the sampled subtree")
-	}
-	if orig.Count != origCount {
-		t.Fatalf("original count changed: %d -> %d", origCount, orig.Count)
-	}
-	if clone.Count != origCount+inserted {
-		t.Fatalf("clone count %d, want %d", clone.Count, origCount+inserted)
-	}
-	if err := tree.CheckInvariants(); err != nil {
-		t.Fatalf("original tree corrupted by clone insert: %v", err)
-	}
-}
-
-func TestNodeCloneNil(t *testing.T) {
-	var n *Node
-	if n.Clone() != nil {
-		t.Fatal("nil clone not nil")
-	}
-}
-
+// A shell shares every subtree with its tree; writing one of its subtrees
+// installs a fresh root child and leaves the tree — and any query still
+// traversing it — untouched, and writing an empty slot registers the key
+// once.
 func TestCloneShellSharesUntouchedSubtrees(t *testing.T) {
 	// 30 series leave some of the 16 root slots empty (fixed seed), so the
 	// fresh-key registration path below is exercised.
-	tree, _ := buildRandomTree(t, 30)
+	tree, sums := buildRandomTree(t, 30)
 	shell := tree.CloneShell()
 	keys := tree.OccupiedKeys()
 	if got := shell.OccupiedKeys(); len(got) != len(keys) {
@@ -91,29 +58,44 @@ func TestCloneShellSharesUntouchedSubtrees(t *testing.T) {
 		}
 		return sax
 	}
+	extra := map[int32][]uint8{}
+	sax := func(p int32) []uint8 {
+		if s, ok := extra[p]; ok {
+			return s
+		}
+		return sums[p]
+	}
 
-	// Replacing one subtree in the shell must leave the original untouched
-	// and register fresh keys exactly once.
+	// Rewrite the largest subtree with its positions plus one more, many
+	// times over capacity, so the write splits.
 	key := keys[0]
-	replacement := tree.Subtree(key).Clone()
-	replacement.insert(tree.Config(), saxForKey(key), 999, nil)
-	before := tree.Subtree(key).Count
-	shell.SetSubtree(key, replacement)
-	if tree.Subtree(key).Count != before {
-		t.Fatal("SetSubtree on shell mutated the original tree")
+	for _, k := range keys {
+		if tree.Subtree(k).Count > tree.Subtree(key).Count {
+			key = k
+		}
 	}
-	if shell.Subtree(key) != replacement {
-		t.Fatal("SetSubtree did not install the replacement")
+	orig := tree.Subtree(key)
+	before := orig.Count
+	var live []int32
+	for i, s := range sums {
+		if tree.RootKey(s) == key {
+			live = append(live, int32(i))
+		}
+	}
+	extra[999] = saxForKey(key)
+	live = append(live, 999)
+	written := shell.WriteSubtree(key, live, sax)
+	if tree.Subtree(key) != orig || orig.Count != before {
+		t.Fatalf("WriteSubtree on the shell touched the original subtree (count %d -> %d)", before, orig.Count)
+	}
+	if shell.Subtree(key) != written || written == orig || written.Count != before+1 {
+		t.Fatalf("shell subtree %d: not the fresh subtree of %d entries", key, before+1)
 	}
 	if got := len(shell.OccupiedKeys()); got != len(keys) {
-		t.Fatalf("replacing an existing key changed occupancy: %d != %d", got, len(keys))
+		t.Fatalf("rewriting an existing key changed occupancy: %d != %d", got, len(keys))
 	}
 
-	// Nil installs are no-ops; installing into an empty slot registers it.
-	shell.SetSubtree(0xFFFF_FFF0%uint32(len(shell.roots)), nil)
-	if got := len(shell.OccupiedKeys()); got != len(keys) {
-		t.Fatal("nil SetSubtree changed occupancy")
-	}
+	// Writing an empty slot registers it.
 	fresh := uint32(len(shell.roots))
 	for k := uint32(0); int(k) < len(shell.roots); k++ {
 		if shell.roots[k] == nil {
@@ -121,11 +103,16 @@ func TestCloneShellSharesUntouchedSubtrees(t *testing.T) {
 			break
 		}
 	}
-	if int(fresh) < len(shell.roots) {
-		shell.SubtreeInsert(fresh, saxForKey(fresh), 1234)
-		if got := len(shell.OccupiedKeys()); got != len(keys)+1 {
-			t.Fatalf("fresh key not registered: %d occupied", got)
-		}
+	if int(fresh) == len(shell.roots) {
+		t.Fatal("no empty root slot to write")
+	}
+	extra[1234] = saxForKey(fresh)
+	shell.WriteSubtree(fresh, []int32{1234}, sax)
+	if got := len(shell.OccupiedKeys()); got != len(keys)+1 {
+		t.Fatalf("fresh key not registered: %d occupied", got)
+	}
+	if tree.Subtree(fresh) != nil || len(tree.OccupiedKeys()) != len(keys) {
+		t.Fatal("writing a fresh key of the shell registered it in the original")
 	}
 	if err := shell.CheckInvariants(); err != nil {
 		t.Fatalf("shell invariants: %v", err)

@@ -74,14 +74,15 @@ func TestLeafDirectoryRowsMatchLeaves(t *testing.T) {
 	}
 }
 
-// A leaf emptied by a filtered clone keeps its place in the directory, with
-// a row no query can list: its bound is +Inf, which is below no threshold —
-// not even the +Inf of a query that has found nothing yet.
+// A key whose subtree is written with no live positions keeps its place in
+// the directory, an empty leaf with a row no query can list: its bound is
+// +Inf, which is below no threshold — not even the +Inf of a query that has
+// found nothing yet.
 func TestLeafDirectoryEmptyLeafIsNeverListed(t *testing.T) {
 	tree, _, _ := buildTestTree(t, 500, testConfig())
 	next := tree.CloneShell()
 	for _, key := range tree.OccupiedKeys() {
-		next.SetSubtree(key, tree.CloneSubtreeFiltered(key, func(int32) bool { return true }))
+		next.WriteSubtree(key, nil, nil)
 	}
 	d := NewLeafDirectory(next)
 	if len(d.Leaves) == 0 {

@@ -31,9 +31,11 @@ type Node struct {
 	// (stride = series length), aligned with SAX/Pos: entry i occupies
 	// [i*n, (i+1)*n). A materialized leaf lets refinement read candidates
 	// sequentially instead of chasing Pos through the collection — the
-	// cache behavior MESSI's SIMD scans depend on. Either every leaf of a
-	// tree is materialized or none is; Pos remains the source of truth for
-	// reported result positions.
+	// cache behavior MESSI's SIMD scans depend on. MaterializeLeaves fills
+	// it, exactly sized, once a subtree's shape is final; inserts and
+	// splits never carry it. Either every leaf of a tree is materialized or
+	// none is; Pos remains the source of truth for reported result
+	// positions.
 	Raw []float32
 
 	// Flushed leaf state (ParIS): when a leaf has been materialized to
@@ -45,14 +47,10 @@ type Node struct {
 // IsLeaf reports whether n is a leaf.
 func (n *Node) IsLeaf() bool { return n.Left == nil && n.Right == nil }
 
-// appendEntry adds one (summary, position) entry to a leaf, carrying the
-// raw values when the tree is materialized (raw may be nil otherwise).
-func (n *Node) appendEntry(sax []uint8, pos int32, raw []float32) {
+// appendEntry adds one (summary, position) entry to a leaf.
+func (n *Node) appendEntry(sax []uint8, pos int32) {
 	n.SAX = append(n.SAX, sax...)
 	n.Pos = append(n.Pos, pos)
-	if raw != nil {
-		n.Raw = append(n.Raw, raw...)
-	}
 	n.Count++
 }
 
@@ -109,6 +107,19 @@ func (n *Node) splittable(cfg Config) (seg int, ok bool) {
 	return bestSeg, bestSeg >= 0
 }
 
+// separates reports whether sax's next bit differs from the leaf's first
+// entry's on some segment that can still be promoted.
+func (n *Node) separates(cfg Config, sax []uint8) bool {
+	first := n.entrySAX(0, cfg.Segments)
+	for s := range cfg.Segments {
+		if int(n.Word.Bits[s]) < cfg.MaxBits &&
+			n.Word.PrefixBitAt(s, sax[s], cfg.MaxBits) != n.Word.PrefixBitAt(s, first[s], cfg.MaxBits) {
+			return true
+		}
+	}
+	return false
+}
+
 // split turns an over-capacity leaf into an inner node with two leaves,
 // promoting segment seg by one bit and redistributing the entries. The
 // paper (after [8], [12]) picks the segment "that will result in the most
@@ -117,38 +128,35 @@ func (n *Node) split(cfg Config, seg int) {
 	w := cfg.Segments
 	left := &Node{Word: n.Word.Child(seg, 0)}
 	right := &Node{Word: n.Word.Child(seg, 1)}
-	sl := 0
-	if n.Raw != nil {
-		sl = len(n.Raw) / n.Count
-	}
 	for i := 0; i < n.Count; i++ {
 		sax := n.entrySAX(i, w)
-		var raw []float32
-		if sl > 0 {
-			raw = n.Raw[i*sl : (i+1)*sl]
-		}
 		if n.Word.PrefixBitAt(seg, sax[seg], cfg.MaxBits) == 0 {
-			left.appendEntry(sax, n.Pos[i], raw)
+			left.appendEntry(sax, n.Pos[i])
 		} else {
-			right.appendEntry(sax, n.Pos[i], raw)
+			right.appendEntry(sax, n.Pos[i])
 		}
 	}
 	n.SplitSeg = seg
 	n.Left, n.Right = left, right
-	n.SAX, n.Pos, n.Raw = nil, nil, nil
+	n.SAX, n.Pos = nil, nil
 }
 
 // insert adds an entry below n, splitting leaves that exceed capacity.
-// raw carries the series values into materialized leaves and must be nil
-// for unmaterialized trees. Called only by the goroutine owning this root
-// subtree.
-func (n *Node) insert(cfg Config, sax []uint8, pos int32, raw []float32) {
+// Called only by the goroutine owning this root subtree, before it is
+// materialized.
+func (n *Node) insert(cfg Config, sax []uint8, pos int32) {
 	node := n
 	for !node.IsLeaf() {
 		node.Count++
 		node = node.route(sax, cfg.MaxBits)
 	}
-	node.appendEntry(sax, pos, raw)
+	node.appendEntry(sax, pos)
+	if node.Count > cfg.LeafCapacity+1 && !node.separates(cfg, sax) {
+		// The leaf already overflowed, so no promotable segment separated
+		// its entries, and the new one sides with them on every segment:
+		// it stays one leaf, and splittable need not scan it again.
+		return
+	}
 	for node.Count > cfg.LeafCapacity {
 		seg, ok := node.splittable(cfg)
 		if !ok {
@@ -165,36 +173,6 @@ func (n *Node) insert(cfg Config, sax []uint8, pos int32, raw []float32) {
 			return
 		}
 	}
-}
-
-// Clone returns a deep copy of the subtree rooted at n: fresh nodes with
-// copied entry storage. Word slices are shared — words are immutable after
-// construction (splits build child words with Word.Child, which allocates).
-// The live-merge path clones a subtree aside, inserts the pending delta
-// entries into the copy, and swaps it in, so queries keep traversing the
-// original untouched.
-func (n *Node) Clone() *Node {
-	if n == nil {
-		return nil
-	}
-	c := &Node{
-		Word:     n.Word,
-		Count:    n.Count,
-		SplitSeg: n.SplitSeg,
-		Flushed:  n.Flushed,
-		Ref:      n.Ref,
-	}
-	if n.SAX != nil {
-		c.SAX = append(make([]uint8, 0, len(n.SAX)), n.SAX...)
-	}
-	if n.Pos != nil {
-		c.Pos = append(make([]int32, 0, len(n.Pos)), n.Pos...)
-	}
-	if n.Raw != nil {
-		c.Raw = append(make([]float32, 0, len(n.Raw)), n.Raw...)
-	}
-	c.Left, c.Right = n.Left.Clone(), n.Right.Clone()
-	return c
 }
 
 // WalkLeaves invokes fn on every leaf below n in depth-first order.

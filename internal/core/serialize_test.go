@@ -15,7 +15,7 @@ func makeLeaf(count, w int) *Node {
 		for j := range sax {
 			sax[j] = uint8(i + j)
 		}
-		n.appendEntry(sax, int32(i*10), nil)
+		n.appendEntry(sax, int32(i*10))
 	}
 	return n
 }

@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"dsidx/internal/isax"
+	"dsidx/internal/series"
 )
 
 // Tree is the iSAX index tree. The conceptual root is the Roots array: one
@@ -24,7 +25,7 @@ type Tree struct {
 	roots []*Node
 
 	mu       sync.Mutex
-	occupied []uint32 // keys of non-nil root children, in creation order
+	occupied []uint32 // keys of non-nil root children; ascending once a writer sorts them
 }
 
 // NewTree creates an empty tree for the configuration (defaults applied).
@@ -59,17 +60,26 @@ func (t *Tree) ensureRoot(key uint32) *Node {
 		return n
 	}
 	n := &Node{Word: isax.RootWordFromKey(key, t.cfg.Segments)}
-	t.roots[key] = n
-	t.mu.Lock()
-	t.occupied = append(t.occupied, key)
-	t.mu.Unlock()
+	t.setRoot(key, n)
 	return n
 }
 
+// setRoot installs n as the root child for key, registering the key if its
+// slot was empty. Distinct keys may be set by distinct goroutines
+// concurrently; the same key must not.
+func (t *Tree) setRoot(key uint32, n *Node) {
+	if t.roots[key] == nil {
+		t.mu.Lock()
+		t.occupied = append(t.occupied, key)
+		t.mu.Unlock()
+	}
+	t.roots[key] = n
+}
+
 // CloneShell returns a new tree sharing every subtree pointer (and the
-// quantizer) with t. The live-merge path mutates the shell only through
-// SetSubtree and SubtreeInsert on subtrees it has cloned or created first,
-// so t — and any query still traversing it — is never touched.
+// quantizer) with t. Writing a subtree of the shell (WriteSubtree) installs
+// a fresh root child and never mutates the one it replaces, so t — and any
+// query still traversing it — is never touched.
 func (t *Tree) CloneShell() *Tree {
 	t.mu.Lock()
 	occ := make([]uint32, len(t.occupied))
@@ -80,73 +90,30 @@ func (t *Tree) CloneShell() *Tree {
 	return &Tree{cfg: t.cfg, quant: t.quant, roots: roots, occupied: occ}
 }
 
-// SetSubtree installs n as the root child for key, registering the key if
-// it was previously empty. A nil n is a no-op. Distinct keys may be set by
-// distinct goroutines concurrently (the merge parallelization unit, like
-// subtree building); the same key must not.
-func (t *Tree) SetSubtree(key uint32, n *Node) {
-	if n == nil {
-		return
+// WriteSubtree replaces the root child for key with a fresh one holding
+// exactly the positions in live, inserted in that order (each with its
+// summary from sax) through the splits that capacity calls for. Every
+// writer of a subtree whose content changes goes through here with the
+// key's positions in ascending order — a bulk build with the positions it
+// grouped, a merge or compaction with the key's surviving and new ones — so
+// a subtree depends only on the positions it holds, not on the history that
+// put them there. An empty live leaves an empty leaf, which the leaf
+// directory bounds to +Inf. The replaced root child is not touched. Distinct
+// keys may be written concurrently; callers sort the occupied keys
+// (SortOccupied) once the writes are done. live is not retained.
+func (t *Tree) WriteSubtree(key uint32, live []int32, sax func(pos int32) []uint8) *Node {
+	n := &Node{Word: isax.RootWordFromKey(key, t.cfg.Segments)}
+	for _, pos := range live {
+		n.insert(t.cfg, sax(pos), pos)
 	}
-	fresh := t.roots[key] == nil
-	t.roots[key] = n
-	if fresh {
-		t.mu.Lock()
-		t.occupied = append(t.occupied, key)
-		t.mu.Unlock()
-	}
-}
-
-// CloneSubtreeFiltered returns a deep copy of the root subtree for key with
-// every entry whose position satisfies drop removed. The copy is rebuilt by
-// re-inserting the surviving entries (leaf order) into a fresh root child:
-// filtering in place cannot work, because CheckInvariants pins every inner
-// node's children to exact Word.Child forms — an inner node whose side
-// empties out must disappear, and only a rebuild keeps the word chain
-// valid. Returns nil when the subtree does not exist; returns a plain
-// Clone when the subtree holds flushed leaves (their entries live on disk
-// and cannot be filtered here). The caller owns the result, exactly as
-// with Clone — the merge path filters tombstoned series out of a subtree
-// while copying it aside.
-func (t *Tree) CloneSubtreeFiltered(key uint32, drop func(pos int32) bool) *Node {
-	old := t.roots[key]
-	if old == nil {
-		return nil
-	}
-	flushed := false
-	old.WalkLeaves(func(leaf *Node) {
-		if leaf.Flushed {
-			flushed = true
-		}
-	})
-	if flushed {
-		return old.Clone()
-	}
-	w, sl := t.cfg.Segments, t.cfg.SeriesLen
-	fresh := &Node{Word: isax.RootWordFromKey(key, w)}
-	old.WalkLeaves(func(leaf *Node) {
-		for i := 0; i < leaf.Count; i++ {
-			if drop(leaf.Pos[i]) {
-				continue
-			}
-			fresh.insert(t.cfg, leaf.entrySAX(i, w), leaf.Pos[i], leaf.EntryRaw(i, sl))
-		}
-	})
-	return fresh
+	t.setRoot(key, n)
+	return n
 }
 
 // SubtreeInsert inserts a summary into the subtree for key, which the
 // caller has already computed (and owns). sax is copied.
 func (t *Tree) SubtreeInsert(key uint32, sax []uint8, pos int32) {
-	t.ensureRoot(key).insert(t.cfg, sax, pos, nil)
-}
-
-// SubtreeInsertRaw is SubtreeInsert carrying the series' raw values into
-// the destination leaf, for trees with materialized (leaf-ordered) raw
-// storage. sax and raw are copied. Every insert into a materialized tree
-// must use this form, or leaves would hold fewer raw blocks than entries.
-func (t *Tree) SubtreeInsertRaw(key uint32, sax []uint8, pos int32, raw []float32) {
-	t.ensureRoot(key).insert(t.cfg, sax, pos, raw)
+	t.ensureRoot(key).insert(t.cfg, sax, pos)
 }
 
 // Insert routes a summary to its root subtree and inserts it. Convenience
@@ -164,10 +131,10 @@ func (t *Tree) OccupiedKeys() []uint32 {
 	return out
 }
 
-// SortOccupied puts OccupiedKeys in ascending key order. Subtrees built
+// SortOccupied puts OccupiedKeys in ascending key order. Subtrees written
 // concurrently register in whatever order their goroutines first reach
-// them; a bulk build sorts once they are done, so what the tree encodes
-// does not depend on the schedule.
+// them; a build, merge or compaction sorts once they are done, so what the
+// tree encodes does not depend on the schedule.
 func (t *Tree) SortOccupied() {
 	t.mu.Lock()
 	slices.Sort(t.occupied)
@@ -221,23 +188,22 @@ func (t *Tree) BestLeafApprox(querySAX []uint8, queryPAA []float64) *Node {
 }
 
 // MaterializeLeaves fills every leaf below n with its entries' raw values
-// in leaf order: fetch resolves a stored position to that series' values
-// (sl points each), and the leaf's Raw block is laid out entry-aligned
-// with SAX/Pos. fetch may read through any backing — a flat collection,
-// an append store, or a position-remapping series.View — because the
-// values are copied into the leaf-owned block here; the materialized tree
-// never aliases the storage fetch resolved through. Leaves already
-// materialized are skipped, so the walk is idempotent; flushed leaves
-// have no in-memory entries and are skipped too. Callers own the subtree
-// (build and merge both materialize before publishing a snapshot).
-func (n *Node) MaterializeLeaves(sl int, fetch func(pos int32) []float32) {
+// in leaf order, in one exactly sized block per leaf: at resolves a stored
+// position to that series (sl points each), and the block is laid out
+// entry-aligned with SAX/Pos. at may read through any backing — a flat
+// collection, an append store, or a position-remapping series.View —
+// because the values are copied into the leaf-owned block here; the
+// materialized tree never aliases the storage at resolved through. Flushed
+// leaves have no in-memory entries and are skipped. Callers own the
+// subtree, freshly written or decoded and not yet published.
+func (n *Node) MaterializeLeaves(sl int, at func(pos int) series.Series) {
 	n.WalkLeaves(func(leaf *Node) {
-		if leaf.Raw != nil || leaf.Flushed || leaf.Count == 0 {
+		if leaf.Flushed || leaf.Count == 0 {
 			return
 		}
 		raw := make([]float32, leaf.Count*sl)
 		for i, p := range leaf.Pos {
-			copy(raw[i*sl:(i+1)*sl], fetch(p))
+			copy(raw[i*sl:(i+1)*sl], at(int(p)))
 		}
 		leaf.Raw = raw
 	})

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"bytes"
+	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -124,6 +127,16 @@ func TestTreeDuplicateSummariesOverflow(t *testing.T) {
 	if err := tree.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
+	// An entry that differs from the duplicates below the root word's bits
+	// still splits the overflowing leaf: it lands alone on one side.
+	tree.Insert([]uint8{0, 2, 3, 0}, 50)
+	root := tree.Subtree(tree.RootKey(sax))
+	if root.IsLeaf() || root.Count != 51 || root.Left.Count != 1 || root.Left.Pos[0] != 50 {
+		t.Fatalf("separating entry did not split the overflowing leaf: %d entries, leaf %v", root.Count, root.IsLeaf())
+	}
+	if err := tree.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestConcurrentSubtreeBuilds(t *testing.T) {
@@ -234,89 +247,103 @@ func TestSAXArray(t *testing.T) {
 	}
 }
 
-func TestCloneSubtreeFiltered(t *testing.T) {
-	tree, _, _ := buildTestTree(t, 2000, testConfig())
-	dropEven := func(pos int32) bool { return pos%2 == 0 }
+// sameSubtree reports where two subtrees differ in shape or content: words,
+// counts, split segments and every leaf's summaries and positions, in order.
+func sameSubtree(a, b *Node) error {
+	if !a.Word.Equal(b.Word) || a.Count != b.Count || a.IsLeaf() != b.IsLeaf() {
+		return fmt.Errorf("node %v (%d entries) vs %v (%d entries)", a.Word, a.Count, b.Word, b.Count)
+	}
+	if a.IsLeaf() {
+		if !slices.Equal(a.Pos, b.Pos) || !bytes.Equal(a.SAX, b.SAX) {
+			return fmt.Errorf("leaf %v: entries differ", a.Word)
+		}
+		return nil
+	}
+	if a.SplitSeg != b.SplitSeg {
+		return fmt.Errorf("inner %v: split on %d vs %d", a.Word, a.SplitSeg, b.SplitSeg)
+	}
+	if err := sameSubtree(a.Left, b.Left); err != nil {
+		return err
+	}
+	return sameSubtree(a.Right, b.Right)
+}
+
+// Writing every subtree of a shell from its odd positions keeps exactly
+// those, and each written subtree is the one a tree built from the odd
+// positions alone holds: a subtree depends on its positions, not on what
+// the tree held before. The original tree is untouched.
+func TestWriteSubtreeKeepsExactlyTheLivePositions(t *testing.T) {
+	tree, coll, sax := buildTestTree(t, 2000, testConfig())
+	at := func(p int32) []uint8 { return sax.At(int(p)) }
+	odd, err := NewTree(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < coll.Len(); i += 2 {
+		odd.Insert(sax.At(i), int32(i))
+	}
 
 	next := tree.CloneShell()
 	total := 0
 	for _, key := range tree.OccupiedKeys() {
-		filtered := tree.CloneSubtreeFiltered(key, dropEven)
-		next.SetSubtree(key, filtered)
-		// Collect surviving positions and compare against a direct walk
-		// of the original subtree.
-		want := map[int32]bool{}
+		var live []int32
 		tree.Subtree(key).WalkLeaves(func(leaf *Node) {
-			for i := 0; i < leaf.Count; i++ {
-				if !dropEven(leaf.Pos[i]) {
-					want[leaf.Pos[i]] = true
+			for _, p := range leaf.Pos {
+				if p%2 == 1 {
+					live = append(live, p)
 				}
 			}
 		})
-		got := map[int32]bool{}
-		if filtered != nil {
-			filtered.WalkLeaves(func(leaf *Node) {
-				for i := 0; i < leaf.Count; i++ {
-					if dropEven(leaf.Pos[i]) {
-						t.Fatalf("key %d: dropped pos %d survived", key, leaf.Pos[i])
-					}
-					got[leaf.Pos[i]] = true
-				}
-			})
-		}
-		if len(got) != len(want) {
-			t.Fatalf("key %d: %d survivors, want %d", key, len(got), len(want))
-		}
-		for p := range want {
-			if !got[p] {
-				t.Fatalf("key %d: missing survivor %d", key, p)
-			}
+		slices.Sort(live)
+		written := next.WriteSubtree(key, live, at)
+		var got []int32
+		written.WalkLeaves(func(leaf *Node) { got = append(got, leaf.Pos...) })
+		slices.Sort(got)
+		if !slices.Equal(got, live) {
+			t.Fatalf("key %d: written subtree holds %v, want %v", key, got, live)
 		}
 		total += len(got)
+		if len(live) == 0 {
+			if odd.Subtree(key) != nil || !written.IsLeaf() {
+				t.Fatalf("key %d: emptied subtree is not one empty leaf", key)
+			}
+			continue
+		}
+		if err := sameSubtree(written, odd.Subtree(key)); err != nil {
+			t.Fatalf("key %d: written subtree differs from the odd-only tree's: %v", key, err)
+		}
 	}
-	if total != 1000 {
-		t.Fatalf("total survivors = %d, want 1000", total)
+	if total != 1000 || next.Count() != 1000 {
+		t.Fatalf("%d survivors, Count %d; want 1000", total, next.Count())
 	}
 	if err := next.CheckInvariants(); err != nil {
-		t.Fatalf("filtered tree invariants: %v", err)
+		t.Fatalf("written tree invariants: %v", err)
 	}
-	if next.Count() != 1000 {
-		t.Fatalf("filtered Count = %d, want 1000", next.Count())
-	}
-	// The original tree must be untouched.
 	if tree.Count() != 2000 {
-		t.Fatalf("original Count = %d after filter", tree.Count())
+		t.Fatalf("original Count = %d after the writes", tree.Count())
 	}
 	if err := tree.CheckInvariants(); err != nil {
-		t.Fatalf("original invariants after filter: %v", err)
+		t.Fatalf("original invariants after the writes: %v", err)
 	}
 }
 
-func TestCloneSubtreeFilteredDropAll(t *testing.T) {
+// A key written with no live positions keeps its slot as one empty leaf.
+func TestWriteSubtreeEmptiedKeyKeepsAnEmptyLeaf(t *testing.T) {
 	tree, _, _ := buildTestTree(t, 500, testConfig())
 	next := tree.CloneShell()
-	for _, key := range tree.OccupiedKeys() {
-		next.SetSubtree(key, tree.CloneSubtreeFiltered(key, func(int32) bool { return true }))
+	keys := tree.OccupiedKeys()
+	for _, key := range keys {
+		next.WriteSubtree(key, nil, nil)
 	}
 	if err := next.CheckInvariants(); err != nil {
 		t.Fatalf("drop-all invariants: %v", err)
 	}
-	if next.Count() != 0 {
-		t.Fatalf("drop-all Count = %d", next.Count())
+	if next.Count() != 0 || len(next.OccupiedKeys()) != len(keys) {
+		t.Fatalf("drop-all: Count %d over %d keys, want 0 over %d", next.Count(), len(next.OccupiedKeys()), len(keys))
 	}
-	// Missing subtree: filtering a key that was never occupied yields nil.
-	var missing uint32
-	occupied := map[uint32]bool{}
-	for _, key := range tree.OccupiedKeys() {
-		occupied[key] = true
-	}
-	for k := uint32(0); ; k++ {
-		if !occupied[k] {
-			missing = k
-			break
+	for _, key := range keys {
+		if n := next.Subtree(key); !n.IsLeaf() || n.Count != 0 {
+			t.Fatalf("key %d: emptied subtree is not one empty leaf", key)
 		}
-	}
-	if got := tree.CloneSubtreeFiltered(missing, func(int32) bool { return false }); got != nil {
-		t.Fatalf("missing subtree: got %v, want nil", got)
 	}
 }

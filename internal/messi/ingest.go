@@ -14,14 +14,16 @@ package messi
 //     scan of the unmerged delta suffix (query.go), so every answer is
 //     bit-identical to a serial scan of the prefix the query observed.
 //   - When the unmerged suffix reaches Options.MergeThreshold, a background
-//     merge is scheduled: a buffer-fill phase groups the pending summaries
-//     by root subtree (workers claim blocks with Fetch&Inc, each filling
-//     its own parts — the paper's footnote-2 design), then a tree-insert
-//     phase clones each affected subtree aside, inserts the new entries,
-//     and installs the results into a shell copy of the tree. Both phases
-//     run as tasks on the index's shared worker pool. The merged snapshot
-//     is swapped in atomically; in-flight queries keep the snapshot they
-//     loaded and never observe a half-merged tree.
+//     merge is scheduled: a buffer-fill phase groups the live pending
+//     positions by root key with Build's counting sort, then a tree-insert
+//     phase — tasks on the index's shared worker pool, claiming keys in
+//     ascending order — writes each touched key's subtree aside from the
+//     old subtree's live entries and the new positions, in ascending
+//     order, through Build's subtree writer, into a shell copy of the tree
+//     (untouched subtrees are shared). So a merged subtree is the one Build
+//     would make from the same series. The merged snapshot is swapped in
+//     atomically; in-flight queries keep the snapshot they loaded and never
+//     observe a half-merged tree.
 //
 // Consistency guarantees, concretely: Append returns position p only after
 // series ≤ p are visible; a query observes some prefix [0, T) with T at
@@ -132,11 +134,7 @@ type IngestStats struct {
 //
 // Every field is derived from two loads — the snapshot pointer, then the
 // published append count — in that order, so the arithmetic relations
-// between Appended, Pending and Merged hold in every snapshot. (The
-// previous implementation read an independent lifetime-appends counter
-// first, which could run behind the published count it was compared
-// against and make Appended < Merged + Pending under concurrent
-// appends.)
+// between Appended, Pending and Merged hold in every snapshot.
 func (ix *Index) IngestStats() IngestStats {
 	snap := ix.snap.Load()
 	a := ix.appended.Load() // after snap: a >= snap.mergedA
@@ -213,13 +211,13 @@ func (ix *Index) Flush() {
 }
 
 // mergeOnce folds the published delta suffix into the tree: buffer-fill
-// groups pending entries by root subtree, tree-insert rebuilds affected
-// subtrees aside, and the new snapshot is installed atomically. Merges are
-// serialized; queries are never blocked — they either hold the old
-// snapshot or pick up the new one on their next call.
+// groups the live pending positions by root key, tree-insert rewrites the
+// touched subtrees aside (rewrite), and the new snapshot is installed
+// atomically. Merges are serialized; queries are never blocked — they
+// either hold the old snapshot or pick up the new one on their next call.
 //
-// It reports whether the cycle completed. A panic in either phase's tasks
-// is contained at the Group boundary; the cycle is then aborted before the
+// It reports whether the cycle completed. A panic in a tree-insert task is
+// contained at the Group boundary; the cycle is then aborted before the
 // snapshot install — the half-built tree is discarded, the previous
 // snapshot keeps serving, the delta stays exact-searchable — and
 // MergeAborts is bumped.
@@ -232,113 +230,24 @@ func (ix *Index) mergeOnce() bool {
 	if lo >= total {
 		return true // a concurrent mergeOnce already covered this suffix
 	}
-	// One tombstone snapshot for the whole cycle: rebuilt subtrees drop
+	// One tombstone snapshot for the whole cycle: rewritten subtrees drop
 	// entries it marks, and marked pending entries are not inserted. Bits
 	// set after this load stay in the published set — queries filter them —
 	// so a racing Delete loses nothing.
 	tombs := ix.tombs.Load()
-	pending := total - lo
-	blocks := xsync.Blocks(pending, claimBlock)
-	workers := min(ix.eng.Workers(), len(blocks))
 
-	// Phase 1 — buffer fill (ParIS+ stage 1): workers claim blocks of the
-	// delta suffix with Fetch&Inc and group positions by root key into
-	// their own parts; no synchronization on the buffers themselves.
-	parts := make([]map[uint32][]int32, workers)
-	var cursor xsync.Counter
-	g := ix.eng.NewGroup()
-	for wk := 0; wk < workers; wk++ {
-		wk := wk
-		g.Submit(func() {
-			mine := make(map[uint32][]int32, 64)
-			for {
-				bi := cursor.Next()
-				if int(bi) >= len(blocks) {
-					break
-				}
-				blk := blocks[bi]
-				for i := blk.Lo; i < blk.Hi; i++ {
-					ai := int32(lo + i)
-					key := old.tree.RootKey(ix.saxLog.At(int(ai)))
-					mine[key] = append(mine[key], ai)
-				}
-			}
-			parts[wk] = mine
-		})
-	}
-	g.Wait()
-	if g.Err() != nil {
-		ix.mergeAborts.Add(1)
-		return false
-	}
-
-	keySet := make(map[uint32]struct{}, 64)
-	for _, part := range parts {
-		for key := range part {
-			keySet[key] = struct{}{}
+	// Phase 1 — buffer fill (ParIS+ stage 1): the live pending positions;
+	// rewrite groups them by root key and runs phase 2, the tree insert.
+	pos := make([]int32, 0, total-lo)
+	for p := ix.baseLen + lo; p < ix.baseLen+total; p++ {
+		if !tombs.has(int32(p)) { // deleted while pending: never enters the tree
+			pos = append(pos, int32(p))
 		}
 	}
-	keys := make([]uint32, 0, len(keySet))
-	for key := range keySet {
-		keys = append(keys, key)
-	}
-	// Sorted claim order keeps serial merges deterministic (see the same
-	// step in Build): newly created subtrees land in the occupied list in
-	// key order, so equivalent indexes keep encoding identically.
-	slices.Sort(keys)
-
-	// Phase 2 — tree insert (ParIS+ stage 2): workers claim affected root
-	// keys with Fetch&Inc; each clones the old subtree aside, inserts the
-	// new entries, and installs the result into a shell copy of the tree.
-	// Untouched subtrees are shared between the old and new snapshot. On a
-	// materialized index the inserts carry each merged series' raw values
-	// into the destination leaf (and through any splits), so leaf-ordered
-	// storage survives merge cycles: a refined leaf streams its merged-in
-	// entries exactly like its build-time ones.
-	next := old.tree.CloneShell()
-	var keyCursor xsync.Counter
-	g = ix.eng.NewGroup()
-	for wk := 0; wk < min(ix.eng.Workers(), len(keys)); wk++ {
-		g.Submit(func() {
-			for {
-				ki := keyCursor.Next()
-				if int(ki) >= len(keys) {
-					return
-				}
-				key := keys[ki]
-				if tombs.count() > 0 {
-					// Rebuilding anyway — drop tombstoned entries from the
-					// copy (deletes compact for free on subtrees merges
-					// touch; Compact sweeps the rest).
-					next.SetSubtree(key, old.tree.CloneSubtreeFiltered(key, tombs.has))
-				} else {
-					next.SetSubtree(key, old.tree.Subtree(key).Clone())
-				}
-				for _, part := range parts {
-					for _, ai := range part[key] {
-						if tombs.has(int32(ix.baseLen) + ai) {
-							continue // deleted while pending: never enters the tree
-						}
-						if ix.opt.DisableLeafRaw {
-							next.SubtreeInsert(key, ix.saxLog.At(int(ai)), int32(ix.baseLen)+ai)
-						} else {
-							next.SubtreeInsertRaw(key, ix.saxLog.At(int(ai)), int32(ix.baseLen)+ai,
-								ix.store.At(int(ai)))
-						}
-					}
-				}
-			}
-		})
-	}
-	g.Wait()
-	if g.Err() != nil {
-		// A tree-insert task panicked: next may hold half-inserted
-		// subtrees. Installing it would serve silently wrong answers —
-		// dropping it serves the previous snapshot, still exact.
-		ix.mergeAborts.Add(1)
+	next := ix.rewrite(old.tree, tombs, pos, true)
+	if next == nil {
 		return false
 	}
-
 	// No summary copying: the flat SAX rows of the merged prefix stay in
 	// baseSAX and the saxLog, both immutable below the published counts;
 	// Encode materializes a flat array from them on demand.
@@ -346,6 +255,65 @@ func (ix *Index) mergeOnce() bool {
 	ix.snapSwaps.Add(1)
 	ix.merges.Add(1)
 	return true
+}
+
+// rewrite returns a shell of old in which the subtree of every root key
+// that a position in touch has is rewritten aside through writeSubtree.
+// touch is grouped by key with Build's counting sort, and tasks on the pool
+// claim the keys in ascending order. A key's live positions are its old
+// subtree's entries that tombs does not mark, ascending, followed — when add
+// — by its positions in touch, which a merge passes ascending and above
+// every merged one. Without add (Compact), a key whose subtree tombs drops
+// nothing from keeps it. Untouched subtrees are shared with old, and the
+// occupied keys are sorted once the writes are done. A panic in a task
+// leaves the shell half written: rewrite then returns nil and bumps
+// MergeAborts, and the caller publishes nothing.
+func (ix *Index) rewrite(old *core.Tree, tombs *tombSet, touch []int32, add bool) *core.Tree {
+	keys := make([]uint32, len(touch))
+	for i, p := range touch {
+		keys[i] = old.RootKey(ix.summary(p))
+	}
+	order, begin, touched := groupByKey(keys, ix.cfg.RootFanout())
+	next := old.CloneShell()
+	var cursor xsync.Counter
+	g := ix.eng.NewGroup()
+	for range min(ix.eng.Workers(), len(touched)) {
+		g.Submit(func() {
+			var live []int32
+			for {
+				ki := cursor.Next()
+				if int(ki) >= len(touched) {
+					return
+				}
+				key := touched[ki]
+				live = live[:0]
+				prev := old.Subtree(key)
+				prev.WalkLeaves(func(leaf *core.Node) {
+					for _, p := range leaf.Pos {
+						if !tombs.has(p) {
+							live = append(live, p)
+						}
+					}
+				})
+				slices.Sort(live)
+				if add {
+					for _, i := range order[begin[key]:begin[key+1]] {
+						live = append(live, touch[i])
+					}
+				} else if prev == nil || len(live) == prev.Count {
+					continue // nothing to drop: the old subtree stays
+				}
+				ix.writeSubtree(next, key, live)
+			}
+		})
+	}
+	g.Wait()
+	if g.Err() != nil {
+		ix.mergeAborts.Add(1)
+		return nil
+	}
+	next.SortOccupied()
+	return next
 }
 
 // Index persistence ("DSL1" live format): the core DSI1 blob (tree + SAX
@@ -498,7 +466,11 @@ func Decode(data []byte, coll series.Reader, opt Options) (*Index, error) {
 				i/cfg.Segments, s, 1<<cfg.MaxBits)
 		}
 	}
-	ix := &Index{cfg: cfg, opt: opt, raw: coll}
+	// The decoded flat SAX array covers base + merged appends; the index
+	// keeps only the immutable base prefix (merged summaries live in the
+	// saxLog, re-appended below).
+	baseSAX := &core.SAXArray{W: cfg.Segments, Data: sax.Data[:coll.Len()*cfg.Segments]}
+	ix := &Index{cfg: cfg, opt: opt, raw: coll, baseLen: coll.Len(), baseSAX: baseSAX}
 	ix.store = series.NewChunked(cfg.SeriesLen, 0)
 	ix.saxLog = series.NewChunkedRows[uint8](cfg.Segments, 0)
 	s := make(series.Series, cfg.SeriesLen)
@@ -514,18 +486,12 @@ func Decode(data []byte, coll series.Reader, opt Options) (*Index, error) {
 	ix.restored = int64(a) // IngestStats.Appended counts post-load appends only
 	// The serialized form carries no leaf raw blocks (values exist in the
 	// collection and append store already, and the format predates the
-	// layout) — rebuild leaf-ordered storage from them, resolving merged
-	// append positions through the restored store. One linear pass at load
-	// time buys every query the sequential refinement layout.
-	if !opt.DisableLeafRaw {
-		for _, key := range tree.OccupiedKeys() {
-			tree.Subtree(key).MaterializeLeaves(cfg.SeriesLen, func(pos int32) []float32 {
-				if int(pos) < coll.Len() {
-					return coll.At(int(pos))
-				}
-				return ix.store.At(int(pos) - coll.Len())
-			})
-		}
+	// layout) — rebuild leaf-ordered storage from them through the same
+	// step every subtree writer ends with, resolving merged append
+	// positions through the restored store. One linear pass at load time
+	// buys every query the sequential refinement layout.
+	for _, key := range tree.OccupiedKeys() {
+		ix.materialize(tree.Subtree(key))
 	}
 	// Restore delete/TTL state before the index can merge or serve: the
 	// envelope's positions must land inside the restored position space.
@@ -548,11 +514,7 @@ func Decode(data []byte, coll series.Reader, opt Options) (*Index, error) {
 		}
 		ix.ttls = ttls
 	}
-	// The decoded flat SAX array covers base + merged appends; the index
-	// keeps only the immutable base prefix (merged summaries live in the
-	// saxLog, re-appended above).
-	baseSAX := &core.SAXArray{W: cfg.Segments, Data: sax.Data[:coll.Len()*cfg.Segments]}
-	ix.initLive(tree, baseSAX, mergedA)
+	ix.initLive(tree, mergedA)
 	// A restored delta may already exceed the threshold; without this, a
 	// read-only workload would pay the full delta scan forever (merges are
 	// otherwise only scheduled from the append path).

@@ -10,24 +10,31 @@ import (
 	"dsidx/internal/vector"
 )
 
-// verifyLeafRaw asserts every leaf of the index's current tree is
-// materialized and that each entry's raw block is bit-identical to the
-// series its position resolves to — the alignment the refinement hot path
-// depends on.
+// verifyLeafRaw asserts every non-empty leaf of the index's current tree is
+// materialized in one exactly sized block (no capacity beyond its length)
+// and that each entry's raw block is bit-identical to the series its
+// position resolves to — the alignment the refinement hot path depends on.
+// Under Options.DisableLeafRaw it asserts instead that no leaf holds a block.
 func verifyLeafRaw(t *testing.T, ix *Index) {
 	t.Helper()
 	n := ix.cfg.SeriesLen
-	leaves, entries := 0, 0
+	leaves := 0
 	ix.Tree().VisitLeaves(func(leaf *core.Node) {
 		leaves++
+		if ix.opt.DisableLeafRaw || leaf.Count == 0 {
+			if leaf.Raw != nil {
+				t.Fatalf("leaf %v of %d entries materialized (DisableLeafRaw %v)", leaf.Word, leaf.Count, ix.opt.DisableLeafRaw)
+			}
+			return
+		}
 		if leaf.Raw == nil {
 			t.Fatalf("leaf %v not materialized", leaf.Word)
 		}
-		if len(leaf.Raw) != leaf.Count*n {
-			t.Fatalf("leaf %v: %d raw values for %d entries", leaf.Word, len(leaf.Raw), leaf.Count)
+		if len(leaf.Raw) != leaf.Count*n || cap(leaf.Raw) != len(leaf.Raw) {
+			t.Fatalf("leaf %v: %d raw values (capacity %d) for %d entries",
+				leaf.Word, len(leaf.Raw), cap(leaf.Raw), leaf.Count)
 		}
 		for i, p := range leaf.Pos {
-			entries++
 			want := ix.At(int(p))
 			got := leaf.Raw[i*n : (i+1)*n]
 			for j := range want {
@@ -41,7 +48,6 @@ func verifyLeafRaw(t *testing.T, ix *Index) {
 	if leaves == 0 {
 		t.Fatal("tree has no leaves")
 	}
-	_ = entries
 }
 
 func TestLeafRawAlignedAfterBuild(t *testing.T) {
@@ -55,41 +61,59 @@ func TestLeafRawAlignedAfterBuild(t *testing.T) {
 }
 
 func TestLeafRawSurvivesMergeCycle(t *testing.T) {
-	// A live-ingest merge must preserve leaf-ordered storage for the
-	// merged-in series: after the delta folds into the tree, every leaf —
-	// including leaves that were split or newly created by the merge —
-	// holds its entries' raw values contiguously.
+	// Every subtree writer ends in the one materialize step, so leaf-ordered
+	// storage holds — exactly sized, or absent under DisableLeafRaw — after
+	// a build, a live-ingest merge (including leaves split or created by
+	// it), a Compact and a Decode.
 	g := gen.Generator{Kind: gen.Synthetic, Seed: 77}
 	coll := g.Collection(800)
 	extra := g.Queries(300)
-	ix, err := Build(coll, core.Config{LeafCapacity: 16}, Options{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ix.Close()
-	for i := 0; i < extra.Len(); i++ {
-		if _, err := ix.Append(extra.At(i)); err != nil {
+	for _, disable := range []bool{false, true} {
+		ix, err := Build(coll, core.Config{LeafCapacity: 16},
+			Options{Workers: 4, MergeThreshold: 1 << 30, DisableLeafRaw: disable})
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	ix.Flush()
-	if got := ix.IngestStats().Merged; got != extra.Len() {
-		t.Fatalf("merged %d of %d appends", got, extra.Len())
-	}
-	verifyLeafRaw(t, ix)
-	merged := 0
-	ix.Tree().VisitLeaves(func(leaf *core.Node) {
-		for _, p := range leaf.Pos {
-			if int(p) >= coll.Len() {
-				merged++
+		defer ix.Close()
+		verifyLeafRaw(t, ix)
+		for i := 0; i < extra.Len(); i++ {
+			if _, err := ix.Append(extra.At(i)); err != nil {
+				t.Fatal(err)
 			}
 		}
-	})
-	if merged != extra.Len() {
-		t.Fatalf("tree holds %d merged-in positions, want %d", merged, extra.Len())
-	}
-	if err := ix.Tree().CheckInvariants(); err != nil {
-		t.Fatal(err)
+		ix.Flush()
+		if got := ix.IngestStats().Merged; got != extra.Len() {
+			t.Fatalf("merged %d of %d appends", got, extra.Len())
+		}
+		verifyLeafRaw(t, ix)
+		merged := 0
+		ix.Tree().VisitLeaves(func(leaf *core.Node) {
+			for _, p := range leaf.Pos {
+				if int(p) >= coll.Len() {
+					merged++
+				}
+			}
+		})
+		if merged != extra.Len() {
+			t.Fatalf("tree holds %d merged-in positions, want %d", merged, extra.Len())
+		}
+		if _, err := ix.DeleteRange(200, 900); err != nil {
+			t.Fatal(err)
+		}
+		ix.Compact()
+		if got := ix.Tree().Count(); got != coll.Len()+extra.Len()-700 {
+			t.Fatalf("compacted tree holds %d series, want %d", got, coll.Len()+extra.Len()-700)
+		}
+		verifyLeafRaw(t, ix)
+		if err := ix.Tree().CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		ix2, err := Decode(ix.Encode(), coll, Options{Workers: 2, DisableLeafRaw: disable})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ix2.Close()
+		verifyLeafRaw(t, ix2)
 	}
 }
 
@@ -120,18 +144,6 @@ func TestLeafRawRebuiltAfterDecode(t *testing.T) {
 	}
 	defer ix2.Close()
 	verifyLeafRaw(t, ix2)
-
-	// And with materialization disabled, Decode leaves the tree bare.
-	ix3, err := Decode(ix.Encode(), coll, Options{Workers: 2, DisableLeafRaw: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ix3.Close()
-	ix3.Tree().VisitLeaves(func(leaf *core.Node) {
-		if leaf.Raw != nil {
-			t.Fatalf("leaf %v materialized despite DisableLeafRaw", leaf.Word)
-		}
-	})
 }
 
 func TestLeafMaterializationAnswerEquivalence(t *testing.T) {

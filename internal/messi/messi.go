@@ -49,9 +49,13 @@
 // SAX on arrival; queries union the tree's candidates with an exact scan of
 // the delta, so answers stay bit-identical to a serial scan of everything
 // the query observed. A background merge — the ParIS+ buffer-fill /
-// tree-insert split, run as tasks on the index's worker pool — folds the
-// delta into a copied-aside version of the affected subtrees and swaps in
-// the merged snapshot atomically, never blocking readers.
+// tree-insert split — groups the pending positions by root key as Build
+// does, rewrites each touched key's subtree aside from its live positions
+// in ascending order through Build's own subtree writer, on the index's
+// worker pool, and swaps in the merged snapshot atomically, never blocking
+// readers. Every subtree a merge writes is thus the one Build would make
+// from the same series; Compact rewrites the subtrees that hold deleted
+// series the same way.
 package messi
 
 import (
@@ -83,8 +87,9 @@ type Options struct {
 	// knob only trades merge frequency against per-query delta-scan cost.
 	MergeThreshold int
 	// DisableLeafRaw turns off leaf-ordered raw storage. By default every
-	// leaf keeps a contiguous copy of its series' values (filled at build,
-	// carried through splits and live merges), so leaf refinement streams
+	// leaf keeps a contiguous, exactly sized copy of its series' values
+	// (written whenever its subtree is: at build, merge, Compact and
+	// Decode), so leaf refinement streams
 	// sequential memory instead of chasing positions through the
 	// collection — at the cost of one extra copy of the raw data.
 	// Disabling trades that memory back for per-entry random reads; the
@@ -100,9 +105,9 @@ type Options struct {
 	Engine *engine.Engine
 }
 
-// claimBlock is the work-claiming granularity in series of build stage 1
-// and of a merge's buffer fill: small blocks assigned with Fetch&Inc give the
-// load balancing the paper describes.
+// claimBlock is the work-claiming granularity in series of build stage 1:
+// small blocks assigned with Fetch&Inc give the load balancing the paper
+// describes.
 const claimBlock = 1024
 
 func (o Options) normalize() Options {
@@ -211,9 +216,7 @@ type Index struct {
 
 // initLive gives a constructed index its ingestion state, its worker pool
 // (the borrowed Options.Engine, or a new one it owns) and its scratch pools.
-func (ix *Index) initLive(tree *core.Tree, baseSAX *core.SAXArray, mergedA int) {
-	ix.baseLen = ix.raw.Len()
-	ix.baseSAX = baseSAX
+func (ix *Index) initLive(tree *core.Tree, mergedA int) {
 	if ix.store == nil {
 		ix.store = series.NewChunked(ix.cfg.SeriesLen, 0)
 		ix.saxLog = series.NewChunkedRows[uint8](ix.cfg.Segments, 0)
@@ -265,8 +268,8 @@ func Build(coll series.Reader, cfg core.Config, opt Options) (*Index, error) {
 	}
 	cfg = tree.Config()
 	n := coll.Len()
-	ix := &Index{cfg: cfg, opt: opt, raw: coll}
 	sax := core.NewSAXArray(n, cfg.Segments)
+	ix := &Index{cfg: cfg, opt: opt, raw: coll, baseLen: n, baseSAX: sax}
 
 	start := time.Now()
 
@@ -312,30 +315,13 @@ func Build(coll series.Reader, cfg core.Config, opt Options) (*Index, error) {
 	}
 	ix.build.Summarize = time.Since(start)
 
-	// Stage 2: a counting sort of the positions by root key (begin[k] counts
-	// key k, the prefix sums make it the run's end, and placing positions
-	// backwards walks it to the start), then one worker per non-empty key,
-	// claimed in ascending order. No step depends on the schedule, so builds
-	// over identical content (a view vs a flat copy) encode byte-identically.
+	// Stage 2: the positions grouped by root key (groupByKey), then one
+	// worker per non-empty key, claimed in ascending order, writes the key's
+	// subtree from its ascending positions. No step depends on the schedule,
+	// so builds over identical content (a view vs a flat copy) encode
+	// byte-identically.
 	t0 := time.Now()
-	begin := make([]int32, cfg.RootFanout()+1)
-	for _, k := range keys {
-		begin[k]++
-	}
-	for k := 1; k < len(begin); k++ {
-		begin[k] += begin[k-1]
-	}
-	order := make([]int32, n)
-	for i := n - 1; i >= 0; i-- { // backwards, so each key's positions ascend
-		begin[keys[i]]--
-		order[begin[keys[i]]] = int32(i)
-	}
-	var occupied []uint32
-	for k := range cfg.RootFanout() {
-		if begin[k+1] > begin[k] {
-			occupied = append(occupied, uint32(k))
-		}
-	}
+	order, begin, occupied := groupByKey(keys, cfg.RootFanout())
 	var keyCursor xsync.Counter
 	wg = sync.WaitGroup{}
 	for w := 0; w < opt.Workers; w++ {
@@ -348,17 +334,7 @@ func Build(coll series.Reader, cfg core.Config, opt Options) (*Index, error) {
 					return
 				}
 				key := occupied[ki]
-				for _, pos := range order[begin[key]:begin[key+1]] {
-					tree.SubtreeInsert(key, sax.At(int(pos)), pos)
-				}
-				// Leaf-ordered storage: once the subtree's shape is final
-				// (no more splits), copy each leaf's series into one
-				// contiguous block — materializing after the build avoids
-				// re-copying raw values through every intermediate split.
-				if !opt.DisableLeafRaw {
-					tree.Subtree(key).MaterializeLeaves(cfg.SeriesLen,
-						func(pos int32) []float32 { return coll.At(int(pos)) })
-				}
+				ix.writeSubtree(tree, key, order[begin[key]:begin[key+1]])
 			}
 		}()
 	}
@@ -366,8 +342,62 @@ func Build(coll series.Reader, cfg core.Config, opt Options) (*Index, error) {
 	tree.SortOccupied()
 	ix.build.TreeBuild = time.Since(t0)
 	ix.build.Total = time.Since(start)
-	ix.initLive(tree, sax, 0)
+	ix.initLive(tree, 0)
 	return ix, nil
+}
+
+// groupByKey is a counting sort of the indices of keys by key: the indices
+// holding key k are order[begin[k]:begin[k+1]], ascending, and occupied
+// lists the keys that hold any, ascending. begin[k] first counts key k; the
+// prefix sums make it the run's end, and placing indices backwards walks it
+// to the start.
+func groupByKey(keys []uint32, fanout int) (order, begin []int32, occupied []uint32) {
+	begin = make([]int32, fanout+1)
+	for _, k := range keys {
+		begin[k]++
+	}
+	for k := 1; k < len(begin); k++ {
+		begin[k] += begin[k-1]
+	}
+	order = make([]int32, len(keys))
+	for i := len(keys) - 1; i >= 0; i-- {
+		begin[keys[i]]--
+		order[begin[keys[i]]] = int32(i)
+	}
+	for k := range fanout {
+		if begin[k+1] > begin[k] {
+			occupied = append(occupied, uint32(k))
+		}
+	}
+	return order, begin, occupied
+}
+
+// writeSubtree is the index's one subtree writer: Build, merges and Compact
+// all replace a root key's subtree through it, passing the key's live
+// positions in ascending order. tree.WriteSubtree inserts them through
+// splits; then, the shape final, materialize copies each leaf's series into
+// its block. So a subtree is the one Build would make from what it holds,
+// however many merges and compactions put it there.
+func (ix *Index) writeSubtree(tree *core.Tree, key uint32, live []int32) {
+	ix.materialize(tree.WriteSubtree(key, live, ix.summary))
+}
+
+// materialize gives every leaf below n its leaf-ordered raw block, read
+// through At, unless Options.DisableLeafRaw — the one place that option is
+// read. writeSubtree and Decode call it on subtrees no query sees yet.
+func (ix *Index) materialize(n *core.Node) {
+	if !ix.opt.DisableLeafRaw {
+		n.MaterializeLeaves(ix.cfg.SeriesLen, ix.At)
+	}
+}
+
+// summary returns the full-cardinality summary of the series at a global
+// position: baseSAX for the base collection, the append log above it.
+func (ix *Index) summary(pos int32) []uint8 {
+	if int(pos) < ix.baseLen {
+		return ix.baseSAX.At(int(pos))
+	}
+	return ix.saxLog.At(int(pos) - ix.baseLen)
 }
 
 // NonFiniteError is Build's and Decode's refusal of a collection that holds

@@ -99,6 +99,118 @@ func TestBuildEncodesIdenticallyAtEveryWorkerCount(t *testing.T) {
 	}
 }
 
+// TestMergeEncodesIdenticallyAtEveryWorkerCount: a merge groups the
+// pending positions with Build's counting sort and rewrites each touched
+// key's subtree from ascending positions, so what a Flush publishes may not
+// depend on which worker wrote which key either. CI repeats it under the
+// race detector beside the build test.
+func TestMergeEncodesIdenticallyAtEveryWorkerCount(t *testing.T) {
+	coll := gen.Generator{Kind: gen.Synthetic, Seed: 29}.Collection(20000)
+	extra := gen.Generator{Kind: gen.Synthetic, Seed: 31}.Collection(9000)
+	batch := make([]series.Series, extra.Len())
+	for i := range batch {
+		batch[i] = extra.At(i)
+	}
+	merged := func(workers int) []byte {
+		ix, err := Build(coll, core.Config{LeafCapacity: 32},
+			Options{Workers: workers, MergeThreshold: 1 << 30})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ix.Close()
+		if _, err := ix.AppendBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+		ix.Flush()
+		if st := ix.IngestStats(); st.Merges != 1 || st.Pending != 0 {
+			t.Fatalf("workers=%d: %d merges, %d pending; want one Flush merging all", workers, st.Merges, st.Pending)
+		}
+		return ix.Encode()
+	}
+	want := merged(1)
+	for _, workers := range []int{2, 4} {
+		if got := merged(workers); !bytes.Equal(got, want) {
+			t.Errorf("workers=%d: merged encoding (%d bytes) differs from the 1-worker merge's (%d bytes)",
+				workers, len(got), len(want))
+		}
+	}
+}
+
+// TestMergedTreeIsTheBuiltTree: building over a base, appending and
+// merging leaves the core DSI1 image that one build over base ++ appends
+// makes — with one merge and with one per 1,000 appends, background or
+// flushed — and the same deletes and Compact on both histories keep them
+// identical.
+func TestMergedTreeIsTheBuiltTree(t *testing.T) {
+	g := gen.Generator{Kind: gen.Synthetic, Seed: 37}
+	all := g.Collection(9000)
+	base := series.NewCollection(5000, all.SeriesLen())
+	for i := range base.Len() {
+		base.Set(i, all.At(i))
+	}
+	// coreImage is the DSI1 blob of the index's tree over the summaries of
+	// every position it covers, appended ones included.
+	coreImage := func(ix *Index) []byte {
+		n := ix.baseLen + ix.snap.Load().mergedA
+		sax := core.NewSAXArray(n, ix.cfg.Segments)
+		for p := range n {
+			copy(sax.At(p), ix.summary(int32(p)))
+		}
+		return core.EncodeIndex(ix.Tree(), sax)
+	}
+	compact := func(ix *Index) {
+		for _, r := range [][2]int{{100, 1400}, {4800, 5300}, {7000, 7001}, {8200, 9000}} {
+			if _, err := ix.DeleteRange(r[0], r[1]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ix.Compact()
+		if err := ix.Tree().CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, workers := range []int{1, 2, 4} {
+		built, err := Build(all, core.Config{LeafCapacity: 32}, Options{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer built.Close()
+		want := coreImage(built)
+		compact(built)
+		wantCompacted := coreImage(built)
+		for _, threshold := range []int{1 << 30, 1000} {
+			ix, err := Build(base, core.Config{LeafCapacity: 32},
+				Options{Workers: workers, MergeThreshold: threshold})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ix.Close()
+			for i := base.Len(); i < all.Len(); i++ {
+				if _, err := ix.Append(all.At(i)); err != nil {
+					t.Fatal(err)
+				}
+				if (i+1-base.Len())%threshold == 0 {
+					ix.Flush() // each threshold's worth merged before the next lands
+				}
+			}
+			ix.Flush()
+			merges := ix.IngestStats().Merges
+			if threshold == 1<<30 && merges != 1 || threshold == 1000 && merges < 4 {
+				t.Fatalf("workers=%d threshold=%d: %d merges", workers, threshold, merges)
+			}
+			if got := coreImage(ix); !bytes.Equal(got, want) {
+				t.Errorf("workers=%d threshold=%d: tree after %d merges (%d bytes) differs from the built tree (%d bytes)",
+					workers, threshold, merges, len(got), len(want))
+			}
+			compact(ix)
+			if got := coreImage(ix); !bytes.Equal(got, wantCompacted) {
+				t.Errorf("workers=%d threshold=%d: compacted tree after %d merges differs from the compacted built tree",
+					workers, threshold, merges)
+			}
+		}
+	}
+}
+
 func TestBuildStats(t *testing.T) {
 	coll, _ := dataset(t, gen.Synthetic, 600)
 	ix := build(t, coll, 4)

@@ -7,8 +7,9 @@ package messi
 // search flavor (tree refinement, delta scan, k-NN offers, approximate
 // probes) consults the set it loaded at query start, so an answer reflects
 // one consistent delete state just like it reflects one consistent append
-// cut. The background merge drops tombstoned entries whenever it rebuilds a
-// subtree (ingest.go), and Compact forces a full sweep; the tombstone set
+// cut. The background merge drops tombstoned entries whenever it rewrites a
+// subtree (ingest.go), and Compact rewrites the subtrees that still hold
+// any, through the same writer; the tombstone set
 // itself is kept even for compacted positions — positions are never reused,
 // so a stale bit is harmless, and keeping it makes the filter independent of
 // compaction progress (answers cannot depend on merge timing).
@@ -23,6 +24,7 @@ package messi
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"dsidx/internal/series"
 	"dsidx/internal/storage"
@@ -214,12 +216,12 @@ func (ix *Index) Tombstoned() int { return ix.tombs.Load().count() }
 func (ix *Index) Live() int { return ix.Count() - ix.Tombstoned() }
 
 // Compact synchronously folds the pending delta into the tree (Flush) and
-// then rebuilds every subtree that holds tombstoned entries, dropping them
-// from leaves. Queries were already exact before the call — the tombstone
-// filter covers un-compacted entries — so Compact only reclaims memory and
-// refinement work; answers never change. Subtrees whose leaves have been
-// flushed to device storage are kept as-is (their entries live on disk and
-// stay filtered at query time).
+// then rewrites every subtree that holds tombstoned entries, dropping them
+// from leaves: the keys of the tombstoned positions the tree covers go
+// through the merge's rewrite with nothing added, so a compacted subtree is
+// the one Build would make from its live series. Queries were already exact
+// before the call — the tombstone filter covers un-compacted entries — so
+// Compact only reclaims memory and refinement work; answers never change.
 func (ix *Index) Compact() {
 	ix.Flush()
 	ts := ix.tombs.Load()
@@ -229,12 +231,12 @@ func (ix *Index) Compact() {
 	ix.mergeMu.Lock()
 	defer ix.mergeMu.Unlock()
 	old := ix.snap.Load()
-	next := old.tree.CloneShell()
-	for _, key := range old.tree.OccupiedKeys() {
-		next.SetSubtree(key, old.tree.CloneSubtreeFiltered(key, ts.has))
+	pos := ts.positions() // ascending: cut off the pending ones, not in the tree
+	inTree, _ := slices.BinarySearch(pos, int32(ix.baseLen+old.mergedA))
+	if next := ix.rewrite(old.tree, ts, pos[:inTree], false); next != nil {
+		ix.publish(next, old.mergedA)
+		ix.snapSwaps.Add(1)
 	}
-	ix.publish(next, old.mergedA)
-	ix.snapSwaps.Add(1)
 }
 
 // Tombstone persistence ("DST1"): an optional envelope around the DSL1/DSI1
